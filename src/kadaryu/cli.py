@@ -47,10 +47,13 @@ def _parse_partition(s: str) -> tuple[int, ...]:
 
 def _parse_alpha(s: str):
     """A rational value "p/q", or "minpoly:c0,c1,..." for an algebraic one."""
-    if s.startswith("minpoly:"):
-        coeffs = [Fraction(x) for x in s[len("minpoly:"):].split(",")]
-        return Polynomial(coeffs)
-    return Fraction(s)
+    try:
+        if s.startswith("minpoly:"):
+            return Polynomial([Fraction(x) for x in s[len("minpoly:"):].split(",")])
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"bad value {s!r}: use p/q or minpoly:c0,c1,... with nonzero denominators")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +162,10 @@ def _cmd_rollet(args) -> int:
     p_max = args.max_p if args.max_p is not None else args.max_n
     if p_max is None:
         print("error: rollet needs --max-n or --max-p", file=sys.stderr)
+        return 2
+    if any(b is not None and b < 0 for b in (args.max_n, args.max_p)):
+        print("error: rollet bounds --max-n and --max-p must be non-negative",
+              file=sys.stderr)
         return 2
     graph = RolletGraph(args.l, p_max)
     if args.format == "dot":

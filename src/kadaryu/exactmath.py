@@ -515,52 +515,132 @@ def det_rational(m: list[list[Fraction]]) -> Fraction:
     return Q(d, den ** n)
 
 
-def _lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> Polynomial:
-    """Newton-form interpolation through distinct rational points."""
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    n = len(points)
-    # divided differences
-    dd = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    poly = Polynomial()
-    basis = Polynomial.one()
-    for i in range(n):
-        poly = poly + basis * dd[i]
-        basis = basis * Polynomial([-xs[i], 1])
-    return poly
+# Floor on the modulus of det_poly: large enough that a probable prime above
+# it is, in practice, a prime even when the coefficient bound is tiny.
+_MODULUS_FLOOR = 2 ** 61
 
 
-def _eval_points(k: int) -> list[Fraction]:
-    """0, 1, -1, 2, -2, ... (k of them)."""
-    out = [Q(0)]
-    v = 1
-    while len(out) < k:
-        out.append(Q(v))
-        if len(out) < k:
-            out.append(Q(-v))
-        v += 1
-    return out[:k]
+def _det_mod(rows: list[list[int]], modulus: int) -> int:
+    """Determinant modulo `modulus` by Gaussian elimination (consumes rows).
+
+    Every pivot is inverted, so pow raises ValueError when a nonzero pivot is
+    not a unit, i.e. when the modulus is composite; otherwise the result is
+    exact in Z/modulus whether or not the modulus is prime.
+    """
+    det = 1
+    while rows:
+        for i, row in enumerate(rows):
+            if row[0]:
+                break
+        else:
+            return 0
+        pivot = rows.pop(i)
+        if i % 2:
+            det = -det  # moving row i to the top is a cycle of length i + 1
+        det = det * pivot[0] % modulus
+        inv = pow(pivot[0], -1, modulus)
+        tail = pivot[1:]
+        rest = []
+        for row in rows:
+            f = row[0] * inv % modulus
+            rest.append([(x - f * y) % modulus for x, y in zip(row[1:], tail)]
+                        if f else row[1:])
+        rows = rest
+    return det
+
+
+def _interpolate_mod(values: list[int], modulus: int) -> list[int]:
+    """Coefficients, lowest first and reduced mod `modulus`, of the polynomial
+    of degree < len(values) that takes values[x] at x = 0, 1, 2, ...
+
+    Newton form: the divided differences at consecutive integers divide by
+    j = 1 .. len(values) - 1, which pow inverts (ValueError if it cannot).
+    """
+    dd = list(values)
+    k = len(dd)
+    for j in range(1, k):
+        inv = pow(j, -1, modulus)
+        for i in range(k - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * inv % modulus
+    coeffs = [dd[-1]]
+    for i in range(k - 2, -1, -1):
+        # coeffs <- coeffs * (x - i) + dd[i]
+        coeffs = [(a - i * b) % modulus for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] = (coeffs[0] + dd[i]) % modulus
+    return coeffs
+
+
+def _det_interpolate_mod(layers: list[list[list[tuple[int, int]]]], bound: int,
+                         modulus: int) -> list[int]:
+    """Interpolated det, mod `modulus`, of the integer polynomial matrix
+    sum_t layers[t] (entry (k, c) of a layer is the term c*a^k), from its
+    values at a = 0..bound."""
+    top = max(k for layer in layers for row in layer for k, _ in row)
+    values = []
+    for x in range(bound + 1):
+        powers = [1]
+        for _ in range(top):
+            powers.append(powers[-1] * x % modulus)
+        rows = [[c * powers[k] % modulus for k, c in row] for row in layers[0]]
+        for layer in layers[1:]:
+            rows = [[(v + c * powers[k]) % modulus for v, (k, c) in zip(r, row)]
+                    for r, row in zip(rows, layer)]
+        values.append(_det_mod(rows, modulus))
+    return _interpolate_mod(values, modulus)
 
 
 def det_poly(m: PolyMatrix, degree_bound: int | None = None) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Evaluation-interpolation: evaluate at degree_bound+1 rational points
-    (0, 1, -1, 2, -2, ...), take exact rational determinants, interpolate.
+    Certified modular evaluation/interpolation (von zur Gathen & Gerhard,
+    *Modern Computer Algebra*, 5.5).  With L the lcm of all coefficient
+    denominators, det M = det(L*M) / L^n, and every coefficient of det(L*M)
+    is at most the Hadamard bound on |a| = 1,
+    H = prod_i sqrt(sum_j ||L*m_ij||_1^2).  For one odd modulus
+    N > max(2H, 2^61, bound + 1), the first probable prime above that,
+    det(L*M) is evaluated at a = 0..bound by elimination mod N, interpolated
+    mod N and lifted to symmetric residues; this is exact whenever deg det <=
+    bound, and needs only that the pivots and 1..bound are units mod N (a
+    composite N that breaks this is skipped).  The result is then checked
+    exactly over Q at a = bound + 1, off the grid: a mismatch, from a
+    degree_bound below the true degree, raises RuntimeError.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    if m.rows == 0:
+    n = m.rows
+    if n == 0:
         return Polynomial.one()
     bound = m.degree_bound() if degree_bound is None else degree_bound
     if bound == 0:
         return Polynomial.const(det_rational(m.evaluate(Q(0))))
-    pts = _eval_points(bound + 1)
-    vals = [(x, det_rational(m.evaluate(x))) for x in pts]
-    return _lagrange_interpolate(vals)
+    den = math.lcm(*(c.denominator for row in m.entries for p in row for c in p.coeffs))
+    terms = [[[(k, c.numerator * (den // c.denominator))
+               for k, c in enumerate(p.coeffs) if c] for p in row]
+             for row in m.entries]
+    hadamard_sq = 1  # H^2, kept in integers
+    for row in terms:
+        hadamard_sq *= sum(sum(abs(c) for _, c in entry) ** 2 for entry in row)
+    # split L*M into layers of one term per entry, (0, 0) where none is left
+    depth = max(len(entry) for row in terms for entry in row) or 1
+    layers = [[[entry[t] if t < len(entry) else (0, 0) for entry in row]
+               for row in terms] for t in range(depth)]
+    modulus = max(math.isqrt(4 * hadamard_sq) + 1, _MODULUS_FLOOR, bound + 2) | 1
+    while True:
+        if pow(2, modulus - 1, modulus) == 1:  # Fermat probable prime
+            try:
+                coeffs = _det_interpolate_mod(layers, bound, modulus)
+                break
+            except ValueError:
+                pass  # a non-unit mod a composite modulus: take the next one
+        modulus += 2
+    half = modulus // 2
+    scale = den ** n
+    det = Polynomial([Fraction(c - modulus if c > half else c, scale) for c in coeffs])
+    x = Q(bound + 1)
+    if det(x) != det_rational(m.evaluate(x)):
+        raise RuntimeError(f"determinant check failed at a = {x}: degree bound "
+                           f"{bound} is below the degree of the determinant")
+    return det
 
 
 def det_poly_bareiss(m: PolyMatrix) -> Polynomial:

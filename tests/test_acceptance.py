@@ -180,8 +180,9 @@ def test_05_determinant_recursion():
 def test_06_chain_oracle():
     t = time.perf_counter()
     failures = []
-    # n = 10 direct Gram determinants (90x90, degree 360) cost ~4 min on a
-    # single-core box, so they extend the same comparison in the slow tier
+    # n = 10 direct Gram determinants (90x90, degree 360) take the test from
+    # about 1.5 s to about 12 s (2 cores, Python 3.11), so they extend the
+    # same comparison in the slow tier
     n_top = 10 if SLOW else 9
     for n in range(2, n_top + 1):
         for p in range(n % 2, n + 1, 2):

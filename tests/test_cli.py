@@ -95,6 +95,14 @@ class TestRollet:
         code, _, err = run(capsys, "rollet", "--l", "0", *cache_args(tmp_path))
         assert code == 2 and "max-n" in err
 
+    @pytest.mark.parametrize("bound", ["--max-p", "--max-n"])
+    def test_negative_bound_is_usage_error(self, tmp_path, capsys, bound):
+        code, out, err = run(capsys, "rollet", "--l", "0", bound, "-3",
+                             *cache_args(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "cache").exists()
+
 
 class TestVerify:
     def test_arm_passes(self, tmp_path, capsys):
@@ -137,6 +145,13 @@ class TestBootstrap:
                            "--n", "4", "--alpha", "7", *cache_args(tmp_path))
         assert code == 1
         assert json.loads(out)["status"] == "fail"
+
+    @pytest.mark.parametrize("alpha", ["1/0", "minpoly:1/0,1"])
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys, alpha):
+        code, out, err = run(capsys, "bootstrap", "--l", "0", "--lambda", "2",
+                             "--n", "4", "--alpha", alpha, *cache_args(tmp_path))
+        assert code == 2 and out == ""
+        assert "argument --alpha: bad value" in err
 
 
 class TestUsage:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kadaryu import exactmath
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotientRing,
                                RationalFunction, det_cofactor, det_poly,
                                det_poly_bareiss, det_rational, field_kernel,
@@ -104,6 +105,8 @@ class TestGcd:
 # ---------------------------------------------------------------------------
 
 matrix_entries = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(Polynomial)
+rational_entries = st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 8)),
+                            max_size=3).map(Polynomial)
 
 
 @st.composite
@@ -112,14 +115,59 @@ def poly_matrices(draw, max_size=4):
     return PolyMatrix([[draw(matrix_entries) for _ in range(n)] for _ in range(n)])
 
 
+@st.composite
+def rational_poly_matrices(draw, max_size=6):
+    """Square matrices over Q[a], some with a zero row or a row that is a
+    polynomial multiple of another (singular)."""
+    n = draw(st.integers(1, max_size))
+    rows = [[draw(rational_entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["plain", "zero row", "dependent row"]))
+    i, j = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+    if shape == "zero row":
+        rows[i] = [Polynomial()] * n
+    elif shape == "dependent row" and n > 1:
+        c = draw(rational_entries)
+        rows[i] = [c * p for p in rows[j]]
+    return PolyMatrix(rows)
+
+
+SYLVESTER_H4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+
+
 class TestDeterminants:
-    @given(poly_matrices())
-    @settings(max_examples=40, deadline=None)
+    @given(rational_poly_matrices())
+    @settings(max_examples=60, deadline=None)
     def test_oracles_agree(self, m):
         d1 = det_poly(m)
         d2 = det_poly_bareiss(m)
         d3 = det_cofactor(m)
         assert d1 == d2 == d3
+
+    @pytest.mark.parametrize("floor", [2 ** 61, 3])
+    def test_hadamard_bound_attained(self, monkeypatch, floor):
+        # |det| = 16 = H on |a| = 1; with the floor at 3 the modulus is the
+        # first prime above 2H = 32 (37), and one above H alone (17) would
+        # lift 16 to -1
+        monkeypatch.setattr(exactmath, "_MODULUS_FLOOR", floor)
+        a = Polynomial.x()
+        rows = [[a * c for c in row] for row in SYLVESTER_H4]
+        assert det_poly(PolyMatrix(rows)) == Polynomial.monomial(16, 4)
+        rows[0], rows[1] = rows[1], rows[0]
+        assert det_poly(PolyMatrix(rows)) == Polynomial.monomial(-16, 4)
+
+    def test_composite_modulus_is_skipped(self, monkeypatch):
+        # 2H = 340, and the first candidate 341 = 11 * 31 is a base-2 Fermat
+        # pseudoprime: the node difference 11 is not a unit mod it
+        monkeypatch.setattr(exactmath, "_MODULUS_FLOOR", 3)
+        p = Polynomial.monomial(170, 11)
+        assert det_poly(PolyMatrix([[p]])) == p
+
+    def test_low_degree_bound_raises(self):
+        x = Polynomial.x()
+        m = PolyMatrix([[x, Polynomial.one()], [Polynomial.one(), x]])
+        assert det_poly(m) == x * x - 1
+        with pytest.raises(RuntimeError):
+            det_poly(m, degree_bound=1)
 
     def test_rational_det(self):
         m = [[Q(1, 2), Q(1)], [Q(1), Q(3)]]

@@ -105,7 +105,8 @@ class TestEnclosures:
         assert sign_at_2cos(x - 2, 1, 7) == -1
 
 
-FAMILIES = [(0, (2,)), (0, (1, 1)), (1, (3,)), (1, (2, 1)), (1, (1, 1, 1))]
+FAMILIES = [(0, (2,)), (0, (1, 1)), (1, (3,)), (1, (2, 1)), (1, (1, 1, 1)),
+            (2, (4,)), (2, (3, 1)), (2, (2, 1, 1)), (2, (1, 1, 1, 1))]
 
 
 class TestClosedForms:
