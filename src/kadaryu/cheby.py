@@ -96,10 +96,6 @@ class ChebSeries:
 CLASSICAL = ChebSeries(0, Polynomial(), Polynomial.one())
 
 
-def series_term(s: ChebSeries, n: int) -> Polynomial:
-    return s.term(n)
-
-
 def ramping_check(s: ChebSeries) -> tuple[bool, str]:
     """True iff the anchors are coprime, monic, with degrees d and d+1."""
     pN, pN1 = s.pN, s.pN1

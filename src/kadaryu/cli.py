@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .exactmath import Polynomial
-from .gram import ModuleLabel, factor_one_cup, gram_det, gram_matrix
+from .gram import ModuleLabel, factor_one_cup, gram_matrix
 from .morphisms import divisibility_check, submodule_verify
 from .rollet import RolletGraph, arm_verify, export_dot, export_json
 from .roots import verify_root_layout
@@ -134,11 +134,6 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if sum(args.lam) != args.l + 2:
-        print(f"error: series labels carry partitions of l+2 = {args.l + 2}",
-              file=sys.stderr)
-        return 2
-
     def produce():
         c, series = factor_one_cup(args.l, args.lam)
         return {"l": args.l, "lambda": list(args.lam),
@@ -187,14 +182,6 @@ def _cmd_rollet(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.what != "arm":
-        print(f"error: unknown verification {args.what!r} (expected 'arm')",
-              file=sys.stderr)
-        return 2
-    if sum(args.lam) != args.l + 2:
-        print(f"error: arm labels carry partitions of l+2 = {args.l + 2}",
-              file=sys.stderr)
-        return 2
     max_p = args.max_p if args.max_p is not None else args.l + 6
     m_max = args.m if args.m is not None else 1
     records = arm_verify(args.l, args.lam, range(args.l + 2, max_p + 1),
@@ -209,10 +196,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    if sum(args.lam) != args.l + 2:
-        print(f"error: root families carry partitions of l+2 = {args.l + 2}",
-              file=sys.stderr)
-        return 2
     k = (args.n - args.l - 4) if args.n is not None else 1
     if k < 0:
         print("error: rank must be at least l+4", file=sys.stderr)
@@ -225,10 +208,6 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
-    if sum(args.lam) != args.l + 2:
-        print(f"error: bootstrap labels carry partitions of l+2 = {args.l + 2}",
-              file=sys.stderr)
-        return 2
     n = args.n if args.n is not None else args.l + 4
     if args.alpha is not None:
         report = submodule_verify(args.l, args.lam, n, args.alpha,
@@ -260,11 +239,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if label or series_label:
             p.add_argument("--lambda", dest="lam", type=_parse_partition,
                            required=True, help="partition, e.g. 2,1")
+        # series, verify, roots and bootstrap take partitions of l+2
+        p.set_defaults(series_label=series_label)
         p.add_argument("--format", choices=("json", "csv", "dot"),
                        default="json")
         p.add_argument("--out", help="write output to a file")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks (reproducibility)")
         p.add_argument("--cache-dir",
                        default=os.environ.get("KY_CACHE_DIR", ".ky-cache"))
 
@@ -317,6 +296,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; version/help exit 0
         return int(exc.code or 0)
+    if args.series_label and sum(args.lam) != args.l + 2:
+        print(f"error: --lambda must be a partition of l+2 = {args.l + 2}",
+              file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, NotImplementedError) as exc:

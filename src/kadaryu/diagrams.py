@@ -297,17 +297,6 @@ def half_basis(l: int, n: int, p: int) -> tuple[PairPartition, ...]:
     return tuple(sorted(seen, key=lambda d: d.pairs))
 
 
-def _project_pairs(d: PairPartition, p: int):
-    """Keep the top half of an n->n diagram with p propagating lines,
-    reading its bottom connections in increasing order."""
-    tt = [(a, b) for a, b in d.pairs if a > 0 and b > 0]
-    prop = sorted((b, a) for a, b in d.pairs if a < 0 < b)  # by top point
-    out = list(tt)
-    for slot, (top, _bot) in enumerate(prop, start=1):
-        out.append((top, -slot))
-    return out
-
-
 def one_cup_basis(l: int, n: int) -> tuple[PairPartition, ...]:
     """The distinguished one-cup half-diagram list, ordered by (j, k).
 
@@ -316,11 +305,7 @@ def one_cup_basis(l: int, n: int) -> tuple[PairPartition, ...]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    idx = {(j, j + 1) for j in range(1, n)}
-    for k in range(3, min(n, l + 3) + 1):
-        for j in range(1, k - 1):
-            idx.add((j, k))
-    return tuple(u_cup(j, k, n) for j, k in sorted(idx))
+    return tuple(u_cup(j, k, n) for j, k in one_cup_index(l, n))
 
 
 def one_cup_index(l: int, n: int) -> tuple[tuple[int, int], ...]:

@@ -193,12 +193,6 @@ class Polynomial:
             return Q(0)
         return out
 
-    def shift_mul_x(self, k: int) -> "Polynomial":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Polynomial([Q(0)] * k + list(self.coeffs))
-
     # -- presentation --------------------------------------------------------
 
     def __repr__(self):
@@ -846,37 +840,27 @@ class QuotElem:
         return f"[{self.rep}]"
 
 
-class QQField:
-    """Wrapper giving plain Fractions the same protocol as QuotElem."""
-
-    @staticmethod
-    def elem(x):
-        return _frac(x) if not isinstance(x, Polynomial) else x(Q(0))
-
-
-def field_rank(rows: list[list], *, is_zero=None, inv=None) -> int:
+def field_rank(rows: list[list]) -> int:
     """Rank of a matrix over an exact field.
 
     Entries must support +, -, * and either .inverse()/.is_zero() (QuotElem)
     or be Fractions.
     """
-    return len(field_row_echelon(rows, is_zero=is_zero, inv=inv)[0])
+    return len(field_row_echelon(rows)[0])
 
 
-def _default_ops(sample):
+def _field_ops(sample):
     if isinstance(sample, QuotElem):
         return (lambda x: x.is_zero()), (lambda x: x.inverse())
     return (lambda x: x == 0), (lambda x: 1 / x)
 
 
-def field_row_echelon(rows: list[list], *, is_zero=None, inv=None):
+def field_row_echelon(rows: list[list]):
     """Row echelon form; returns (pivot column list, echelon rows)."""
     m = [list(r) for r in rows]
     if not m or not m[0]:
         return [], m
-    if is_zero is None or inv is None:
-        sample = m[0][0]
-        is_zero, inv = _default_ops(sample)
+    is_zero, inv = _field_ops(m[0][0])
     piv_cols = []
     r = 0
     ncols = len(m[0])
@@ -902,7 +886,7 @@ def field_row_echelon(rows: list[list], *, is_zero=None, inv=None):
     return piv_cols, m[:r]
 
 
-def field_kernel(rows: list[list], zero, one, *, is_zero=None, inv=None) -> list[list]:
+def field_kernel(rows: list[list], zero, one) -> list[list]:
     """Basis of the right kernel of a matrix over an exact field.
 
     `zero`/`one` are the field constants used to assemble kernel vectors.
@@ -910,9 +894,7 @@ def field_kernel(rows: list[list], zero, one, *, is_zero=None, inv=None) -> list
     if not rows:
         return []
     ncols = len(rows[0])
-    if is_zero is None or inv is None:
-        is_zero, inv = _default_ops(rows[0][0])
-    piv_cols, ech = field_row_echelon(rows, is_zero=is_zero, inv=inv)
+    piv_cols, ech = field_row_echelon(rows)
     free_cols = [c for c in range(ncols) if c not in piv_cols]
     basis = []
     for fc in free_cols:
@@ -922,25 +904,3 @@ def field_kernel(rows: list[list], zero, one, *, is_zero=None, inv=None) -> list
             vec[pc] = zero - ech[r][fc]
         basis.append(vec)
     return basis
-
-
-def field_solve(rows: list[list], rhs: list, *, is_zero=None, inv=None):
-    """Solve A x = b over an exact field; returns x or None if inconsistent.
-
-    A must have full column rank for a unique solution; otherwise one
-    solution is returned.
-    """
-    if not rows:
-        return []
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if is_zero is None or inv is None:
-        is_zero, inv = _default_ops(rows[0][0])
-    ncols = len(rows[0])
-    piv_cols, ech = field_row_echelon(aug, is_zero=is_zero, inv=inv)
-    if ncols in piv_cols:
-        return None
-    zero = rows[0][0] - rows[0][0]
-    x = [zero] * ncols
-    for r, pc in enumerate(piv_cols):
-        x[pc] = ech[r][ncols]
-    return x

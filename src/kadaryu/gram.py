@@ -28,8 +28,7 @@ from .exactmath import (Polynomial, PolyMatrix, Q, det_poly, poly_gcd,
                         poly_nth_root)
 from .cheby import ChebSeries, ramping_check
 from .diagrams import (PairPartition, compose, flip, half_basis,
-                       half_normalize, one_cup_basis, one_cup_index,
-                       permutation_diagram, u_cup)
+                       half_normalize, one_cup_basis, one_cup_index, u_cup)
 from .symmetric import (GroupAlgebraElement, Permutation, hook_dimension,
                         is_partition, left_action_matrix, scalar_extract,
                         specht_basis, specht_gram, young_idempotent)
@@ -343,9 +342,3 @@ def action_matrix(label: ModuleLabel, g: PairPartition):
                     A[i * nhalf + a2][m * nhalf + a] += lam_mat[i][m]
     return A
 
-
-def specht_translates(label: ModuleLabel) -> list[PairPartition]:
-    """The permutation diagrams x_k (extended by identity strands) whose
-    action produces the Specht translates of a vector."""
-    xs = specht_basis(label.lam)
-    return [permutation_diagram(x.extend(label.n).image) for x in xs]

@@ -6,35 +6,25 @@ returns a polynomial D(a) times the Specht projector.  D follows the
 three-term Chebyshev recursion up the tower and is divisible by the monic
 series factor of the one-cup determinants, so roots of the latter are
 parameter values where xi generates a submodule isomorphic to the
-cap-free standard module.  This file computes xi exactly, checks the
-recursion and divisibility, and certifies the submodule embeddings at
-explicit (possibly irrational) parameter values.
+cap-free standard module.  This file computes xi exactly from Gram
+determinants by Cramer's rule, checks the recursion and divisibility, and
+certifies the submodule embeddings at explicit (possibly irrational)
+parameter values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .exactmath import (Polynomial, Q, QuotElem, QuotientRing,
-                        RationalFunction, field_kernel, field_rank,
-                        field_solve, poly_content_removed, poly_gcd, poly_lcm)
+from .claims import claim, report
+from .exactmath import (Polynomial, PolyMatrix, Q, QuotElem, QuotientRing,
+                        det_poly, field_kernel, field_rank,
+                        poly_content_removed, poly_gcd)
 from .diagrams import one_cup_index, permutation_diagram
 from .gram import ModuleLabel, action_matrix, factor_one_cup, gram_det, gram_matrix
-from .symmetric import (GroupAlgebraElement, hook_dimension, scalar_extract,
-                        specht_basis, specht_gram, young_idempotent)
-
-_ONE = RationalFunction(Polynomial.one())
-_RF_ZERO = RationalFunction(Polynomial())
-
-
-def _rf_is_zero(x: RationalFunction) -> bool:
-    return x.is_zero()
-
-
-def _rf_inv(x: RationalFunction) -> RationalFunction:
-    return _ONE / x
+from .symmetric import (GroupAlgebraElement, hook_dimension, specht_basis,
+                        specht_gram, young_idempotent)
 
 
 @dataclass(frozen=True)
@@ -77,31 +67,29 @@ def solve_xi(l: int, lam: tuple[int, ...], n: int) -> XiElement:
     The linear system is Gram(label) . xi = D * v where v is supported on
     the last-cup rows with entries <b_m, b_1> (rational Specht basis, so the
     right side carries the first Gram column, not a single unit vector).
-    Solved over Q(a) with D = 1, then rescaled so the coefficients are
-    polynomial with no common factor and D is monic.
+    By Cramer's rule det(G) * xi_i = det(G with column i replaced by v), so
+    every determinant is taken on the one path of det_poly, exactly in Q[a].
+    That vector's content is stripped, D = det(G) / content, and both are
+    scaled so that D is monic.
     """
     lam = tuple(lam)
     label = ModuleLabel(l, n, n - 2, lam)
     inst = gram_matrix(label)
     G = specht_gram(lam)
-    rows = [[RationalFunction(p) for p in row] for row in inst.matrix.entries]
-    rhs = [_RF_ZERO] * inst.dim
+    rhs = [Polynomial()] * inst.dim
     for m in range(inst.d):
-        rhs[_last_cup_row(label, m)] = RationalFunction(Polynomial.const(G[m][0]))
-    sol = field_solve(rows, rhs, is_zero=_rf_is_zero, inv=_rf_inv)
-    if sol is None:
-        raise RuntimeError(f"cap-annihilation system inconsistent for {label}")
-    # clear denominators, strip the content, make D monic
-    denom = Polynomial.one()
-    for x in sol:
-        if not x.is_zero():
-            denom = poly_lcm(denom, x.den)
-    cleared = [(x * RationalFunction(denom)).as_polynomial() for x in sol]
-    content, prim = poly_content_removed(cleared)
-    d_fun = RationalFunction(denom, content)
-    if not d_fun.is_polynomial():
-        raise RuntimeError(f"D is not polynomial for {label}: {d_fun!r}")
-    d_poly = d_fun.as_polynomial()
+        rhs[_last_cup_row(label, m)] = Polynomial.const(G[m][0])
+    rows = inst.matrix.entries
+    det = det_poly(inst.matrix)
+    if det.is_zero():
+        raise RuntimeError(f"cap-annihilation system singular for {label}")
+    numerators = [det_poly(PolyMatrix([row[:i] + [b] + row[i + 1:]
+                                       for row, b in zip(rows, rhs)]))
+                  for i in range(inst.dim)]
+    content, prim = poly_content_removed(numerators)
+    d_poly, rem = det.divmod(content)
+    if not rem.is_zero():
+        raise RuntimeError(f"D is not polynomial for {label}: ({det})/({content})")
     scale = 1 / d_poly.lc
     return XiElement(label, tuple(p * scale for p in prim), d_poly.monic())
 
@@ -163,18 +151,15 @@ def divisibility_check(l: int, lam: tuple[int, ...], n: int) -> dict:
     _c, series = factor_one_cup(l, lam)
     for xi in seq:
         p = series.term(xi.n)
-        ok = (xi.D % p).is_zero()
-        claims.append({"id": f"series-divides-D-n{xi.n}", "status": "pass" if ok else "fail",
-                       "witness": {"D": str(xi.D), "P": str(p)}})
+        claim(claims, f"series-divides-D-n{xi.n}", (xi.D % p).is_zero(),
+              {"D": str(xi.D), "P": str(p)})
     # the direct solve at rank l+5 must reproduce the stepped vector exactly
     if n >= l + 5:
         direct = solve_xi(l, lam, l + 5)
         stepped = seq[1]
-        ok = direct.coeffs == stepped.coeffs and direct.D == stepped.D
-        claims.append({"id": "step-matches-solve", "status": "pass" if ok else "fail",
-                       "witness": None})
-    status = "pass" if all(c["status"] == "pass" for c in claims) else "fail"
-    return {"l": l, "lambda": list(lam), "n": n, "status": status, "claims": claims}
+        claim(claims, "step-matches-solve",
+              direct.coeffs == stepped.coeffs and direct.D == stepped.D)
+    return report({"l": l, "lambda": list(lam), "n": n}, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +226,7 @@ def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
                     ok1 = False
             elif not coef.is_zero():
                 ok1 = False
-        claims.append({"id": f"last-cup-support-k{k}",
-                       "status": "pass" if ok1 else "fail", "witness": None})
+        claim(claims, f"last-cup-support-k{k}", ok1)
         # part 2: the contravariant form against every basis vector
         form = _apply([list(r) for r in inst.matrix.entries], vec)
         ok2 = True
@@ -252,10 +236,8 @@ def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
                 want = xi.D * G[m][k] if a == last else Polynomial()
                 if got != want:
                     ok2 = False
-        claims.append({"id": f"form-support-k{k}",
-                       "status": "pass" if ok2 else "fail", "witness": None})
-    status = "pass" if all(c["status"] == "pass" for c in claims) else "fail"
-    return {"l": l, "lambda": list(lam), "n": n, "status": status, "claims": claims}
+        claim(claims, f"form-support-k{k}", ok2)
+    return report({"l": l, "lambda": list(lam), "n": n}, claims)
 
 
 def projector_fixes_xi(l: int, lam: tuple[int, ...], n: int) -> bool:
@@ -267,34 +249,34 @@ def projector_fixes_xi(l: int, lam: tuple[int, ...], n: int) -> bool:
 
 
 def xi_uniqueness_check(l: int, lam: tuple[int, ...], n: int) -> bool:
-    """xi is basis-independent: over Q(a), the vectors killed by every cap
-    except the last adjacent one form a line, and that line is spanned by
-    the solved xi."""
+    """xi is basis-independent: the vectors killed by every cap except the
+    last adjacent one form a line, and that line is spanned by the solved xi.
+
+    xi is checked against those defining rows exactly in Q[a]; the line is
+    then certified by specialisation.  The rank over Q(a) is at least the
+    rank at any point a = t, and a nonzero maximal minor has degree at most
+    the rows' degree bound B, so some t in 0..B has a one-dimensional kernel
+    over Q exactly when the kernel over Q(a) is the line through xi.
+    """
     lam = tuple(lam)
     label = ModuleLabel(l, n, n - 2, lam)
     inst = gram_matrix(label)
     G = specht_gram(lam)
     last_rows = {_last_cup_row(label, m) for m in range(inst.d)}
-    rows = [[RationalFunction(p) for p in row]
-            for i, row in enumerate(inst.matrix.entries) if i not in last_rows]
+    rows = [row for i, row in enumerate(inst.matrix.entries) if i not in last_rows]
     # the last cap must return a multiple of the projector: the last-cup
     # pairings are pinned to the ratios of the first Specht Gram column
     r0 = inst.matrix.entries[_last_cup_row(label, 0)]
     for m in range(1, inst.d):
         rm = inst.matrix.entries[_last_cup_row(label, m)]
-        rows.append([RationalFunction(a * G[0][0] - b * G[m][0])
-                     for a, b in zip(rm, r0)])
-    ker = field_kernel(rows, _RF_ZERO, _ONE, is_zero=_rf_is_zero, inv=_rf_inv)
-    if len(ker) != 1:
-        return False
-    vec = ker[0]
+        rows.append([a * G[0][0] - b * G[m][0] for a, b in zip(rm, r0)])
     xi = solve_xi(l, lam, n)
-    # proportionality to the solved vector
-    pivot = next(i for i, v in enumerate(vec) if not v.is_zero())
-    if xi.coeffs[pivot].is_zero():
+    if not any(xi.coeffs) or any(_apply(rows, list(xi.coeffs))):
         return False
-    ratio = RationalFunction(xi.coeffs[pivot]) / vec[pivot]
-    return all(v * ratio == RationalFunction(c) for v, c in zip(vec, xi.coeffs))
+    # a zero row would void the degree bound and adds nothing to the kernel
+    system = PolyMatrix([row for row in rows if any(row)])
+    return any(inst.dim - field_rank(system.evaluate(Q(t))) == 1
+               for t in range(system.degree_bound() + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -362,32 +344,28 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
     inst = gram_matrix(label)
     to_f, zero, one, desc = _field(alpha0)
     claims: list[dict] = []
+    fields = {"l": l, "lambda": list(lam), "n": n, "alpha0": desc}
 
     det = gram_det(label)
     pre = _annihilates(alpha0, det)
-    claims.append({"id": "parameter-annihilates-det",
-                   "status": "pass" if pre else "fail", "witness": desc})
+    claim(claims, "parameter-annihilates-det", pre, desc)
 
     rows = [[to_f(p) for p in row] for row in inst.matrix.entries]
     ker = field_kernel(rows, zero, one)
     deficiency = len(ker)
-    claims.append({"id": "radical-nonzero", "status": "pass" if deficiency else "fail",
-                   "witness": {"rank_deficiency": deficiency, "dim": inst.dim}})
+    claim(claims, "radical-nonzero", deficiency > 0,
+          {"rank_deficiency": deficiency, "dim": inst.dim})
 
     d_emb = hook_dimension(lam)
-    status_short = deficiency == 0 or not pre
-    if status_short:
-        return {"l": l, "lambda": list(lam), "n": n, "alpha0": desc,
-                "status": "fail", "claims": claims}
+    if deficiency == 0 or not pre:
+        return report(fields, claims)
 
     A_c = _algebra_action(label, young_idempotent(lam))
     proj = [_apply(A_c, v) for v in ker]
     proj = [v for v in proj if not _is_zero_vec(v)]
-    claims.append({"id": "projector-survives-radical",
-                   "status": "pass" if proj else "fail", "witness": None})
+    claim(claims, "projector-survives-radical", bool(proj))
     if not proj:
-        return {"l": l, "lambda": list(lam), "n": n, "alpha0": desc,
-                "status": "fail", "claims": claims}
+        return report(fields, claims)
     w = proj[0]
 
     translates = []
@@ -395,33 +373,23 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
         A = _algebra_action(label, GroupAlgebraElement.of(s))
         translates.append(_apply(A, w))
     rank = field_rank([list(t) for t in translates])
-    claims.append({"id": "translates-independent",
-                   "status": "pass" if rank == d_emb else "fail",
-                   "witness": {"rank": rank, "expected": d_emb}})
-
-    in_rad = all(_is_zero_vec(_apply(rows, t)) for t in translates)
-    claims.append({"id": "translates-in-radical",
-                   "status": "pass" if in_rad else "fail", "witness": None})
+    claim(claims, "translates-independent", rank == d_emb,
+          {"rank": rank, "expected": d_emb})
+    claim(claims, "translates-in-radical",
+          all(_is_zero_vec(_apply(rows, t)) for t in translates))
 
     if lam == label.lam:
         _c, series = factor_one_cup(l, lam)
         if _annihilates(alpha0, series.term(n)):
             xi = xi_sequence(l, lam, n)[-1]
             spec = [to_f(p) for p in xi.coeffs]
-            ok_nz = not _is_zero_vec(spec)
-            ok_d = _annihilates(alpha0, xi.D) if not xi.D.is_zero() else True
-            ok_rad = _is_zero_vec(_apply(rows, spec))
-            claims.append({"id": "xi-specialises-nonzero",
-                           "status": "pass" if ok_nz else "fail", "witness": None})
-            claims.append({"id": "xi-cap-scalar-vanishes",
-                           "status": "pass" if ok_d else "fail",
-                           "witness": {"D": str(xi.D)}})
-            claims.append({"id": "xi-in-radical",
-                           "status": "pass" if ok_rad else "fail", "witness": None})
+            claim(claims, "xi-specialises-nonzero", not _is_zero_vec(spec))
+            claim(claims, "xi-cap-scalar-vanishes",
+                  _annihilates(alpha0, xi.D) if not xi.D.is_zero() else True,
+                  {"D": str(xi.D)})
+            claim(claims, "xi-in-radical", _is_zero_vec(_apply(rows, spec)))
 
-    status = "pass" if all(c["status"] == "pass" for c in claims) else "fail"
-    return {"l": l, "lambda": list(lam), "n": n, "alpha0": desc,
-            "status": status, "claims": claims}
+    return report(fields, claims)
 
 
 # ---------------------------------------------------------------------------

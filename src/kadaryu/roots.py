@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cheby import ChebSeries, cheb_u
+from .claims import claim, report
 from .exactmath import (Polynomial, Q, poly_gcd, poly_squarefree_part,
                         yun_squarefree_decomposition)
 
@@ -317,11 +318,6 @@ def family_series(l: int, lam: tuple[int, ...]) -> ChebSeries:
 # ---------------------------------------------------------------------------
 
 
-def _claim(claims, cid, ok, witness=None):
-    status = "pass" if ok is True else ("fail" if ok is False else "inconclusive")
-    claims.append({"id": cid, "status": status, "witness": witness})
-
-
 def _certified_separators(p: Polynomial, m: int, signs: dict[int, int],
                           budget: int = 64):
     """For each r in signs, a rational point q_r near 2cos(r pi/m) with the
@@ -356,13 +352,13 @@ def _interior_layout(claims, cid, p: Polynomial, m: int, signs: dict[int, int],
     """
     seps = _certified_separators(p, m, signs)
     if seps is None:
-        _claim(claims, cid, None, "enclosure budget exhausted")
+        claim(claims, cid, None, "enclosure budget exhausted")
         return
     pts = [right] + [seps[r] for r in sorted(signs)] + [left]
     expected = [expect_right] + [1] * (len(pts) - 3) + [expect_left]
     ok = all(e is None or sturm_count(p, b, a) == e
              for (a, b), e in zip(zip(pts, pts[1:]), expected))
-    _claim(claims, cid, ok, [str(float(x)) for x in pts])
+    claim(claims, cid, ok, [str(float(x)) for x in pts])
 
 
 def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
@@ -375,32 +371,32 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
 
     if lam == (1,) * (l + 2):
         m = k + 2
-        _claim(claims, "degree", p.degree == k + 2, p.degree)
+        claim(claims, "degree", p.degree == k + 2, p.degree)
         for r in range(1, k + 2):
             ok = ((p - Polynomial.const(Q((-1) ** r * (l + 2))))
                   % minimal_poly_2cos(r, m)).is_zero()
-            _claim(claims, f"value-at-2cos({r}pi/{m})", ok)
-        _claim(claims, "value-at--2", p(-2) == (-1) ** (k + 2) * (4 + k + l), str(p(-2)))
-        _claim(claims, "value-at-l+2", p(l + 2) == -cheb_u(k)(l + 2), str(p(l + 2)))
+            claim(claims, f"value-at-2cos({r}pi/{m})", ok)
+        claim(claims, "value-at--2", p(-2) == (-1) ** (k + 2) * (4 + k + l), str(p(-2)))
+        claim(claims, "value-at-l+2", p(l + 2) == -cheb_u(k)(l + 2), str(p(l + 2)))
         if k >= 1:
-            _claim(claims, "negative-at-l+2", p(l + 2) < 0)
+            claim(claims, "negative-at-l+2", p(l + 2) < 0)
             # no root between the largest sample point and 2
             _interior_layout(claims, "interleaving", p, m,
                              {r: (-1) ** r for r in range(1, k + 2)},
                              left=Q(-2), right=Q(2), expect_right=0)
-            _claim(claims, "root-beyond-l+2", sturm_count(p, Q(l + 2), math.inf) == 1)
-            _claim(claims, "total-real-roots",
+            claim(claims, "root-beyond-l+2", sturm_count(p, Q(l + 2), math.inf) == 1)
+            claim(claims, "total-real-roots",
                    sturm_count(p, -math.inf, math.inf) == k + 2)
 
     elif lam == (l + 2,):
         m = k + 2
-        _claim(claims, "degree", p.degree == k + 3, p.degree)
+        claim(claims, "degree", p.degree == k + 3, p.degree)
         lin = Polynomial([Q(2 * l), Q(1)])
         for r in range(1, k + 2):
             ok = ((p - lin * Q((-1) ** r * (l + 2)))
                   % minimal_poly_2cos(r, m)).is_zero()
-            _claim(claims, f"value-at-2cos({r}pi/{m})", ok)
-        _claim(claims, "value-at-2", p(2) == 2 * (l + 1) * (l + 2), str(p(2)))
+            claim(claims, f"value-at-2cos({r}pi/{m})", ok)
+        claim(claims, "value-at-2", p(2) == 2 * (l + 1) * (l + 2), str(p(2)))
         if l >= 1 and k >= 1:
             # x_r + 2l > 0 on (-2, 2] once l >= 1, so signs alternate;
             # the claimed interior roots sit strictly above the smallest
@@ -411,61 +407,56 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
                              left=Q(-2), right=Q(2),
                              expect_left=0 if full else None)
         if l > 1 and l + 4 + k > 6:
-            _claim(claims, "root-below--2(l+1)",
+            claim(claims, "root-below--2(l+1)",
                    sturm_count(p, -math.inf, Q(-2 * (l + 1))) == 1)
-            _claim(claims, "root-in-(-(l+1),-l)",
+            claim(claims, "root-in-(-(l+1),-l)",
                    sturm_count(p, Q(-(l + 1)), Q(-l)) == 1)
-            _claim(claims, "no-root-in-(-l,-2)",
+            claim(claims, "no-root-in-(-l,-2)",
                    sturm_count(p, Q(-l), Q(-2)) == 0)
 
     elif lam == (l + 1, 1):
         m = k + 1
-        _claim(claims, "degree", p.degree == k + 5, p.degree)
+        claim(claims, "degree", p.degree == k + 5, p.degree)
         signs = {}
         for r in range(1, k + 1):
             s = sign_at_2cos(p, r, m)
             want = -((-1) ** r)
-            _claim(claims, f"sign-at-2cos({r}pi/{m})",
+            claim(claims, f"sign-at-2cos({r}pi/{m})",
                    None if s is None else s == want, s)
             signs[r] = want
         if l > 4:
-            _claim(claims, "sign-at-2", p(2) < 0, str(p(2)))
-            _claim(claims, "sign-at--2", -((-1) ** (k + 1)) * p(-2) > 0, str(p(-2)))
+            claim(claims, "sign-at-2", p(2) < 0, str(p(2)))
+            claim(claims, "sign-at--2", -((-1) ** (k + 1)) * p(-2) > 0, str(p(-2)))
             _interior_layout(claims, "interleaving", p, m, signs,
                              left=Q(-2), right=Q(2))
-            _claim(claims, "root-beyond-2", sturm_count(p, Q(2), math.inf) == 1)
-            _claim(claims, "root-below--2l",
+            claim(claims, "root-beyond-2", sturm_count(p, Q(2), math.inf) == 1)
+            claim(claims, "root-below--2l",
                    sturm_count(p, -math.inf, Q(-2 * l)) == 1)
-            _claim(claims, "root-in-(-2l,-l+1)",
+            claim(claims, "root-in-(-2l,-l+1)",
                    sturm_count(p, Q(-2 * l), Q(-l + 1)) == 1)
-            _claim(claims, "root-in-(-l+2,-l+3)",
+            claim(claims, "root-in-(-l+2,-l+3)",
                    sturm_count(p, Q(-l + 2), Q(-l + 3)) == 1)
 
     elif lam == (2,) + (1,) * l:
         m = k + 1
-        _claim(claims, "degree", p.degree == k + 4, p.degree)
+        claim(claims, "degree", p.degree == k + 4, p.degree)
         signs = {}
         for r in range(1, k + 1):
             s = sign_at_2cos(p, r, m)
             want = (-1) ** r
-            _claim(claims, f"sign-at-2cos({r}pi/{m})",
+            claim(claims, f"sign-at-2cos({r}pi/{m})",
                    None if s is None else s == want, s)
             signs[r] = want
         if l > 3:
-            _claim(claims, "sign-at-2", p(2) > 0, str(p(2)))
-            _claim(claims, "sign-at--2", ((-1) ** (k + 1)) * p(-2) > 0, str(p(-2)))
+            claim(claims, "sign-at-2", p(2) > 0, str(p(2)))
+            claim(claims, "sign-at--2", ((-1) ** (k + 1)) * p(-2) > 0, str(p(-2)))
             _interior_layout(claims, "interleaving", p, m, signs,
                              left=Q(-2), right=Q(2))
-            _claim(claims, "root-below--2", sturm_count(p, -math.inf, Q(-2)) == 1)
-            _claim(claims, "root-in-(l-1,l)", sturm_count(p, Q(l - 1), Q(l)) == 1)
-            _claim(claims, "root-beyond-l+1", sturm_count(p, Q(l + 1), math.inf) == 1)
+            claim(claims, "root-below--2", sturm_count(p, -math.inf, Q(-2)) == 1)
+            claim(claims, "root-in-(l-1,l)", sturm_count(p, Q(l - 1), Q(l)) == 1)
+            claim(claims, "root-beyond-l+1", sturm_count(p, Q(l + 1), math.inf) == 1)
 
     else:
         raise ValueError(f"no layout claims for lambda = {lam}")
 
-    status = "pass"
-    if any(c["status"] == "fail" for c in claims):
-        status = "fail"
-    elif any(c["status"] == "inconclusive" for c in claims):
-        status = "inconclusive"
-    return {"l": l, "lambda": list(lam), "k": k, "status": status, "claims": claims}
+    return report({"l": l, "lambda": list(lam), "k": k}, claims)

@@ -164,6 +164,16 @@ class TestUsage:
     def test_bad_partition_string(self, capsys):
         assert main(["series", "--l", "0", "--lambda", "1,2"]) == 2
 
+    @pytest.mark.parametrize("command", [["series"], ["verify", "arm"],
+                                         ["roots"], ["bootstrap"]])
+    def test_partition_of_l_plus_2(self, tmp_path, capsys, command):
+        code, out, err = run(capsys, *command, "--l", "0", "--lambda", "2,1",
+                             *cache_args(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "l+2" in err
+        assert not (tmp_path / "cache").exists()
+
 
 class TestCache:
     def test_repeat_run_is_byte_identical(self, tmp_path, capsys):

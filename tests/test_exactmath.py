@@ -10,7 +10,7 @@ from kadaryu import exactmath
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotientRing,
                                RationalFunction, det_cofactor, det_poly,
                                det_poly_bareiss, det_rational, field_kernel,
-                               field_rank, field_solve, poly_content_removed,
+                               field_rank, poly_content_removed,
                                poly_gcd, poly_lcm, poly_nth_root,
                                poly_squarefree_part, smith_invariants,
                                yun_squarefree_decomposition)
@@ -245,15 +245,6 @@ class TestFieldLinearAlgebra:
         assert len(ker) == 2
         for v in ker:
             assert sum(a * b for a, b in zip(rows[0], v)) == 0
-
-    def test_solve(self):
-        rows = [[Q(2), Q(1)], [Q(1), Q(3)]]
-        x = field_solve(rows, [Q(5), Q(10)])
-        assert [2 * x[0] + x[1], x[0] + 3 * x[1]] == [5, 10]
-
-    def test_solve_inconsistent(self):
-        rows = [[Q(1), Q(1)], [Q(1), Q(1)]]
-        assert field_solve(rows, [Q(0), Q(1)]) is None
 
 
 class TestRationalFunction:

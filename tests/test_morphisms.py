@@ -7,12 +7,13 @@ import pytest
 
 from kadaryu.cheby import ChebSeries
 from kadaryu.diagrams import one_cup_index
-from kadaryu.exactmath import Polynomial, RationalFunction
-from kadaryu.gram import factor_one_cup
+from kadaryu.exactmath import Polynomial, RationalFunction, poly_content_removed
+from kadaryu.gram import factor_one_cup, gram_matrix
 from kadaryu.morphisms import (divisibility_check, niceelt_check,
                                projector_fixes_xi, solve_xi, submodule_verify,
                                tridiagonal_alpha1_deficiencies,
                                xi_sequence, xi_step, xi_uniqueness_check)
+from kadaryu.symmetric import specht_gram
 
 x = Polynomial.x()
 
@@ -48,6 +49,25 @@ class TestExplicitSmallCases:
         want = [Polynomial(), Polynomial.one(), -Polynomial.one(), x - 1]
         assert_proportional(list(xi.coeffs), want)
         assert xi.D == (x - 2) * (x + 1)
+
+    @pytest.mark.parametrize("l,lam", FAMILIES + [(2, (4,)), (2, (2, 2))])
+    def test_defining_system(self, l, lam):
+        """Gram . xi = D * v exactly in Q[a], v the first Specht Gram column
+        on the last-cup rows; xi is primitive and D monic."""
+        n = l + 4
+        xi = solve_xi(l, lam, n)
+        inst = gram_matrix(xi.label)
+        G = specht_gram(lam)
+        last = one_cup_index(l, n).index((n - 1, n))
+        rhs = [Polynomial()] * inst.dim
+        for m in range(inst.d):
+            rhs[m * len(inst.half) + last] = xi.D * G[m][0]
+        lhs = [sum((g * c for g, c in zip(row, xi.coeffs)), Polynomial())
+               for row in inst.matrix.entries]
+        assert lhs == rhs
+        content, _prim = poly_content_removed(list(xi.coeffs))
+        assert content == Polynomial.one()
+        assert xi.D.is_monic()
 
     def test_coeff_accessor(self):
         xi = solve_xi(0, (2,), 5)
@@ -86,6 +106,12 @@ class TestRecursion:
     @pytest.mark.parametrize("lam", [(3,), (2, 1), (1, 1, 1)])
     def test_divisibility_l1(self, lam):
         assert divisibility_check(1, lam, 8)["status"] == "pass"
+
+    @pytest.mark.parametrize("lam,n", [((4,), 8), ((2, 2), 7), ((1, 1, 1, 1), 8)])
+    def test_divisibility_l2(self, lam, n):
+        rep = divisibility_check(2, lam, n)
+        assert rep["status"] == "pass", rep
+        assert "step-matches-solve" in [c["id"] for c in rep["claims"]]
 
 
 class TestStructure:
