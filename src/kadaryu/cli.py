@@ -64,7 +64,9 @@ def cache_get_put(cache_dir: str, key: str, producer):
     """Fetch a payload by key, computing and persisting it on a miss.
 
     Corrupt records are rebuilt with a warning; an unwritable directory
-    degrades to compute-without-persist (warned once per process).
+    degrades to compute-without-persist (warned once per process).  A failed
+    write never leaves its temp file behind; errors other than OSError
+    propagate.
     """
     global _warned_unwritable
     path = os.path.join(cache_dir, key + ".json")
@@ -79,6 +81,7 @@ def cache_get_put(cache_dir: str, key: str, producer):
         print(f"warning: corrupt cache record {path}, rebuilding", file=sys.stderr)
     payload = producer()
     rec = {"key": key, "version": ENGINE_VERSION, "payload": payload}
+    tmp = None
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -90,6 +93,10 @@ def cache_get_put(cache_dir: str, key: str, producer):
             print(f"warning: cache directory {cache_dir} not writable; "
                   "results will not be persisted", file=sys.stderr)
             _warned_unwritable = True
+    finally:
+        # any failure before the rename (OSError or not) drops the temp file
+        if tmp is not None and os.path.exists(tmp):
+            os.remove(tmp)
     return payload
 
 

@@ -445,9 +445,6 @@ class PolyMatrix:
     def evaluate(self, x: Fraction) -> list[list[Fraction]]:
         return [[p(x) for p in row] for row in self.entries]
 
-    def max_degree(self) -> int:
-        return max((p.degree for row in self.entries for p in row), default=-1)
-
     def degree_bound(self) -> int:
         """A-priori bound on deg(det): sum over rows of the max entry degree."""
         total = 0

@@ -12,7 +12,9 @@ diagrammatically:
 where flip(u) stacked on v leaves d closed loops and the residual
 permutation sigma (which must fix the strands beyond r; anything else is a
 closure bug, not data).  Terms with fewer than p propagating lines die in
-the cell quotient and contribute 0.
+the cell quotient and contribute 0.  By invariance of the form each
+sigma-table is the Specht Gram matrix times Young's natural representation
+matrix of sigma: <x_i c, sigma x_j c> = (S A(sigma))[i][j].
 
 Determinants are reported monic: the form is only defined up to a global
 scalar, and monic normalisation is the canonical representative.
@@ -29,9 +31,8 @@ from .exactmath import (Polynomial, PolyMatrix, Q, det_poly, poly_gcd,
 from .cheby import ChebSeries, ramping_check
 from .diagrams import (PairPartition, compose, flip, half_basis,
                        half_normalize, one_cup_basis, one_cup_index, u_cup)
-from .symmetric import (GroupAlgebraElement, Permutation, hook_dimension,
-                        is_partition, left_action_matrix, scalar_extract,
-                        specht_basis, specht_gram, young_idempotent)
+from .symmetric import (Permutation, hook_dimension, is_partition,
+                        left_action_matrix, specht_gram)
 
 
 @dataclass(frozen=True)
@@ -68,19 +69,15 @@ class ModuleLabel:
 
 @lru_cache(maxsize=None)
 def _sigma_table(lam: tuple[int, ...], sigma: Permutation):
-    """M[i][j] = <x_i c, sigma x_j c> = scalar(C x_i* sigma x_j C)."""
-    c = young_idempotent(lam)
-    xs = specht_basis(lam)
-    sig = GroupAlgebraElement.of(sigma)
-    out = []
-    for xi in xs:
-        left = c * GroupAlgebraElement.of(xi.inverse()) * sig
-        row = []
-        for xj in xs:
-            z = left * GroupAlgebraElement.of(xj) * c
-            row.append(scalar_extract(lam, z))
-        out.append(tuple(row))
-    return tuple(out)
+    """M[i][j] = <x_i c, sigma x_j c> = (S A(sigma))[i][j].
+
+    sigma x_j c = sum_k A[k][j] x_k c with A = left_action_matrix, and the
+    form is bilinear, so the table is the Specht Gram matrix S times A.
+    """
+    S = specht_gram(lam)
+    A = left_action_matrix(lam, sigma)
+    return tuple(tuple(sum(s_ik * a_kj for s_ik, a_kj in zip(row, col))
+                       for col in zip(*A)) for row in S)
 
 
 def _pair_halves(u: PairPartition, v: PairPartition, p: int, r: int):

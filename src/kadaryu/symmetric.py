@@ -356,31 +356,21 @@ def specht_gram(lam: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
 
 @lru_cache(maxsize=None)
 def left_action_matrix(lam: tuple[int, ...], s: Permutation) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix A with s * x_j C = sum_i A[i][j] x_i C (columns indexed by j)."""
+    """Matrix A with s * x_j C = sum_i A[i][j] x_i C (columns indexed by j).
+
+    One elimination over the |S_r| x 2d matrix whose columns are the
+    translates x_k C and then the targets s x_j C; the translates are
+    independent, so the targets lie in their span exactly when the pivots
+    are columns 0..d-1, and A is then the right half of the echelon form.
+    """
     lam = tuple(lam)
     c = young_idempotent(lam)
     xs = specht_basis(lam)
-    r = sum(lam)
-    order = all_permutations(r)
-    basis_vecs = [(GroupAlgebraElement.of(x) * c).to_vector(order) for x in xs]
-    # solve for each column: vec(s x_j c) in span(basis_vecs)
-    cols = []
-    for xj in xs:
-        target = (GroupAlgebraElement.of(s * xj) * c).to_vector(order)
-        coeffs = _solve_in_span(basis_vecs, target)
-        cols.append(coeffs)
+    order = all_permutations(sum(lam))
+    cols = ([(GroupAlgebraElement.of(x) * c).to_vector(order) for x in xs]
+            + [(GroupAlgebraElement.of(s * x) * c).to_vector(order) for x in xs])
     d = len(xs)
-    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-
-
-def _solve_in_span(basis_vecs: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
-    n = len(basis_vecs)
-    m = len(target)
-    aug = [[basis_vecs[k][i] for k in range(n)] + [target[i]] for i in range(m)]
-    piv, ech = field_row_echelon(aug)
-    if n in piv:
+    piv, ech = field_row_echelon(list(zip(*cols)))
+    if piv != list(range(d)):
         raise ValueError("target not in span")
-    coeffs = [Q(0)] * n
-    for rr, pc in enumerate(piv):
-        coeffs[pc] = ech[rr][n]
-    return coeffs
+    return tuple(tuple(row[d:]) for row in ech)

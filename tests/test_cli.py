@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from kadaryu.cli import main
+from kadaryu.cli import cache_get_put, main
 from kadaryu.exactmath import Polynomial
 from kadaryu.gram import one_cup_det
 
@@ -227,3 +227,9 @@ class TestCache:
         assert code == 0
         assert "not writable" in captured.err
         assert json.loads(captured.out)["l"] == 0
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        cache = tmp_path / "cache"
+        with pytest.raises(TypeError):  # a set is not JSON
+            cache_get_put(str(cache), "bad", lambda: {1, 2})
+        assert list(cache.iterdir()) == []

@@ -8,10 +8,12 @@ import pytest
 from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
 from kadaryu.diagrams import s_gen
 from kadaryu.exactmath import Polynomial, Q
-from kadaryu.gram import (ModuleLabel, action_matrix, factor_one_cup,
-                          gram_det_lnp, gram_matrix, gram_mixed_det,
-                          one_cup_det, one_cup_series)
-from kadaryu.symmetric import hook_dimension
+from kadaryu.gram import (ModuleLabel, _sigma_table, action_matrix,
+                          factor_one_cup, gram_det_lnp, gram_matrix,
+                          gram_mixed_det, one_cup_det, one_cup_series)
+from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
+                               all_permutations, hook_dimension, partitions,
+                               scalar_extract, specht_basis, young_idempotent)
 
 x = Polynomial.x()
 
@@ -182,3 +184,32 @@ class TestMixedRanks:
                 d1 = gram_mixed_det(1, (2, 1), up1)
                 d2 = gram_mixed_det(1, (2, 1), up2)
                 assert d2 == x * d1 - d0
+
+
+def sandwich_sigma_table(lam, sigma):
+    """Reference sigma-table straight from the group algebra:
+    M[i][j] = scalar(C x_i* sigma x_j C)."""
+    c = young_idempotent(lam)
+    xs = specht_basis(lam)
+    sig = GroupAlgebraElement.of(sigma)
+    out = []
+    for xi in xs:
+        left = c * GroupAlgebraElement.of(xi.inverse()) * sig
+        out.append(tuple(scalar_extract(lam, left * GroupAlgebraElement.of(xj) * c)
+                         for xj in xs))
+    return tuple(out)
+
+
+class TestSigmaTables:
+    @pytest.mark.parametrize("lam", partitions(3) + partitions(4))
+    def test_matches_sandwich_oracle(self, lam):
+        for sigma in all_permutations(sum(lam)):
+            assert _sigma_table(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("lam", [(4, 1), (3, 1, 1)])
+    def test_matches_sandwich_oracle_r5(self, lam):
+        for sigma in [Permutation((2, 1, 3, 4, 5)),
+                      Permutation.from_cycles(5, (1, 3, 5)),
+                      Permutation((5, 4, 3, 2, 1))]:
+            assert _sigma_table(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma

@@ -106,7 +106,10 @@ class TestEnclosures:
 
 
 FAMILIES = [(0, (2,)), (0, (1, 1)), (1, (3,)), (1, (2, 1)), (1, (1, 1, 1)),
-            (2, (4,)), (2, (3, 1)), (2, (2, 1, 1)), (2, (1, 1, 1, 1))]
+            (2, (4,)), (2, (3, 1)), (2, (2, 1, 1)), (2, (1, 1, 1, 1)),
+            (3, (5,)), (3, (1, 1, 1, 1, 1)),
+            pytest.param(3, (4, 1), marks=pytest.mark.slow),
+            pytest.param(3, (2, 1, 1, 1), marks=pytest.mark.slow)]
 
 
 class TestClosedForms:
