@@ -1,7 +1,9 @@
 """Command-line driver: exact module data, verification reports, exports.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
-3 inconclusive (a root-enclosure budget ran out).
+3 inconclusive (a root-enclosure budget ran out), 4 an internal invariant
+failed (RuntimeError: a failed determinant check, a non-polynomial D, a
+height-closure fault), which is a bug in the engine and not a verdict.
 
 Results of the heavier computations are cached as one JSON file per record
 under the directory named by KY_CACHE_DIR (default ".ky-cache"); records
@@ -60,15 +62,12 @@ def _parse_alpha(s: str):
 # cache
 # ---------------------------------------------------------------------------
 
-def cache_get_put(cache_dir: str, key: str, producer):
-    """Fetch a payload by key, computing and persisting it on a miss.
+def cache_get(cache_dir: str, key: str):
+    """The payload of the record under `key`, or None when there is none.
 
-    Corrupt records are rebuilt with a warning; an unwritable directory
-    degrades to compute-without-persist (warned once per process).  A failed
-    write never leaves its temp file behind; errors other than OSError
-    propagate.
+    A record with another engine version counts as missing; a corrupt one
+    is reported with a warning and counts as missing too.
     """
-    global _warned_unwritable
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path) as fh:
@@ -78,7 +77,22 @@ def cache_get_put(cache_dir: str, key: str, producer):
     except FileNotFoundError:
         pass
     except (json.JSONDecodeError, OSError, ValueError):
-        print(f"warning: corrupt cache record {path}, rebuilding", file=sys.stderr)
+        print(f"warning: corrupt cache record {path}, recomputing", file=sys.stderr)
+    return None
+
+
+def cache_get_put(cache_dir: str, key: str, producer):
+    """Fetch a payload by key, computing and persisting it on a miss.
+
+    Corrupt records are rebuilt with a warning; an unwritable directory
+    degrades to compute-without-persist (warned once per process).  A failed
+    write never leaves its temp file behind; errors other than OSError
+    propagate.
+    """
+    global _warned_unwritable
+    payload = cache_get(cache_dir, key)
+    if payload is not None:
+        return payload
     payload = producer()
     rec = {"key": key, "version": ENGINE_VERSION, "payload": payload}
     tmp = None
@@ -87,7 +101,7 @@ def cache_get_put(cache_dir: str, key: str, producer):
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(rec, fh, sort_keys=True)
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(cache_dir, key + ".json"))
     except OSError:
         if not _warned_unwritable:
             print(f"warning: cache directory {cache_dir} not writable; "
@@ -114,20 +128,30 @@ def _emit(args, text: str):
 
 def _cmd_gram(args) -> int:
     label = ModuleLabel(args.l, args.n, args.p, args.lam)
+    key = "gram_" + label.key()
+
+    def det_payload():
+        inst = gram_matrix(label)
+        return {"label": {"l": label.l, "n": label.n, "p": label.p,
+                          "lambda": list(label.lam)},
+                "dim": inst.dim,
+                "det": inst.det_monic.to_json()}
 
     def produce():
-        inst = gram_matrix(label)
-        payload = {"label": {"l": label.l, "n": label.n, "p": label.p,
-                             "lambda": list(label.lam)},
-                   "dim": inst.dim,
-                   "det": inst.det_monic.to_json()}
-        if not args.det:
-            payload["matrix"] = [[p.to_json() for p in row]
-                                 for row in inst.matrix.entries]
+        # a "_det" record is its "_full" record without the matrix, so each
+        # one serves the determinant of the other
+        if args.det:
+            full = cache_get(args.cache_dir, key + "_full")
+            if full is None:
+                return det_payload()
+            return {k: v for k, v in full.items() if k != "matrix"}
+        payload = cache_get(args.cache_dir, key + "_det") or det_payload()
+        payload["matrix"] = [[p.to_json() for p in row]
+                             for row in gram_matrix(label).matrix.entries]
         return payload
 
-    payload = cache_get_put(args.cache_dir, "gram_" + label.key()
-                            + ("_det" if args.det else "_full"), produce)
+    payload = cache_get_put(args.cache_dir, key + ("_det" if args.det else "_full"),
+                            produce)
     if args.format == "csv":
         lines = []
         if "matrix" in payload:
@@ -312,6 +336,9 @@ def main(argv=None) -> int:
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -316,20 +316,3 @@ def one_cup_index(l: int, n: int) -> tuple[tuple[int, int], ...]:
             idx.add((j, k))
     return tuple(sorted(idx))
 
-
-def brauer_basis(n: int, m: int) -> list[PairPartition]:
-    """All pair partitions of n top and m bottom points (small sizes only)."""
-    pts = list(range(1, n + 1)) + list(range(-m, 0))
-
-    def rec(rem):
-        if not rem:
-            yield []
-            return
-        a = rem[0]
-        for i in range(1, len(rem)):
-            b = rem[i]
-            rest = rem[1:i] + rem[i + 1:]
-            for tail in rec(rest):
-                yield [(a, b)] + tail
-
-    return [PairPartition(n, m, ps) for ps in rec(pts)]

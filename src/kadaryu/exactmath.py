@@ -1,6 +1,10 @@
 """Exact rational arithmetic: univariate polynomials, polynomial matrices,
 determinants and Smith invariants over Q[a].
 
+Determinants over Q[a] take one certified modular path, `det_poly`: the
+characteristic polynomial of one block companion matrix modulo a prime
+above twice the Hadamard bound, checked exactly at one point.
+
 Everything here is immutable and pure.  The parameter of the coefficient
 ring is the loop parameter of the diagram algebras; it is written ``a`` in
 reprs (alpha in the docs).
@@ -9,6 +13,7 @@ reprs (alpha in the docs).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -540,86 +545,173 @@ def _det_mod(rows: list[list[int]], modulus: int) -> int:
     return det
 
 
-def _interpolate_mod(values: list[int], modulus: int) -> list[int]:
-    """Coefficients, lowest first and reduced mod `modulus`, of the polynomial
-    of degree < len(values) that takes values[x] at x = 0, 1, 2, ...
+def _solve_mod(a: list[list[int]], b: list[list[int]], modulus: int) -> list[list[int]]:
+    """a^-1 b mod `modulus` by Gauss-Jordan elimination, for a invertible mod
+    `modulus`; pow raises ValueError for a pivot that is not a unit."""
+    n = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    # step j eliminates column j and drops it, so index 0 is always column j
+    for j in range(n):
+        for i in range(j, n):
+            if rows[i][0]:
+                break
+        else:
+            raise ValueError("singular matrix")
+        rows[i], rows[j] = rows[j], rows[i]
+        inv = pow(rows[j][0], -1, modulus)
+        prow = [x * inv % modulus for x in rows[j][1:]]
+        for k, row in enumerate(rows):
+            f = row[0]
+            rows[k] = (prow if k == j else
+                       [(x - f * y) % modulus for x, y in zip(row[1:], prow)] if f
+                       else row[1:])
+    return rows
 
-    Newton form: the divided differences at consecutive integers divide by
-    j = 1 .. len(values) - 1, which pow inverts (ValueError if it cannot).
+
+def _charpoly_mod(c: list[list[int]], modulus: int) -> list[int]:
+    """det(x*I - c) mod `modulus`, lowest coefficient first (consumes c).
+
+    Similarity transforms take c to upper Hessenberg form h; then
+    p_k = (x - h_kk) p_{k-1} - sum_i h_{k-i,k} h_{k,k-1}..h_{k-i+1,k-i} p_{k-i-1}
+    (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9).
+    Pivots are inverted with pow, which raises ValueError for a non-unit.
     """
-    dd = list(values)
-    k = len(dd)
-    for j in range(1, k):
-        inv = pow(j, -1, modulus)
-        for i in range(k - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) * inv % modulus
-    coeffs = [dd[-1]]
-    for i in range(k - 2, -1, -1):
-        # coeffs <- coeffs * (x - i) + dd[i]
-        coeffs = [(a - i * b) % modulus for a, b in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] = (coeffs[0] + dd[i]) % modulus
+    m = len(c)
+    for j in range(m - 2):
+        for i in range(j + 1, m):
+            if c[i][j]:
+                break
+        else:
+            continue
+        j1 = j + 1
+        if i != j1:
+            c[i], c[j1] = c[j1], c[i]
+            for row in c:
+                row[i], row[j1] = row[j1], row[i]
+        prow = c[j1]
+        inv = pow(prow[j], -1, modulus)
+        tail = prow[j:]
+        us = []  # row k -= us[k-j-2] * row j+1, then col j+1 += us[k-j-2] * col k
+        for k in range(j + 2, m):
+            row = c[k]
+            u = row[j] * inv % modulus
+            us.append(u)
+            if u:
+                row[j:] = [(x - u * y) % modulus for x, y in zip(row[j:], tail)]
+        if any(us):
+            j2 = j + 2
+            for row in c:
+                row[j1] = (row[j1] + sum(map(operator.mul, us, row[j2:]))) % modulus
+    polys = [[1]]  # polys[k]: charpoly of the leading k x k block of h
+    for k in range(1, m + 1):
+        acc = [0] + polys[-1]
+        f = 1  # h[k-1][k-2] * .. * h[i+1][i], the subdiagonal below row i
+        for i in range(k - 1, -1, -1):
+            g = c[i][k - 1] * f
+            if g:
+                p = polys[i]
+                acc[:i + 1] = [a - g * y for a, y in zip(acc, p)]
+            f = f * c[i][i - 1] % modulus if i else 0
+            if not f:
+                break
+        polys.append([x % modulus for x in acc])
+    return polys[-1]
+
+
+def _taylor_mod(coeffs: list[int], s: int, modulus: int) -> list[int]:
+    """Coefficients of p(x + s) mod `modulus`, p given lowest first."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = (c[j] + s * c[j + 1]) % modulus
+    return c
+
+
+def _det_linearised_mod(entries: list[list[list[int]]], bound: int,
+                        modulus: int) -> list[int]:
+    """det mod `modulus`, lowest coefficient first, of the integer polynomial
+    matrix A = `entries` (coefficient lists), whose det has degree <= bound.
+
+    For a matrix polynomial P = sum_k P_k x^k of degree t with P_t
+    invertible, det P = det(P_t) * det(x*I - C), C the block companion
+    matrix of the P_t^-1 P_k (Gohberg, Lancaster & Rodman, *Matrix
+    Polynomials*, ch. 1).  At a = oo, P = A.  Otherwise, at the first
+    s = 0..bound with A(s) invertible, P(x) = x^t A(s + 1/x), whose P_k are
+    the Taylor coefficients B_{t-k} of A at s; then det A(a) is the
+    reversed det P shifted by s.  A(s) singular at every s means det = 0.
+    """
+    n = len(entries)
+    top = max(len(p) for row in entries for p in row) - 1
+    for s in (None, *range(bound + 1)):
+        if s is None:
+            lead = [[p[top] % modulus if len(p) > top else 0 for p in row] for row in entries]
+        else:
+            powers = [pow(s, k, modulus) for k in range(top + 1)]
+            lead = [[sum(map(operator.mul, p, powers)) % modulus for p in row]
+                    for row in entries]
+        lead_det = _det_mod([list(row) for row in lead], modulus)
+        if lead_det:
+            break
+    else:
+        return []
+    # P_0..P_{t-1} side by side: A_0..A_{t-1} at oo, B_t..B_1 at s
+    rows = entries if s is None else [[_taylor_mod(p, s, modulus) for p in row]
+                                      for row in entries]
+    ks = range(top) if s is None else range(top, 0, -1)
+    x = _solve_mod(lead, [[p[k] % modulus if k < len(p) else 0 for k in ks for p in row]
+                          for row in rows], modulus)
+    del rows, lead  # the coefficient layers are not needed past this point
+    size = top * n
+    companion = [[0] * size for _ in range(size - n)]
+    for r, row in enumerate(companion):
+        row[r + n] = 1
+    companion += [[-v % modulus for v in row] for row in x]
+    del x
+    coeffs = [lead_det * c % modulus for c in _charpoly_mod(companion, modulus)]
+    if s is not None:
+        coeffs = _taylor_mod(coeffs[::-1], -s, modulus)
     return coeffs
 
 
-def _det_interpolate_mod(layers: list[list[list[tuple[int, int]]]], bound: int,
-                         modulus: int) -> list[int]:
-    """Interpolated det, mod `modulus`, of the integer polynomial matrix
-    sum_t layers[t] (entry (k, c) of a layer is the term c*a^k), from its
-    values at a = 0..bound."""
-    top = max(k for layer in layers for row in layer for k, _ in row)
-    values = []
-    for x in range(bound + 1):
-        powers = [1]
-        for _ in range(top):
-            powers.append(powers[-1] * x % modulus)
-        rows = [[c * powers[k] % modulus for k, c in row] for row in layers[0]]
-        for layer in layers[1:]:
-            rows = [[(v + c * powers[k]) % modulus for v, (k, c) in zip(r, row)]
-                    for r, row in zip(rows, layer)]
-        values.append(_det_mod(rows, modulus))
-    return _interpolate_mod(values, modulus)
-
-
-def det_poly(m: PolyMatrix, degree_bound: int | None = None) -> Polynomial:
+def det_poly(m: PolyMatrix) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Certified modular evaluation/interpolation (von zur Gathen & Gerhard,
-    *Modern Computer Algebra*, 5.5).  With L the lcm of all coefficient
+    Certified modular linearisation.  With L the lcm of all coefficient
     denominators, det M = det(L*M) / L^n, and every coefficient of det(L*M)
     is at most the Hadamard bound on |a| = 1,
     H = prod_i sqrt(sum_j ||L*m_ij||_1^2).  For one odd modulus
     N > max(2H, 2^61, bound + 1), the first probable prime above that,
-    det(L*M) is evaluated at a = 0..bound by elimination mod N, interpolated
-    mod N and lifted to symmetric residues; this is exact whenever deg det <=
-    bound, and needs only that the pivots and 1..bound are units mod N (a
-    composite N that breaks this is skipped).  The result is then checked
-    exactly over Q at a = bound + 1, off the grid: a mismatch, from a
-    degree_bound below the true degree, raises RuntimeError.
+    det(L*M) mod N is the leading determinant times the characteristic
+    polynomial of one block companion matrix (`_det_linearised_mod`), and
+    is lifted to symmetric residues.  The expansion point is a = oo when
+    the matrix of top coefficients is invertible mod N, which is exact
+    because its det is the top coefficient of det(L*M), below N/2; every
+    Gram matrix qualifies, since each row has top degree = cups and the
+    top coefficients are the Specht Gram in blocks.  Otherwise it is the
+    first s = 0..bound where M(s) is invertible mod N.  A composite N whose
+    non-unit shows up in pow(x, -1, N) is skipped.  The result is then
+    checked exactly over Q at a = bound + 1; a mismatch raises
+    RuntimeError.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return Polynomial.one()
-    bound = m.degree_bound() if degree_bound is None else degree_bound
+    bound = m.degree_bound()
     if bound == 0:
         return Polynomial.const(det_rational(m.evaluate(Q(0))))
     den = math.lcm(*(c.denominator for row in m.entries for p in row for c in p.coeffs))
-    terms = [[[(k, c.numerator * (den // c.denominator))
-               for k, c in enumerate(p.coeffs) if c] for p in row]
-             for row in m.entries]
+    entries = [[[c.numerator * (den // c.denominator) for c in p.coeffs] for p in row]
+               for row in m.entries]
     hadamard_sq = 1  # H^2, kept in integers
-    for row in terms:
-        hadamard_sq *= sum(sum(abs(c) for _, c in entry) ** 2 for entry in row)
-    # split L*M into layers of one term per entry, (0, 0) where none is left
-    depth = max(len(entry) for row in terms for entry in row) or 1
-    layers = [[[entry[t] if t < len(entry) else (0, 0) for entry in row]
-               for row in terms] for t in range(depth)]
+    for row in entries:
+        hadamard_sq *= sum(sum(map(abs, p)) ** 2 for p in row)
     modulus = max(math.isqrt(4 * hadamard_sq) + 1, _MODULUS_FLOOR, bound + 2) | 1
     while True:
         if pow(2, modulus - 1, modulus) == 1:  # Fermat probable prime
             try:
-                coeffs = _det_interpolate_mod(layers, bound, modulus)
+                coeffs = _det_linearised_mod(entries, bound, modulus)
                 break
             except ValueError:
                 pass  # a non-unit mod a composite modulus: take the next one
@@ -629,60 +721,8 @@ def det_poly(m: PolyMatrix, degree_bound: int | None = None) -> Polynomial:
     det = Polynomial([Fraction(c - modulus if c > half else c, scale) for c in coeffs])
     x = Q(bound + 1)
     if det(x) != det_rational(m.evaluate(x)):
-        raise RuntimeError(f"determinant check failed at a = {x}: degree bound "
-                           f"{bound} is below the degree of the determinant")
+        raise RuntimeError(f"determinant check failed at a = {x}")
     return det
-
-
-def det_poly_bareiss(m: PolyMatrix) -> Polynomial:
-    """Fraction-free elimination over Q[a]; agrees with det_poly."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Polynomial.one()
-    a = [[p for p in row] for row in m.entries]
-    sign = 1
-    prev = Polynomial.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = Polynomial()
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign
-
-
-def det_cofactor(m: PolyMatrix) -> Polynomial:
-    """Cofactor-expansion oracle; intended for matrices up to ~8x8."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-
-    def rec(rows: list[list[Polynomial]]) -> Polynomial:
-        n = len(rows)
-        if n == 0:
-            return Polynomial.one()
-        if n == 1:
-            return rows[0][0]
-        out = Polynomial()
-        for j in range(n):
-            c = rows[0][j]
-            if c.is_zero():
-                continue
-            minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-            term = c * rec(minor)
-            out = out + (term if j % 2 == 0 else -term)
-        return out
-
-    return rec([list(r) for r in m.entries])
 
 
 # ---------------------------------------------------------------------------

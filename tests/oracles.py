@@ -1,0 +1,149 @@
+"""Slow reference implementations that the package's fast paths are tested
+against: determinants over Q[a] by evaluation/interpolation, fraction-free
+Bareiss and cofactor expansion, and the Brauer diagram basis by brute force.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from kadaryu.diagrams import PairPartition
+from kadaryu.exactmath import Polynomial, PolyMatrix, Q, det_rational
+
+
+def _det_mod(rows: list[list[int]], modulus: int) -> int:
+    """Determinant modulo `modulus` by Gaussian elimination (consumes rows);
+    pow raises ValueError for a pivot that is not a unit."""
+    det = 1
+    while rows:
+        for i, row in enumerate(rows):
+            if row[0]:
+                break
+        else:
+            return 0
+        pivot = rows.pop(i)
+        if i % 2:
+            det = -det  # moving row i to the top is a cycle of length i + 1
+        det = det * pivot[0] % modulus
+        inv = pow(pivot[0], -1, modulus)
+        tail = pivot[1:]
+        rest = []
+        for row in rows:
+            f = row[0] * inv % modulus
+            rest.append([(x - f * y) % modulus for x, y in zip(row[1:], tail)]
+                        if f else row[1:])
+        rows = rest
+    return det
+
+
+def _interpolate_mod(values: list[int], modulus: int) -> list[int]:
+    """Coefficients, lowest first and reduced mod `modulus`, of the polynomial
+    of degree < len(values) that takes values[x] at x = 0, 1, 2, ...
+    (Newton form over the consecutive integer nodes)."""
+    dd = list(values)
+    k = len(dd)
+    for j in range(1, k):
+        inv = pow(j, -1, modulus)
+        for i in range(k - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * inv % modulus
+    coeffs = [dd[-1]]
+    for i in range(k - 2, -1, -1):
+        # coeffs <- coeffs * (x - i) + dd[i]
+        coeffs = [(a - i * b) % modulus for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] = (coeffs[0] + dd[i]) % modulus
+    return coeffs
+
+
+def det_interpolate(m: PolyMatrix) -> Polynomial:
+    """det by evaluation at a = 0..bound, elimination mod one prime above
+    twice the Hadamard bound, and Newton interpolation (von zur Gathen &
+    Gerhard, *Modern Computer Algebra*, 5.5), checked exactly at bound + 1."""
+    n = m.rows
+    if n == 0:
+        return Polynomial.one()
+    bound = m.degree_bound()
+    den = math.lcm(*(c.denominator for row in m.entries for p in row for c in p.coeffs))
+    entries = [[[c.numerator * (den // c.denominator) for c in p.coeffs] for p in row]
+               for row in m.entries]
+    hadamard_sq = 1
+    for row in entries:
+        hadamard_sq *= sum(sum(map(abs, p)) ** 2 for p in row)
+    modulus = max(math.isqrt(4 * hadamard_sq) + 1, 2 ** 61, bound + 2) | 1
+    while pow(2, modulus - 1, modulus) != 1:
+        modulus += 2
+    values = []
+    for x in range(bound + 1):
+        values.append(_det_mod([[sum(c * x ** k for k, c in enumerate(p)) % modulus
+                                 for p in row] for row in entries], modulus))
+    half = modulus // 2
+    det = Polynomial([Fraction(c - modulus if c > half else c, den ** n)
+                      for c in _interpolate_mod(values, modulus)])
+    x = Q(bound + 1)
+    assert det(x) == det_rational(m.evaluate(x)), "degree bound below deg det"
+    return det
+
+
+def det_poly_bareiss(m: PolyMatrix) -> Polynomial:
+    """Fraction-free elimination over Q[a]."""
+    n = m.rows
+    if n == 0:
+        return Polynomial.one()
+    a = [[p for p in row] for row in m.entries]
+    sign = 1
+    prev = Polynomial.one()
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not a[i][k].is_zero():
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Polynomial()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).exact_div(prev)
+            a[i][k] = Polynomial()
+        prev = a[k][k]
+    return a[n - 1][n - 1] * sign
+
+
+def det_cofactor(m: PolyMatrix) -> Polynomial:
+    """Cofactor expansion along the first row; for matrices up to ~8x8."""
+
+    def rec(rows: list[list[Polynomial]]) -> Polynomial:
+        n = len(rows)
+        if n == 0:
+            return Polynomial.one()
+        if n == 1:
+            return rows[0][0]
+        out = Polynomial()
+        for j in range(n):
+            c = rows[0][j]
+            if c.is_zero():
+                continue
+            minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
+            term = c * rec(minor)
+            out = out + (term if j % 2 == 0 else -term)
+        return out
+
+    return rec([list(r) for r in m.entries])
+
+
+def brauer_basis(n: int, m: int) -> list[PairPartition]:
+    """All pair partitions of n top and m bottom points (small sizes only)."""
+    pts = list(range(1, n + 1)) + list(range(-m, 0))
+
+    def rec(rem):
+        if not rem:
+            yield []
+            return
+        a = rem[0]
+        for i in range(1, len(rem)):
+            b = rem[i]
+            rest = rem[1:i] + rem[i + 1:]
+            for tail in rec(rest):
+                yield [(a, b)] + tail
+
+    return [PairPartition(n, m, ps) for ps in rec(pts)]

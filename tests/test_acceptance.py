@@ -19,8 +19,8 @@ from kadaryu.cheby import quantum_number, u_expansion
 from kadaryu.cli import main as cli_main
 from kadaryu.diagrams import (basis_by_closure, compose, e_gen, flip,
                               half_basis, identity, s_gen, u_cup)
-from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_cofactor,
-                               det_poly, det_poly_bareiss, smith_invariants)
+from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_poly,
+                               smith_invariants)
 from kadaryu.gram import (ModuleLabel, factor_one_cup, gram_det,
                           gram_mixed_det, one_cup_det)
 from kadaryu.morphisms import divisibility_check, submodule_verify
@@ -30,6 +30,7 @@ from kadaryu.roots import (family_series, lemma_roots_check, squarefree_check,
                            sturm_count, verify_root_layout)
 from kadaryu.symmetric import hook_dimension, partitions, young_idempotent
 
+from oracles import det_cofactor, det_poly_bareiss
 from test_gram import COMMON_FACTORS, ONE_CUP_DETS, U_EXPANSIONS
 
 SLOW = bool(os.environ.get("KY_SLOW_TESTS"))
@@ -181,8 +182,8 @@ def test_06_chain_oracle():
     t = time.perf_counter()
     failures = []
     # n = 10 direct Gram determinants (90x90, degree 360) take the test from
-    # about 1.5 s to about 12 s (2 cores, Python 3.11), so they extend the
-    # same comparison in the slow tier
+    # about 1 s to about 6.7 s (2 cores, Python 3.11.7), which would take
+    # tier-1 past 30 s, so they extend the same comparison in the slow tier
     n_top = 10 if SLOW else 9
     for n in range(2, n_top + 1):
         for p in range(n % 2, n + 1, 2):

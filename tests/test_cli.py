@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from kadaryu import gram
 from kadaryu.cli import cache_get_put, main
 from kadaryu.exactmath import Polynomial
 from kadaryu.gram import one_cup_det
@@ -52,6 +53,24 @@ class TestGram:
                            *cache_args(tmp_path))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["dim"] == 4
+
+    @pytest.mark.parametrize("first,second", [((), ("--det",)), (("--det",), ())],
+                             ids=["full then det", "det then full"])
+    def test_records_share_the_determinant(self, tmp_path, capsys, monkeypatch,
+                                           first, second):
+        label = ["gram", "--l", "0", "--n", "5", "--p", "1", "--lambda", "1"]
+        fresh = tmp_path / "fresh"
+        expected = run(capsys, *label, *second, "--cache-dir", str(fresh))
+        assert run(capsys, *label, *first, *cache_args(tmp_path))[0] == 0
+
+        def no_det(m):
+            raise RuntimeError("determinant recomputed")
+
+        gram.gram_matrix.cache_clear()  # drop the in-process determinant too
+        monkeypatch.setattr(gram, "det_poly", no_det)
+        assert run(capsys, *label, *second, *cache_args(tmp_path)) == expected
+        (record,) = fresh.glob("*.json")
+        assert (tmp_path / "cache" / record.name).read_bytes() == record.read_bytes()
 
 
 class TestSeries:
@@ -173,6 +192,18 @@ class TestUsage:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "l+2" in err
         assert not (tmp_path / "cache").exists()
+
+
+class TestInternalFailure:
+    def test_runtime_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        def broken(l, lam):
+            raise RuntimeError("D is not polynomial")
+
+        monkeypatch.setattr("kadaryu.cli.factor_one_cup", broken)
+        code, out, err = run(capsys, "series", "--l", "0", "--lambda", "2",
+                             *cache_args(tmp_path))
+        assert code == 4 and out == ""
+        assert err == "error: D is not polynomial\n"
 
 
 class TestCache:

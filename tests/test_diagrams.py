@@ -5,10 +5,12 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kadaryu.diagrams import (PairPartition, basis_by_closure, brauer_basis,
-                              compose, e_gen, flip, half_basis, half_normalize,
-                              identity, one_cup_basis, one_cup_index,
-                              permutation_diagram, s_gen, u_cup)
+from kadaryu.diagrams import (PairPartition, basis_by_closure, compose, e_gen,
+                              flip, half_basis, half_normalize, identity,
+                              one_cup_basis, one_cup_index, permutation_diagram,
+                              s_gen, u_cup)
+
+from oracles import brauer_basis
 
 
 def catalan(n):

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from kadaryu import exactmath
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotientRing,
-                               RationalFunction, det_cofactor, det_poly,
-                               det_poly_bareiss, det_rational, field_kernel,
-                               field_rank, poly_content_removed,
+                               RationalFunction, det_poly, det_rational,
+                               field_kernel, field_rank, poly_content_removed,
                                poly_gcd, poly_lcm, poly_nth_root,
                                poly_squarefree_part, smith_invariants,
                                yun_squarefree_decomposition)
+from kadaryu.gram import ModuleLabel, gram_matrix, gram_mixed
+
+from oracles import det_cofactor, det_interpolate, det_poly_bareiss
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
 polys = st.lists(rationals, max_size=6).map(Polynomial)
@@ -131,6 +133,32 @@ def rational_poly_matrices(draw, max_size=6):
     return PolyMatrix(rows)
 
 
+@st.composite
+def linearisation_matrices(draw):
+    """Matrices for each branch of det_poly: rows of top degree c whose top
+    coefficients are invertible (expanded at a = oo) or of rank one
+    (expanded at the first a = s where the matrix is invertible); row 0
+    times a(a - 1), singular at a = 0 and 1 (for n > 1 expanded at a = 2);
+    and a zero determinant with no zero row."""
+    n = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["uniform", "singular lead", "singular at 0 and 1",
+                                  "zero det"]))
+    nonzero = st.builds(Fraction, st.integers(1, 6) | st.integers(-6, -1), st.integers(1, 8))
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 8))
+    rows = [[Polynomial([draw(coeff) for _ in range(c)] + [draw(nonzero)])
+             for _ in range(n)] for _ in range(n)]
+    if shape == "singular lead":
+        # top coefficients of rank one: only column 0 keeps its a^c term
+        rows = [[p if j == 0 else Polynomial(p.coeffs[:c]) for j, p in enumerate(row)]
+                for row in rows]
+    elif shape == "singular at 0 and 1":
+        rows[0] = [p * Polynomial([0, -1, 1]) for p in rows[0]]
+    elif shape == "zero det" and n > 1:
+        rows[-1] = [p * draw(nonzero) for p in rows[0]]
+    return PolyMatrix(rows)
+
+
 SYLVESTER_H4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
 
 
@@ -142,6 +170,28 @@ class TestDeterminants:
         d2 = det_poly_bareiss(m)
         d3 = det_cofactor(m)
         assert d1 == d2 == d3
+
+    @given(linearisation_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_linearisation_matches_evaluation(self, m):
+        assert det_poly(m) == det_interpolate(m) == det_poly_bareiss(m)
+
+    @pytest.mark.parametrize("matrix", [
+        lambda: gram_matrix(ModuleLabel(-1, 8, 0, ())).matrix,
+        lambda: gram_matrix(ModuleLabel(1, 6, 2, (2,))).matrix,
+        lambda: gram_matrix(ModuleLabel(2, 6, 4, (3, 1))).matrix,
+        lambda: gram_mixed(1, (2, 1), (5, 6)),
+    ], ids=["TL n=8 p=0", "l=1 n=6 p=2", "l=2 n=6 p=4", "mixed (5,6)"])
+    def test_gram_matrices_match_evaluation(self, matrix):
+        # each is singular at a = 0 (some also at 1, 2 and 3) and has
+        # invertible top coefficients, so it is expanded at a = oo; row 0
+        # times a makes the top coefficients singular and forces an
+        # expansion point s > 0
+        m = matrix()
+        det = det_poly(m)
+        assert det == det_interpolate(m)
+        shifted = PolyMatrix([[p * Polynomial.x() for p in m.entries[0]]] + m.entries[1:])
+        assert det_poly(shifted) == det_interpolate(shifted) == det * Polynomial.x()
 
     @pytest.mark.parametrize("floor", [2 ** 61, 3])
     def test_hadamard_bound_attained(self, monkeypatch, floor):
@@ -157,17 +207,41 @@ class TestDeterminants:
 
     def test_composite_modulus_is_skipped(self, monkeypatch):
         # 2H = 340, and the first candidate 341 = 11 * 31 is a base-2 Fermat
-        # pseudoprime: the node difference 11 is not a unit mod it
+        # pseudoprime; the pivot 170 is a unit mod it, so the elimination is
+        # exact in Z/341 and the modulus is kept
         monkeypatch.setattr(exactmath, "_MODULUS_FLOOR", 3)
         p = Polynomial.monomial(170, 11)
         assert det_poly(PolyMatrix([[p]])) == p
 
-    def test_low_degree_bound_raises(self):
+    def test_non_unit_pivot_skips_the_modulus(self, monkeypatch):
+        # 2H = 340 again, but the top coefficient 11 is not a unit mod 341
+        monkeypatch.setattr(exactmath, "_MODULUS_FLOOR", 3)
+        tried = []
+        linearised = exactmath._det_linearised_mod
+
+        def spy(entries, bound, modulus):
+            tried.append(modulus)
+            return linearised(entries, bound, modulus)
+
+        monkeypatch.setattr(exactmath, "_det_linearised_mod", spy)
+        p = Polynomial([159] + [0] * 10 + [11])
+        assert det_poly(PolyMatrix([[p]])) == p
+        assert tried == [341, 347]
+
+    def test_failed_check_raises(self, monkeypatch):
         x = Polynomial.x()
         m = PolyMatrix([[x, Polynomial.one()], [Polynomial.one(), x]])
         assert det_poly(m) == x * x - 1
-        with pytest.raises(RuntimeError):
-            det_poly(m, degree_bound=1)
+        charpoly = exactmath._charpoly_mod
+
+        def corrupt(c, modulus):
+            coeffs = charpoly(c, modulus)
+            coeffs[0] = (coeffs[0] + 1) % modulus
+            return coeffs
+
+        monkeypatch.setattr(exactmath, "_charpoly_mod", corrupt)
+        with pytest.raises(RuntimeError, match="determinant check failed"):
+            det_poly(m)
 
     def test_rational_det(self):
         m = [[Q(1, 2), Q(1)], [Q(1), Q(3)]]
