@@ -5,20 +5,28 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
 failed (RuntimeError: a failed determinant check, a non-polynomial D, a
 height-closure fault), which is a bug in the engine and not a verdict.
 
-Results of the heavier computations are cached as one JSON file per record
-under the directory named by KY_CACHE_DIR (default ".ky-cache"); records
-carry an engine version stamp and are recomputed on mismatch.  Writes are
-atomic (write to a temp file, then rename), so racing invocations at worst
+Every subcommand but `rollet --format dot` caches its payload as one JSON
+record per file under the directory named by KY_CACHE_DIR (default
+".ky-cache"): gram, series, rollet, and the verdicts of verify, roots and
+bootstrap.  A record is keyed by the resolved inputs (defaults applied) and
+stamped with the engine stamp, __version__ plus a CRC-32 of the package's
+source files, so any edit to the engine recomputes it.  A cached verdict
+exits with the code its fresh run had, since the code is read off the
+payload; a run that ends in an error writes no record.  Writes are atomic
+(write to a temp file, then rename), so racing invocations at worst
 recompute the same payload.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import re
 import sys
 import tempfile
+import zlib
 from fractions import Fraction
 
 from . import __version__
@@ -27,8 +35,6 @@ from .gram import ModuleLabel, factor_one_cup, gram_matrix
 from .morphisms import divisibility_check, submodule_verify
 from .rollet import RolletGraph, arm_verify, export_dot, export_json
 from .roots import verify_root_layout
-
-ENGINE_VERSION = __version__
 
 _warned_unwritable = False
 
@@ -62,17 +68,42 @@ def _parse_alpha(s: str):
 # cache
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def source_stamp(package_dir: str = os.path.dirname(os.path.abspath(__file__))) -> str:
+    """__version__ plus a CRC-32 over each sorted *.py file name in
+    `package_dir` and its bytes: the stamp of every cache record.  (zlib,
+    not hashlib: importing hashlib loads OpenSSL into every process.)"""
+    crc = 0
+    for name in sorted(f for f in os.listdir(package_dir) if f.endswith(".py")):
+        with open(os.path.join(package_dir, name), "rb") as fh:
+            crc = zlib.crc32(fh.read(), zlib.crc32(name.encode(), crc))
+    return f"{__version__}+{crc:08x}"
+
+
+def _record_path(cache_dir: str, key: str) -> str:
+    """The record file of `key`: every character outside [A-Za-z0-9_.,:+-]
+    becomes "_", and a name over 200 characters is cut and suffixed with the
+    CRC-32 of the whole key.  Keys that flatten alike are told apart by the
+    key stored in the record."""
+    name = re.sub(r"[^A-Za-z0-9_.,:+-]", "_", key)
+    if len(name) > 200:
+        name = f"{name[:180]}_{zlib.crc32(key.encode()):08x}"
+    return os.path.join(cache_dir, name + ".json")
+
+
 def cache_get(cache_dir: str, key: str):
     """The payload of the record under `key`, or None when there is none.
 
-    A record with another engine version counts as missing; a corrupt one
-    is reported with a warning and counts as missing too.
+    A record stored under another key or with another engine stamp counts
+    as missing; a corrupt one is reported with a warning and counts as
+    missing too.
     """
-    path = os.path.join(cache_dir, key + ".json")
+    path = _record_path(cache_dir, key)
     try:
         with open(path) as fh:
             rec = json.load(fh)
-        if rec.get("version") == ENGINE_VERSION and "payload" in rec:
+        if (rec.get("key") == key and rec.get("version") == source_stamp()
+                and "payload" in rec):
             return rec["payload"]
     except FileNotFoundError:
         pass
@@ -94,14 +125,14 @@ def cache_get_put(cache_dir: str, key: str, producer):
     if payload is not None:
         return payload
     payload = producer()
-    rec = {"key": key, "version": ENGINE_VERSION, "payload": payload}
+    rec = {"key": key, "version": source_stamp(), "payload": payload}
     tmp = None
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(rec, fh, sort_keys=True)
-        os.replace(tmp, os.path.join(cache_dir, key + ".json"))
+        os.replace(tmp, _record_path(cache_dir, key))
     except OSError:
         if not _warned_unwritable:
             print(f"warning: cache directory {cache_dir} not writable; "
@@ -124,6 +155,19 @@ def _emit(args, text: str):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+
+
+def _emit_json(args, payload: dict) -> None:
+    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _report_code(report: dict) -> int:
+    """The exit code of a claims report, read off its status."""
+    return {"pass": 0, "inconclusive": 3}.get(report["status"], 1)
+
+
+def _lam_key(lam) -> str:
+    return "-".join(map(str, lam))
 
 
 def _cmd_gram(args) -> int:
@@ -160,7 +204,7 @@ def _cmd_gram(args) -> int:
         lines.append("det," + str(Polynomial.from_json(payload["det"])))
         _emit(args, "\n".join(lines))
     else:
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+        _emit_json(args, payload)
     return 0
 
 
@@ -170,7 +214,7 @@ def _cmd_series(args) -> int:
         return {"l": args.l, "lambda": list(args.lam),
                 "C": c.to_json(), "P": series.to_json()}
 
-    key = f"series_l{args.l}_lam{'-'.join(map(str, args.lam))}"
+    key = f"series_l{args.l}_lam{_lam_key(args.lam)}"
     payload = cache_get_put(args.cache_dir, key, produce)
     if args.format == "csv":
         c = Polynomial.from_json(payload["C"])
@@ -180,7 +224,7 @@ def _cmd_series(args) -> int:
             f"P_{p['anchor']},{Polynomial.from_json(p['pN'])}",
             f"P_{p['anchor'] + 1},{Polynomial.from_json(p['pN1'])}"]))
     else:
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+        _emit_json(args, payload)
     return 0
 
 
@@ -208,22 +252,27 @@ def _cmd_rollet(args) -> int:
     key = (f"rollet_l{args.l}_p{p_max}_n{args.max_n}"
            f"_{'-'.join(sorted(decorations)) or 'plain'}")
     payload = cache_get_put(args.cache_dir, key, produce)
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+    _emit_json(args, payload)
     return 0
 
 
 def _cmd_verify(args) -> int:
     max_p = args.max_p if args.max_p is not None else args.l + 6
     m_max = args.m if args.m is not None else 1
-    records = arm_verify(args.l, args.lam, range(args.l + 2, max_p + 1),
-                         range(1, m_max + 1))
-    payload = {"l": args.l, "lambda": list(args.lam),
-               "records": [{"p": r.p, "m": r.m, "n": r.n, "equal": r.equal,
-                            "residual": {"num": r.residual.num.to_json(),
-                                         "den": r.residual.den.to_json()}}
-                           for r in records]}
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
-    return 0 if all(r.equal for r in records) else 1
+
+    def produce():
+        records = arm_verify(args.l, args.lam, range(args.l + 2, max_p + 1),
+                             range(1, m_max + 1))
+        return {"l": args.l, "lambda": list(args.lam),
+                "records": [{"p": r.p, "m": r.m, "n": r.n, "equal": r.equal,
+                             "residual": {"num": r.residual.num.to_json(),
+                                          "den": r.residual.den.to_json()}}
+                            for r in records]}
+
+    key = f"verify_arm_l{args.l}_lam{_lam_key(args.lam)}_p{max_p}_m{m_max}"
+    payload = cache_get_put(args.cache_dir, key, produce)
+    _emit_json(args, payload)
+    return 0 if all(r["equal"] for r in payload["records"]) else 1
 
 
 def _cmd_roots(args) -> int:
@@ -231,22 +280,35 @@ def _cmd_roots(args) -> int:
     if k < 0:
         print("error: rank must be at least l+4", file=sys.stderr)
         return 2
-    report = verify_root_layout(args.l, args.lam, k)
-    _emit(args, json.dumps(report, indent=2, sort_keys=True))
-    if report["status"] == "pass":
-        return 0
-    return 3 if report["status"] == "inconclusive" else 1
+    key = f"roots_l{args.l}_lam{_lam_key(args.lam)}_k{k}"
+    payload = cache_get_put(args.cache_dir, key,
+                            lambda: verify_root_layout(args.l, args.lam, k))
+    _emit_json(args, payload)
+    return _report_code(payload)
+
+
+def _alpha_key(alpha) -> str:
+    if isinstance(alpha, Polynomial):
+        return "minpoly:" + ",".join(map(str, alpha.coeffs))
+    return str(alpha)
 
 
 def _cmd_bootstrap(args) -> int:
     n = args.n if args.n is not None else args.l + 4
+    key = f"bootstrap_l{args.l}_lam{_lam_key(args.lam)}_n{n}"
     if args.alpha is not None:
-        report = submodule_verify(args.l, args.lam, n, args.alpha,
-                                  target=args.target)
+        target = "none" if args.target is None else _lam_key(args.target)
+        key += f"_alpha{_alpha_key(args.alpha)}_target{target}"
+
+        def produce():
+            return submodule_verify(args.l, args.lam, n, args.alpha,
+                                    target=args.target)
     else:
-        report = divisibility_check(args.l, args.lam, n)
-    _emit(args, json.dumps(report, indent=2, sort_keys=True))
-    return 0 if report["status"] == "pass" else 1
+        def produce():
+            return divisibility_check(args.l, args.lam, n)
+    payload = cache_get_put(args.cache_dir, key, produce)
+    _emit_json(args, payload)
+    return _report_code(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kadaryu",
         description="Exact Gram determinants and verification for the "
                     "bounded-height diagram algebra towers")
-    parser.add_argument("--version", action="version", version=ENGINE_VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, label=False, series_label=False):

@@ -362,14 +362,16 @@ def test_11_property_suite(tmp_path, capsys):
         if not d2.is_zero() and prod.monic() != d2.monic():
             failures.append(("smith-product", size))
     # cache determinism: byte-identical record and output across runs
-    args = ["series", "--l", "1", "--lambda", "2,1",
-            "--cache-dir", str(tmp_path / "c")]
-    assert cli_main(list(args)) == 0
-    out1 = capsys.readouterr().out
-    (rec,) = (tmp_path / "c").glob("*.json")
-    blob = rec.read_bytes()
-    assert cli_main(list(args)) == 0
-    if capsys.readouterr().out != out1 or rec.read_bytes() != blob:
-        failures.append("cache-determinism")
+    for i, command in enumerate([["series", "--l", "1", "--lambda", "2,1"],
+                                 ["bootstrap", "--l", "0", "--lambda", "2",
+                                  "--n", "5"]]):
+        args = [*command, "--cache-dir", str(tmp_path / f"c{i}")]
+        assert cli_main(list(args)) == 0
+        out1 = capsys.readouterr().out
+        (rec,) = (tmp_path / f"c{i}").glob("*.json")
+        blob = rec.read_bytes()
+        assert cli_main(list(args)) == 0
+        if capsys.readouterr().out != out1 or rec.read_bytes() != blob:
+            failures.append(("cache-determinism", command[0]))
     report(11, "structural property suite and cache determinism",
            failures, t, 120.0)

@@ -1,12 +1,19 @@
 """Command-line driver: subcommands, exit codes, and the result cache."""
 
+import dataclasses
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kadaryu
 from kadaryu import gram
-from kadaryu.cli import cache_get_put, main
+from kadaryu.claims import claim, report
+from kadaryu.cli import cache_get_put, main, source_stamp
 from kadaryu.exactmath import Polynomial
 from kadaryu.gram import one_cup_det
 
@@ -143,6 +150,7 @@ class TestRoots:
         code, _, err = run(capsys, "roots", "--l", "0", "--lambda", "1,1",
                            "--n", "3", *cache_args(tmp_path))
         assert code == 2 and "l+4" in err
+        assert not (tmp_path / "cache").exists()
 
 
 class TestBootstrap:
@@ -176,6 +184,7 @@ class TestBootstrap:
 class TestUsage:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
+        assert capsys.readouterr().out == "0.1.0\n"  # the release, not the stamp
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -224,14 +233,35 @@ class TestCache:
     def test_version_mismatch_recomputes(self, tmp_path, capsys, monkeypatch):
         args = ["series", "--l", "0", "--lambda", "2", *cache_args(tmp_path)]
         assert main(list(args)) == 0
+        out1 = capsys.readouterr().out
         cache = tmp_path / "cache"
         (rec,) = cache.glob("*.json")
-        stored = json.loads(rec.read_text())
-        assert stored["version"]
-        monkeypatch.setattr("kadaryu.cli.ENGINE_VERSION", "0.0.0-test")
-        capsys.readouterr()
+        assert json.loads(rec.read_text())["version"] == source_stamp()
+        monkeypatch.setattr("kadaryu.cli.source_stamp", lambda: "0.0.0-test")
+        calls = []
+        real = kadaryu.cli.factor_one_cup
+        monkeypatch.setattr("kadaryu.cli.factor_one_cup",
+                            lambda *a: calls.append(a) or real(*a))
         assert main(list(args)) == 0
+        assert capsys.readouterr().out == out1
+        assert calls == [(0, (2,))]
         assert json.loads(rec.read_text())["version"] == "0.0.0-test"
+
+    def test_record_under_another_key_is_missing(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        assert cache_get_put(cache, "a/b", lambda: {"v": 1}) == {"v": 1}
+        # "a_b" flattens to the file name of "a/b" but is another key
+        assert cache_get_put(cache, "a_b", lambda: {"v": 2}) == {"v": 2}
+        assert cache_get_put(cache, "a_b", lambda: {"v": 3}) == {"v": 2}
+        assert len(list((tmp_path / "cache").iterdir())) == 1
+
+    def test_long_key_gets_a_valid_file_name(self, tmp_path):
+        cache = str(tmp_path / "cache")
+        key = "bootstrap_alphaminpoly:" + ",".join(["-1/3"] * 100)
+        assert cache_get_put(cache, key, lambda: {"v": 1}) == {"v": 1}
+        assert cache_get_put(cache, key, lambda: {"v": 2}) == {"v": 1}
+        (rec,) = (tmp_path / "cache").iterdir()
+        assert len(rec.name) < 255 and json.loads(rec.read_text())["key"] == key
 
     def test_corrupt_record_rebuilds(self, tmp_path, capsys):
         args = ["series", "--l", "0", "--lambda", "1,1", *cache_args(tmp_path)]
@@ -264,3 +294,129 @@ class TestCache:
         with pytest.raises(TypeError):  # a set is not JSON
             cache_get_put(str(cache), "bad", lambda: {1, 2})
         assert list(cache.iterdir()) == []
+
+
+PACKAGE = Path(kadaryu.__file__).parent
+
+
+class TestStamp:
+    def test_one_changed_byte_changes_the_stamp(self, tmp_path):
+        same, edited = tmp_path / "same", tmp_path / "edited"
+        for d in (same, edited):
+            d.mkdir()
+            for f in PACKAGE.glob("*.py"):
+                shutil.copyfile(f, d / f.name)
+        assert source_stamp(str(same)) == source_stamp()
+        blob = bytearray((edited / "claims.py").read_bytes())
+        blob[-2] ^= 1
+        (edited / "claims.py").write_bytes(bytes(blob))
+        stamp = source_stamp(str(edited))
+        assert stamp != source_stamp() and stamp.startswith("0.1.0+")
+
+    def test_cli_does_not_load_hashlib(self):
+        # hashlib loads OpenSSL, which adds megabytes to every engine process
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+        code = "import sys, kadaryu.cli; print('_hashlib' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "False\n"
+
+
+# (argv, the cli name of its producer); each run is a verdict
+VERDICTS = {
+    "verify": (["verify", "arm", "--l", "0", "--lambda", "2", "--max-p", "3",
+                "--m", "1"], "arm_verify"),
+    "roots": (["roots", "--l", "0", "--lambda", "1,1", "--n", "6"],
+              "verify_root_layout"),
+    "divisibility": (["bootstrap", "--l", "0", "--lambda", "2", "--n", "5"],
+                     "divisibility_check"),
+    "rational": (["bootstrap", "--l", "0", "--lambda", "2", "--n", "4",
+                  "--alpha", "1/2"], "submodule_verify"),
+    "minpoly": (["bootstrap", "--l", "0", "--lambda", "2", "--n", "4",
+                 "--alpha", "minpoly:-4,1,1"], "submodule_verify"),
+    "target": (["bootstrap", "--l", "0", "--lambda", "1,1", "--n", "4",
+                "--alpha", "1", "--target", "2"], "submodule_verify"),
+}
+
+
+def refuse(monkeypatch, name):
+    def recomputed(*args, **kwargs):
+        raise AssertionError(f"{name} recomputed")
+
+    monkeypatch.setattr(f"kadaryu.cli.{name}", recomputed)
+
+
+class TestCachedVerdicts:
+    @pytest.mark.parametrize("case", sorted(VERDICTS))
+    def test_second_run_is_served_from_the_record(self, tmp_path, capsys,
+                                                  monkeypatch, case):
+        argv, producer = VERDICTS[case]
+        first = run(capsys, *argv, *cache_args(tmp_path))
+        (rec,) = (tmp_path / "cache").glob("*.json")
+        blob = rec.read_bytes()
+        refuse(monkeypatch, producer)
+        assert run(capsys, *argv, *cache_args(tmp_path)) == first
+        assert rec.read_bytes() == blob
+
+    def test_failed_arm_is_served_with_exit_1(self, tmp_path, capsys, monkeypatch):
+        argv, _ = VERDICTS["verify"]
+        real = kadaryu.cli.arm_verify
+
+        def mismatch(*args):
+            first, *rest = real(*args)
+            return [dataclasses.replace(first, equal=False), *rest]
+
+        monkeypatch.setattr("kadaryu.cli.arm_verify", mismatch)
+        first = run(capsys, *argv, *cache_args(tmp_path))
+        assert first[0] == 1
+        refuse(monkeypatch, "arm_verify")
+        assert run(capsys, *argv, *cache_args(tmp_path)) == first
+
+    def test_inconclusive_layout_is_served_with_exit_3(self, tmp_path, capsys,
+                                                       monkeypatch):
+        argv, _ = VERDICTS["roots"]
+
+        def out_of_budget(l, lam, k):
+            claims = []
+            claim(claims, "interleaving", None, "budget")
+            return report({"l": l, "lambda": list(lam), "k": k}, claims)
+
+        monkeypatch.setattr("kadaryu.cli.verify_root_layout", out_of_budget)
+        first = run(capsys, *argv, *cache_args(tmp_path))
+        assert first[0] == 3
+        refuse(monkeypatch, "verify_root_layout")
+        assert run(capsys, *argv, *cache_args(tmp_path)) == first
+
+    @pytest.mark.parametrize("error,code", [(ValueError, 2), (RuntimeError, 4)])
+    @pytest.mark.parametrize("case", ["verify", "roots", "divisibility", "minpoly"])
+    def test_errors_write_no_record(self, tmp_path, capsys, monkeypatch,
+                                    case, error, code):
+        argv, producer = VERDICTS[case]
+
+        def broken(*args, **kwargs):
+            raise error("broken")
+
+        monkeypatch.setattr(f"kadaryu.cli.{producer}", broken)
+        assert run(capsys, *argv, *cache_args(tmp_path)) == (code, "", "error: broken\n")
+        assert not (tmp_path / "cache").exists()
+
+    def test_reducible_modulus_writes_no_record(self, tmp_path, capsys):
+        # kept as it is: a traceback rather than a usage error
+        with pytest.raises(ZeroDivisionError):
+            main(["bootstrap", "--l", "0", "--lambda", "2", "--n", "4",
+                  "--alpha", "minpoly:-1,0,1", *cache_args(tmp_path)])
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("default,explicit,producer", [
+        (["verify", "arm", "--l", "-1", "--lambda", "1"],
+         ["--max-p", "5", "--m", "1"], "arm_verify"),
+        (["roots", "--l", "0", "--lambda", "2"], ["--n", "5"], "verify_root_layout"),
+        (["bootstrap", "--l", "0", "--lambda", "2"], ["--n", "4"],
+         "divisibility_check"),
+    ], ids=["verify", "roots", "bootstrap"])
+    def test_default_and_explicit_bounds_share_a_record(
+            self, tmp_path, capsys, monkeypatch, default, explicit, producer):
+        first = run(capsys, *default, *cache_args(tmp_path))
+        refuse(monkeypatch, producer)
+        assert run(capsys, *default, *explicit, *cache_args(tmp_path)) == first
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 1
