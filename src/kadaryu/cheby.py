@@ -174,13 +174,8 @@ def u_expansion(s: ChebSeries) -> dict[int, Fraction]:
             a[-j] = a[j] - b.get(j, Q(0))
     a.pop(-(d + 2), None)
     # consistency: both anchors must reconstruct exactly
-    for j in (0, 1):
-        acc = Polynomial()
-        for k, ak in a.items():
-            if ak:
-                acc = acc + cheb_u(k + j) * ak
-        if acc != (s.pN if j == 0 else s.pN1):
-            raise ValueError("U-expansion failed to round-trip (non-ramping input?)")
+    if (series_from_u_coeffs(a, 0), series_from_u_coeffs(a, 1)) != (s.pN, s.pN1):
+        raise ValueError("U-expansion failed to round-trip (non-ramping input?)")
     return {k: v for k, v in a.items() if v or abs(k) == d + 1}
 
 

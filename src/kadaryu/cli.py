@@ -95,13 +95,15 @@ def cache_get(cache_dir: str, key: str):
     """The payload of the record under `key`, or None when there is none.
 
     A record stored under another key or with another engine stamp counts
-    as missing; a corrupt one is reported with a warning and counts as
-    missing too.
+    as missing; a corrupt one (unreadable, or not a JSON object) is reported
+    with a warning and counts as missing too.
     """
     path = _record_path(cache_dir, key)
     try:
         with open(path) as fh:
             rec = json.load(fh)
+        if not isinstance(rec, dict):
+            raise ValueError("record is not a JSON object")
         if (rec.get("key") == key and rec.get("version") == source_stamp()
                 and "payload" in rec):
             return rec["payload"]

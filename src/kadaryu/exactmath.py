@@ -5,6 +5,11 @@ Determinants over Q[a] take one certified modular path, `det_poly`: the
 characteristic polynomial of one block companion matrix modulo a prime
 above twice the Hadamard bound, checked exactly at one point.
 
+Linear algebra over a field has one protocol for Q and Q[a]/(m): a
+`QuotElem` takes +, -, * and == with ints and Fractions on either side,
+has a truth value and inverts as 1 / x, exactly as a Fraction does, so the
+`field_*` functions never look at the type of an entry.
+
 Everything here is immutable and pure.  The parameter of the coefficient
 ring is the loop parameter of the diagram algebras; it is written ``a`` in
 reprs (alpha in the docs).
@@ -240,12 +245,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         r = a % b
         a, b = b, (r.monic() if r else r)
     return a.monic()
-
-
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero() or b.is_zero():
-        return Polynomial()
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
 
 
 def poly_content_removed(vec: Sequence[Polynomial]) -> tuple[Polynomial, list[Polynomial]]:
@@ -802,68 +801,65 @@ def smith_invariants(m: PolyMatrix) -> list[Polynomial]:
 
 
 # ---------------------------------------------------------------------------
-# quotient rings Q[a]/(m) and generic exact linear algebra
+# the field Q[a]/(m) and exact linear algebra over a field
 # ---------------------------------------------------------------------------
 
-class QuotientRing:
-    """The ring Q[a]/(modulus).  A field when the modulus is irreducible."""
-
-    def __init__(self, modulus: Polynomial):
-        if modulus.degree < 1:
-            raise ValueError("modulus must be nonconstant")
-        self.modulus = modulus.monic()
-
-    def elem(self, p: Polynomial | int | Fraction) -> "QuotElem":
-        if isinstance(p, (int, Fraction)):
-            p = Polynomial.const(p)
-        return QuotElem(self, p % self.modulus)
-
-    def zero(self):
-        return self.elem(Polynomial())
-
-    def one(self):
-        return self.elem(Polynomial.one())
-
-    def __eq__(self, other):
-        return isinstance(other, QuotientRing) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(("QuotientRing", self.modulus))
-
-
 class QuotElem:
-    __slots__ = ("ring", "rep")
+    """An element of Q[a]/(modulus), for a monic nonconstant modulus; a field
+    when the modulus is irreducible.
 
-    def __init__(self, ring: QuotientRing, rep: Polynomial):
-        self.ring = ring
-        self.rep = rep
+    It mixes with ints and Fractions as a Fraction does (+, -, *, ==, truth
+    value), and 1 / x is inverse(), so one elimination serves Q and Q(a0).
+    """
 
-    def is_zero(self):
-        return self.rep.is_zero()
+    __slots__ = ("modulus", "rep")
+
+    def __init__(self, modulus: Polynomial, rep):
+        self.modulus = modulus
+        if not isinstance(rep, Polynomial):
+            rep = Polynomial.const(rep)
+        self.rep = rep % modulus
+
+    @staticmethod
+    def _rep(x):
+        return x.rep if isinstance(x, QuotElem) else x
+
+    def __bool__(self):
+        return bool(self.rep)
 
     def __eq__(self, other):
-        return isinstance(other, QuotElem) and self.ring == other.ring and self.rep == other.rep
+        if isinstance(other, QuotElem):
+            return self.modulus == other.modulus and self.rep == other.rep
+        if isinstance(other, (int, Fraction)):
+            return self.rep == other
+        return NotImplemented
 
     def __add__(self, other):
-        return QuotElem(self.ring, (self.rep + other.rep) % self.ring.modulus)
+        return QuotElem(self.modulus, self.rep + self._rep(other))
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return QuotElem(self.ring, (self.rep - other.rep) % self.ring.modulus)
+        return QuotElem(self.modulus, self.rep - self._rep(other))
+
+    def __rsub__(self, other):
+        return QuotElem(self.modulus, other - self.rep)
 
     def __neg__(self):
-        return QuotElem(self.ring, (-self.rep) % self.ring.modulus)
+        return QuotElem(self.modulus, -self.rep)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuotElem(self.ring, (self.rep * other) % self.ring.modulus)
-        return QuotElem(self.ring, (self.rep * other.rep) % self.ring.modulus)
+        return QuotElem(self.modulus, self.rep * self._rep(other))
 
     __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
     def inverse(self) -> "QuotElem":
         """Extended Euclid; fails when the representative shares a factor
         with the modulus (i.e. the ring is not a field at this element)."""
-        r0, r1 = self.ring.modulus, self.rep
+        r0, r1 = self.modulus, self.rep
         s0, s1 = Polynomial(), Polynomial.one()
         while not r1.is_zero():
             q, r = r0.divmod(r1)
@@ -871,49 +867,40 @@ class QuotElem:
             s0, s1 = s1, s0 - q * s1
         if r0.degree != 0:
             raise ZeroDivisionError(f"non-invertible element (gcd {r0})")
-        return QuotElem(self.ring, (s0 * (1 / r0.coeffs[0])) % self.ring.modulus)
+        return QuotElem(self.modulus, s0 * (1 / r0.coeffs[0]))
 
     def __repr__(self):
         return f"[{self.rep}]"
 
 
 def field_rank(rows: list[list]) -> int:
-    """Rank of a matrix over an exact field.
-
-    Entries must support +, -, * and either .inverse()/.is_zero() (QuotElem)
-    or be Fractions.
-    """
+    """Rank of a matrix over Q or Q[a]/(m)."""
     return len(field_row_echelon(rows)[0])
 
 
-def _field_ops(sample):
-    if isinstance(sample, QuotElem):
-        return (lambda x: x.is_zero()), (lambda x: x.inverse())
-    return (lambda x: x == 0), (lambda x: 1 / x)
-
-
 def field_row_echelon(rows: list[list]):
-    """Row echelon form; returns (pivot column list, echelon rows)."""
+    """Reduced row echelon form over Q or Q[a]/(m); returns (pivot column
+    list, echelon rows).  Entries are Fractions or QuotElems: pivots are
+    found by truth value and scaled by 1 / pivot."""
     m = [list(r) for r in rows]
     if not m or not m[0]:
         return [], m
-    is_zero, inv = _field_ops(m[0][0])
     piv_cols = []
     r = 0
     ncols = len(m[0])
     for c in range(ncols):
         pivot = None
         for i in range(r, len(m)):
-            if not is_zero(m[i][c]):
+            if m[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        scale = inv(m[r][c])
+        scale = 1 / m[r][c]
         m[r] = [scale * x for x in m[r]]
         for i in range(len(m)):
-            if i != r and not is_zero(m[i][c]):
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         piv_cols.append(c)
@@ -923,11 +910,9 @@ def field_row_echelon(rows: list[list]):
     return piv_cols, m[:r]
 
 
-def field_kernel(rows: list[list], zero, one) -> list[list]:
-    """Basis of the right kernel of a matrix over an exact field.
-
-    `zero`/`one` are the field constants used to assemble kernel vectors.
-    """
+def field_kernel(rows: list[list]) -> list[list]:
+    """Basis of the right kernel of a matrix over Q or Q[a]/(m), one vector
+    per free column, built on Q(0) and Q(1)."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -935,9 +920,9 @@ def field_kernel(rows: list[list], zero, one) -> list[list]:
     free_cols = [c for c in range(ncols) if c not in piv_cols]
     basis = []
     for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
+        vec = [Q(0)] * ncols
+        vec[fc] = Q(1)
         for r, pc in enumerate(piv_cols):
-            vec[pc] = zero - ech[r][fc]
+            vec[pc] = -ech[r][fc]
         basis.append(vec)
     return basis

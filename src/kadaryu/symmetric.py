@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
 
-from .exactmath import Polynomial, Q, field_row_echelon
+from .exactmath import Q, field_row_echelon
 
 
 class Permutation:
@@ -247,11 +247,12 @@ def _row_group(rows, r):
 
 @lru_cache(maxsize=None)
 def young_idempotent(lam: tuple[int, ...]) -> GroupAlgebraElement:
-    """The self-adjoint idempotent C_lam = a * E w' F w E.
+    """The self-adjoint idempotent C_lam = a * E F E.
 
     E is the row symmetrizer and F the signed column symmetrizer of the
-    canonical tableau; w is the shortest permutation (ties broken by image
-    order) making the sandwich nonzero, and the scalar makes it idempotent.
+    canonical tableau, and the scalar makes the sandwich idempotent.  E F E
+    is never zero: (E F E) F = (E F)^2 = kappa E F with kappa = r!/f^lam,
+    and E F != 0 since its identity coefficient is 1.
     For lam=(2,1) this is (1/6)(e+(12))(e-(13))(e+(12)).
     """
     lam = tuple(lam)
@@ -264,14 +265,7 @@ def young_idempotent(lam: tuple[int, ...]) -> GroupAlgebraElement:
     cols = _canonical_tableau_columns(lam)
     E = GroupAlgebraElement(r, {s: Q(1) for s in _row_group(rows, r)})
     F = GroupAlgebraElement(r, {s: Q(s.sign()) for s in _row_group(cols, r)})
-    for w in sorted_by_length(r):
-        wi = GroupAlgebraElement.of(w.inverse())
-        ww = GroupAlgebraElement.of(w)
-        y = E * wi * F * ww * E
-        if not y.is_zero():
-            break
-    else:  # pragma: no cover - the sandwich with w=e is never zero
-        raise RuntimeError("no permutation makes the sandwich nonzero")
+    y = E * F * E
     y2 = y * y
     # y^2 is proportional to y; find the ratio on any supported permutation
     probe = next(iter(y.terms))

@@ -277,6 +277,19 @@ class TestCache:
         # rebuilt and valid again
         assert json.loads(rec.read_text())["payload"]
 
+    @pytest.mark.parametrize("body", ["[]", '"x"', "3"])
+    def test_non_object_record_rebuilds(self, tmp_path, capsys, body):
+        args = ["series", "--l", "0", "--lambda", "2", *cache_args(tmp_path)]
+        assert main(list(args)) == 0
+        fresh = capsys.readouterr().out
+        (rec,) = (tmp_path / "cache").glob("*.json")
+        rec.write_text(body)
+        assert main(list(args)) == 0
+        captured = capsys.readouterr()
+        assert "corrupt cache record" in captured.err
+        assert captured.out == fresh
+        assert json.loads(rec.read_text())["payload"] == json.loads(fresh)
+
     def test_unwritable_cache_degrades(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

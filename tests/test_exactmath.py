@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kadaryu import exactmath
-from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotientRing,
+from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotElem,
                                RationalFunction, det_poly, det_rational,
-                               field_kernel, field_rank, poly_content_removed,
-                               poly_gcd, poly_lcm, poly_nth_root,
+                               field_kernel, field_rank, field_row_echelon,
+                               poly_content_removed, poly_gcd, poly_nth_root,
                                poly_squarefree_part, smith_invariants,
                                yun_squarefree_decomposition)
 from kadaryu.gram import ModuleLabel, gram_matrix, gram_mixed
@@ -75,7 +75,6 @@ class TestGcd:
         a = (x - 1) * (x + 2)
         b = (x - 1) * (x - 3)
         assert poly_gcd(a, b) == x - 1
-        assert poly_lcm(a, b) == ((x - 1) * (x + 2) * (x - 3)).monic()
 
     @given(small_polys, small_polys)
     def test_gcd_divides(self, a, b):
@@ -295,30 +294,67 @@ class TestSmith:
 
 class TestQuotientRing:
     def test_inverse(self):
-        ring = QuotientRing(Polynomial([-4, 1, 1]))  # a^2 + a - 4
-        a = ring.elem(Polynomial.x())
+        a = QuotElem(Polynomial([-4, 1, 1]), Polynomial.x())  # a^2 + a - 4
         assert (a * a.inverse()).rep == Polynomial.one()
 
     def test_modular_relation(self):
-        ring = QuotientRing(Polynomial([-4, 1, 1]))
-        a = ring.elem(Polynomial.x())
+        a = QuotElem(Polynomial([-4, 1, 1]), Polynomial.x())
         assert (a * a + a).rep == Polynomial([4])
 
     def test_noninvertible(self):
         x = Polynomial.x()
-        ring = QuotientRing((x - 1) * (x + 1))
+        elem = QuotElem((x - 1) * (x + 1), x - 1)
         with pytest.raises(ZeroDivisionError):
-            ring.elem(x - 1).inverse()
+            elem.inverse()
+        with pytest.raises(ZeroDivisionError):
+            1 / elem
+
+    def test_mixes_with_fractions(self):
+        m = Polynomial([-2, 0, 1])  # a^2 - 2
+        x = QuotElem(m, Polynomial.x())
+        assert QuotElem(m, m) == 0
+        assert not QuotElem(m, m)
+        assert x * x == 2 and x != 2 and x
+        assert (Fraction(1) / x).rep == Polynomial([0, Q(1, 2)])
+        assert (3 - x).rep == Polynomial([3, -1])
+        assert (x * Fraction(1, 2)).rep == Polynomial([0, Q(1, 2)])
+        assert (Fraction(1, 2) + x - 1).rep == Polynomial([Q(-1, 2), 1])
 
 
 class TestFieldLinearAlgebra:
     def test_kernel_and_rank(self):
         rows = [[Q(1), Q(2), Q(3)], [Q(2), Q(4), Q(6)]]
         assert field_rank(rows) == 1
-        ker = field_kernel(rows, Q(0), Q(1))
+        ker = field_kernel(rows)
         assert len(ker) == 2
         for v in ker:
             assert sum(a * b for a, b in zip(rows[0], v)) == 0
+
+    def test_kernel_over_an_algebraic_field(self):
+        m = Polynomial([-2, 0, 1])  # a^2 - 2
+        a = QuotElem(m, Polynomial.x())
+        rows = [[a, QuotElem(m, 2)], [QuotElem(m, 1), a]]
+        assert field_rank(rows) == 1
+        assert field_kernel(rows) == [[-a, 1]]
+
+    @given(st.data(), st.integers(-2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_by_a_linear_modulus_is_evaluation(self, data, t):
+        """Q[a]/(a - t) is Q by a -> t: elimination over QuotElems must take
+        the same steps as over the Fractions p(t)."""
+        entry = st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                         max_size=3).map(Polynomial)
+        ncols = data.draw(st.integers(1, 5))
+        polys = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                   min_size=1, max_size=4))
+        if len(polys) > 1 and data.draw(st.booleans()):  # force a dependent row
+            polys.append([p + q for p, q in zip(polys[0], polys[1])])
+        modulus = Polynomial([-t, 1])
+        quot = [[QuotElem(modulus, p) for p in row] for row in polys]
+        frac = [[p(Q(t)) for p in row] for row in polys]
+        assert field_rank(quot) == field_rank(frac)
+        assert field_row_echelon(quot)[0] == field_row_echelon(frac)[0]
+        assert field_kernel(quot) == field_kernel(frac)
 
 
 class TestRationalFunction:
