@@ -1,8 +1,9 @@
 """Command-line driver: exact module data, verification reports, exports.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
-3 inconclusive (a root-enclosure budget ran out), 4 an internal invariant
-failed (RuntimeError: a failed determinant check, a non-polynomial D, a
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
+(including an --out file that cannot be written), 3 inconclusive (a
+root-enclosure budget ran out), 4 an internal invariant failed
+(RuntimeError: a failed determinant check, a non-polynomial D, a
 height-closure fault), which is a bug in the engine and not a verdict.
 
 Every subcommand but `rollet --format dot` caches its payload as one JSON
@@ -15,12 +16,18 @@ exits with the code its fresh run had, since the code is read off the
 payload; a run that ends in an error writes no record.  Writes are atomic
 (write to a temp file, then rename), so racing invocations at worst
 recompute the same payload.
+
+This module imports only the standard library at the top: the engine
+modules load on a cache miss, so a cache hit (and --version) loads only
+kadaryu and kadaryu.cli, plus kadaryu.exactmath where a Polynomial
+normalises the key (--alpha minpoly:...) or the output (--format csv).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import re
@@ -30,13 +37,27 @@ import zlib
 from fractions import Fraction
 
 from . import __version__
-from .exactmath import Polynomial
-from .gram import ModuleLabel, factor_one_cup, gram_matrix
-from .morphisms import divisibility_check, submodule_verify
-from .rollet import RolletGraph, arm_verify, export_dot, export_json
-from .roots import verify_root_layout
 
 _warned_unwritable = False
+
+
+def _lazy(module: str, name: str):
+    """A stand-in for `module.name` that imports the module on its first
+    call, so that a cache hit loads no engine module."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+
+    return call
+
+
+# the producers of the cached payloads; module-level names, so that they
+# can be replaced from outside (tests, kybench/traced.py)
+factor_one_cup = _lazy(".gram", "factor_one_cup")
+arm_verify = _lazy(".rollet", "arm_verify")
+export_json = _lazy(".rollet", "export_json")
+verify_root_layout = _lazy(".roots", "verify_root_layout")
+divisibility_check = _lazy(".morphisms", "divisibility_check")
+submodule_verify = _lazy(".morphisms", "submodule_verify")
 
 
 def _parse_partition(s: str) -> tuple[int, ...]:
@@ -57,6 +78,7 @@ def _parse_alpha(s: str):
     """A rational value "p/q", or "minpoly:c0,c1,..." for an algebraic one."""
     try:
         if s.startswith("minpoly:"):
+            from .exactmath import Polynomial
             return Polynomial([Fraction(x) for x in s[len("minpoly:"):].split(",")])
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -152,11 +174,14 @@ def cache_get_put(cache_dir: str, key: str, producer):
 # ---------------------------------------------------------------------------
 
 def _emit(args, text: str):
-    if args.out:
+    if not args.out:
+        print(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -173,13 +198,18 @@ def _lam_key(lam) -> str:
 
 
 def _cmd_gram(args) -> int:
-    label = ModuleLabel(args.l, args.n, args.p, args.lam)
-    key = "gram_" + label.key()
+    # the key ModuleLabel.key() gives, built without loading the engine; the
+    # label itself (and its checks) is only needed on a miss
+    key = f"gram_l{args.l}_n{args.n}_p{args.p}_lam{_lam_key(args.lam)}"
+
+    def instance():
+        from .gram import ModuleLabel, gram_matrix
+        return gram_matrix(ModuleLabel(args.l, args.n, args.p, args.lam))
 
     def det_payload():
-        inst = gram_matrix(label)
-        return {"label": {"l": label.l, "n": label.n, "p": label.p,
-                          "lambda": list(label.lam)},
+        inst = instance()
+        return {"label": {"l": args.l, "n": args.n, "p": args.p,
+                          "lambda": list(args.lam)},
                 "dim": inst.dim,
                 "det": inst.det_monic.to_json()}
 
@@ -193,12 +223,13 @@ def _cmd_gram(args) -> int:
             return {k: v for k, v in full.items() if k != "matrix"}
         payload = cache_get(args.cache_dir, key + "_det") or det_payload()
         payload["matrix"] = [[p.to_json() for p in row]
-                             for row in gram_matrix(label).matrix.entries]
+                             for row in instance().matrix.entries]
         return payload
 
     payload = cache_get_put(args.cache_dir, key + ("_det" if args.det else "_full"),
                             produce)
     if args.format == "csv":
+        from .exactmath import Polynomial
         lines = []
         if "matrix" in payload:
             for row in payload["matrix"]:
@@ -219,6 +250,7 @@ def _cmd_series(args) -> int:
     key = f"series_l{args.l}_lam{_lam_key(args.lam)}"
     payload = cache_get_put(args.cache_dir, key, produce)
     if args.format == "csv":
+        from .exactmath import Polynomial
         c = Polynomial.from_json(payload["C"])
         p = payload["P"]
         _emit(args, "\n".join([
@@ -239,14 +271,16 @@ def _cmd_rollet(args) -> int:
         print("error: rollet bounds --max-n and --max-p must be non-negative",
               file=sys.stderr)
         return 2
-    graph = RolletGraph(args.l, p_max)
     if args.format == "dot":
-        _emit(args, export_dot(graph))
+        from .rollet import RolletGraph, export_dot
+        _emit(args, export_dot(RolletGraph(args.l, p_max)))
         return 0
     n_values = range(args.max_n + 1) if args.max_n is not None else ()
     decorations = args.decorate or []
 
     def produce():
+        from .rollet import RolletGraph
+        graph = RolletGraph(args.l, p_max)
         return json.loads(export_json(graph, n_values=n_values,
                                       decorate_det="det" in decorations,
                                       decorate_mvf="mvf" in decorations))
@@ -290,9 +324,9 @@ def _cmd_roots(args) -> int:
 
 
 def _alpha_key(alpha) -> str:
-    if isinstance(alpha, Polynomial):
-        return "minpoly:" + ",".join(map(str, alpha.coeffs))
-    return str(alpha)
+    if isinstance(alpha, Fraction):
+        return str(alpha)
+    return "minpoly:" + ",".join(map(str, alpha.coeffs))
 
 
 def _cmd_bootstrap(args) -> int:

@@ -279,10 +279,14 @@ def xi_uniqueness_check(l: int, lam: tuple[int, ...], n: int) -> bool:
 
 def _field(alpha0):
     """(to_field, describe) for a rational value or a minimal polynomial of
-    an algebraic one: to_field maps Q[a] to Q or to Q[a]/(m)."""
+    an algebraic one: to_field maps Q[a] to Q or to Q[a]/(m).  A repeated
+    factor (gcd(m, m') nonconstant) leaves nilpotents in Q[a]/(m), so such
+    a modulus is refused."""
     if isinstance(alpha0, Polynomial):
         if alpha0.degree < 1:
             raise ValueError("modulus must be nonconstant")
+        if poly_gcd(alpha0, alpha0.derivative()).degree > 0:
+            raise ValueError(f"modulus {alpha0} must be squarefree")
         m = alpha0.monic()
         return (lambda p: QuotElem(m, p)), f"root of {alpha0}"
     a0 = Q(alpha0)
@@ -324,9 +328,9 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
     """
     lam = tuple(lam)
     lam_t = tuple(target) if target is not None else _target_partition(l, n, lam)
+    to_f, desc = _field(alpha0)
     label = ModuleLabel(l, n, n - 2, lam_t)
     inst = gram_matrix(label)
-    to_f, desc = _field(alpha0)
     claims: list[dict] = []
     fields = {"l": l, "lambda": list(lam), "n": n, "alpha0": desc}
 

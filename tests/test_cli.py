@@ -53,6 +53,36 @@ class TestGram:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("l,n,p,lam", [(-1, 4, 0, ()), (0, 4, 2, (2,)),
+                                           (1, 5, 3, (2, 1)), (0, 5, 1, (1,))])
+    def test_key_is_the_label_key(self, tmp_path, capsys, l, n, p, lam):
+        code, _, _ = run(capsys, "gram", "--l", str(l), "--n", str(n), "--p", str(p),
+                         "--lambda", ",".join(map(str, lam)), "--det",
+                         *cache_args(tmp_path))
+        assert code == 0
+        (rec,) = (tmp_path / "cache").glob("*.json")
+        key = "gram_" + gram.ModuleLabel(l, n, p, lam).key()
+        assert json.loads(rec.read_text())["key"] == key + "_det"
+
+    @pytest.mark.parametrize("label,message", [
+        (["--l", "0", "--n", "4", "--p", "3", "--lambda", "2"],
+         "invalid (n,p)=(4,3): parity/range"),
+        (["--l", "-2", "--n", "4", "--p", "2", "--lambda", "2"],
+         "height bound must be >= -1"),
+        (["--l", "0", "--n", "4", "--p", "2", "--lambda", "1,1,1"],
+         "lambda (1, 1, 1) is not a partition of min(p, l+2) = 2"),
+    ], ids=["parity", "height", "lambda-sum"])
+    @pytest.mark.parametrize("det", [["--det"], []], ids=["det", "full"])
+    def test_invalid_label_beside_valid_records(self, tmp_path, capsys, label,
+                                                message, det):
+        valid = ["gram", "--l", "0", "--n", "4", "--p", "2", "--lambda", "2"]
+        for extra in (["--det"], []):
+            assert run(capsys, *valid, *extra, *cache_args(tmp_path))[0] == 0
+        before = sorted((tmp_path / "cache").iterdir())
+        assert run(capsys, "gram", *label, *det, *cache_args(tmp_path)) == (
+            2, "", f"error: {message}\n")
+        assert sorted((tmp_path / "cache").iterdir()) == before
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "result.json"
         code, out, _ = run(capsys, "gram", "--l", "0", "--n", "4", "--p", "2",
@@ -173,6 +203,16 @@ class TestBootstrap:
         assert code == 1
         assert json.loads(out)["status"] == "fail"
 
+    @pytest.mark.parametrize("alpha,modulus", [("minpoly:0,0,1", "a^2"),
+                                               ("minpoly:4,-4,1", "4 - 4*a + a^2")])
+    def test_non_squarefree_modulus_is_usage_error(self, tmp_path, capsys, alpha,
+                                                   modulus):
+        code, out, err = run(capsys, "bootstrap", "--l", "0", "--lambda", "2",
+                             "--n", "4", "--alpha", alpha, *cache_args(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: modulus {modulus} must be squarefree\n"
+        assert not (tmp_path / "cache").exists()
+
     @pytest.mark.parametrize("alpha", ["1/0", "minpoly:1/0,1"])
     def test_zero_denominator_is_usage_error(self, tmp_path, capsys, alpha):
         code, out, err = run(capsys, "bootstrap", "--l", "0", "--lambda", "2",
@@ -182,6 +222,13 @@ class TestBootstrap:
 
 
 class TestUsage:
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "x.json"
+        code, out, err = run(capsys, "series", "--l", "0", "--lambda", "2",
+                             "--out", str(target), *cache_args(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out == "0.1.0\n"  # the release, not the stamp

@@ -1,0 +1,139 @@
+"""Start-up cost: the package exports load on first use, and a cache hit
+loads no engine module."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kadaryu
+from kadaryu import cheby, diagrams, exactmath, gram, morphisms, rollet
+
+SRC = str(Path(kadaryu.__file__).parent.parent)
+
+# where each exported name is defined
+DEFINED_IN = {
+    exactmath: ("Polynomial", "PolyMatrix", "Q", "RationalFunction"),
+    cheby: ("ChebSeries", "cheb_u", "quantum_number"),
+    diagrams: ("PairPartition", "compose", "flip", "half_basis", "one_cup_basis"),
+    gram: ("ModuleLabel", "factor_one_cup", "gram_det", "gram_det_lnp",
+           "gram_matrix", "one_cup_det", "one_cup_series"),
+    rollet: ("RolletGraph", "arm_verify", "chebyshev_c", "dimension",
+             "marginal_v", "tl_recursive_det"),
+    morphisms: ("XiElement", "divisibility_check", "solve_xi", "submodule_verify",
+                "xi_step"),
+}
+
+
+def python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+class TestExports:
+    def test_same_objects_as_the_defining_modules(self):
+        names = [n for names in DEFINED_IN.values() for n in names]
+        assert kadaryu.__all__ == [*names, "__version__"]
+        for module, defined in DEFINED_IN.items():
+            for name in defined:
+                assert getattr(kadaryu, name) is getattr(module, name)
+
+    def test_dir_lists_every_export(self):
+        assert set(kadaryu.__all__) <= set(dir(kadaryu))
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError):
+            kadaryu.no_such_name
+        with pytest.raises(ImportError):
+            from kadaryu import no_such_name  # noqa: F401
+
+    def test_names_load_on_first_use(self):
+        code = ("import sys, kadaryu\n"
+                "assert 'kadaryu.gram' not in sys.modules\n"
+                "from kadaryu import ModuleLabel\n"
+                "from kadaryu import gram\n"
+                "assert ModuleLabel is gram.ModuleLabel\n"
+                "assert 'kadaryu.rollet' not in sys.modules\n")
+        proc = python(code)
+        assert proc.returncode == 0, proc.stderr
+
+
+# runs cli.main on argv and prints, as the last line of stderr, the kadaryu
+# modules the process has loaded
+PROBE = ("import json, sys\n"
+         "from kadaryu.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kadaryu'))),"
+         " file=sys.stderr)\n"
+         "sys.exit(code)\n")
+
+BARE = ["kadaryu", "kadaryu.cli"]
+
+WARM = {
+    "gram-det": ["gram", "--l", "0", "--n", "4", "--p", "2", "--lambda", "2", "--det"],
+    "gram": ["gram", "--l", "0", "--n", "4", "--p", "2", "--lambda", "2"],
+    "series": ["series", "--l", "0", "--lambda", "2"],
+    "rollet": ["rollet", "--l", "0", "--max-n", "4", "--decorate", "det"],
+    "verify": ["verify", "arm", "--l", "0", "--lambda", "2", "--max-p", "3", "--m", "1"],
+    "roots": ["roots", "--l", "0", "--lambda", "2"],
+    "bootstrap": ["bootstrap", "--l", "0", "--lambda", "2"],
+    "rational-alpha": ["bootstrap", "--l", "0", "--lambda", "2", "--n", "4",
+                       "--alpha", "1/2"],
+}
+# a Polynomial normalises the key or the output
+WITH_EXACTMATH = {
+    "minpoly-alpha": ["bootstrap", "--l", "0", "--lambda", "2", "--n", "4",
+                      "--alpha", "minpoly:-4,1,1"],
+    "csv": ["gram", "--l", "0", "--n", "4", "--p", "2", "--lambda", "2",
+            "--format", "csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory):
+    """A cache holding the record of every warm command, and the exit code
+    and output of its cold run."""
+    cache = tmp_path_factory.mktemp("startup") / "cache"
+    outputs = {}
+    for name, argv in {**WARM, **WITH_EXACTMATH}.items():
+        proc = python(PROBE, *argv, "--cache-dir", str(cache))
+        assert proc.returncode in (0, 1), proc.stderr
+        outputs[name] = proc.returncode, proc.stdout
+    return cache, outputs
+
+
+def probe(argv):
+    proc = python(PROBE, *argv)
+    return proc, json.loads(proc.stderr.splitlines()[-1])
+
+
+class TestStartup:
+    @pytest.mark.parametrize("name", sorted(WARM))
+    def test_cache_hit_loads_no_engine_module(self, filled_cache, name):
+        cache, outputs = filled_cache
+        proc, loaded = probe([*WARM[name], "--cache-dir", str(cache)])
+        assert (proc.returncode, proc.stdout) == outputs[name]
+        assert loaded == BARE
+
+    @pytest.mark.parametrize("name", sorted(WITH_EXACTMATH))
+    def test_cache_hit_may_load_exactmath(self, filled_cache, name):
+        cache, outputs = filled_cache
+        proc, loaded = probe([*WITH_EXACTMATH[name], "--cache-dir", str(cache)])
+        assert (proc.returncode, proc.stdout) == outputs[name]
+        assert loaded == [*BARE, "kadaryu.exactmath"]
+
+    def test_version_loads_no_engine_module(self):
+        proc, loaded = probe(["--version"])
+        assert proc.stdout == f"{kadaryu.__version__}\n"
+        assert loaded == BARE
+
+    def test_cold_gram_det_loads_only_its_layers(self, tmp_path):
+        proc, loaded = probe([*WARM["gram-det"], "--cache-dir", str(tmp_path)])
+        assert proc.returncode == 0
+        assert "kadaryu.gram" in loaded
+        for module in ("rollet", "morphisms", "roots", "claims"):
+            assert f"kadaryu.{module}" not in loaded
