@@ -1,11 +1,15 @@
 """Real-root isolation and the root-layout verifier for the determinant
 Chebyshev series.
 
-Everything here is exact: Sturm chains over Q isolate roots in rational
-intervals; values at the algebraic sample points 2cos(r pi / m) are handled
-either symbolically (reduction modulo the minimal polynomial of the point)
-or by certified rational enclosures (Machin bounds for pi, alternating
-Taylor bounds for cos, interval Horner evaluation).  A sign that cannot be
+Everything here is exact and runs on integers.  Each polynomial gets one
+Sturm chain, built once from its primitive integer squarefree part by
+pseudo-remainders scaled only by positive factors, so its sign sequences
+and counts are those of the chain over Q; the sign at a rational a/b is the
+sign of a homogeneous integer Horner sum.  Values at the algebraic sample
+points 2cos(r pi / m) are handled either symbolically (reduction modulo the
+minimal polynomial of the point) or by certified enclosures with dyadic
+endpoints (Machin bounds for pi, Taylor bounds for cos rounded outward to
+4*terms + 64 bits, interval Horner in integers).  A sign that cannot be
 separated from zero within the refinement budget is reported as
 "inconclusive", never silently passed.
 """
@@ -27,12 +31,60 @@ from .exactmath import (Polynomial, Q, poly_gcd, poly_squarefree_part,
 # ---------------------------------------------------------------------------
 
 
-def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
+def _integer_coeffs(p: Polynomial) -> tuple[int, ...]:
+    """p times a positive rational, as primitive integer coefficients
+    (lowest first); p keeps its sign at every real point."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = math.gcd(*ints) or 1
+    return tuple(c // g for c in ints)
+
+
+def _neg_prem(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """-(f mod g) over Z: a positive multiple of the remainder over Q, made
+    primitive.  Each step scales by |lc(g)| > 0, never by lc(g) itself."""
+    r = list(f)
+    b = abs(g[-1])
+    sgn = 1 if g[-1] > 0 else -1
+    dg = len(g) - 1
+    while len(r) > dg:
+        c = sgn * r[-1]
+        shift = len(r) - 1 - dg
+        r = [b * v for v in r]
+        for i, gi in enumerate(g):
+            r[shift + i] -= c * gi
+        while r and r[-1] == 0:
+            r.pop()
+    if not r:
+        return ()
+    h = math.gcd(*r)
+    return tuple(-v // h for v in r)
+
+
+@lru_cache
+def _sturm_chain(p: Polynomial) -> tuple[tuple[int, ...], ...]:
+    """Sturm chain of the squarefree part of p by primitive integer
+    pseudo-remainders.  Every member is a positive multiple of the chain
+    over Q, so every sign sequence, and so every count, is the same."""
+    sq = poly_squarefree_part(p)
+    if sq.degree < 1:
+        return ()
+    chain = [_integer_coeffs(sq), _integer_coeffs(sq.derivative())]
+    while r := _neg_prem(chain[-2], chain[-1]):
+        chain.append(r)
+    return tuple(chain)
+
+
+def _sign(f: tuple[int, ...], x) -> int:
+    """Sign of f at the rational x = a/b (b > 0): the sign of the
+    homogeneous integer Horner sum  sum_i f_i a^i b^(d-i)."""
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    h, bp = 0, 1
+    for c in reversed(f):
+        h = h * a + c * bp
+        bp *= b
+    return (h > 0) - (h < 0)
 
 
 def _sign_changes(values) -> int:
@@ -42,18 +94,15 @@ def _sign_changes(values) -> int:
 
 def _chain_at(chain, x) -> int:
     if x == math.inf:
-        return _sign_changes([f.lc for f in chain if not f.is_zero()])
-    if x == -math.inf:
-        return _sign_changes([f.lc * (-1) ** f.degree for f in chain if not f.is_zero()])
-    return _sign_changes([f(x) for f in chain])
+        return _sign_changes([f[-1] for f in chain])
+    if x == -math.inf:  # the sign of (-1)^deg * lc
+        return _sign_changes([f[-1] if len(f) % 2 else -f[-1] for f in chain])
+    return _sign_changes([_sign(f, x) for f in chain])
 
 
 def sturm_count(p: Polynomial, lo, hi) -> int:
     """Number of distinct real roots in (lo, hi]; lo/hi rational or +-inf."""
-    sq = poly_squarefree_part(p)
-    if sq.degree < 1:
-        return 0
-    chain = sturm_chain(sq)
+    chain = _sturm_chain(p)
     return _chain_at(chain, lo) - _chain_at(chain, hi)
 
 
@@ -68,7 +117,7 @@ class IsolatingInterval:
         lo, hi, f = self.lo, self.hi, self.poly
         while hi - lo > width:
             mid = (lo + hi) / 2
-            if f(mid) == 0:
+            if _sign(_sturm_chain(f)[0], mid) == 0:
                 lo, hi = mid - width / 4, mid + width / 4
                 break
             if sturm_count(f, lo, mid) == 1:
@@ -102,11 +151,13 @@ def sturm_isolate(p: Polynomial) -> list[IsolatingInterval]:
             continue
         if count == 1:
             mults = [m for f, m in factors if sturm_count(f, lo, hi) == 1]
-            assert len(mults) == 1
+            if len(mults) != 1:
+                raise RuntimeError(f"root in ({lo}, {hi}] lies in {len(mults)} "
+                                   "squarefree factors")
             out.append(IsolatingInterval(Q(lo), Q(hi), sq, mults[0]))
             continue
         mid = Fraction(lo + hi, 2)
-        if sq(mid) == 0:
+        if _sign(_sturm_chain(sq)[0], mid) == 0:
             w = (hi - lo) / (4 * sq.degree + 4)
             while sturm_count(sq, mid - w, mid + w) > 1:
                 w /= 2
@@ -148,36 +199,60 @@ def pi_bounds(terms: int) -> tuple[Fraction, Fraction]:
     return 4 * (4 * a5_lo - a239_hi), 4 * (4 * a5_hi - a239_lo)
 
 
-def _cos_bounds(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    """cos(x) for 0 <= x <= 4 by the alternating Taylor series."""
-    s = Q(0)
-    t = Q(1)
+def _cos_bounds(x: Fraction, terms: int, bits: int) -> tuple[Fraction, Fraction]:
+    """cos(x) for 0 <= x <= 4: the Taylor sum of `terms` terms, each term
+    rounded outward to a multiple of 2^-bits, plus or minus the Lagrange
+    bound x^(2 terms)/(2 terms)! on the rest."""
+    one = 1 << bits
+    n, d = x.numerator ** 2 << bits, x.denominator ** 2
+    x2_lo, x2_hi = n // d, -(-n // d)
+    t_lo = t_hi = one
+    s_lo = s_hi = 0
     for k in range(terms):
-        s += t
-        t = -t * x * x / ((2 * k + 1) * (2 * k + 2))
-    err = abs(t)
-    return s - err, s + err
+        if k % 2:
+            s_lo, s_hi = s_lo - t_hi, s_hi - t_lo
+        else:
+            s_lo, s_hi = s_lo + t_lo, s_hi + t_hi
+        step = (2 * k + 1) * (2 * k + 2) << bits
+        t_lo, t_hi = t_lo * x2_lo // step, -(-t_hi * x2_hi // step)
+    return Fraction(s_lo - t_hi, one), Fraction(s_hi + t_hi, one)
+
+
+def _dyadic(x: Fraction, bits: int, up: bool) -> Fraction:
+    """x rounded up or down to a multiple of 2^-bits."""
+    n = x.numerator << bits
+    return Fraction(-(-n // x.denominator) if up else n // x.denominator, 1 << bits)
 
 
 def cos_point_enclosure(r: int, m: int, terms: int = 12) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of 2 cos(r pi / m), 0 < r <= m."""
+    """Dyadic enclosure of 2 cos(r pi / m), 0 < r <= m, with denominators of
+    at most 4*terms + 64 bits; it tightens as terms grows."""
     if not 0 < r <= m:
         raise ValueError("need 0 < r <= m")
+    bits = 4 * terms + 64
     pi_lo, pi_hi = pi_bounds(max(3, terms // 3))
-    x_lo, x_hi = r * pi_lo / m, r * pi_hi / m
-    # cos is decreasing on [0, pi]
-    lo = _cos_bounds(x_hi, terms)[0]
-    hi = _cos_bounds(x_lo, terms)[1]
+    x_lo = _dyadic(r * pi_lo / m, bits, up=False)
+    x_hi = _dyadic(r * pi_hi / m, bits, up=True)
+    # cos is decreasing on [0, pi]; past pi only cos >= -1 is used
+    lo = Q(-1) if x_hi >= pi_lo else _cos_bounds(x_hi, terms, bits)[0]
+    hi = _cos_bounds(x_lo, terms, bits)[1]
     return 2 * lo, 2 * hi
 
 
-def _interval_eval(p: Polynomial, lo: Fraction, hi: Fraction):
-    """Interval Horner; exact over Q."""
-    acc_lo = acc_hi = Q(0)
-    for c in reversed(p.coeffs):
-        cands = [acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi]
-        acc_lo, acc_hi = min(cands) + c, max(cands) + c
-    return acc_lo, acc_hi
+def _interval_sign(f: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
+    """Sign of f on [lo, hi] by interval Horner, exact in integers over the
+    common denominator of lo and hi: +1 or -1, or 0 if the bounds straddle
+    zero."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    acc_lo = acc_hi = 0
+    scale = 1
+    for c in reversed(f):
+        cands = (acc_lo * a, acc_lo * b, acc_hi * a, acc_hi * b)
+        acc_lo, acc_hi = min(cands) + c * scale, max(cands) + c * scale
+        scale *= den
+    return (acc_lo > 0) - (acc_hi < 0)
 
 
 def sign_at_2cos(p: Polynomial, r: int, m: int, budget: int = 64):
@@ -189,14 +264,12 @@ def sign_at_2cos(p: Polynomial, r: int, m: int, budget: int = 64):
     h = minimal_poly_2cos(r, m)
     if (p % h).is_zero():
         return 0
+    f = _integer_coeffs(p)
     terms = 8
     for _ in range(budget):
-        lo, hi = cos_point_enclosure(r, m, terms)
-        vlo, vhi = _interval_eval(p, lo, hi)
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
+        s = _interval_sign(f, *cos_point_enclosure(r, m, terms))
+        if s:
+            return s
         terms += 6
     return None
 
@@ -322,6 +395,7 @@ def _certified_separators(p: Polynomial, m: int, signs: dict[int, int],
                           budget: int = 64):
     """For each r in signs, a rational point q_r near 2cos(r pi/m) with the
     exact (rationally evaluated) sign signs[r]; None on budget exhaustion."""
+    f = _integer_coeffs(p)
     out = {}
     for r, want in signs.items():
         terms = 10
@@ -329,8 +403,7 @@ def _certified_separators(p: Polynomial, m: int, signs: dict[int, int],
         for _ in range(budget):
             lo, hi = cos_point_enclosure(r, m, terms)
             mid = (lo + hi) / 2
-            v = p(mid)
-            if v != 0 and (1 if v > 0 else -1) == want:
+            if _sign(f, mid) == want:
                 found = mid
                 break
             terms += 6

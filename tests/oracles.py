@@ -1,6 +1,8 @@
 """Slow reference implementations that the package's fast paths are tested
 against: determinants over Q[a] by evaluation/interpolation, fraction-free
-Bareiss and cofactor expansion, and the Brauer diagram basis by brute force.
+Bareiss and cofactor expansion, the Brauer diagram basis by brute force,
+Sturm counts from the chain of remainders over Q, and cos bounds from the
+exact Taylor sum.
 """
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ import math
 from fractions import Fraction
 
 from kadaryu.diagrams import PairPartition
-from kadaryu.exactmath import Polynomial, PolyMatrix, Q, det_rational
+from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
+                               poly_squarefree_part)
 
 
 def _det_mod(rows: list[list[int]], modulus: int) -> int:
@@ -147,3 +150,46 @@ def brauer_basis(n: int, m: int) -> list[PairPartition]:
                 yield [(a, b)] + tail
 
     return [PairPartition(n, m, ps) for ps in rec(pts)]
+
+
+def sturm_chain(p: Polynomial) -> list[Polynomial]:
+    """p, p' and the negated remainders over Q, down to the last nonzero."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    return chain
+
+
+def _sign_changes(values) -> int:
+    signs = [v for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+
+def _chain_at(chain: list[Polynomial], x) -> int:
+    if x == math.inf:
+        return _sign_changes([f.lc for f in chain])
+    if x == -math.inf:
+        return _sign_changes([f.lc * (-1) ** f.degree for f in chain])
+    return _sign_changes([f(x) for f in chain])
+
+
+def sturm_count_q(p: Polynomial, lo, hi) -> int:
+    """Distinct real roots in (lo, hi] from the Sturm chain of the squarefree
+    part over Q, evaluated by Fraction Horner; lo/hi rational or +-inf."""
+    sq = poly_squarefree_part(p)
+    if sq.degree < 1:
+        return 0
+    chain = sturm_chain(sq)
+    return _chain_at(chain, lo) - _chain_at(chain, hi)
+
+
+def cos_bounds_q(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
+    """cos(x), 0 <= x <= 4: the exact Taylor sum of `terms` terms plus or
+    minus the Lagrange bound on the rest."""
+    s = Q(0)
+    t = Q(1)
+    for k in range(terms):
+        s += t
+        t = -t * x * x / ((2 * k + 1) * (2 * k + 2))
+    return s - abs(t), s + abs(t)

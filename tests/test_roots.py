@@ -1,7 +1,9 @@
 """Exact real-root machinery and the root-layout verifier."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,16 @@ from hypothesis import strategies as st
 
 from kadaryu.exactmath import Polynomial, Q
 from kadaryu.gram import factor_one_cup
-from kadaryu.roots import (column_series, cos_point_enclosure, family_series,
-                           hook_t_series, lemma_roots_check, minimal_poly_2cos,
-                           pi_bounds, row_series, sign_at_2cos,
-                           squarefree_check, sturm_count, sturm_isolate,
-                           verify_root_layout)
+from kadaryu.roots import (_cos_bounds, column_series, cos_point_enclosure,
+                           family_series, hook_t_series, lemma_roots_check,
+                           minimal_poly_2cos, pi_bounds, row_series,
+                           sign_at_2cos, squarefree_check, sturm_count,
+                           sturm_isolate, verify_root_layout)
+
+from oracles import cos_bounds_q, sturm_count_q
 
 x = Polynomial.x()
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 class TestSturm:
@@ -25,6 +30,11 @@ class TestSturm:
         assert sturm_count(p, 0, 2) == 1
         assert sturm_count(p, Q(1), Q(4)) == 1  # half-open: 1 excluded at lo
         assert sturm_count(x * x + 1, -math.inf, math.inf) == 0
+        # even and odd polynomials: remainders whose degree drops by two,
+        # after a chain member with a negative leading coefficient
+        assert sturm_count(x ** 3 + x, -math.inf, math.inf) == 1
+        assert sturm_count(3 * x ** 4 + 2 * x ** 2 - 1, -math.inf, math.inf) == 2
+        assert sturm_count(3 * x ** 4 + 2 * x ** 2 - 1, 0, math.inf) == 1
 
     def test_isolate_with_multiplicity(self):
         p = (x - 1) ** 2 * (x + 3)
@@ -51,11 +61,37 @@ class TestSturm:
         for r in roots:
             p = p * (x - r)
         p = p * (x - roots[0]) ** (extra_mult - 1)
+        planted = {r: roots.count(r) for r in roots}
+        planted[roots[0]] += extra_mult - 1
         ivs = sturm_isolate(p)
-        assert len(ivs) == len(set(roots))
+        assert len(ivs) == len(planted)
         for iv in ivs:
-            hits = [r for r in set(roots) if iv.lo < r < iv.hi or p(iv.lo) == 0]
+            hits = [r for r in planted if iv.lo < r <= iv.hi]
+            assert len(hits) == 1, (iv, hits)
+            assert iv.multiplicity == planted[hits[0]]
             assert sturm_count(p, iv.lo, iv.hi) == 1
+
+    @given(st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=4),
+           st.lists(st.just(Q(0)) | rationals, max_size=6), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_count_matches_fraction_chain(self, planted, extra, data):
+        # rational coefficients of either sign, repeated roots, and
+        # endpoints drawn from the planted roots and +-inf
+        p = Polynomial(extra) or Polynomial.one()
+        for r, mult in planted:
+            p = p * (x - r) ** mult
+        point = st.one_of(st.sampled_from([math.inf, -math.inf] + [r for r, _ in planted]),
+                          rationals)
+        lo, hi = data.draw(point), data.draw(point)
+        assert sturm_count(p, lo, hi) == sturm_count_q(p, lo, hi)
+
+    def test_factor_mismatch_is_internal_error(self, monkeypatch):
+        # a root that no factor (or two factors) of the decomposition claims
+        # is an engine fault, and must survive python -O
+        monkeypatch.setattr("kadaryu.roots.yun_squarefree_decomposition",
+                            lambda p: [(p.monic(), 1), (p.monic(), 2)])
+        with pytest.raises(RuntimeError, match="squarefree factors"):
+            sturm_isolate(x - 1)
 
     def test_squarefree_check(self):
         assert squarefree_check((x - 1) * (x + 2))
@@ -78,6 +114,44 @@ class TestEnclosures:
         w1 = (lambda t: t[1] - t[0])(cos_point_enclosure(1, 5, terms=8))
         w2 = (lambda t: t[1] - t[0])(cos_point_enclosure(1, 5, terms=20))
         assert w2 < w1
+
+    @pytest.mark.parametrize("bits", [4, 8, 16])
+    def test_cos_bounds_round_outward(self, bits):
+        # coarse rounding must still enclose the exact Taylor bounds
+        for num in range(0, 65, 5):
+            xv = Fraction(num, 16)
+            lo, hi = _cos_bounds(xv, 30, bits)
+            ref_lo, ref_hi = cos_bounds_q(xv, 30)
+            assert lo <= ref_lo and ref_hi <= hi, xv
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_enclosures_are_short_dyadics_around_the_point(self, m):
+        for r in range(1, m):
+            h = minimal_poly_2cos(r, m)
+            width = math.inf
+            for terms in range(8, 63, 6):
+                lo, hi = cos_point_enclosure(r, m, terms)
+                for end in (lo, hi):
+                    den = end.denominator
+                    assert den & (den - 1) == 0, (r, m, terms)
+                    assert den.bit_length() - 1 <= 4 * terms + 64
+                    assert end.numerator.bit_length() <= 4 * terms + 64 + 2
+                # the only conjugate of 2cos(r pi/m) inside, and the point
+                # itself (to float accuracy)
+                assert sturm_count(h, lo, hi) == 1, (r, m, terms)
+                point = 2 * math.cos(r * math.pi / m)
+                assert float(lo) - 1e-12 <= point <= float(hi) + 1e-12
+                assert hi - lo < width
+                width = hi - lo
+
+    def test_enclosure_reaches_minus_two(self):
+        # at r = m the x-interval passes pi, where cos stops decreasing
+        for terms in range(8, 61):
+            for r, m in [(1, 1), (3, 3)]:
+                lo, hi = cos_point_enclosure(r, m, terms)
+                assert lo <= -2 < hi, (r, m, terms)
+            lo, hi = cos_point_enclosure(4, 5, terms)
+            assert -2 < lo and sturm_count(minimal_poly_2cos(4, 5), lo, hi) == 1, terms
 
     def test_minimal_polys(self):
         assert minimal_poly_2cos(1, 1) == x + 2
@@ -192,3 +266,10 @@ class TestLayoutVerifier:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             verify_root_layout(2, (2, 2), 1)
+
+    def test_certify_reports_pinned(self):
+        # the two layouts the certify workload runs, witnesses included
+        path = Path(__file__).parent / "data" / "root_layouts.json"
+        for want in json.loads(path.read_text()):
+            rep = verify_root_layout(want["l"], tuple(want["lambda"]), want["k"])
+            assert json.dumps(rep) == json.dumps(want)
