@@ -331,6 +331,10 @@ def _alpha_key(alpha) -> str:
 
 def _cmd_bootstrap(args) -> int:
     n = args.n if args.n is not None else args.l + 4
+    if args.alpha is None and n < args.l + 4:
+        # the xi sequence starts at rank l+4
+        print("error: rank must be at least l+4", file=sys.stderr)
+        return 2
     key = f"bootstrap_l{args.l}_lam{_lam_key(args.lam)}_n{n}"
     if args.alpha is not None:
         target = "none" if args.target is None else _lam_key(args.target)
@@ -359,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, label=False, series_label=False):
+    def common(p, *, formats=("json",), label=False, series_label=False):
         p.add_argument("--l", type=int, required=True, help="height bound")
         if label:
             p.add_argument("--n", type=int, required=True, help="rank")
@@ -370,24 +374,23 @@ def _build_parser() -> argparse.ArgumentParser:
                            required=True, help="partition, e.g. 2,1")
         # series, verify, roots and bootstrap take partitions of l+2
         p.set_defaults(series_label=series_label)
-        p.add_argument("--format", choices=("json", "csv", "dot"),
-                       default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="write output to a file")
         p.add_argument("--cache-dir",
                        default=os.environ.get("KY_CACHE_DIR", ".ky-cache"))
 
     g = sub.add_parser("gram", help="Gram matrix / determinant of a module")
-    common(g, label=True)
+    common(g, formats=("json", "csv"), label=True)
     g.add_argument("--det", action="store_true",
                    help="print only the monic determinant")
     g.set_defaults(func=_cmd_gram)
 
     s = sub.add_parser("series", help="one-cup determinant factorisation")
-    common(s, series_label=True)
+    common(s, formats=("json", "csv"), series_label=True)
     s.set_defaults(func=_cmd_series)
 
     r = sub.add_parser("rollet", help="build/decorate/export the branching graph")
-    common(r)
+    common(r, formats=("json", "dot"))
     r.add_argument("--max-n", type=int, help="largest rank to decorate")
     r.add_argument("--max-p", type=int, help="largest propagating count")
     r.add_argument("--decorate", action="append", choices=("det", "mvf"),
@@ -425,6 +428,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; version/help exit 0
         return int(exc.code or 0)
+    if args.l < -1:
+        print("error: height bound must be >= -1", file=sys.stderr)
+        return 2
     if args.series_label and sum(args.lam) != args.l + 2:
         print(f"error: --lambda must be a partition of l+2 = {args.l + 2}",
               file=sys.stderr)

@@ -12,9 +12,9 @@ diagrammatically:
 where flip(u) stacked on v leaves d closed loops and the residual
 permutation sigma (which must fix the strands beyond r; anything else is a
 closure bug, not data).  Terms with fewer than p propagating lines die in
-the cell quotient and contribute 0.  By invariance of the form each
-sigma-table is the Specht Gram matrix times Young's natural representation
-matrix of sigma: <x_i c, sigma x_j c> = (S A(sigma))[i][j].
+the cell quotient and contribute 0.  Each sigma-table
+<x_i c, sigma x_j c> is read off the coefficients of the Young idempotent
+(symmetric.specht_pairing).
 
 Determinants are reported monic: the form is only defined up to a global
 scalar, and monic normalisation is the canonical representative.
@@ -32,7 +32,7 @@ from .cheby import ChebSeries, ramping_check
 from .diagrams import (PairPartition, compose, flip, half_basis,
                        half_normalize, one_cup_basis, one_cup_index, u_cup)
 from .symmetric import (Permutation, hook_dimension, is_partition,
-                        left_action_matrix, specht_gram)
+                        left_action_matrix, specht_gram, specht_pairing)
 
 
 @dataclass(frozen=True)
@@ -64,21 +64,8 @@ class ModuleLabel:
 
 
 # ---------------------------------------------------------------------------
-# the sigma-pairing tables
+# Gram instances
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _sigma_table(lam: tuple[int, ...], sigma: Permutation):
-    """M[i][j] = <x_i c, sigma x_j c> = (S A(sigma))[i][j].
-
-    sigma x_j c = sum_k A[k][j] x_k c with A = left_action_matrix, and the
-    form is bilinear, so the table is the Specht Gram matrix S times A.
-    """
-    S = specht_gram(lam)
-    A = left_action_matrix(lam, sigma)
-    return tuple(tuple(sum(s_ik * a_kj for s_ik, a_kj in zip(row, col))
-                       for col in zip(*A)) for row in S)
-
 
 def _pair_halves(u: PairPartition, v: PairPartition, p: int, r: int):
     """(loops, sigma) for the form between half diagrams u, v; None if the
@@ -93,10 +80,6 @@ def _pair_halves(u: PairPartition, v: PairPartition, p: int, r: int):
             "height-closure violation")
     return loops, perm.restrict(r)
 
-
-# ---------------------------------------------------------------------------
-# Gram instances
-# ---------------------------------------------------------------------------
 
 class GramInstance:
     """Matrix of the contravariant form for one module label.
@@ -143,7 +126,7 @@ class GramInstance:
                 if pd is None:
                     continue
                 loops, sigma = pd
-                table = _sigma_table(lab.lam, sigma)
+                table = specht_pairing(lab.lam, sigma)
                 for i in range(self.d):
                     for j in range(self.d):
                         val = table[i][j]
@@ -280,7 +263,7 @@ def gram_mixed(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> PolyMa
             if pd is None:
                 continue
             loops, sigma = pd
-            table = _sigma_table(lam, sigma)
+            table = specht_pairing(lam, sigma)
             val = sum(T[m][k] * table[m][mm] * T[mm][kk]
                       for m in range(d) for mm in range(d))
             if val:

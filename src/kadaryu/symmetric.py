@@ -5,10 +5,18 @@ The group product mirrors diagram stacking: ``(a * b)(i) = b(a(i))`` — apply
 diagrams and group algebra elements a homomorphism (composition of diagrams
 is also read top-to-bottom).  The star operation inverts permutations and is
 the restriction of the diagram flip.
+
+The Specht module of lam is the left ideal QS_r C_lam of the Young
+idempotent, with basis translates x_i C_lam (James, *The Representation
+Theory of the Symmetric Groups*, LNM 682, section 4).  A translate only
+permutes the coordinates of C_lam on S_r, so the basis, the form and the
+action are all read off the coefficients of C_lam; the one group-algebra
+product is E F E inside young_idempotent.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms
@@ -119,28 +127,15 @@ class GroupAlgebraElement:
             out[s] = out.get(s, Q(0)) + c
         return GroupAlgebraElement(self.r, out)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, Q(0)) - c
-        return GroupAlgebraElement(self.r, out)
-
-    def __neg__(self):
-        return GroupAlgebraElement(self.r, {s: -c for s, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return GroupAlgebraElement(self.r, {s: c * other for s, c in self.terms.items()})
-        if isinstance(other, Permutation):
-            other = GroupAlgebraElement.of(other)
         out: dict[Permutation, Fraction] = {}
         for s1, c1 in self.terms.items():
             for s2, c2 in other.terms.items():
                 s = s1 * s2
                 out[s] = out.get(s, Q(0)) + c1 * c2
         return GroupAlgebraElement(self.r, out)
-
-    __rmul__ = __mul__
 
     def star(self) -> "GroupAlgebraElement":
         """Linear extension of permutation inversion; an involution."""
@@ -149,21 +144,12 @@ class GroupAlgebraElement:
     def coeff(self, s: Permutation) -> Fraction:
         return self.terms.get(s, Q(0))
 
-    def coeff_identity(self) -> Fraction:
-        return self.coeff(Permutation.identity(self.r))
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
         return (isinstance(other, GroupAlgebraElement)
                 and self.r == other.r and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.r, tuple(sorted(((s.image, c) for s, c in self.terms.items())))))
-
-    def to_vector(self, order: list[Permutation]) -> list[Fraction]:
-        return [self.coeff(s) for s in order]
 
     def __repr__(self):
         bits = " + ".join(f"{c}*{s.image}" for s, c in sorted(
@@ -207,7 +193,6 @@ def hook_dimension(lam: tuple[int, ...]) -> int:
     r = sum(lam)
     if r == 0:
         return 1
-    import math
     conj = conjugate_partition(lam)
     hooks = 1
     for i, row in enumerate(lam):
@@ -247,13 +232,13 @@ def _row_group(rows, r):
 
 @lru_cache(maxsize=None)
 def young_idempotent(lam: tuple[int, ...]) -> GroupAlgebraElement:
-    """The self-adjoint idempotent C_lam = a * E F E.
+    """The self-adjoint idempotent C_lam = E F E / kappa.
 
     E is the row symmetrizer and F the signed column symmetrizer of the
-    canonical tableau, and the scalar makes the sandwich idempotent.  E F E
-    is never zero: (E F E) F = (E F)^2 = kappa E F with kappa = r!/f^lam,
-    and E F != 0 since its identity coefficient is 1.
-    For lam=(2,1) this is (1/6)(e+(12))(e-(13))(e+(12)).
+    canonical tableau, and kappa = |R_lam| r!/f^lam with R_lam the row
+    group: E^2 = |R_lam| E and (E F E) F = (E F)^2 = (r!/f^lam) E F give
+    (E F E)^2 = kappa E F E.  For lam=(2,1) this is
+    (1/6)(e+(12))(e-(13))(e+(12)).
     """
     lam = tuple(lam)
     if not is_partition(lam) and lam != ():
@@ -261,20 +246,17 @@ def young_idempotent(lam: tuple[int, ...]) -> GroupAlgebraElement:
     r = sum(lam)
     if r == 0:
         return GroupAlgebraElement.unit(0)
-    rows = _canonical_tableau(lam)
-    cols = _canonical_tableau_columns(lam)
-    E = GroupAlgebraElement(r, {s: Q(1) for s in _row_group(rows, r)})
-    F = GroupAlgebraElement(r, {s: Q(s.sign()) for s in _row_group(cols, r)})
+    row_group = _row_group(_canonical_tableau(lam), r)
+    E = GroupAlgebraElement(r, {s: Q(1) for s in row_group})
+    F = GroupAlgebraElement(r, {s: Q(s.sign())
+                                for s in _row_group(_canonical_tableau_columns(lam), r)})
     y = E * F * E
-    y2 = y * y
-    # y^2 is proportional to y; find the ratio on any supported permutation
-    probe = next(iter(y.terms))
-    kappa = y2.coeff(probe) / y.coeff(probe)
-    if y * kappa != y2:
+    kappa = Q(len(row_group) * math.factorial(r), hook_dimension(lam))
+    # the identity coefficient of y^2 = kappa y, a sum of |supp y| terms
+    e = Permutation.identity(r)
+    if sum(c * y.coeff(s.inverse()) for s, c in y.terms.items()) != kappa * y.coeff(e):
         raise RuntimeError("Young sandwich is not quasi-idempotent")
-    c = y * (1 / kappa)
-    assert c * c == c
-    return c
+    return GroupAlgebraElement(r, {s: c / kappa for s, c in y.terms.items()})
 
 
 def _canonical_tableau_columns(lam):
@@ -283,12 +265,18 @@ def _canonical_tableau_columns(lam):
     return [[rows[i][j] for i in range(conj[j])] for j in range(len(conj))]
 
 
+# ---------------------------------------------------------------------------
+# the Specht module QS_r C_lam, through the translates x C_lam
+# ---------------------------------------------------------------------------
+
 @lru_cache(maxsize=None)
 def specht_basis(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
     """Permutations x_i with {x_i C_lam} a basis of the left ideal.
 
     Greedy by (Coxeter length, image order) so the list is deterministic and
-    x_1 is always the identity.
+    x_1 is always the identity.  Independence is decided by elimination on
+    the coordinate vectors over S_r: a translate permutes the coordinates of
+    C_lam, (x C)(pi) = C(x^-1 pi).
     """
     lam = tuple(lam)
     r = sum(lam)
@@ -300,7 +288,8 @@ def specht_basis(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
     chosen: list[Permutation] = []
     rows: list[list[Fraction]] = []
     for s in sorted_by_length(r):
-        vec = (GroupAlgebraElement.of(s) * c).to_vector(order)
+        s_inv = s.inverse()
+        vec = [c.coeff(s_inv * pi) for pi in order]
         piv, ech = field_row_echelon(rows + [vec])
         if len(piv) > len(chosen):
             chosen.append(s)
@@ -312,59 +301,40 @@ def specht_basis(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
     return tuple(chosen)
 
 
-def scalar_extract(lam: tuple[int, ...], z: GroupAlgebraElement) -> Fraction:
-    """The t with z = t*C_lam, for z in C_lam * QS_r * C_lam.
+@lru_cache(maxsize=None)
+def specht_pairing(lam: tuple[int, ...], sigma: Permutation) -> tuple[tuple[Fraction, ...], ...]:
+    """M[i][j] = <x_i c, sigma x_j c>, the t with C x_i* sigma x_j C = t C.
 
-    Raises when z is not proportional to C_lam (which would signal a
-    bookkeeping error in the propagating-ideal quotient).
+    The identity coefficient of u* v is the dot product of the coordinate
+    vectors of u and v.  For translates of the self-adjoint idempotent C it
+    is one coordinate: (C g C)(e) = (C C)(g^-1) = C(g).  So
+    M[i][j] = C(x_i^-1 sigma x_j) / C(e), the coordinate of the translate
+    x_i C at sigma x_j, with no group-algebra product.
     """
     lam = tuple(lam)
     c = young_idempotent(lam)
-    if z.is_zero():
-        return Q(0)
-    t = z.coeff_identity() / c.coeff_identity()
-    if (z - c * t).is_zero():
-        return t
-    raise ValueError("element is not proportional to the Young idempotent")
+    xs = specht_basis(lam)
+    c_e = c.coeff(Permutation.identity(sum(lam)))
+    targets = [sigma * x for x in xs]
+    return tuple(tuple(c.coeff(x.inverse() * t) / c_e for t in targets) for x in xs)
 
-
-# ---------------------------------------------------------------------------
-# the Specht bilinear form and left action matrices
-# ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def specht_gram(lam: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """G[i][j] = <x_i c, x_j c> = scalar_extract(C x_i* x_j C)."""
-    lam = tuple(lam)
-    c = young_idempotent(lam)
-    xs = specht_basis(lam)
-    out = []
-    for xi in xs:
-        row = []
-        for xj in xs:
-            z = c * GroupAlgebraElement.of(xi.inverse()) * GroupAlgebraElement.of(xj) * c
-            row.append(scalar_extract(lam, z))
-        out.append(tuple(row))
-    return tuple(out)
+    """G[i][j] = <x_i c, x_j c>: the pairing at sigma = e."""
+    return specht_pairing(tuple(lam), Permutation.identity(sum(lam)))
 
 
 @lru_cache(maxsize=None)
 def left_action_matrix(lam: tuple[int, ...], s: Permutation) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix A with s * x_j C = sum_i A[i][j] x_i C (columns indexed by j).
 
-    One elimination over the |S_r| x 2d matrix whose columns are the
-    translates x_k C and then the targets s x_j C; the translates are
-    independent, so the targets lie in their span exactly when the pivots
-    are columns 0..d-1, and A is then the right half of the echelon form.
+    Pairing both sides with x_i C gives G A = M(s), with G the Specht Gram
+    and M(s) the pairing at s; G is positive definite, so A is the right
+    half of the reduced echelon form of [G | M(s)].
     """
     lam = tuple(lam)
-    c = young_idempotent(lam)
-    xs = specht_basis(lam)
-    order = all_permutations(sum(lam))
-    cols = ([(GroupAlgebraElement.of(x) * c).to_vector(order) for x in xs]
-            + [(GroupAlgebraElement.of(s * x) * c).to_vector(order) for x in xs])
-    d = len(xs)
-    piv, ech = field_row_echelon(list(zip(*cols)))
-    if piv != list(range(d)):
-        raise ValueError("target not in span")
+    d = hook_dimension(lam)
+    _piv, ech = field_row_echelon([g + m for g, m in zip(specht_gram(lam),
+                                                         specht_pairing(lam, s))])
     return tuple(tuple(row[d:]) for row in ech)

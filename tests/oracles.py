@@ -1,8 +1,8 @@
 """Slow reference implementations that the package's fast paths are tested
 against: determinants over Q[a] by evaluation/interpolation, fraction-free
 Bareiss and cofactor expansion, the Brauer diagram basis by brute force,
-Sturm counts from the chain of remainders over Q, and cos bounds from the
-exact Taylor sum.
+Sturm counts from the chain of remainders over Q, cos bounds from the
+exact Taylor sum, and the Specht data from products in the group algebra.
 """
 
 from __future__ import annotations
@@ -12,7 +12,11 @@ from fractions import Fraction
 
 from kadaryu.diagrams import PairPartition
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
-                               poly_squarefree_part)
+                               field_row_echelon, poly_squarefree_part)
+from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
+                               _canonical_tableau, _canonical_tableau_columns,
+                               _row_group, all_permutations, specht_basis,
+                               young_idempotent)
 
 
 def _det_mod(rows: list[list[int]], modulus: int) -> int:
@@ -193,3 +197,69 @@ def cos_bounds_q(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
         s += t
         t = -t * x * x / ((2 * k + 1) * (2 * k + 2))
     return s - abs(t), s + abs(t)
+
+
+def young_idempotent_by_square(lam: tuple[int, ...]):
+    """(C, kappa) with y = E F E, kappa the ratio y^2 / y read off one
+    supported permutation and checked on all of them, and C = y / kappa."""
+    r = sum(lam)
+    E = GroupAlgebraElement(r, {s: Q(1) for s in _row_group(_canonical_tableau(lam), r)})
+    F = GroupAlgebraElement(r, {s: Q(s.sign())
+                                for s in _row_group(_canonical_tableau_columns(lam), r)})
+    y = E * F * E
+    y2 = y * y
+    probe = next(iter(y.terms))
+    kappa = y2.coeff(probe) / y.coeff(probe)
+    assert y * kappa == y2, "Young sandwich is not quasi-idempotent"
+    return y * (1 / kappa), kappa
+
+
+def scalar_extract(lam: tuple[int, ...], z: GroupAlgebraElement) -> Fraction:
+    """The t with z = t*C_lam, for z in C_lam * QS_r * C_lam; raises
+    ValueError when z is not proportional to C_lam."""
+    c = young_idempotent(lam)
+    if z.is_zero():
+        return Q(0)
+    e = Permutation.identity(c.r)
+    t = z.coeff(e) / c.coeff(e)
+    if z == c * t:
+        return t
+    raise ValueError("element is not proportional to the Young idempotent")
+
+
+def sandwich_sigma_table(lam, sigma):
+    """M[i][j] = scalar(C x_i* sigma x_j C), by products in the group algebra."""
+    c = young_idempotent(lam)
+    xs = specht_basis(lam)
+    sig = GroupAlgebraElement.of(sigma)
+    out = []
+    for xi in xs:
+        left = c * GroupAlgebraElement.of(xi.inverse()) * sig
+        out.append(tuple(scalar_extract(lam, left * GroupAlgebraElement.of(xj) * c)
+                         for xj in xs))
+    return tuple(out)
+
+
+def sandwich_specht_gram(lam):
+    """G[i][j] = scalar(C x_i* x_j C)."""
+    return sandwich_sigma_table(lam, Permutation.identity(sum(lam)))
+
+
+def elimination_left_action(lam, s):
+    """A with s x_j C = sum_i A[i][j] x_i C, from one elimination over the
+    |S_r| x 2d matrix whose columns are the translates x_k C, then the
+    targets s x_j C, as coefficient vectors of group-algebra products."""
+    c = young_idempotent(lam)
+    xs = specht_basis(lam)
+    order = all_permutations(sum(lam))
+
+    def vector(g):
+        z = GroupAlgebraElement.of(g) * c
+        return [z.coeff(p) for p in order]
+
+    cols = [vector(x) for x in xs] + [vector(s * x) for x in xs]
+    d = len(xs)
+    piv, ech = field_row_echelon(list(zip(*cols)))
+    if piv != list(range(d)):
+        raise ValueError("target not in span")
+    return tuple(tuple(row[d:]) for row in ech)

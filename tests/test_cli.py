@@ -159,6 +159,17 @@ class TestRollet:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("argv", [["--l", "-2", "--max-n", "3"],
+                                      ["--l", "-3", "--max-n", "2", "--decorate", "det"]],
+                             ids=["plain", "det"])
+    def test_height_below_minus_one_beside_valid_records(self, tmp_path, capsys, argv):
+        assert run(capsys, "rollet", "--l", "-1", "--max-n", "3",
+                   *cache_args(tmp_path))[0] == 0
+        before = sorted((tmp_path / "cache").iterdir())
+        assert run(capsys, "rollet", *argv, *cache_args(tmp_path)) == (
+            2, "", "error: height bound must be >= -1\n")
+        assert sorted((tmp_path / "cache").iterdir()) == before
+
 
 class TestVerify:
     def test_arm_passes(self, tmp_path, capsys):
@@ -184,6 +195,12 @@ class TestRoots:
 
 
 class TestBootstrap:
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_rank_below_l_plus_4_is_usage_error(self, tmp_path, capsys, n):
+        assert run(capsys, "bootstrap", "--l", "0", "--lambda", "2", "--n", n,
+                   *cache_args(tmp_path)) == (2, "", "error: rank must be at least l+4\n")
+        assert not (tmp_path / "cache").exists()
+
     def test_divisibility(self, tmp_path, capsys):
         code, out, _ = run(capsys, "bootstrap", "--l", "0", "--lambda", "2",
                            "--n", "6", *cache_args(tmp_path))
@@ -222,6 +239,20 @@ class TestBootstrap:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command,fmt", [
+        (["gram", "--l", "0", "--n", "4", "--p", "2", "--lambda", "2"], "dot"),
+        (["series", "--l", "0", "--lambda", "2"], "dot"),
+        (["rollet", "--l", "0", "--max-n", "3"], "csv"),
+        (["verify", "arm", "--l", "0", "--lambda", "2"], "csv"),
+        (["roots", "--l", "0", "--lambda", "2"], "csv"),
+        (["bootstrap", "--l", "0", "--lambda", "2"], "dot"),
+    ], ids=["gram", "series", "rollet", "verify", "roots", "bootstrap"])
+    def test_unhonoured_format_is_usage_error(self, tmp_path, capsys, command, fmt):
+        code, out, err = run(capsys, *command, "--format", fmt, *cache_args(tmp_path))
+        assert (code, out) == (2, "")
+        assert f"invalid choice: '{fmt}'" in err
+        assert not (tmp_path / "cache").exists()
+
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
         target = tmp_path / "no" / "such" / "x.json"
         code, out, err = run(capsys, "series", "--l", "0", "--lambda", "2",

@@ -1,6 +1,7 @@
 """Gram matrices of standard modules: printed determinants, one-cup
 factorisations, the mixed-rank recursion, and form contravariance."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
 from kadaryu.diagrams import s_gen
 from kadaryu.exactmath import Polynomial, Q
-from kadaryu.gram import (ModuleLabel, _sigma_table, action_matrix,
-                          factor_one_cup, gram_det_lnp, gram_matrix,
-                          gram_mixed_det, one_cup_det, one_cup_series)
+from kadaryu.gram import (ModuleLabel, action_matrix, factor_one_cup,
+                          gram_det_lnp, gram_matrix, gram_mixed_det,
+                          one_cup_det, one_cup_series)
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                all_permutations, hook_dimension, partitions,
-                               scalar_extract, specht_basis, young_idempotent)
+                               specht_basis, specht_gram, specht_pairing,
+                               young_idempotent)
+from oracles import sandwich_sigma_table
 
 x = Polynomial.x()
 
@@ -186,25 +189,11 @@ class TestMixedRanks:
                 assert d2 == x * d1 - d0
 
 
-def sandwich_sigma_table(lam, sigma):
-    """Reference sigma-table straight from the group algebra:
-    M[i][j] = scalar(C x_i* sigma x_j C)."""
-    c = young_idempotent(lam)
-    xs = specht_basis(lam)
-    sig = GroupAlgebraElement.of(sigma)
-    out = []
-    for xi in xs:
-        left = c * GroupAlgebraElement.of(xi.inverse()) * sig
-        out.append(tuple(scalar_extract(lam, left * GroupAlgebraElement.of(xj) * c)
-                         for xj in xs))
-    return tuple(out)
-
-
 class TestSigmaTables:
-    @pytest.mark.parametrize("lam", partitions(3) + partitions(4))
+    @pytest.mark.parametrize("lam", [lam for r in range(1, 5) for lam in partitions(r)])
     def test_matches_sandwich_oracle(self, lam):
         for sigma in all_permutations(sum(lam)):
-            assert _sigma_table(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
+            assert specht_pairing(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
 
     @pytest.mark.slow
     @pytest.mark.parametrize("lam", [(4, 1), (3, 1, 1)])
@@ -212,4 +201,25 @@ class TestSigmaTables:
         for sigma in [Permutation((2, 1, 3, 4, 5)),
                       Permutation.from_cycles(5, (1, 3, 5)),
                       Permutation((5, 4, 3, 2, 1))]:
-            assert _sigma_table(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
+            assert specht_pairing(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
+
+
+def test_assembly_multiplies_only_inside_young_idempotent(monkeypatch):
+    """Building a Gram matrix multiplies in the group algebra only for
+    E F E: the sigma-tables are read off the coefficients of C."""
+    for fn in (young_idempotent, specht_basis, specht_pairing, specht_gram):
+        fn.cache_clear()
+    inner = young_idempotent.__wrapped__.__code__
+    callers = []
+    mul = GroupAlgebraElement.__mul__
+
+    def spy(self, other):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not inner:
+            frame = frame.f_back
+        callers.append(frame is not None)
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", spy)
+    gram_matrix.__wrapped__(ModuleLabel(2, 6, 4, (3, 1))).matrix
+    assert callers and all(callers)

@@ -179,14 +179,11 @@ class TestEnclosures:
         assert sign_at_2cos(x - 2, 1, 7) == -1
 
 
-# (3, (2, 1, 1, 1)) adds about 2.3 s to tier-1 (27 s in all); (3, (4, 1))
-# would add about 3.3 s more, mostly its Specht setup (specht_gram at
-# r = 5), and take tier-1 past 30 s, so it stays in the slow tier (2 cores,
-# Python 3.11.7)
+# the r = 5 families cost 0.4 s each at most, (3, (4, 1)) included; all
+# thirteen together take about 1.4 s (2 cores, Python 3.11.7)
 FAMILIES = [(0, (2,)), (0, (1, 1)), (1, (3,)), (1, (2, 1)), (1, (1, 1, 1)),
             (2, (4,)), (2, (3, 1)), (2, (2, 1, 1)), (2, (1, 1, 1, 1)),
-            (3, (5,)), (3, (1, 1, 1, 1, 1)), (3, (2, 1, 1, 1)),
-            pytest.param(3, (4, 1), marks=pytest.mark.slow)]
+            (3, (5,)), (3, (1, 1, 1, 1, 1)), (3, (2, 1, 1, 1)), (3, (4, 1))]
 
 
 class TestClosedForms:

@@ -1,5 +1,6 @@
 """Symmetric group algebra, Young idempotents, Specht data."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,15 @@ from hypothesis import strategies as st
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                all_permutations, conjugate_partition,
                                hook_dimension, is_partition, left_action_matrix,
-                               partitions, scalar_extract, specht_basis,
-                               specht_gram, young_idempotent)
+                               partitions, specht_basis, specht_gram,
+                               specht_pairing, young_idempotent)
+from oracles import (elimination_left_action, sandwich_sigma_table,
+                     sandwich_specht_gram, scalar_extract,
+                     young_idempotent_by_square)
 
 perms4 = st.permutations([1, 2, 3, 4]).map(Permutation)
+UP_TO_4 = [lam for r in range(1, 5) for lam in partitions(r)]
+UP_TO_5 = UP_TO_4 + partitions(5)
 
 
 class TestPermutation:
@@ -71,11 +77,19 @@ class TestPartitions:
 
 
 class TestYoungIdempotent:
-    @pytest.mark.parametrize("lam", [(2,), (1, 1), (3,), (2, 1), (1, 1, 1),
-                                     (2, 2), (3, 1)])
+    @pytest.mark.parametrize("lam", UP_TO_5)
     def test_idempotent(self, lam):
         c = young_idempotent(lam)
         assert c * c == c
+
+    @pytest.mark.parametrize("lam", UP_TO_5)
+    def test_matches_square_oracle(self, lam):
+        """kappa = |R_lam| r!/f^lam is the ratio y^2 / y of y = E F E, and
+        the closed form equals y divided by that ratio."""
+        c, kappa = young_idempotent_by_square(lam)
+        rows = math.prod(math.factorial(part) for part in lam)
+        assert kappa == Fraction(rows * math.factorial(sum(lam)), hook_dimension(lam))
+        assert young_idempotent(lam) == c
 
     @pytest.mark.parametrize("lam", [(2,), (2, 1), (2, 2)])
     def test_self_adjoint(self, lam):
@@ -121,6 +135,7 @@ class TestSpecht:
                 assert G[i][j] == G[j][i]
 
     def test_scalar_extract_rejects_junk(self):
+        """The sandwich oracle's scalar read-off refuses a non-multiple."""
         lam = (2, 1)
         z = GroupAlgebraElement.of(Permutation.identity(3))
         with pytest.raises(ValueError):
@@ -156,3 +171,30 @@ class TestSpecht:
             rhs = tuple(tuple(sum(G[i][k] * B[k][j] for k in range(d))
                               for j in range(d)) for i in range(d))
             assert lhs == rhs
+
+
+class TestAgainstSandwichOracles:
+    """The Specht data read off the coefficients of C against products in
+    the group algebra.  The sigma-tables at r <= 4 are checked against the
+    sandwich in test_gram.py."""
+
+    @pytest.mark.parametrize("lam", UP_TO_4)
+    def test_gram(self, lam):
+        assert specht_gram(lam) == sandwich_specht_gram(lam)
+
+    @pytest.mark.parametrize("lam", UP_TO_4)
+    def test_action(self, lam):
+        for sigma in all_permutations(sum(lam)):
+            assert left_action_matrix(lam, sigma) == elimination_left_action(lam, sigma), sigma
+
+    @pytest.mark.parametrize("lam", partitions(5))
+    def test_action_r5_sampled(self, lam):
+        for sigma in all_permutations(5)[::29]:
+            assert left_action_matrix(lam, sigma) == elimination_left_action(lam, sigma), sigma
+
+    @pytest.mark.slow
+    def test_gram_and_sigma_tables_r5_sampled(self):
+        for lam in partitions(5):
+            assert specht_gram(lam) == sandwich_specht_gram(lam), lam
+            for sigma in all_permutations(5)[3::59]:
+                assert specht_pairing(lam, sigma) == sandwich_sigma_table(lam, sigma), (lam, sigma)
