@@ -295,6 +295,11 @@ def _cmd_rollet(args) -> int:
 def _cmd_verify(args) -> int:
     max_p = args.max_p if args.max_p is not None else args.l + 6
     m_max = args.m if args.m is not None else 1
+    # an empty range of ranks or cups would check nothing and still pass
+    if m_max < 1 or max_p < args.l + 2:
+        print(f"error: verify arm needs --m >= 1 and --max-p >= l+2 = {args.l + 2}",
+              file=sys.stderr)
+        return 2
 
     def produce():
         records = arm_verify(args.l, args.lam, range(args.l + 2, max_p + 1),

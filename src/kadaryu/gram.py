@@ -23,16 +23,15 @@ scalar, and monic normalisation is the canonical representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactmath import (Polynomial, PolyMatrix, Q, det_poly, poly_gcd,
                         poly_nth_root)
 from .cheby import ChebSeries, ramping_check
 from .diagrams import (PairPartition, compose, flip, half_basis,
-                       half_normalize, one_cup_basis, one_cup_index, u_cup)
+                       half_normalize, one_cup_basis, one_cup_index)
 from .symmetric import (Permutation, hook_dimension, is_partition,
-                        left_action_matrix, specht_gram, specht_pairing)
+                        left_action_matrix, specht_frame, specht_pairing)
 
 
 @dataclass(frozen=True)
@@ -207,38 +206,14 @@ def factor_one_cup(l: int, lam: tuple[int, ...]) -> tuple[Polynomial, ChebSeries
 # mixed-rank one-cup matrices
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _orthogonal_specht(lam: tuple[int, ...]):
-    """Rational Gram-Schmidt: T with y_k = sum_m T[m][k] x_m and the
-    diagonal norms <y_k, y_k>.  No normalisation (that needs surds)."""
-    G = [list(row) for row in specht_gram(lam)]
-    d = len(G)
-    T = [[Q(1) if i == j else Q(0) for j in range(d)] for i in range(d)]
-    norms: list[Fraction] = []
-
-    def form(vec1, vec2):
-        return sum(vec1[m] * G[m][mm] * vec2[mm] for m in range(d) for mm in range(d))
-
-    cols = [[T[m][k] for m in range(d)] for k in range(d)]
-    for k in range(d):
-        for j in range(k):
-            coef = form(cols[k], cols[j]) / norms[j]
-            cols[k] = [a - coef * b for a, b in zip(cols[k], cols[j])]
-        nk = form(cols[k], cols[k])
-        if nk == 0:
-            raise RuntimeError("Specht form degenerate over Q (impossible)")
-        norms.append(nk)
-    T = [[cols[k][m] for k in range(d)] for m in range(d)]
-    return tuple(tuple(row) for row in T), tuple(norms)
-
-
 def gram_mixed(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> PolyMatrix:
     """Form matrix on per-Specht-vector one-cup sets of (possibly) different
-    ranks, over the orthogonalised Specht basis.
+    ranks, over the orthogonal Specht basis y_k = sum_m T[m][k] x_m C of
+    symmetric.specht_frame.
 
-    Entry between (cup u at rank n_k, vector k) and (cup v at rank n_k',
-    vector k') is computed at the largest ambient rank; the pairing rules
-    only see the cup indices, so smaller-rank cups keep their values.
+    The pairing rules only see the cup indices, so smaller-rank cups keep
+    their values at the largest rank: each entry is read off the one-cup
+    Gram matrix there, restricted to each vector's cups and conjugated by T.
     """
     lam = tuple(lam)
     d = hook_dimension(lam)
@@ -247,31 +222,18 @@ def gram_mixed(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> PolyMa
     if any(nk < l + 4 for nk in n_tuple):
         raise ValueError("each rank must be >= l+4")
     big = max(n_tuple)
-    r = l + 2
-    p = big - 2
-    T, _norms = _orthogonal_specht(lam)
-    cup_lists = [one_cup_index(l, nk) for nk in n_tuple]
-    basis = [(k, jk) for k in range(d) for jk in cup_lists[k]]
-    cupd = {jk: u_cup(jk[0], jk[1], big) for jk in one_cup_index(l, big)}
-    zero = Polynomial()
-    size = len(basis)
-    rows = [[zero] * size for _ in range(size)]
-    for a, (k, jk) in enumerate(basis):
-        for b in range(a, size):
-            kk, jk2 = basis[b]
-            pd = _pair_halves(cupd[jk], cupd[jk2], p, r)
-            if pd is None:
-                continue
-            loops, sigma = pd
-            table = specht_pairing(lam, sigma)
-            val = sum(T[m][k] * table[m][mm] * T[mm][kk]
-                      for m in range(d) for mm in range(d))
-            if val:
-                poly = Polynomial.monomial(val, loops)
-                rows[a][b] = poly
-                if a != b:
-                    rows[b][a] = poly
-    return PolyMatrix(rows)
+    rows = gram_matrix(ModuleLabel(l, big, big - 2, lam)).matrix.entries
+    where = {jk: a for a, jk in enumerate(one_cup_index(l, big))}
+    nhalf = len(where)
+    _xs, T, _norms = specht_frame(lam)
+    basis = [(k, where[jk]) for k in range(d) for jk in one_cup_index(l, n_tuple[k])]
+
+    def entry(k, a, kk, b):
+        # T is upper triangular: y_k only involves x_0..x_k
+        return sum((rows[m * nhalf + a][mm * nhalf + b] * (T[m][k] * T[mm][kk])
+                    for m in range(k + 1) for mm in range(kk + 1)), Polynomial())
+
+    return PolyMatrix([[entry(k, a, kk, b) for kk, b in basis] for k, a in basis])
 
 
 def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Polynomial:
@@ -280,7 +242,7 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
     lam = tuple(lam)
     m = gram_mixed(l, lam, n_tuple)
     det = det_poly(m)
-    _T, norms = _orthogonal_specht(lam)
+    _xs, _T, norms = specht_frame(lam)
     scale = Q(1)
     for k, nk in enumerate(n_tuple):
         scale *= norms[k] ** len(one_cup_index(l, nk))

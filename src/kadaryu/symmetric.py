@@ -10,8 +10,10 @@ The Specht module of lam is the left ideal QS_r C_lam of the Young
 idempotent, with basis translates x_i C_lam (James, *The Representation
 Theory of the Symmetric Groups*, LNM 682, section 4).  A translate only
 permutes the coordinates of C_lam on S_r, so the basis, the form and the
-action are all read off the coefficients of C_lam; the one group-algebra
-product is E F E inside young_idempotent.
+action are all read off the coefficients of C_lam.  The basis is chosen
+by one Gram-Schmidt pass over those pairings (specht_frame), and the one
+group-algebra product is E F inside young_idempotent; the right factor E
+is summed over row cosets.
 """
 
 from __future__ import annotations
@@ -112,10 +114,6 @@ class GroupAlgebraElement:
     def __init__(self, r: int, terms: dict[Permutation, Fraction] | None = None):
         self.r = r
         self.terms = {s: Q(c) for s, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def unit(r: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(r, {Permutation.identity(r): Q(1)})
 
     @staticmethod
     def of(s: Permutation, c=1) -> "GroupAlgebraElement":
@@ -241,16 +239,24 @@ def young_idempotent(lam: tuple[int, ...]) -> GroupAlgebraElement:
     (1/6)(e+(12))(e-(13))(e+(12)).
     """
     lam = tuple(lam)
-    if not is_partition(lam) and lam != ():
+    if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
     r = sum(lam)
-    if r == 0:
-        return GroupAlgebraElement.unit(0)
-    row_group = _row_group(_canonical_tableau(lam), r)
+    rows = _canonical_tableau(lam)
+    row_group = _row_group(rows, r)
     E = GroupAlgebraElement(r, {s: Q(1) for s in row_group})
     F = GroupAlgebraElement(r, {s: Q(s.sign())
                                 for s in _row_group(_canonical_tableau_columns(lam), r)})
-    y = E * F * E
+    # (X E)(pi) is the sum of X = E F over the coset pi R_lam, and that
+    # coset is fixed by the row of each pi(i): sum X per coset, then
+    # expand each coset with a nonzero sum once.
+    row_of = {v: i for i, row in enumerate(rows) for v in row}
+    cosets: dict[tuple[int, ...], list] = {}
+    for s, c in (E * F).terms.items():
+        coset = cosets.setdefault(tuple(row_of[v] for v in s.image), [Q(0), s])
+        coset[0] += c
+    y = GroupAlgebraElement(r, {s * rho: total for total, s in cosets.values() if total
+                                for rho in row_group})
     kappa = Q(len(row_group) * math.factorial(r), hook_dimension(lam))
     # the identity coefficient of y^2 = kappa y, a sum of |supp y| terms
     e = Permutation.identity(r)
@@ -270,35 +276,50 @@ def _canonical_tableau_columns(lam):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def specht_basis(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
-    """Permutations x_i with {x_i C_lam} a basis of the left ideal.
+def specht_frame(lam: tuple[int, ...]):
+    """(xs, T, norms): the Specht basis x_i C_lam and its Gram-Schmidt frame.
 
-    Greedy by (Coxeter length, image order) so the list is deterministic and
-    x_1 is always the identity.  Independence is decided by elimination on
-    the coordinate vectors over S_r: a translate permutes the coordinates of
-    C_lam, (x C)(pi) = C(x^-1 pi).
+    The form is positive definite on QS_r C and pairs x C with s C as
+    C(x^-1 s)/C(e) (specht_pairing), so every translate has norm 1.  The
+    candidates s run greedily in (Coxeter length, image) order, and s is
+    kept exactly when its residual norm 1 - sum_k p_k^2 <y_k, y_k> against
+    the orthogonal y_k built so far is nonzero.  T is unit upper triangular
+    with y_k = sum_m T[m][k] x_m C, and T^t G T = diag(norms) for the
+    Specht Gram G (no normalisation: that needs surds).
     """
     lam = tuple(lam)
     r = sum(lam)
     d = hook_dimension(lam)
-    if r == 0:
-        return (Permutation.identity(0),)
     c = young_idempotent(lam)
-    order = all_permutations(r)
-    chosen: list[Permutation] = []
-    rows: list[list[Fraction]] = []
+    c_e = c.coeff(Permutation.identity(r))
+    xs: list[Permutation] = []
+    cols: list[list[Fraction]] = []  # column k of T, truncated after row k
+    norms: list[Fraction] = []
     for s in sorted_by_length(r):
-        s_inv = s.inverse()
-        vec = [c.coeff(s_inv * pi) for pi in order]
-        piv, ech = field_row_echelon(rows + [vec])
-        if len(piv) > len(chosen):
-            chosen.append(s)
-            rows = ech
-            if len(chosen) == d:
-                break
-    if len(chosen) != d:
+        pairs = [c.coeff(x.inverse() * s) / c_e for x in xs]
+        coefs = [sum(t * g for t, g in zip(col, pairs)) / nk
+                 for col, nk in zip(cols, norms)]
+        residual = 1 - sum(p * p * nk for p, nk in zip(coefs, norms))
+        if not residual:
+            continue
+        col = [Q(0)] * len(xs) + [Q(1)]
+        for p, prev in zip(coefs, cols):
+            for m, t in enumerate(prev):
+                col[m] -= p * t
+        xs.append(s)
+        cols.append(col)
+        norms.append(residual)
+        if len(xs) == d:
+            break
+    if len(xs) != d:
         raise RuntimeError(f"failed to find {d} independent translates for {lam}")
-    return tuple(chosen)
+    T = tuple(tuple(col[m] if m < len(col) else Q(0) for col in cols) for m in range(d))
+    return tuple(xs), T, tuple(norms)
+
+
+def specht_basis(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
+    """Permutations x_i with {x_i C_lam} a basis of the left ideal."""
+    return specht_frame(lam)[0]
 
 
 @lru_cache(maxsize=None)

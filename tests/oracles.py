@@ -2,7 +2,8 @@
 against: determinants over Q[a] by evaluation/interpolation, fraction-free
 Bareiss and cofactor expansion, the Brauer diagram basis by brute force,
 Sturm counts from the chain of remainders over Q, cos bounds from the
-exact Taylor sum, and the Specht data from products in the group algebra.
+exact Taylor sum, the Specht basis by elimination over r!-long coordinate
+vectors, and the Specht data from products in the group algebra.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                field_row_echelon, poly_squarefree_part)
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                _canonical_tableau, _canonical_tableau_columns,
-                               _row_group, all_permutations, specht_basis,
-                               young_idempotent)
+                               _row_group, all_permutations, hook_dimension,
+                               sorted_by_length, specht_basis, young_idempotent)
 
 
 def _det_mod(rows: list[list[int]], modulus: int) -> int:
@@ -212,6 +213,28 @@ def young_idempotent_by_square(lam: tuple[int, ...]):
     kappa = y2.coeff(probe) / y.coeff(probe)
     assert y * kappa == y2, "Young sandwich is not quasi-idempotent"
     return y * (1 / kappa), kappa
+
+
+def specht_basis_by_elimination(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
+    """The greedy Specht basis, each candidate translate s C tested by a row
+    echelon over its coordinate vector on S_r, (s C)(pi) = C(s^-1 pi)."""
+    r = sum(lam)
+    d = hook_dimension(lam)
+    c = young_idempotent(lam)
+    order = all_permutations(r)
+    chosen: list[Permutation] = []
+    rows: list[list[Fraction]] = []
+    for s in sorted_by_length(r):
+        s_inv = s.inverse()
+        vec = [c.coeff(s_inv * pi) for pi in order]
+        piv, ech = field_row_echelon(rows + [vec])
+        if len(piv) > len(chosen):
+            chosen.append(s)
+            rows = ech
+            if len(chosen) == d:
+                break
+    assert len(chosen) == d, f"failed to find {d} independent translates for {lam}"
+    return tuple(chosen)
 
 
 def scalar_extract(lam: tuple[int, ...], z: GroupAlgebraElement) -> Fraction:

@@ -111,7 +111,7 @@ def test_03_factorisations_and_u_expansions():
 def test_04_closed_form_families():
     t = time.perf_counter()
     failures = []
-    l_top = 4 if SLOW else 3
+    l_top = 4
     for l in range(0, l_top + 1):
         c, series = factor_one_cup(l, (l + 2,))
         want_c = (x + (l - 1)) ** (l + 1) * (x - 2) ** (l * (l + 3) // 2)
@@ -134,8 +134,7 @@ def test_04_closed_form_families():
             failures.append(("col-P", l))
         if series.term(l + 4) != (x + 1) * (x - (l + 2)):
             failures.append(("col-down-value", l))
-    top = "4" if SLOW else "3 (4 in the slow tier)"
-    report(4, f"closed-form row/column families, -1 <= l <= {top}",
+    report(4, f"closed-form row/column families, -1 <= l <= {l_top}",
            failures, t, 300.0)
 
 

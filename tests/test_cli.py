@@ -179,6 +179,20 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["records"] and all(r["equal"] for r in payload["records"])
 
+    @pytest.mark.parametrize("bounds", [["--m", "0"], ["--m", "-3"], ["--max-p", "1"],
+                                        ["--max-p", "3", "--m", "0"]])
+    def test_empty_range_is_usage_error(self, tmp_path, capsys, bounds):
+        code, out, err = run(capsys, "verify", "arm", "--l", "0", "--lambda", "2",
+                             *bounds, *cache_args(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: verify arm needs --m >= 1 and --max-p >= l+2 = 2\n"
+        assert not (tmp_path / "cache").exists()
+
+    def test_smallest_ranges_still_check(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "verify", "arm", "--l", "0", "--lambda", "2",
+                           "--max-p", "2", "--m", "1", *cache_args(tmp_path))
+        assert code == 0 and len(json.loads(out)["records"]) == 1
+
 
 class TestRoots:
     def test_pass(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ from kadaryu.gram import (ModuleLabel, action_matrix, factor_one_cup,
                           one_cup_det, one_cup_series)
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                all_permutations, hook_dimension, partitions,
-                               specht_basis, specht_gram, specht_pairing,
+                               specht_frame, specht_gram, specht_pairing,
                                young_idempotent)
 from oracles import sandwich_sigma_table
 
@@ -206,8 +206,9 @@ class TestSigmaTables:
 
 def test_assembly_multiplies_only_inside_young_idempotent(monkeypatch):
     """Building a Gram matrix multiplies in the group algebra only for
-    E F E: the sigma-tables are read off the coefficients of C."""
-    for fn in (young_idempotent, specht_basis, specht_pairing, specht_gram):
+    E F inside young_idempotent: the sigma-tables are read off the
+    coefficients of C."""
+    for fn in (young_idempotent, specht_frame, specht_pairing, specht_gram):
         fn.cache_clear()
     inner = young_idempotent.__wrapped__.__code__
     callers = []

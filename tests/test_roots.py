@@ -179,11 +179,17 @@ class TestEnclosures:
         assert sign_at_2cos(x - 2, 1, 7) == -1
 
 
-# the r = 5 families cost 0.4 s each at most, (3, (4, 1)) included; all
-# thirteen together take about 1.4 s (2 cores, Python 3.11.7)
+# the r = 5 families cost 0.4 s each at most, (3, (4, 1)) included, and the
+# two default-tier r = 6 ones 0.1 s each; all fifteen together take about
+# 1.6 s (2 cores, Python 3.11.7)
 FAMILIES = [(0, (2,)), (0, (1, 1)), (1, (3,)), (1, (2, 1)), (1, (1, 1, 1)),
             (2, (4,)), (2, (3, 1)), (2, (2, 1, 1)), (2, (1, 1, 1, 1)),
-            (3, (5,)), (3, (1, 1, 1, 1, 1)), (3, (2, 1, 1, 1)), (3, (4, 1))]
+            (3, (5,)), (3, (1, 1, 1, 1, 1)), (3, (2, 1, 1, 1)), (3, (4, 1)),
+            (4, (6,)), (4, (1, 1, 1, 1, 1, 1)),
+            # factor_one_cup takes 1.6 s for (5, 1) and 1.5 s for (2, 1, 1, 1, 1),
+            # almost all of it in the two anchor determinants
+            pytest.param(4, (5, 1), marks=pytest.mark.slow),
+            pytest.param(4, (2, 1, 1, 1, 1), marks=pytest.mark.slow)]
 
 
 class TestClosedForms:

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                all_permutations, conjugate_partition,
                                hook_dimension, is_partition, left_action_matrix,
-                               partitions, specht_basis, specht_gram,
-                               specht_pairing, young_idempotent)
+                               partitions, specht_basis, specht_frame,
+                               specht_gram, specht_pairing, young_idempotent)
 from oracles import (elimination_left_action, sandwich_sigma_table,
                      sandwich_specht_gram, scalar_extract,
-                     young_idempotent_by_square)
+                     specht_basis_by_elimination, young_idempotent_by_square)
 
 perms4 = st.permutations([1, 2, 3, 4]).map(Permutation)
 UP_TO_4 = [lam for r in range(1, 5) for lam in partitions(r)]
@@ -91,6 +91,11 @@ class TestYoungIdempotent:
         assert kappa == Fraction(rows * math.factorial(sum(lam)), hook_dimension(lam))
         assert young_idempotent(lam) == c
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("lam", partitions(6))
+    def test_matches_square_oracle_r6(self, lam):
+        assert young_idempotent(lam) == young_idempotent_by_square(lam)[0]
+
     @pytest.mark.parametrize("lam", [(2,), (2, 1), (2, 2)])
     def test_self_adjoint(self, lam):
         c = young_idempotent(lam)
@@ -124,6 +129,29 @@ class TestSpecht:
     def test_first_vector_is_identity(self):
         for lam in [(2, 1), (2, 2)]:
             assert specht_basis(lam)[0] == Permutation.identity(sum(lam))
+
+    @pytest.mark.parametrize("lam", UP_TO_5)
+    def test_basis_matches_elimination_oracle(self, lam):
+        assert specht_basis(lam) == specht_basis_by_elimination(lam)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("lam", partitions(6))
+    def test_basis_matches_elimination_oracle_r6(self, lam):
+        assert specht_basis(lam) == specht_basis_by_elimination(lam)
+
+    @pytest.mark.parametrize("lam", UP_TO_5)
+    def test_frame_orthogonalises_gram(self, lam):
+        """T is unit upper triangular and T^t G T = diag(norms)."""
+        _xs, T, norms = specht_frame(lam)
+        G = specht_gram(lam)
+        d = len(G)
+        assert all(T[m][k] == (m == k) for k in range(d) for m in range(k, d))
+        for k in range(d):
+            for kk in range(d):
+                form = sum(T[m][k] * G[m][mm] * T[mm][kk]
+                           for m in range(d) for mm in range(d))
+                assert form == (norms[k] if k == kk else 0), (k, kk)
+        assert all(nk > 0 for nk in norms)
 
     @pytest.mark.parametrize("lam", [(2, 1), (2, 2), (3, 1)])
     def test_gram_symmetric_unimodular_corner(self, lam):
