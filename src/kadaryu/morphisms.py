@@ -6,9 +6,10 @@ returns a polynomial D(a) times the Specht projector.  D follows the
 three-term Chebyshev recursion up the tower and is divisible by the monic
 series factor of the one-cup determinants, so roots of the latter are
 parameter values where xi generates a submodule isomorphic to the
-cap-free standard module.  This file computes xi exactly from Gram
-determinants by Cramer's rule, checks the recursion and divisibility, and
-certifies the submodule embeddings at explicit (possibly irrational)
+cap-free standard module.  This file computes xi exactly from the Gram
+determinant the module already has, as the polynomial adjugate of its
+linearisation (Cayley-Hamilton), checks the recursion and divisibility,
+and certifies the submodule embeddings at explicit (possibly irrational)
 parameter values.
 """
 
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .claims import claim, report
-from .exactmath import (Polynomial, PolyMatrix, Q, QuotElem, det_poly,
-                        field_kernel, field_rank, poly_content_removed,
+from .exactmath import (Polynomial, PolyMatrix, Q, QuotElem, field_kernel,
+                        field_rank, field_row_echelon, poly_content_removed,
                         poly_gcd)
 from .diagrams import one_cup_index, permutation_diagram
 from .gram import ModuleLabel, action_matrix, factor_one_cup, gram_det, gram_matrix
@@ -62,36 +63,49 @@ def _last_cup_row(label: ModuleLabel, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def solve_xi(l: int, lam: tuple[int, ...], n: int) -> XiElement:
-    """Solve the cap-annihilation system for xi directly.
+    """Solve the cap-annihilation system G . xi = D * v for xi.
 
-    The linear system is Gram(label) . xi = D * v where v is supported on
-    the last-cup rows with entries <b_m, b_1> (rational Specht basis, so the
-    right side carries the first Gram column, not a single unit vector).
-    By Cramer's rule det(G) * xi_i = det(G with column i replaced by v), so
-    every determinant is taken on the one path of det_poly, exactly in Q[a].
-    That vector's content is stripped, D = det(G) / content, and both are
-    scaled so that D is monic.
+    v is supported on the last-cup rows with entries <b_m, b_1> (rational
+    Specht basis, so the right side carries the first Gram column).  One-cup
+    Gram entries have degree <= 1 with invertible top coefficients
+    G1 = S (x) I, so G = G1 (aI - C), C = -G1^-1 G0, and det_monic = chi_C.
+    One echelon of [G1 | -G0 | v] over Q gives C and w = G1^-1 v, and
+    adj(aI - C) w = chi_C(a) G^-1 v comes from the Horner recursion
+    u_{dim-1} = w, u_{k-1} = C u_k + c_k w over chi_C's coefficients; the
+    Cayley-Hamilton residue u_{-1} must be zero.  The content is stripped
+    and D = chi_C / content.
     """
     lam = tuple(lam)
     label = ModuleLabel(l, n, n - 2, lam)
     inst = gram_matrix(label)
+    dim = inst.dim
     G = specht_gram(lam)
-    rhs = [Polynomial()] * inst.dim
+    rhs = [Q(0)] * dim
     for m in range(inst.d):
-        rhs[_last_cup_row(label, m)] = Polynomial.const(G[m][0])
-    rows = inst.matrix.entries
-    det = det_poly(inst.matrix)
-    if det.is_zero():
-        raise RuntimeError(f"cap-annihilation system singular for {label}")
-    numerators = [det_poly(PolyMatrix([row[:i] + [b] + row[i + 1:]
-                                       for row, b in zip(rows, rhs)]))
-                  for i in range(inst.dim)]
-    content, prim = poly_content_removed(numerators)
+        rhs[_last_cup_row(label, m)] = G[m][0]
+    aug = []
+    for row, b in zip(inst.matrix.entries, rhs):
+        if any(p.degree > 1 for p in row):
+            raise RuntimeError(f"Gram entry of degree > 1 for {label}")
+        g0, g1 = zip(*((p.coeffs + (Q(0), Q(0)))[:2] for p in row))
+        aug.append(list(g1) + [-c for c in g0] + [b])
+    piv, ech = field_row_echelon(aug)
+    if piv != list(range(dim)):
+        raise RuntimeError(f"top coefficients of the Gram matrix singular for {label}")
+    C = [[(j, c) for j, c in enumerate(row[dim:2 * dim]) if c] for row in ech]
+    w = [row[-1] for row in ech]
+    det = inst.det_monic
+    us = [w]  # u_{dim-1}, u_{dim-2}, ..., u_{-1}
+    for ck in det.coeffs[-2::-1]:
+        us.append([sum((c * us[-1][j] for j, c in row), ck * wi) for row, wi in zip(C, w)])
+    if any(us.pop()):
+        raise RuntimeError(f"Cayley-Hamilton residue nonzero for {label}")
+    content, prim = poly_content_removed([Polynomial(u[::-1]) for u in zip(*us)])
     d_poly, rem = det.divmod(content)
     if not rem.is_zero():
         raise RuntimeError(f"D is not polynomial for {label}: ({det})/({content})")
-    scale = 1 / d_poly.lc
-    return XiElement(label, tuple(p * scale for p in prim), d_poly.monic())
+    # det and the content are monic, so D is too
+    return XiElement(label, tuple(prim), d_poly)
 
 
 def _compute_d(label: ModuleLabel, coeffs) -> Polynomial:
@@ -129,6 +143,8 @@ def xi_step(xi: XiElement) -> XiElement:
 def xi_sequence(l: int, lam: tuple[int, ...], n_max: int) -> list[XiElement]:
     """xi at ranks l+4 .. n_max via the step recursion, checking at every
     rank that D obeys D_n = a*D_{n-1} - D_{n-2}."""
+    if n_max < l + 4:
+        raise ValueError("rank must be at least l+4")
     lam = tuple(lam)
     out = [solve_xi(l, lam, l + 4)]
     x = Polynomial.x()

@@ -41,12 +41,6 @@ class Permutation:
         return Permutation(range(1, r + 1))
 
     @staticmethod
-    def transposition(i: int, j: int, r: int) -> "Permutation":
-        img = list(range(1, r + 1))
-        img[i - 1], img[j - 1] = j, i
-        return Permutation(img)
-
-    @staticmethod
     def from_cycles(r: int, *cycles) -> "Permutation":
         img = list(range(1, r + 1))
         for cyc in cycles:

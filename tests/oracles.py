@@ -3,7 +3,8 @@ against: determinants over Q[a] by evaluation/interpolation, fraction-free
 Bareiss and cofactor expansion, the Brauer diagram basis by brute force,
 Sturm counts from the chain of remainders over Q, cos bounds from the
 exact Taylor sum, the Specht basis by elimination over r!-long coordinate
-vectors, and the Specht data from products in the group algebra.
+vectors, the Specht data from products in the group algebra, and the
+bootstrap vector by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -12,12 +13,16 @@ import math
 from fractions import Fraction
 
 from kadaryu.diagrams import PairPartition
-from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
-                               field_row_echelon, poly_squarefree_part)
+from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_poly, det_rational,
+                               field_row_echelon, poly_content_removed,
+                               poly_squarefree_part)
+from kadaryu.gram import ModuleLabel, gram_matrix
+from kadaryu.morphisms import XiElement, _last_cup_row
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                _canonical_tableau, _canonical_tableau_columns,
                                _row_group, all_permutations, hook_dimension,
-                               sorted_by_length, specht_basis, young_idempotent)
+                               sorted_by_length, specht_basis, specht_gram,
+                               young_idempotent)
 
 
 def _det_mod(rows: list[list[int]], modulus: int) -> int:
@@ -286,3 +291,25 @@ def elimination_left_action(lam, s):
     if piv != list(range(d)):
         raise ValueError("target not in span")
     return tuple(tuple(row[d:]) for row in ech)
+
+
+def solve_xi_by_cramer(l: int, lam: tuple[int, ...], n: int) -> XiElement:
+    """xi from det(G) * xi_i = det(G with column i replaced by v), every
+    determinant by det_poly; the content is stripped, D = det(G) / content,
+    and both are scaled so that D is monic."""
+    label = ModuleLabel(l, n, n - 2, tuple(lam))
+    inst = gram_matrix(label)
+    G = specht_gram(tuple(lam))
+    rhs = [Polynomial()] * inst.dim
+    for m in range(inst.d):
+        rhs[_last_cup_row(label, m)] = Polynomial.const(G[m][0])
+    rows = inst.matrix.entries
+    det = det_poly(inst.matrix)
+    numerators = [det_poly(PolyMatrix([row[:i] + [b] + row[i + 1:]
+                                       for row, b in zip(rows, rhs)]))
+                  for i in range(inst.dim)]
+    content, prim = poly_content_removed(numerators)
+    d_poly, rem = det.divmod(content)
+    assert rem.is_zero(), f"D is not polynomial for {label}"
+    scale = 1 / d_poly.lc
+    return XiElement(label, tuple(p * scale for p in prim), d_poly.monic())

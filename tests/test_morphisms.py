@@ -5,19 +5,28 @@ from fractions import Fraction
 
 import pytest
 
+from kadaryu import gram, morphisms
 from kadaryu.cheby import ChebSeries
 from kadaryu.diagrams import one_cup_index
 from kadaryu.exactmath import Polynomial, RationalFunction, poly_content_removed
-from kadaryu.gram import factor_one_cup, gram_matrix
+from kadaryu.gram import GramInstance, ModuleLabel, factor_one_cup, gram_matrix
 from kadaryu.morphisms import (divisibility_check, niceelt_check,
                                projector_fixes_xi, solve_xi, submodule_verify,
                                tridiagonal_alpha1_deficiencies,
                                xi_sequence, xi_step, xi_uniqueness_check)
 from kadaryu.symmetric import specht_gram
 
+from oracles import solve_xi_by_cramer
+
 x = Polynomial.x()
 
 FAMILIES = [(0, (2,)), (0, (1, 1)), (1, (3,)), (1, (2, 1)), (1, (1, 1, 1))]
+
+# the labels the Cramer solve was first checked on
+CRAMER_LABELS = [(0, (2,), 4), (0, (1, 1), 4), (0, (2,), 5), (0, (1, 1), 5),
+                 (1, (3,), 5), (1, (2, 1), 5), (1, (1, 1, 1), 5), (2, (4,), 6),
+                 (2, (1, 1, 1, 1), 6), (2, (2, 2), 6),
+                 pytest.param(2, (3, 1), 6, marks=pytest.mark.slow)]
 
 
 def assert_proportional(got, want):
@@ -50,7 +59,8 @@ class TestExplicitSmallCases:
         assert_proportional(list(xi.coeffs), want)
         assert xi.D == (x - 2) * (x + 1)
 
-    @pytest.mark.parametrize("l,lam", FAMILIES + [(2, (4,)), (2, (2, 2))])
+    @pytest.mark.parametrize("l,lam", FAMILIES + [(2, (4,)), (2, (2, 2)), (2, (3, 1)),
+                                                  (3, (5,)), (3, (1, 1, 1, 1, 1))])
     def test_defining_system(self, l, lam):
         """Gram . xi = D * v exactly in Q[a], v the first Specht Gram column
         on the last-cup rows; xi is primitive and D monic."""
@@ -68,6 +78,46 @@ class TestExplicitSmallCases:
         content, _prim = poly_content_removed(list(xi.coeffs))
         assert content == Polynomial.one()
         assert xi.D.is_monic()
+
+    @pytest.mark.parametrize("l,lam,n", CRAMER_LABELS)
+    def test_adjugate_matches_cramer(self, l, lam, n):
+        assert solve_xi(l, lam, n) == solve_xi_by_cramer(l, lam, n)
+
+    def test_one_determinant_per_module(self, monkeypatch):
+        """A fresh label costs det_poly once, for det_monic, and the Gram
+        instance keeps that determinant."""
+        calls = []
+        det_poly = gram.det_poly
+
+        def spy(m):
+            calls.append(m.rows)
+            return det_poly(m)
+
+        label = ModuleLabel(1, 5, 3, (2, 1))
+        fresh = GramInstance(label)
+        monkeypatch.setattr(gram, "det_poly", spy)
+        monkeypatch.setattr(morphisms, "gram_matrix", lambda lab: fresh)
+        xi = solve_xi.__wrapped__(1, (2, 1), 5)
+        assert calls == [fresh.dim]
+        assert fresh.det_monic.is_monic()
+        assert calls == [fresh.dim], "det_monic is kept on the instance"
+        assert xi == solve_xi(1, (2, 1), 5)
+        assert not hasattr(morphisms, "det_poly")
+
+    @pytest.mark.parametrize("break_it,msg", [
+        (lambda inst: setattr(inst, "_det", inst.det_monic + 1), "Cayley-Hamilton"),
+        (lambda inst: inst.matrix.entries[0].__setitem__(0, x * x), "degree > 1"),
+        (lambda inst: inst.matrix.entries.__setitem__(
+            0, [Polynomial.const(p(0)) for p in inst.matrix.entries[0]]), "singular"),
+    ])
+    def test_internal_checks_raise(self, monkeypatch, break_it, msg):
+        """A wrong characteristic polynomial, a quadratic entry or singular
+        top coefficients each end in RuntimeError, never in a wrong xi."""
+        fresh = GramInstance(ModuleLabel(0, 4, 2, (2,)))
+        break_it(fresh)
+        monkeypatch.setattr(morphisms, "gram_matrix", lambda lab: fresh)
+        with pytest.raises(RuntimeError, match=msg):
+            solve_xi.__wrapped__(0, (2,), 4)
 
     def test_coeff_accessor(self):
         xi = solve_xi(0, (2,), 5)
@@ -112,6 +162,25 @@ class TestRecursion:
         rep = divisibility_check(2, lam, n)
         assert rep["status"] == "pass", rep
         assert "step-matches-solve" in [c["id"] for c in rep["claims"]]
+
+    @pytest.mark.parametrize("lam,n", [
+        ((5,), 9), ((1, 1, 1, 1, 1), 9),
+        *(pytest.param(lam, 8, marks=pytest.mark.slow)
+          for lam in [(4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)])])
+    def test_divisibility_l3(self, lam, n):
+        rep = divisibility_check(3, lam, n)
+        assert rep["status"] == "pass", rep
+        assert f"series-divides-D-n{n}" in [c["id"] for c in rep["claims"]]
+
+    def test_rank_below_anchor_refused(self):
+        """Below rank l+4 there is no xi; the sequence must not fall back
+        to the anchor rank and report on it."""
+        with pytest.raises(ValueError, match="rank must be at least l\\+4"):
+            xi_sequence(0, (2,), 3)
+        with pytest.raises(ValueError):
+            divisibility_check(0, (2,), 3)
+        with pytest.raises(ValueError):
+            projector_fixes_xi(0, (2,), 2)
 
 
 class TestStructure:
