@@ -209,6 +209,64 @@ def flip(p: PairPartition) -> PairPartition:
     return PairPartition(p.n_bottom, p.n_top, [(-a, -b) for a, b in p.pairs])
 
 
+def pairing_table(half) -> list[list]:
+    """(loops, image) for flip(u) stacked on v, for every pair of half
+    diagrams u, v in B(n, p): the closed loops, and image[i-1] = the bottom
+    point the composite joins to top i; None when the composite has fewer
+    than p propagating lines.
+
+    Each half diagram becomes a flat partner array over its top points (the
+    other top point of a cup, or -slot for a propagating line), and each
+    line is walked through the n glued points: down from a slot of u,
+    across a cup of v and back along a cup of u until it reaches a slot of
+    v, or a slot of u, which leaves the composite short of p lines.  The
+    glued points no line visits close into loops.
+    """
+    if not half:
+        return []
+    n = half[0].n_top
+    partners, slots = [], []
+    for u in half:
+        partner = [0] * (n + 1)
+        slot_top = [0] * u.n_bottom
+        for a, b in u.pairs:
+            if a < 0:
+                partner[b] = a
+                slot_top[-a - 1] = b
+            else:
+                partner[a], partner[b] = b, a
+        partners.append(partner)
+        slots.append(slot_top)
+    return [[_stack(pu, su, pv, n) for pv in partners] for pu, su in zip(partners, slots)]
+
+
+def _stack(pu: list[int], slots_u: list[int], pv: list[int], n: int):
+    """pairing_table's entry for the partner arrays pu, pv and the slot
+    tops of u."""
+    seen = [False] * (n + 1)
+    image = []
+    for t in slots_u:
+        while True:
+            seen[t] = True
+            q = pv[t]
+            if q < 0:
+                image.append(-q)
+                break
+            seen[q] = True
+            t = pu[q]
+            if t < 0:  # the line turns back up to a slot of u
+                return None
+    loops = 0
+    for t in range(1, n + 1):
+        if not seen[t]:
+            loops += 1
+            while not seen[t]:
+                q = pv[t]
+                seen[t] = seen[q] = True
+                t = pu[q]
+    return loops, tuple(image)
+
+
 # ---------------------------------------------------------------------------
 # bounded-height bases
 # ---------------------------------------------------------------------------

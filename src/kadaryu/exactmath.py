@@ -1,9 +1,16 @@
-"""Exact rational arithmetic: univariate polynomials, polynomial matrices,
-determinants and Smith invariants over Q[a].
+"""Exact rational arithmetic: univariate polynomials, polynomial matrices
+and determinants over Q[a].
 
-Determinants over Q[a] take one certified modular path, `det_poly`: the
+Products of polynomials are one big-integer product over the common
+denominator (Kronecker substitution), and gcds run the heuristic integer
+gcd on the primitive parts before Euclid's algorithm.
+
+Determinants over Q[a] have one certified modular core: the
 characteristic polynomial of one block companion matrix modulo a prime
-above twice the Hadamard bound, checked exactly at one point.
+above twice the Hadamard bound.  `det_monic_companion` takes a monic
+matrix polynomial straight to it; `det_poly` takes any square matrix
+there through its leading determinant and one solve, and checks the
+result exactly at one point.
 
 Linear algebra over a field has one protocol for Q and Q[a]/(m): a
 `QuotElem` takes +, -, * and == with ints and Fractions on either side,
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -132,15 +140,12 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return Polynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return Polynomial()
-        out = [Q(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
+        a, da = _integer_coeffs(self.coeffs)
+        b, db = _integer_coeffs(other.coeffs)
+        den = da * db
+        return Polynomial([Fraction(c, den) for c in _kronecker_mul(a, b)])
 
     __rmul__ = __mul__
 
@@ -237,14 +242,107 @@ class Polynomial:
         return Polynomial([Fraction(s) for s in d["coeffs"]])
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor of two polynomials over Q."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd undefined for two zero polynomials")
+def _integer_coeffs(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(numerators over the common denominator, that denominator)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two nonzero integer coefficient lists (lowest first) as
+    one big-integer product (Kronecker substitution).
+
+    Each list is packed in base 2^k with every digit offset by 2^(k-1),
+    which exceeds every product coefficient in absolute value; subtracting
+    the offsets gives the signed base-2^k expansion, so the product of the
+    packed integers plus the offsets has the product coefficients, offset,
+    as its digits.
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    size = bound.bit_length() // 8 + 1  # bytes per digit: 2^(8 size - 1) > bound
+    off = 1 << (8 * size - 1)
+    slot = bytes(size - 1) + b"\x80"  # one digit equal to the offset
+
+    def pack(cs):
+        return (int.from_bytes(b"".join((c + off).to_bytes(size, "little") for c in cs),
+                               "little") - int.from_bytes(slot * len(cs), "little"))
+
+    m = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b) + int.from_bytes(slot * m, "little")).to_bytes(m * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - off for i in range(0, m * size, size)]
+
+
+def _primitive(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """(q, c) with coeffs = c * q, q an integer coefficient list with
+    coprime entries and a positive last one."""
+    ints, den = _integer_coeffs(coeffs)
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [c // g for c in ints], Fraction(g, den)
+
+
+def _symmetric_digits(v: int, xi: int) -> list[int]:
+    """The base-xi digits of v in (-xi/2, xi/2], lowest first."""
+    out = []
+    while v:
+        r = v % xi
+        if r > xi // 2:
+            r -= xi
+        out.append(r)
+        v = (v - r) // xi
+    return out
+
+
+def _horner(cs: Sequence[int], x: int) -> int:
+    v = 0
+    for c in reversed(cs):
+        v = v * x + c
+    return v
+
+
+# Evaluation points the heuristic gcd tries before it falls back to Euclid.
+_GCDHEU_TRIES = 6
+
+
+def _gcd_heuristic(a: Polynomial, b: Polynomial):
+    """(g, a / g, b / g) for the monic gcd g of two polynomials of positive
+    degree, by the heuristic gcd of their primitive parts p, q (Char,
+    Geddes & Gonnet 1989; Geddes, Czapor & Labahn, *Algorithms for Computer
+    Algebra*, 7.7); None after _GCDHEU_TRIES evaluation points.
+
+    h = pp(digits of gcd(p(xi), q(xi))) is accepted only when h times the
+    digits of p(xi)/h(xi) is p, and likewise for q, exactly; with
+    xi >= 2 min(|p|, |q|) + 2 (max norms) an h that divides both is the gcd.
+    """
+    (p, cp), (q, cq) = _primitive(a.coeffs), _primitive(b.coeffs)
+    xi = 2 * min(max(map(abs, p)), max(map(abs, q))) + 29
+    for _ in range(_GCDHEU_TRIES):
+        vp, vq = _horner(p, xi), _horner(q, xi)
+        h, _c = _primitive(_symmetric_digits(math.gcd(vp, vq), xi))
+        vh = _horner(h, xi)
+        hp = _symmetric_digits(vp // vh, xi) if vp % vh == 0 else None
+        hq = _symmetric_digits(vq // vh, xi) if vq % vh == 0 else None
+        if hp and hq and _kronecker_mul(h, hp) == p and _kronecker_mul(h, hq) == q:
+            # a = cp p = (cp h[-1]) (h / h[-1]) hp, and likewise b
+            return (Polynomial(h).monic(), Polynomial([cp * h[-1] * c for c in hp]),
+                    Polynomial([cq * h[-1] * c for c in hq]))
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _gcd_euclid(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero():
         r = a % b
         a, b = b, (r.monic() if r else r)
     return a.monic()
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor of two polynomials over Q: the
+    heuristic gcd of the primitive parts, else Euclid's algorithm."""
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd undefined for two zero polynomials")
+    found = a.degree > 0 and b.degree > 0 and _gcd_heuristic(a, b)
+    return found[0] if found else _gcd_euclid(a, b)
 
 
 def poly_content_removed(vec: Sequence[Polynomial]) -> tuple[Polynomial, list[Polynomial]]:
@@ -346,9 +444,13 @@ class RationalFunction:
         if num.is_zero():
             self.num, self.den = Polynomial(), Polynomial.one()
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num.exact_div(g), den.exact_div(g)
+        found = num.degree > 0 and den.degree > 0 and _gcd_heuristic(num, den)
+        if found:
+            _g, num, den = found
+        else:
+            g = _gcd_euclid(num, den)
+            if g.degree > 0:
+                num, den = num.exact_div(g), den.exact_div(g)
         lc = den.lc
         self.num = num * (1 / lc)
         self.den = den * (1 / lc)
@@ -496,17 +598,13 @@ def _int_det_bareiss(m: list[list[int]]) -> int:
 
 
 def det_rational(m: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a matrix of Fractions via integer Bareiss."""
+    """Exact determinant of a matrix of Fractions or ints (both have a
+    numerator and a denominator) via integer Bareiss."""
     n = len(m)
     if n == 0:
         return Q(1)
-    den = 1
-    for row in m:
-        for c in row:
-            c = _frac(c)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    scaled = [[int(_frac(c) * den) for c in row] for row in m]
-    d = _int_det_bareiss(scaled)
+    den = math.lcm(*(c.denominator for row in m for c in row))
+    d = _int_det_bareiss([[c.numerator * (den // c.denominator) for c in row] for row in m])
     return Q(d, den ** n)
 
 
@@ -660,16 +758,43 @@ def _det_linearised_mod(entries: list[list[list[int]]], bound: int,
     x = _solve_mod(lead, [[p[k] % modulus if k < len(p) else 0 for k in ks for p in row]
                           for row in rows], modulus)
     del rows, lead  # the coefficient layers are not needed past this point
-    size = top * n
-    companion = [[0] * size for _ in range(size - n)]
-    for r, row in enumerate(companion):
-        row[r + n] = 1
-    companion += [[-v % modulus for v in row] for row in x]
+    companion = _block_companion([[-v % modulus for v in row] for row in x])
     del x
     coeffs = [lead_det * c % modulus for c in _charpoly_mod(companion, modulus)]
     if s is not None:
         coeffs = _taylor_mod(coeffs[::-1], -s, modulus)
     return coeffs
+
+
+def _block_companion(last: list[list[int]]) -> list[list[int]]:
+    """The block companion matrix [[0, I, .., 0], .., [0, .., 0, I], last]
+    whose last block row is `last` (n rows of t*n entries)."""
+    n, size = len(last), len(last[0])
+    rows = [[0] * size for _ in range(size - n)]
+    for r, row in enumerate(rows):
+        row[r + n] = 1
+    return rows + last
+
+
+def _lift_mod(hadamard_sq: int, floor: int, residues) -> list[int]:
+    """residues(N), lifted to symmetric residues, for the first odd base-2
+    Fermat probable prime N > max(2H, _MODULUS_FLOOR, floor) where it raises
+    no ValueError; H^2 = hadamard_sq bounds the square of every coefficient.
+
+    A composite N whose non-unit shows up in pow(x, -1, N) is skipped; one
+    that raises nothing gives residues exact in Z/N all the same.
+    """
+    modulus = max(math.isqrt(4 * hadamard_sq) + 1, _MODULUS_FLOOR, floor) | 1
+    while True:
+        if pow(2, modulus - 1, modulus) == 1:
+            try:
+                coeffs = residues(modulus)
+                break
+            except ValueError:
+                pass
+        modulus += 2
+    half = modulus // 2
+    return [c - modulus if c > half else c for c in coeffs]
 
 
 def det_poly(m: PolyMatrix) -> Polynomial:
@@ -678,19 +803,16 @@ def det_poly(m: PolyMatrix) -> Polynomial:
     Certified modular linearisation.  With L the lcm of all coefficient
     denominators, det M = det(L*M) / L^n, and every coefficient of det(L*M)
     is at most the Hadamard bound on |a| = 1,
-    H = prod_i sqrt(sum_j ||L*m_ij||_1^2).  For one odd modulus
-    N > max(2H, 2^61, bound + 1), the first probable prime above that,
-    det(L*M) mod N is the leading determinant times the characteristic
-    polynomial of one block companion matrix (`_det_linearised_mod`), and
-    is lifted to symmetric residues.  The expansion point is a = oo when
-    the matrix of top coefficients is invertible mod N, which is exact
-    because its det is the top coefficient of det(L*M), below N/2; every
-    Gram matrix qualifies, since each row has top degree = cups and the
-    top coefficients are the Specht Gram in blocks.  Otherwise it is the
-    first s = 0..bound where M(s) is invertible mod N.  A composite N whose
-    non-unit shows up in pow(x, -1, N) is skipped.  The result is then
-    checked exactly over Q at a = bound + 1; a mismatch raises
-    RuntimeError.
+    H = prod_i sqrt(sum_j ||L*m_ij||_1^2).  For one modulus
+    N > max(2H, 2^61, bound + 1) (`_lift_mod`), det(L*M) mod N is the
+    leading determinant times the characteristic polynomial of one block
+    companion matrix (`_det_linearised_mod`).  The expansion point is
+    a = oo when the matrix of top coefficients is invertible mod N, which
+    is exact because its det is the top coefficient of det(L*M), below
+    N/2.  Otherwise it is the first s = 0..bound where M(s) is invertible
+    mod N.  The result is then checked exactly over Q at the smallest
+    integer a >= 2 where it is nonzero (a = 2 for a zero result); a
+    mismatch raises RuntimeError.
     """
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
@@ -706,98 +828,44 @@ def det_poly(m: PolyMatrix) -> Polynomial:
     hadamard_sq = 1  # H^2, kept in integers
     for row in entries:
         hadamard_sq *= sum(sum(map(abs, p)) ** 2 for p in row)
-    modulus = max(math.isqrt(4 * hadamard_sq) + 1, _MODULUS_FLOOR, bound + 2) | 1
-    while True:
-        if pow(2, modulus - 1, modulus) == 1:  # Fermat probable prime
-            try:
-                coeffs = _det_linearised_mod(entries, bound, modulus)
-                break
-            except ValueError:
-                pass  # a non-unit mod a composite modulus: take the next one
-        modulus += 2
-    half = modulus // 2
+    coeffs = _lift_mod(hadamard_sq, bound + 2,
+                       lambda modulus: _det_linearised_mod(entries, bound, modulus))
     scale = den ** n
-    det = Polynomial([Fraction(c - modulus if c > half else c, scale) for c in coeffs])
-    x = Q(bound + 1)
-    if det(x) != det_rational(m.evaluate(x)):
+    det = Polynomial([Fraction(c, scale) for c in coeffs])
+    x = next(x for x in count(2) if det(x)) if det else 2
+    if det(x) != det_rational(m.evaluate(Q(x))):
         raise RuntimeError(f"determinant check failed at a = {x}")
     return det
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form over Q[a]
-# ---------------------------------------------------------------------------
+def det_monic_companion(tail: list[list[int]], den: int) -> Polynomial:
+    """det(x^t I + (B_0 + B_1 x + .. + B_{t-1} x^{t-1}) / den), a monic
+    matrix polynomial given by its integer n x n blocks side by side,
+    tail = [B_0 | .. | B_{t-1}] (n rows of t*n entries).
 
-def smith_invariants(m: PolyMatrix) -> list[Polynomial]:
-    """Invariant factors of a square polynomial matrix, ascending divisibility.
-
-    Each factor is monic (or zero); the product equals det up to a rational
-    scalar.
+    It is the characteristic polynomial of the block companion matrix with
+    last block row -tail / den (Gohberg, Lancaster & Rodman, *Matrix
+    Polynomials*, ch. 1), taken mod one N above twice the Hadamard bound of
+    den*x^t I + B(x) on |x| = 1 (`_lift_mod`), whose det is den^n times
+    this one: no leading determinant and no solve.
     """
-    if not m.is_square():
-        raise ValueError("Smith form of a non-square matrix")
-    n = m.rows
-    a = [[p for p in row] for row in m.entries]
-    invariants: list[Polynomial] = []
+    n = len(tail)
+    if not n or not tail[0]:
+        return Polynomial.one()
+    hadamard_sq = 1
+    for r, row in enumerate(tail):
+        norms = [sum(map(abs, row[j::n])) for j in range(n)]
+        norms[r] += den
+        hadamard_sq *= sum(v * v for v in norms)
 
-    def min_entry(k):
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if not a[i][j].is_zero():
-                    if best is None or a[i][j].degree < a[best[0]][best[1]].degree:
-                        best = (i, j)
-        return best
+    def residues(modulus):
+        inv = -pow(den, -1, modulus)
+        companion = _block_companion([[v * inv % modulus for v in row] for row in tail])
+        scale = pow(den, n, modulus)
+        return [c * scale % modulus for c in _charpoly_mod(companion, modulus)]
 
-    for k in range(n):
-        pos = min_entry(k)
-        if pos is None:
-            invariants.extend([Polynomial()] * (n - k))
-            break
-        while True:
-            i0, j0 = min_entry(k)
-            a[k], a[i0] = a[i0], a[k]
-            for row in a:
-                row[k], row[j0] = row[j0], row[k]
-            pivot = a[k][k]
-            dirty = False
-            for i in range(k + 1, n):
-                if a[i][k].is_zero():
-                    continue
-                q = a[i][k] // pivot
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - q * a[k][j]
-                if not a[i][k].is_zero():
-                    dirty = True
-            for j in range(k + 1, n):
-                if a[k][j].is_zero():
-                    continue
-                q = a[k][j] // pivot
-                for i in range(k, n):
-                    a[i][j] = a[i][j] - q * a[i][k]
-                if not a[k][j].is_zero():
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry
-            offender = None
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if not a[i][j].is_zero() and not (a[i][j] % pivot).is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(k, n):
-                a[k][j] = a[k][j] + a[offender][j]
-        invariants.append(a[k][k].monic())
-        for j in range(k + 1, n):
-            a[k][j] = Polynomial()
-        for i in range(k + 1, n):
-            a[i][k] = Polynomial()
-    return invariants
+    scale = den ** n
+    return Polynomial([Fraction(c, scale) for c in _lift_mod(hadamard_sq, 0, residues)])
 
 
 # ---------------------------------------------------------------------------

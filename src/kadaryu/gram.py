@@ -12,26 +12,34 @@ diagrammatically:
 where flip(u) stacked on v leaves d closed loops and the residual
 permutation sigma (which must fix the strands beyond r; anything else is a
 closure bug, not data).  Terms with fewer than p propagating lines die in
-the cell quotient and contribute 0.  Each sigma-table
-<x_i c, sigma x_j c> is read off the coefficients of the Young idempotent
-(symmetric.specht_pairing).
+the cell quotient and contribute 0.  The (d, sigma) of every pair of half
+diagrams come from one pairing table (diagrams.pairing_table), and each
+sigma-table <x_i c, sigma x_j c> is read off the coefficients of the Young
+idempotent (symmetric.specht_pairing).
 
 Determinants are reported monic: the form is only defined up to a global
-scalar, and monic normalisation is the canonical representative.
+scalar, and monic normalisation is the canonical representative.  Since
+<x_i c, sigma x_j c> = (S A(sigma))[i][j], S the Specht Gram and A(sigma)
+the action of sigma on the Specht basis, the monic determinant is that of
+a monic matrix polynomial in a whose blocks are the A(sigma): one integer
+block companion characteristic polynomial (GramInstance.det_monic).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
-from .exactmath import (Polynomial, PolyMatrix, Q, det_poly, poly_gcd,
-                        poly_nth_root)
+from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion, det_poly,
+                        det_rational, poly_gcd, poly_nth_root)
 from .cheby import ChebSeries, ramping_check
-from .diagrams import (PairPartition, compose, flip, half_basis,
-                       half_normalize, one_cup_basis, one_cup_index)
+from .diagrams import (PairPartition, compose, half_basis, half_normalize,
+                       one_cup_basis, one_cup_index, pairing_table)
 from .symmetric import (Permutation, hook_dimension, is_partition,
-                        left_action_matrix, specht_frame, specht_pairing)
+                        left_action_matrix, specht_frame, specht_gram,
+                        specht_pairing)
 
 
 @dataclass(frozen=True)
@@ -66,26 +74,13 @@ class ModuleLabel:
 # Gram instances
 # ---------------------------------------------------------------------------
 
-def _pair_halves(u: PairPartition, v: PairPartition, p: int, r: int):
-    """(loops, sigma) for the form between half diagrams u, v; None if the
-    composite drops below p propagating lines."""
-    w, loops = compose(flip(u), v)
-    if w.propagating_count() < p:
-        return None
-    perm = Permutation(w.as_permutation_image())
-    if not perm.fixes_from(r + 1):
-        raise RuntimeError(
-            f"residual permutation {perm.image} moves a strand beyond {r}: "
-            "height-closure violation")
-    return loops, perm.restrict(r)
-
-
 class GramInstance:
     """Matrix of the contravariant form for one module label.
 
     Basis order: Specht index outermost, half diagrams in their canonical
     order within each block (for one-cup modules this is the (j,k) cup
-    order).
+    order).  The matrix and the determinant are both read off one pairing
+    table, (loops, sigma) per pair of half diagrams.
     """
 
     def __init__(self, label: ModuleLabel):
@@ -96,6 +91,7 @@ class GramInstance:
             self.half = half_basis(label.l, label.n, label.p)
         self.d = hook_dimension(label.lam)
         self.basis = [(i, u) for i in range(self.d) for u in self.half]
+        self._table: list[list] | None = None
         self._matrix: PolyMatrix | None = None
         self._det: Polynomial | None = None
 
@@ -104,47 +100,107 @@ class GramInstance:
         return len(self.basis)
 
     @property
+    def table(self) -> list[list]:
+        """table[a][b] = (loops, sigma) for flip(half[a]) stacked on half[b],
+        sigma the residual permutation restricted to 1..r; None when the
+        composite drops below p propagating lines."""
+        if self._table is None:
+            r = self.label.r
+            perms: dict[tuple[int, ...], Permutation] = {}
+
+            def entry(pair):
+                if pair is None:
+                    return None
+                loops, image = pair
+                if image not in perms:
+                    perm = Permutation(image)
+                    if not perm.fixes_from(r + 1):
+                        raise RuntimeError(
+                            f"residual permutation {image} moves a strand beyond {r}: "
+                            "height-closure violation")
+                    perms[image] = perm.restrict(r)
+                return loops, perms[image]
+
+            self._table = [[entry(pair) for pair in row] for row in pairing_table(self.half)]
+        return self._table
+
+    @property
     def matrix(self) -> PolyMatrix:
         if self._matrix is None:
             self._matrix = self._build()
         return self._matrix
 
     def _build(self) -> PolyMatrix:
-        lab = self.label
         nhalf = len(self.half)
-        pair_data = [[None] * nhalf for _ in range(nhalf)]
-        for a, u in enumerate(self.half):
-            for b in range(a, nhalf):
-                pair_data[a][b] = _pair_halves(u, self.half[b], lab.p, lab.r)
         zero = Polynomial()
-        size = self.dim
-        rows = [[zero] * size for _ in range(size)]
-        for a in range(nhalf):
-            for b in range(a, nhalf):
-                pd = pair_data[a][b]
-                if pd is None:
-                    continue
-                loops, sigma = pd
-                table = specht_pairing(lab.lam, sigma)
-                for i in range(self.d):
-                    for j in range(self.d):
-                        val = table[i][j]
-                        if not val:
-                            continue
-                        poly = Polynomial.monomial(val, loops)
-                        rows[i * nhalf + a][j * nhalf + b] = poly
-                        if a != b:
-                            # <v b_j, u b_i> = transpose entry
-                            rows[j * nhalf + b][i * nhalf + a] = poly
+        rows = [[zero] * self.dim for _ in range(self.dim)]
+        for a, b, loops, sigma in self._pairs():
+            for i, values in enumerate(specht_pairing(self.label.lam, sigma)):
+                row = rows[i * nhalf + a]
+                for j, val in enumerate(values):
+                    if val:
+                        row[j * nhalf + b] = Polynomial.monomial(val, loops)
         return PolyMatrix(rows)
+
+    def _pairs(self):
+        """(a, b, loops, sigma) for every pair of half diagrams whose
+        composite keeps p propagating lines."""
+        for a, pairs in enumerate(self.table):
+            for b, pair in enumerate(pairs):
+                if pair is not None:
+                    yield (a, b, *pair)
+
+    def _blocks(self, matrix_of) -> tuple[dict, int]:
+        """({sigma: den * matrix_of(lam, sigma)}, den) over the sigmas of the
+        table, den the lcm of the denominators."""
+        sigmas = {pair[3] for pair in self._pairs()}
+        mats = {sigma: matrix_of(self.label.lam, sigma) for sigma in sigmas}
+        den = math.lcm(*(v.denominator for m in mats.values() for row in m for v in row))
+        return {sigma: [[v.numerator * (den // v.denominator) for v in row] for row in m]
+                for sigma, m in mats.items()}, den
 
     @property
     def det_monic(self) -> Polynomial:
+        """The Gram determinant divided by det(S)^h, S the Specht Gram and h
+        the number of half diagrams.
+
+        <u b_i, v b_j> = a^loops (S A(sigma))[i][j], A(sigma) the matrix of
+        sigma on the Specht basis (symmetric.left_action_matrix), so
+        G = (S (x) I) A~ with A~ = sum_k B_k a^k.  Only u = v closes every
+        cup, with sigma = e, so the top block B_cups is I and det_monic is
+        det A~, one block companion characteristic polynomial
+        (exactmath.det_monic_companion) with no Fraction matrix.  It is
+        checked exactly against det G = det(S)^h det A~ at the smallest
+        integer a >= 2 where det A~ is nonzero.
+        """
         if self._det is None:
-            d = det_poly(self.matrix)
-            if d.is_zero():
-                raise RuntimeError(f"identically singular Gram matrix for {self.label}")
-            self._det = d.monic()
+            lab = self.label
+            nhalf, dim, cups = len(self.half), self.dim, lab.cups
+            action, den = self._blocks(left_action_matrix)
+            tail = [[0] * (cups * dim) for _ in range(dim)]
+            for a, b, loops, sigma in self._pairs():
+                if loops == cups:
+                    if a != b or sigma != Permutation.identity(lab.r):
+                        raise RuntimeError(f"half diagrams {a} != {b} close every cup for {lab}")
+                    continue
+                for k, values in enumerate(action[sigma]):
+                    row = tail[k * nhalf + a]
+                    for j, val in enumerate(values):
+                        row[loops * dim + j * nhalf + b] = val
+            det = det_monic_companion(tail, den)
+            x = next(x for x in count(2) if det(x))
+            pairing, den_m = self._blocks(specht_pairing)
+            at_x = [[0] * dim for _ in range(dim)]  # den_m G(x)
+            for a, b, loops, sigma in self._pairs():
+                power = x ** loops
+                for i, values in enumerate(pairing[sigma]):
+                    row = at_x[i * nhalf + a]
+                    for j, val in enumerate(values):
+                        row[j * nhalf + b] = val * power
+            specht = det_rational(specht_gram(lab.lam)) ** nhalf
+            if det_rational(at_x) != den_m ** dim * specht * det(x):
+                raise RuntimeError(f"Gram determinant check failed at a = {x} for {lab}")
+            self._det = det
         return self._det
 
 

@@ -11,13 +11,13 @@ Chebyshev counterpart 𝒞 built from the one-cup series of the arm labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .cheby import quantum_number
-from .exactmath import Polynomial, Q, RationalFunction
+from .exactmath import Polynomial, RationalFunction
 from .gram import ModuleLabel, factor_one_cup, gram_det
-from .symmetric import hook_dimension, partitions
+from .symmetric import partitions
 
 Vertex = tuple[int, tuple[int, ...]]
 

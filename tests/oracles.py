@@ -1,10 +1,12 @@
 """Slow reference implementations that the package's fast paths are tested
-against: determinants over Q[a] by evaluation/interpolation, fraction-free
-Bareiss and cofactor expansion, the Brauer diagram basis by brute force,
-Sturm counts from the chain of remainders over Q, cos bounds from the
-exact Taylor sum, the Specht basis by elimination over r!-long coordinate
-vectors, the Specht data from products in the group algebra, and the
-bootstrap vector by Cramer's rule.
+against: polynomial products term by term and gcds by Euclid's algorithm
+over Q, determinants over Q[a] by evaluation/interpolation, fraction-free
+Bareiss and cofactor expansion, Smith invariants over Q[a], the Brauer
+diagram basis by brute force, the pairing of half diagrams by composing
+diagrams, Sturm counts from the chain of remainders over Q, cos bounds
+from the exact Taylor sum, the Specht basis by elimination over r!-long
+coordinate vectors, the Specht data from products in the group algebra,
+and the bootstrap vector by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from kadaryu.diagrams import PairPartition
+from kadaryu.diagrams import PairPartition, compose, flip
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_poly, det_rational,
                                field_row_echelon, poly_content_removed,
                                poly_squarefree_part)
@@ -23,6 +25,24 @@ from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                _row_group, all_permutations, hook_dimension,
                                sorted_by_length, specht_basis, specht_gram,
                                young_idempotent)
+
+
+def poly_mul_schoolbook(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The product term by term over Q."""
+    if a.is_zero() or b.is_zero():
+        return Polynomial()
+    out = [Q(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            out[i + j] += ca * cb
+    return Polynomial(out)
+
+
+def poly_gcd_euclid(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by Euclid's algorithm over Q."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
 
 
 def _det_mod(rows: list[list[int]], modulus: int) -> int:
@@ -142,6 +162,92 @@ def det_cofactor(m: PolyMatrix) -> Polynomial:
         return out
 
     return rec([list(r) for r in m.entries])
+
+
+def smith_invariants(m: PolyMatrix) -> list[Polynomial]:
+    """Invariant factors of a square polynomial matrix, ascending divisibility.
+
+    Each factor is monic (or zero); the product equals det up to a rational
+    scalar.
+    """
+    if not m.is_square():
+        raise ValueError("Smith form of a non-square matrix")
+    n = m.rows
+    a = [[p for p in row] for row in m.entries]
+    invariants: list[Polynomial] = []
+
+    def min_entry(k):
+        best = None
+        for i in range(k, n):
+            for j in range(k, n):
+                if not a[i][j].is_zero():
+                    if best is None or a[i][j].degree < a[best[0]][best[1]].degree:
+                        best = (i, j)
+        return best
+
+    for k in range(n):
+        pos = min_entry(k)
+        if pos is None:
+            invariants.extend([Polynomial()] * (n - k))
+            break
+        while True:
+            i0, j0 = min_entry(k)
+            a[k], a[i0] = a[i0], a[k]
+            for row in a:
+                row[k], row[j0] = row[j0], row[k]
+            pivot = a[k][k]
+            dirty = False
+            for i in range(k + 1, n):
+                if a[i][k].is_zero():
+                    continue
+                q = a[i][k] // pivot
+                for j in range(k, n):
+                    a[i][j] = a[i][j] - q * a[k][j]
+                if not a[i][k].is_zero():
+                    dirty = True
+            for j in range(k + 1, n):
+                if a[k][j].is_zero():
+                    continue
+                q = a[k][j] // pivot
+                for i in range(k, n):
+                    a[i][j] = a[i][j] - q * a[i][k]
+                if not a[k][j].is_zero():
+                    dirty = True
+            if dirty:
+                continue
+            # pivot must divide every remaining entry
+            offender = None
+            for i in range(k + 1, n):
+                for j in range(k + 1, n):
+                    if not a[i][j].is_zero() and not (a[i][j] % pivot).is_zero():
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            for j in range(k, n):
+                a[k][j] = a[k][j] + a[offender][j]
+        invariants.append(a[k][k].monic())
+        for j in range(k + 1, n):
+            a[k][j] = Polynomial()
+        for i in range(k + 1, n):
+            a[i][k] = Polynomial()
+    return invariants
+
+
+def pair_halves(u: PairPartition, v: PairPartition, p: int, r: int):
+    """(loops, sigma) for the form between half diagrams u, v, by composing
+    flip(u) with v; None if the composite drops below p propagating lines."""
+    w, loops = compose(flip(u), v)
+    if w.propagating_count() < p:
+        return None
+    perm = Permutation(w.as_permutation_image())
+    if not perm.fixes_from(r + 1):
+        raise RuntimeError(
+            f"residual permutation {perm.image} moves a strand beyond {r}: "
+            "height-closure violation")
+    return loops, perm.restrict(r)
 
 
 def brauer_basis(n: int, m: int) -> list[PairPartition]:

@@ -8,18 +8,39 @@ from hypothesis import strategies as st
 
 from kadaryu import exactmath
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotElem,
-                               RationalFunction, det_poly, det_rational,
+                               RationalFunction, det_monic_companion, det_poly,
+                               det_rational,
                                field_kernel, field_rank, field_row_echelon,
                                poly_content_removed, poly_gcd, poly_nth_root,
-                               poly_squarefree_part, smith_invariants,
+                               poly_squarefree_part,
                                yun_squarefree_decomposition)
 from kadaryu.gram import ModuleLabel, gram_matrix, gram_mixed
 
-from oracles import det_cofactor, det_interpolate, det_poly_bareiss
+from oracles import (det_cofactor, det_interpolate, det_poly_bareiss,
+                     poly_gcd_euclid, poly_mul_schoolbook, smith_invariants)
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
 polys = st.lists(rationals, max_size=6).map(Polynomial)
 small_polys = st.lists(st.integers(-5, 5), max_size=4).map(Polynomial)
+wide_polys = st.lists(st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 20)),
+                      max_size=12).map(Polynomial)
+
+
+@st.composite
+def gcd_inputs(draw):
+    """Pairs that are not both zero: plain, sharing a factor, one of them
+    zero or constant, negated and non-monic."""
+    a, b, g = draw(polys), draw(polys), draw(polys.filter(bool))
+    shape = draw(st.sampled_from(["plain", "shared", "zero", "constant", "negated"]))
+    if shape == "shared":
+        a, b = a * g, b * g
+    elif shape == "zero":
+        a = Polynomial()
+    elif shape == "constant":
+        a = Polynomial.const(draw(rationals.filter(bool)))
+    elif shape == "negated":
+        a, b = -(a * g * g), b * g * Polynomial([-3, 0, 5])
+    return (a, b) if a or b else (a, g)
 
 
 class TestPolynomial:
@@ -37,6 +58,16 @@ class TestPolynomial:
     @given(polys, polys)
     def test_mul_commutes(self, p, q):
         assert p * q == q * p
+
+    @given(polys | wide_polys, polys | wide_polys)
+    def test_mul_matches_schoolbook(self, p, q):
+        assert p * q == poly_mul_schoolbook(p, q)
+
+    @pytest.mark.parametrize("a,b", [([127], [1]), ([-128], [1]), ([255, -255], [255, 255]),
+                                     ([1, 0, 0, -1], [2 ** 64 - 1]), ([0, 1], [0, 0, -1])])
+    def test_mul_at_digit_boundaries(self, a, b):
+        p, q = Polynomial(a), Polynomial(b)
+        assert p * q == poly_mul_schoolbook(p, q)
 
     @given(polys, polys, polys)
     def test_mul_distributes(self, p, q, r):
@@ -86,6 +117,43 @@ class TestGcd:
         for p in (a, b):
             if not p.is_zero():
                 assert (p % g).is_zero()
+
+    @given(gcd_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_euclid(self, ab):
+        a, b = ab
+        g = poly_gcd_euclid(a, b)
+        assert poly_gcd(a, b) == poly_gcd(b, a) == g
+
+    @given(gcd_inputs())
+    @settings(deadline=None)
+    def test_forced_fallback(self, ab):
+        """With no evaluation point to try, every gcd of two nonconstant
+        polynomials comes from Euclid's algorithm."""
+        a, b = ab
+        calls = []
+        euclid = exactmath._gcd_euclid
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactmath, "_GCDHEU_TRIES", 0)
+            mp.setattr(exactmath, "_gcd_euclid", lambda p, q: calls.append(1) or euclid(p, q))
+            assert poly_gcd(a, b) == poly_gcd_euclid(a, b)
+        assert calls == [1]
+
+    @given(gcd_inputs())
+    @settings(deadline=None)
+    def test_rational_function_is_reduced(self, ab):
+        a, b = ab
+        if b.is_zero():
+            a, b = b, a
+        g = poly_gcd_euclid(a, b)
+        r = RationalFunction(a, b)
+        lc = b.exact_div(g).lc
+        assert (r.num, r.den) == ((a.exact_div(g) * (1 / lc), b.exact_div(g).monic())
+                                  if a else (Polynomial(), Polynomial.one()))
+
+    def test_two_zeros(self):
+        with pytest.raises(ValueError):
+            poly_gcd(Polynomial(), Polynomial())
 
     def test_content_removed(self):
         x = Polynomial.x()
@@ -156,6 +224,14 @@ def linearisation_matrices(draw):
     elif shape == "zero det" and n > 1:
         rows[-1] = [p * draw(nonzero) for p in rows[0]]
     return PolyMatrix(rows)
+
+
+@st.composite
+def monic_matrix_polys(draw):
+    """(tail, den) for x^t I + (B_0 + .. + B_{t-1} x^{t-1}) / den, t = 0..3."""
+    n, t = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    tail = [[draw(st.integers(-6, 6)) for _ in range(t * n)] for _ in range(n)]
+    return tail, draw(st.integers(1, 6))
 
 
 SYLVESTER_H4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
@@ -241,6 +317,37 @@ class TestDeterminants:
         monkeypatch.setattr(exactmath, "_charpoly_mod", corrupt)
         with pytest.raises(RuntimeError, match="determinant check failed"):
             det_poly(m)
+
+    def test_check_point_is_the_first_nonzero_from_two(self, monkeypatch):
+        x = Polynomial.x()
+        zero = Polynomial()
+        m = PolyMatrix([[x - 2, zero], [zero, (x - 3) * (x - 4)]])
+        points = []
+        evaluate = PolyMatrix.evaluate
+        monkeypatch.setattr(PolyMatrix, "evaluate",
+                            lambda self, a: points.append(a) or evaluate(self, a))
+        assert det_poly(m) == (x - 2) * (x - 3) * (x - 4)
+        assert points == [5]
+
+    def test_too_small_degree_bound_raises(self, monkeypatch):
+        # top coefficients singular and the matrix singular at a = 0, 1: with
+        # a degree bound of 1 no expansion point is left, and the zero
+        # result fails the check at a = 2
+        x = Polynomial.x()
+        m = PolyMatrix([[x * (x - 1), Polynomial()], [Polynomial(), Polynomial.one()]])
+        monkeypatch.setattr(PolyMatrix, "degree_bound", lambda self: 1)
+        with pytest.raises(RuntimeError, match="determinant check failed"):
+            det_poly(m)
+
+    @given(monic_matrix_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_companion_matches_det_poly(self, case):
+        tail, den = case
+        n = len(tail)
+        t = len(tail[0]) // n
+        rows = [[Polynomial([Fraction(tail[i][k * n + j], den) for k in range(t)]
+                            + [int(i == j)]) for j in range(n)] for i in range(n)]
+        assert det_monic_companion(tail, den) == det_poly(PolyMatrix(rows))
 
     def test_rational_det(self):
         m = [[Q(1, 2), Q(1)], [Q(1), Q(3)]]

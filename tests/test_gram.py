@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from kadaryu import gram
 from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
 from kadaryu.diagrams import s_gen
-from kadaryu.exactmath import Polynomial, Q
-from kadaryu.gram import (ModuleLabel, action_matrix, factor_one_cup,
-                          gram_det_lnp, gram_matrix, gram_mixed_det,
-                          one_cup_det, one_cup_series)
+from kadaryu.exactmath import Polynomial, PolyMatrix, Q, det_poly
+from kadaryu.gram import (GramInstance, ModuleLabel, action_matrix,
+                          factor_one_cup, gram_det_lnp, gram_matrix,
+                          gram_mixed_det, one_cup_det, one_cup_series)
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
-                               all_permutations, hook_dimension, partitions,
-                               specht_frame, specht_gram, specht_pairing,
-                               young_idempotent)
-from oracles import sandwich_sigma_table
+                               all_permutations, hook_dimension,
+                               left_action_matrix, partitions, specht_frame,
+                               specht_gram, specht_pairing, young_idempotent)
+from kadaryu.rollet import dimension
+from oracles import pair_halves, sandwich_sigma_table
 
 x = Polynomial.x()
 
@@ -224,3 +226,93 @@ def test_assembly_multiplies_only_inside_young_idempotent(monkeypatch):
     monkeypatch.setattr(GroupAlgebraElement, "__mul__", spy)
     gram_matrix.__wrapped__(ModuleLabel(2, 6, 4, (3, 1))).matrix
     assert callers and all(callers)
+
+
+def labels(ls, ns, max_dim=None):
+    """Every module label at heights ls and ranks ns (p = n and n = 0
+    included), up to dimension max_dim."""
+    out = [ModuleLabel(l, n, p, lam) for l in ls for n in ns
+           for p in range(n % 2, n + 1, 2) for lam in partitions(min(p, l + 2))]
+    return [lab for lab in out
+            if max_dim is None or dimension(lab.l, lab.n, (lab.p, lab.lam)) <= max_dim]
+
+
+class TestPairingTable:
+    @pytest.mark.parametrize("n", [*range(8), pytest.param(8, marks=pytest.mark.slow)])
+    def test_matches_composition(self, n):
+        """(loops, sigma) for every pair of half diagrams at l = -1..3 equals
+        the pairing read off compose(flip(u), v); the table depends on lam
+        only through r."""
+        for l in range(-1, 4):
+            for p in range(n % 2, n + 1, 2):
+                label = ModuleLabel(l, n, p, partitions(min(p, l + 2))[0])
+                inst = GramInstance(label)
+                assert inst.table == [[pair_halves(u, v, p, label.r) for v in inst.half]
+                                      for u in inst.half], label
+
+
+# labels the other tests and the workloads reach beyond rank 6
+REACHED = [*(ModuleLabel(3, 7, 5, lam) for lam in partitions(5)),
+           ModuleLabel(-1, 8, 0, ()), ModuleLabel(-1, 8, 2, (1,)),
+           ModuleLabel(-1, 9, 1, (1,)), ModuleLabel(0, 7, 3, (2,)),
+           ModuleLabel(3, 8, 6, (5,)), ModuleLabel(4, 8, 6, (6,)),
+           ModuleLabel(4, 8, 6, (1,) * 6), ModuleLabel(4, 9, 7, (6,))]
+
+
+class TestDetMonic:
+    @pytest.mark.parametrize("label", labels(range(-1, 4), range(7)) + REACHED,
+                             ids=lambda lab: lab.key())
+    def test_matches_det_poly(self, label):
+        inst = GramInstance(label)
+        assert inst.det_monic == det_poly(inst.matrix).monic()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("label", labels(range(-1, 4), (7, 8), max_dim=100),
+                             ids=lambda lab: lab.key())
+    def test_matches_det_poly_slow(self, label):
+        inst = GramInstance(label)
+        assert inst.det_monic == det_poly(inst.matrix).monic()
+
+    @pytest.mark.parametrize("label", [ModuleLabel(1, 5, 3, (2, 1)),
+                                       ModuleLabel(2, 6, 4, (3, 1)),
+                                       pytest.param(ModuleLabel(1, 7, 3, (2, 1)),
+                                                    marks=pytest.mark.slow)])
+    def test_denominators_are_cleared(self, monkeypatch, label):
+        """No A(sigma) at r <= 6 has a denominator, so conjugate every one by
+        D = diag(2, 1, .., 1): the blocks of A~ then carry halves, the
+        determinant is unchanged, and the companion sees L = 2."""
+        want = GramInstance(label).det_monic
+        d = hook_dimension(label.lam)
+        scale = [Q(2)] + [Q(1)] * (d - 1)
+
+        def conjugated(lam, sigma):
+            a = left_action_matrix(lam, sigma)
+            return tuple(tuple(a[i][j] * scale[j] / scale[i] for j in range(d))
+                         for i in range(d))
+
+        dens = []
+        core = gram.det_monic_companion
+
+        def spy(tail, den):
+            dens.append(den)
+            return core(tail, den)
+
+        monkeypatch.setattr(gram, "left_action_matrix", conjugated)
+        monkeypatch.setattr(gram, "det_monic_companion", spy)
+        assert GramInstance(label).det_monic == want
+        assert dens == [2]
+
+    def test_failed_check_raises(self, monkeypatch):
+        core = gram.det_monic_companion
+        monkeypatch.setattr(gram, "det_monic_companion",
+                            lambda tail, den: core(tail, den) + 1)
+        with pytest.raises(RuntimeError, match="Gram determinant check failed"):
+            GramInstance(ModuleLabel(1, 5, 3, (2, 1))).det_monic
+
+    def test_is_the_gram_determinant_over_det_s(self):
+        """det G = det(S)^h det_monic, h the number of half diagrams."""
+        label = ModuleLabel(1, 5, 3, (2, 1))
+        inst = GramInstance(label)
+        specht = det_poly(PolyMatrix([[Polynomial.const(v) for v in row]
+                                      for row in specht_gram(label.lam)]))
+        assert det_poly(inst.matrix) == specht ** len(inst.half) * inst.det_monic

@@ -84,18 +84,18 @@ class TestExplicitSmallCases:
         assert solve_xi(l, lam, n) == solve_xi_by_cramer(l, lam, n)
 
     def test_one_determinant_per_module(self, monkeypatch):
-        """A fresh label costs det_poly once, for det_monic, and the Gram
-        instance keeps that determinant."""
+        """A fresh label costs one companion determinant, for det_monic, and
+        the Gram instance keeps that determinant."""
         calls = []
-        det_poly = gram.det_poly
+        core = gram.det_monic_companion
 
-        def spy(m):
-            calls.append(m.rows)
-            return det_poly(m)
+        def spy(tail, den):
+            calls.append(len(tail))
+            return core(tail, den)
 
         label = ModuleLabel(1, 5, 3, (2, 1))
         fresh = GramInstance(label)
-        monkeypatch.setattr(gram, "det_poly", spy)
+        monkeypatch.setattr(gram, "det_monic_companion", spy)
         monkeypatch.setattr(morphisms, "gram_matrix", lambda lab: fresh)
         xi = solve_xi.__wrapped__(1, (2, 1), 5)
         assert calls == [fresh.dim]

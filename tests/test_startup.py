@@ -71,6 +71,17 @@ PROBE = ("import json, sys\n"
          " file=sys.stderr)\n"
          "sys.exit(code)\n")
 
+# runs cli.main on argv and prints, as the last line of stderr, the top-level
+# modules it loaded from outside the standard library and the package
+THIRD_PARTY = ("import json, sys\n"
+               "before = set(sys.modules)\n"
+               "from kadaryu.cli import main\n"
+               "code = main(sys.argv[1:])\n"
+               "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+               "print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {'kadaryu'})),"
+               " file=sys.stderr)\n"
+               "sys.exit(code)\n")
+
 BARE = ["kadaryu", "kadaryu.cli"]
 
 WARM = {
@@ -130,6 +141,14 @@ class TestStartup:
         proc, loaded = probe(["--version"])
         assert proc.stdout == f"{kadaryu.__version__}\n"
         assert loaded == BARE
+
+    @pytest.mark.parametrize("name", ["gram-det", "verify"])
+    def test_cold_miss_loads_no_third_party_module(self, tmp_path, name):
+        """The integer kernels are plain Python: a cold miss imports nothing
+        outside the standard library and the package."""
+        proc = python(THIRD_PARTY, *WARM[name], "--cache-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1]) == []
 
     def test_cold_gram_det_loads_only_its_layers(self, tmp_path):
         proc, loaded = probe([*WARM["gram-det"], "--cache-dir", str(tmp_path)])
