@@ -5,12 +5,11 @@ Products of polynomials are one big-integer product over the common
 denominator (Kronecker substitution), and gcds run the heuristic integer
 gcd on the primitive parts before Euclid's algorithm.
 
-Determinants over Q[a] have one certified modular core: the
-characteristic polynomial of one block companion matrix modulo a prime
-above twice the Hadamard bound.  `det_monic_companion` takes a monic
-matrix polynomial straight to it; `det_poly` takes any square matrix
-there through its leading determinant and one solve, and checks the
-result exactly at one point.
+Determinants over Q[a] have one certified modular path,
+`det_monic_companion`: the determinant of a monic matrix polynomial is
+the characteristic polynomial of one block companion matrix, taken modulo
+a prime above twice the Hadamard bound.  Its callers build the monic
+matrix polynomial and check the result exactly at one point.
 
 Linear algebra over a field has one protocol for Q and Q[a]/(m): a
 `QuotElem` takes +, -, * and == with ints and Fractions on either side,
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import count
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -608,61 +606,9 @@ def det_rational(m: list[list[Fraction]]) -> Fraction:
     return Q(d, den ** n)
 
 
-# Floor on the modulus of det_poly: large enough that a probable prime above
+# Floor on the modulus of _lift_mod: large enough that a probable prime above
 # it is, in practice, a prime even when the coefficient bound is tiny.
 _MODULUS_FLOOR = 2 ** 61
-
-
-def _det_mod(rows: list[list[int]], modulus: int) -> int:
-    """Determinant modulo `modulus` by Gaussian elimination (consumes rows).
-
-    Every pivot is inverted, so pow raises ValueError when a nonzero pivot is
-    not a unit, i.e. when the modulus is composite; otherwise the result is
-    exact in Z/modulus whether or not the modulus is prime.
-    """
-    det = 1
-    while rows:
-        for i, row in enumerate(rows):
-            if row[0]:
-                break
-        else:
-            return 0
-        pivot = rows.pop(i)
-        if i % 2:
-            det = -det  # moving row i to the top is a cycle of length i + 1
-        det = det * pivot[0] % modulus
-        inv = pow(pivot[0], -1, modulus)
-        tail = pivot[1:]
-        rest = []
-        for row in rows:
-            f = row[0] * inv % modulus
-            rest.append([(x - f * y) % modulus for x, y in zip(row[1:], tail)]
-                        if f else row[1:])
-        rows = rest
-    return det
-
-
-def _solve_mod(a: list[list[int]], b: list[list[int]], modulus: int) -> list[list[int]]:
-    """a^-1 b mod `modulus` by Gauss-Jordan elimination, for a invertible mod
-    `modulus`; pow raises ValueError for a pivot that is not a unit."""
-    n = len(a)
-    rows = [ra + rb for ra, rb in zip(a, b)]
-    # step j eliminates column j and drops it, so index 0 is always column j
-    for j in range(n):
-        for i in range(j, n):
-            if rows[i][0]:
-                break
-        else:
-            raise ValueError("singular matrix")
-        rows[i], rows[j] = rows[j], rows[i]
-        inv = pow(rows[j][0], -1, modulus)
-        prow = [x * inv % modulus for x in rows[j][1:]]
-        for k, row in enumerate(rows):
-            f = row[0]
-            rows[k] = (prow if k == j else
-                       [(x - f * y) % modulus for x, y in zip(row[1:], prow)] if f
-                       else row[1:])
-    return rows
 
 
 def _charpoly_mod(c: list[list[int]], modulus: int) -> list[int]:
@@ -715,57 +661,6 @@ def _charpoly_mod(c: list[list[int]], modulus: int) -> list[int]:
     return polys[-1]
 
 
-def _taylor_mod(coeffs: list[int], s: int, modulus: int) -> list[int]:
-    """Coefficients of p(x + s) mod `modulus`, p given lowest first."""
-    c = list(coeffs)
-    for i in range(len(c) - 1):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] = (c[j] + s * c[j + 1]) % modulus
-    return c
-
-
-def _det_linearised_mod(entries: list[list[list[int]]], bound: int,
-                        modulus: int) -> list[int]:
-    """det mod `modulus`, lowest coefficient first, of the integer polynomial
-    matrix A = `entries` (coefficient lists), whose det has degree <= bound.
-
-    For a matrix polynomial P = sum_k P_k x^k of degree t with P_t
-    invertible, det P = det(P_t) * det(x*I - C), C the block companion
-    matrix of the P_t^-1 P_k (Gohberg, Lancaster & Rodman, *Matrix
-    Polynomials*, ch. 1).  At a = oo, P = A.  Otherwise, at the first
-    s = 0..bound with A(s) invertible, P(x) = x^t A(s + 1/x), whose P_k are
-    the Taylor coefficients B_{t-k} of A at s; then det A(a) is the
-    reversed det P shifted by s.  A(s) singular at every s means det = 0.
-    """
-    n = len(entries)
-    top = max(len(p) for row in entries for p in row) - 1
-    for s in (None, *range(bound + 1)):
-        if s is None:
-            lead = [[p[top] % modulus if len(p) > top else 0 for p in row] for row in entries]
-        else:
-            powers = [pow(s, k, modulus) for k in range(top + 1)]
-            lead = [[sum(map(operator.mul, p, powers)) % modulus for p in row]
-                    for row in entries]
-        lead_det = _det_mod([list(row) for row in lead], modulus)
-        if lead_det:
-            break
-    else:
-        return []
-    # P_0..P_{t-1} side by side: A_0..A_{t-1} at oo, B_t..B_1 at s
-    rows = entries if s is None else [[_taylor_mod(p, s, modulus) for p in row]
-                                      for row in entries]
-    ks = range(top) if s is None else range(top, 0, -1)
-    x = _solve_mod(lead, [[p[k] % modulus if k < len(p) else 0 for k in ks for p in row]
-                          for row in rows], modulus)
-    del rows, lead  # the coefficient layers are not needed past this point
-    companion = _block_companion([[-v % modulus for v in row] for row in x])
-    del x
-    coeffs = [lead_det * c % modulus for c in _charpoly_mod(companion, modulus)]
-    if s is not None:
-        coeffs = _taylor_mod(coeffs[::-1], -s, modulus)
-    return coeffs
-
-
 def _block_companion(last: list[list[int]]) -> list[list[int]]:
     """The block companion matrix [[0, I, .., 0], .., [0, .., 0, I], last]
     whose last block row is `last` (n rows of t*n entries)."""
@@ -776,15 +671,15 @@ def _block_companion(last: list[list[int]]) -> list[list[int]]:
     return rows + last
 
 
-def _lift_mod(hadamard_sq: int, floor: int, residues) -> list[int]:
+def _lift_mod(hadamard_sq: int, residues) -> list[int]:
     """residues(N), lifted to symmetric residues, for the first odd base-2
-    Fermat probable prime N > max(2H, _MODULUS_FLOOR, floor) where it raises
+    Fermat probable prime N > max(2H, _MODULUS_FLOOR) where it raises
     no ValueError; H^2 = hadamard_sq bounds the square of every coefficient.
 
     A composite N whose non-unit shows up in pow(x, -1, N) is skipped; one
     that raises nothing gives residues exact in Z/N all the same.
     """
-    modulus = max(math.isqrt(4 * hadamard_sq) + 1, _MODULUS_FLOOR, floor) | 1
+    modulus = max(math.isqrt(4 * hadamard_sq) + 1, _MODULUS_FLOOR) | 1
     while True:
         if pow(2, modulus - 1, modulus) == 1:
             try:
@@ -795,47 +690,6 @@ def _lift_mod(hadamard_sq: int, floor: int, residues) -> list[int]:
         modulus += 2
     half = modulus // 2
     return [c - modulus if c > half else c for c in coeffs]
-
-
-def det_poly(m: PolyMatrix) -> Polynomial:
-    """Exact determinant of a square polynomial matrix.
-
-    Certified modular linearisation.  With L the lcm of all coefficient
-    denominators, det M = det(L*M) / L^n, and every coefficient of det(L*M)
-    is at most the Hadamard bound on |a| = 1,
-    H = prod_i sqrt(sum_j ||L*m_ij||_1^2).  For one modulus
-    N > max(2H, 2^61, bound + 1) (`_lift_mod`), det(L*M) mod N is the
-    leading determinant times the characteristic polynomial of one block
-    companion matrix (`_det_linearised_mod`).  The expansion point is
-    a = oo when the matrix of top coefficients is invertible mod N, which
-    is exact because its det is the top coefficient of det(L*M), below
-    N/2.  Otherwise it is the first s = 0..bound where M(s) is invertible
-    mod N.  The result is then checked exactly over Q at the smallest
-    integer a >= 2 where it is nonzero (a = 2 for a zero result); a
-    mismatch raises RuntimeError.
-    """
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Polynomial.one()
-    bound = m.degree_bound()
-    if bound == 0:
-        return Polynomial.const(det_rational(m.evaluate(Q(0))))
-    den = math.lcm(*(c.denominator for row in m.entries for p in row for c in p.coeffs))
-    entries = [[[c.numerator * (den // c.denominator) for c in p.coeffs] for p in row]
-               for row in m.entries]
-    hadamard_sq = 1  # H^2, kept in integers
-    for row in entries:
-        hadamard_sq *= sum(sum(map(abs, p)) ** 2 for p in row)
-    coeffs = _lift_mod(hadamard_sq, bound + 2,
-                       lambda modulus: _det_linearised_mod(entries, bound, modulus))
-    scale = den ** n
-    det = Polynomial([Fraction(c, scale) for c in coeffs])
-    x = next(x for x in count(2) if det(x)) if det else 2
-    if det(x) != det_rational(m.evaluate(Q(x))):
-        raise RuntimeError(f"determinant check failed at a = {x}")
-    return det
 
 
 def det_monic_companion(tail: list[list[int]], den: int) -> Polynomial:
@@ -865,7 +719,7 @@ def det_monic_companion(tail: list[list[int]], den: int) -> Polynomial:
         return [c * scale % modulus for c in _charpoly_mod(companion, modulus)]
 
     scale = den ** n
-    return Polynomial([Fraction(c, scale) for c in _lift_mod(hadamard_sq, 0, residues)])
+    return Polynomial([Fraction(c, scale) for c in _lift_mod(hadamard_sq, residues)])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 
-from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion, det_poly,
+from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion,
                         det_rational, poly_gcd, poly_nth_root)
 from .cheby import ChebSeries, ramping_check
 from .diagrams import (PairPartition, compose, half_basis, half_normalize,
@@ -294,15 +294,34 @@ def gram_mixed(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> PolyMa
 
 def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Polynomial:
     """Determinant of gram_mixed, normalised per cup by the orthogonal-basis
-    norms so that the three-term rank recursion is scale-free."""
+    norms so that the three-term rank recursion is scale-free.
+
+    Only a cup paired with itself closes a loop, and T orthogonalises the
+    Specht form, so gram_mixed is G = a N + G_0 with N = diag(norms), one
+    norm per cup of each vector (anything else raises RuntimeError).  The
+    normalised determinant det G / det N is det(a I + N^-1 G_0), one block
+    companion characteristic polynomial (exactmath.det_monic_companion),
+    checked exactly against det G at the smallest integer a >= 2 where it is
+    nonzero.
+    """
     lam = tuple(lam)
     m = gram_mixed(l, lam, n_tuple)
-    det = det_poly(m)
     _xs, _T, norms = specht_frame(lam)
-    scale = Q(1)
-    for k, nk in enumerate(n_tuple):
-        scale *= norms[k] ** len(one_cup_index(l, nk))
-    return det * (1 / scale)
+    top = [norms[k] for k, nk in enumerate(n_tuple) for _ in one_cup_index(l, nk)]
+    for i, row in enumerate(m.entries):
+        for j, p in enumerate(row):
+            if p.coeffs[1:] != ((top[i],) if i == j else ()):
+                raise RuntimeError(f"mixed Gram matrix of {(l, lam, n_tuple)} is not "
+                                   f"a diag(norms) + G_0 at entry ({i}, {j})")
+    low = [[p(0) / nk for p in row] for row, nk in zip(m.entries, top)]
+    den = math.lcm(*(v.denominator for row in low for v in row))
+    det = det_monic_companion([[v.numerator * (den // v.denominator) for v in row]
+                               for row in low], den)
+    x = next(x for x in count(2) if det(x))
+    if det_rational(m.evaluate(Q(x))) != math.prod(top) * det(x):
+        raise RuntimeError(f"mixed Gram determinant check failed at a = {x} "
+                           f"for {(l, lam, n_tuple)}")
+    return det
 
 
 # ---------------------------------------------------------------------------

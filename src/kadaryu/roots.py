@@ -487,6 +487,27 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
             claim(claims, "no-root-in-(-l,-2)",
                    sturm_count(p, Q(-l), Q(-2)) == 0)
 
+    # conjugate hook before hook, as in family_series: at l = 1 they
+    # coincide and the series is the conjugate hook's
+    elif lam == (2,) + (1,) * l:
+        m = k + 1
+        claim(claims, "degree", p.degree == k + 4, p.degree)
+        signs = {}
+        for r in range(1, k + 1):
+            s = sign_at_2cos(p, r, m)
+            want = (-1) ** r
+            claim(claims, f"sign-at-2cos({r}pi/{m})",
+                   None if s is None else s == want, s)
+            signs[r] = want
+        if l > 3:
+            claim(claims, "sign-at-2", p(2) > 0, str(p(2)))
+            claim(claims, "sign-at--2", ((-1) ** (k + 1)) * p(-2) > 0, str(p(-2)))
+            _interior_layout(claims, "interleaving", p, m, signs,
+                             left=Q(-2), right=Q(2))
+            claim(claims, "root-below--2", sturm_count(p, -math.inf, Q(-2)) == 1)
+            claim(claims, "root-in-(l-1,l)", sturm_count(p, Q(l - 1), Q(l)) == 1)
+            claim(claims, "root-beyond-l+1", sturm_count(p, Q(l + 1), math.inf) == 1)
+
     elif lam == (l + 1, 1):
         m = k + 1
         claim(claims, "degree", p.degree == k + 5, p.degree)
@@ -509,25 +530,6 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
                    sturm_count(p, Q(-2 * l), Q(-l + 1)) == 1)
             claim(claims, "root-in-(-l+2,-l+3)",
                    sturm_count(p, Q(-l + 2), Q(-l + 3)) == 1)
-
-    elif lam == (2,) + (1,) * l:
-        m = k + 1
-        claim(claims, "degree", p.degree == k + 4, p.degree)
-        signs = {}
-        for r in range(1, k + 1):
-            s = sign_at_2cos(p, r, m)
-            want = (-1) ** r
-            claim(claims, f"sign-at-2cos({r}pi/{m})",
-                   None if s is None else s == want, s)
-            signs[r] = want
-        if l > 3:
-            claim(claims, "sign-at-2", p(2) > 0, str(p(2)))
-            claim(claims, "sign-at--2", ((-1) ** (k + 1)) * p(-2) > 0, str(p(-2)))
-            _interior_layout(claims, "interleaving", p, m, signs,
-                             left=Q(-2), right=Q(2))
-            claim(claims, "root-below--2", sturm_count(p, -math.inf, Q(-2)) == 1)
-            claim(claims, "root-in-(l-1,l)", sturm_count(p, Q(l - 1), Q(l)) == 1)
-            claim(claims, "root-beyond-l+1", sturm_count(p, Q(l + 1), math.inf) == 1)
 
     else:
         raise ValueError(f"no layout claims for lambda = {lam}")

@@ -1,21 +1,25 @@
 """Slow reference implementations that the package's fast paths are tested
 against: polynomial products term by term and gcds by Euclid's algorithm
-over Q, determinants over Q[a] by evaluation/interpolation, fraction-free
-Bareiss and cofactor expansion, Smith invariants over Q[a], the Brauer
-diagram basis by brute force, the pairing of half diagrams by composing
-diagrams, Sturm counts from the chain of remainders over Q, cos bounds
-from the exact Taylor sum, the Specht basis by elimination over r!-long
-coordinate vectors, the Specht data from products in the group algebra,
-and the bootstrap vector by Cramer's rule.
+over Q, determinants over Q[a] by evaluation/interpolation, by modular
+linearisation of any square matrix (det_poly), by fraction-free Bareiss
+and by cofactor expansion, Smith invariants over Q[a], the Brauer diagram
+basis by brute force, the pairing of half diagrams by composing diagrams,
+Sturm counts from the chain of remainders over Q, cos bounds from the
+exact Taylor sum, the Specht basis by elimination over r!-long coordinate
+vectors, the Specht data from products in the group algebra, and the
+bootstrap vector by Cramer's rule.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import count
 
+from kadaryu import exactmath
 from kadaryu.diagrams import PairPartition, compose, flip
-from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_poly, det_rational,
+from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                field_row_echelon, poly_content_removed,
                                poly_squarefree_part)
 from kadaryu.gram import ModuleLabel, gram_matrix
@@ -114,6 +118,118 @@ def det_interpolate(m: PolyMatrix) -> Polynomial:
                       for c in _interpolate_mod(values, modulus)])
     x = Q(bound + 1)
     assert det(x) == det_rational(m.evaluate(x)), "degree bound below deg det"
+    return det
+
+
+def _solve_mod(a: list[list[int]], b: list[list[int]], modulus: int) -> list[list[int]]:
+    """a^-1 b mod `modulus` by Gauss-Jordan elimination, for a invertible mod
+    `modulus`; pow raises ValueError for a pivot that is not a unit."""
+    n = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    # step j eliminates column j and drops it, so index 0 is always column j
+    for j in range(n):
+        for i in range(j, n):
+            if rows[i][0]:
+                break
+        else:
+            raise ValueError("singular matrix")
+        rows[i], rows[j] = rows[j], rows[i]
+        inv = pow(rows[j][0], -1, modulus)
+        prow = [x * inv % modulus for x in rows[j][1:]]
+        for k, row in enumerate(rows):
+            f = row[0]
+            rows[k] = (prow if k == j else
+                       [(x - f * y) % modulus for x, y in zip(row[1:], prow)] if f
+                       else row[1:])
+    return rows
+
+
+def _taylor_mod(coeffs: list[int], s: int, modulus: int) -> list[int]:
+    """Coefficients of p(x + s) mod `modulus`, p given lowest first."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = (c[j] + s * c[j + 1]) % modulus
+    return c
+
+
+def _det_linearised_mod(entries: list[list[list[int]]], bound: int,
+                        modulus: int) -> list[int]:
+    """det mod `modulus`, lowest coefficient first, of the integer polynomial
+    matrix A = `entries` (coefficient lists), whose det has degree <= bound.
+
+    For a matrix polynomial P = sum_k P_k x^k of degree t with P_t
+    invertible, det P = det(P_t) * det(x*I - C), C the block companion
+    matrix of the P_t^-1 P_k (Gohberg, Lancaster & Rodman, *Matrix
+    Polynomials*, ch. 1).  At a = oo, P = A.  Otherwise, at the first
+    s = 0..bound with A(s) invertible, P(x) = x^t A(s + 1/x), whose P_k are
+    the Taylor coefficients B_{t-k} of A at s; then det A(a) is the
+    reversed det P shifted by s.  A(s) singular at every s means det = 0.
+    """
+    top = max(len(p) for row in entries for p in row) - 1
+    for s in (None, *range(bound + 1)):
+        if s is None:
+            lead = [[p[top] % modulus if len(p) > top else 0 for p in row] for row in entries]
+        else:
+            powers = [pow(s, k, modulus) for k in range(top + 1)]
+            lead = [[sum(map(operator.mul, p, powers)) % modulus for p in row]
+                    for row in entries]
+        lead_det = _det_mod([list(row) for row in lead], modulus)
+        if lead_det:
+            break
+    else:
+        return []
+    # P_0..P_{t-1} side by side: A_0..A_{t-1} at oo, B_t..B_1 at s
+    rows = entries if s is None else [[_taylor_mod(p, s, modulus) for p in row]
+                                      for row in entries]
+    ks = range(top) if s is None else range(top, 0, -1)
+    x = _solve_mod(lead, [[p[k] % modulus if k < len(p) else 0 for k in ks for p in row]
+                          for row in rows], modulus)
+    companion = exactmath._block_companion([[-v % modulus for v in row] for row in x])
+    coeffs = [lead_det * c % modulus for c in exactmath._charpoly_mod(companion, modulus)]
+    if s is not None:
+        coeffs = _taylor_mod(coeffs[::-1], -s, modulus)
+    return coeffs
+
+
+def det_poly(m: PolyMatrix) -> Polynomial:
+    """det of any square matrix over Q[a] by modular linearisation, checked
+    exactly at one point.
+
+    With L the lcm of all coefficient denominators, det M = det(L*M) / L^n,
+    and every coefficient of det(L*M) is at most the Hadamard bound H on
+    |a| = 1.  Modulo one N > max(2H, bound + 1) (the package's modulus
+    rule, with every N <= bound + 1 skipped), det(L*M) is the leading
+    determinant times the characteristic polynomial of one block companion
+    matrix (`_det_linearised_mod`).  The result is checked over Q at the
+    smallest integer a >= 2 where it is nonzero (a = 2 for a zero result);
+    a mismatch raises RuntimeError.
+    """
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return Polynomial.one()
+    bound = m.degree_bound()
+    if bound == 0:
+        return Polynomial.const(det_rational(m.evaluate(Q(0))))
+    den = math.lcm(*(c.denominator for row in m.entries for p in row for c in p.coeffs))
+    entries = [[[c.numerator * (den // c.denominator) for c in p.coeffs] for p in row]
+               for row in m.entries]
+    hadamard_sq = 1  # H^2, kept in integers
+    for row in entries:
+        hadamard_sq *= sum(sum(map(abs, p)) ** 2 for p in row)
+
+    def residues(modulus):
+        if modulus <= bound + 1:
+            raise ValueError("the expansion points 0..bound must stay distinct")
+        return _det_linearised_mod(entries, bound, modulus)
+
+    scale = den ** n
+    det = Polynomial([Fraction(c, scale) for c in exactmath._lift_mod(hadamard_sq, residues)])
+    x = next(x for x in count(2) if det(x)) if det else 2
+    if det(x) != det_rational(m.evaluate(Q(x))):
+        raise RuntimeError(f"determinant check failed at a = {x}")
     return det
 
 

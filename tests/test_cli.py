@@ -100,11 +100,11 @@ class TestGram:
         expected = run(capsys, *label, *second, "--cache-dir", str(fresh))
         assert run(capsys, *label, *first, *cache_args(tmp_path))[0] == 0
 
-        def no_det(m):
+        def no_det(*args):
             raise RuntimeError("determinant recomputed")
 
         gram.gram_matrix.cache_clear()  # drop the in-process determinant too
-        monkeypatch.setattr(gram, "det_poly", no_det)
+        monkeypatch.setattr(gram, "det_monic_companion", no_det)
         assert run(capsys, *label, *second, *cache_args(tmp_path)) == expected
         (record,) = fresh.glob("*.json")
         assert (tmp_path / "cache" / record.name).read_bytes() == record.read_bytes()

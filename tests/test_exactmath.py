@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from kadaryu import exactmath
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotElem,
-                               RationalFunction, det_monic_companion, det_poly,
-                               det_rational,
+                               RationalFunction, det_monic_companion, det_rational,
                                field_kernel, field_rank, field_row_echelon,
                                poly_content_removed, poly_gcd, poly_nth_root,
                                poly_squarefree_part,
                                yun_squarefree_decomposition)
 from kadaryu.gram import ModuleLabel, gram_matrix, gram_mixed
 
-from oracles import (det_cofactor, det_interpolate, det_poly_bareiss,
+from oracles import (det_cofactor, det_interpolate, det_poly, det_poly_bareiss,
                      poly_gcd_euclid, poly_mul_schoolbook, smith_invariants)
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
@@ -202,7 +201,7 @@ def rational_poly_matrices(draw, max_size=6):
 
 @st.composite
 def linearisation_matrices(draw):
-    """Matrices for each branch of det_poly: rows of top degree c whose top
+    """Matrices for each branch of the det_poly oracle: rows of top degree c whose top
     coefficients are invertible (expanded at a = oo) or of rank one
     (expanded at the first a = s where the matrix is invertible); row 0
     times a(a - 1), singular at a = 0 and 1 (for n > 1 expanded at a = 2);
@@ -232,9 +231,6 @@ def monic_matrix_polys(draw):
     n, t = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     tail = [[draw(st.integers(-6, 6)) for _ in range(t * n)] for _ in range(n)]
     return tail, draw(st.integers(1, 6))
-
-
-SYLVESTER_H4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
 
 
 class TestDeterminants:
@@ -268,39 +264,44 @@ class TestDeterminants:
         shifted = PolyMatrix([[p * Polynomial.x() for p in m.entries[0]]] + m.entries[1:])
         assert det_poly(shifted) == det_interpolate(shifted) == det * Polynomial.x()
 
+    @staticmethod
+    def moduli_tried(monkeypatch):
+        """The moduli _lift_mod hands to its residues, in order."""
+        tried = []
+        lift = exactmath._lift_mod
+
+        def spy(hadamard_sq, residues):
+            return lift(hadamard_sq, lambda modulus: tried.append(modulus) or residues(modulus))
+
+        monkeypatch.setattr(exactmath, "_lift_mod", spy)
+        return tried
+
     @pytest.mark.parametrize("floor", [2 ** 61, 3])
     def test_hadamard_bound_attained(self, monkeypatch, floor):
-        # |det| = 16 = H on |a| = 1; with the floor at 3 the modulus is the
-        # first prime above 2H = 32 (37), and one above H alone (17) would
-        # lift 16 to -1
+        # det(a I - 16) = a - 16, and H = 16 + 1 on |a| = 1; with the floor
+        # at 3 the modulus is the first prime above 2H = 34 (37), and one
+        # just above H alone (19) would lift -16 to 3
         monkeypatch.setattr(exactmath, "_MODULUS_FLOOR", floor)
-        a = Polynomial.x()
-        rows = [[a * c for c in row] for row in SYLVESTER_H4]
-        assert det_poly(PolyMatrix(rows)) == Polynomial.monomial(16, 4)
-        rows[0], rows[1] = rows[1], rows[0]
-        assert det_poly(PolyMatrix(rows)) == Polynomial.monomial(-16, 4)
+        tried = self.moduli_tried(monkeypatch)
+        assert det_monic_companion([[-16]], 1) == Polynomial([-16, 1])
+        if floor == 3:
+            assert tried == [37]
 
     def test_composite_modulus_is_skipped(self, monkeypatch):
-        # 2H = 340, and the first candidate 341 = 11 * 31 is a base-2 Fermat
-        # pseudoprime; the pivot 170 is a unit mod it, so the elimination is
-        # exact in Z/341 and the modulus is kept
+        # a^11 + 169: 2H = 340, and the first candidate 341 = 11 * 31 is a
+        # base-2 Fermat pseudoprime; the pivot -169 is a unit mod it, so the
+        # charpoly is exact in Z/341 and the modulus is kept
         monkeypatch.setattr(exactmath, "_MODULUS_FLOOR", 3)
-        p = Polynomial.monomial(170, 11)
-        assert det_poly(PolyMatrix([[p]])) == p
+        tried = self.moduli_tried(monkeypatch)
+        assert det_monic_companion([[169] + [0] * 10], 1) == Polynomial([169] + [0] * 10 + [1])
+        assert tried == [341]
 
     def test_non_unit_pivot_skips_the_modulus(self, monkeypatch):
-        # 2H = 340 again, but the top coefficient 11 is not a unit mod 341
+        # a^11 + 159/11: 2H = 340 again, but den = 11 is not a unit mod 341
         monkeypatch.setattr(exactmath, "_MODULUS_FLOOR", 3)
-        tried = []
-        linearised = exactmath._det_linearised_mod
-
-        def spy(entries, bound, modulus):
-            tried.append(modulus)
-            return linearised(entries, bound, modulus)
-
-        monkeypatch.setattr(exactmath, "_det_linearised_mod", spy)
-        p = Polynomial([159] + [0] * 10 + [11])
-        assert det_poly(PolyMatrix([[p]])) == p
+        tried = self.moduli_tried(monkeypatch)
+        assert (det_monic_companion([[159] + [0] * 10], 11)
+                == Polynomial([Q(159, 11)] + [0] * 10 + [1]))
         assert tried == [341, 347]
 
     def test_failed_check_raises(self, monkeypatch):

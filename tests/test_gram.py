@@ -8,17 +8,17 @@ import pytest
 
 from kadaryu import gram
 from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
-from kadaryu.diagrams import s_gen
-from kadaryu.exactmath import Polynomial, PolyMatrix, Q, det_poly
+from kadaryu.diagrams import one_cup_index, s_gen
+from kadaryu.exactmath import Polynomial, PolyMatrix, Q
 from kadaryu.gram import (GramInstance, ModuleLabel, action_matrix,
                           factor_one_cup, gram_det_lnp, gram_matrix,
-                          gram_mixed_det, one_cup_det, one_cup_series)
+                          gram_mixed, gram_mixed_det, one_cup_det, one_cup_series)
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                all_permutations, hook_dimension,
                                left_action_matrix, partitions, specht_frame,
                                specht_gram, specht_pairing, young_idempotent)
 from kadaryu.rollet import dimension
-from oracles import pair_halves, sandwich_sigma_table
+from oracles import det_poly, pair_halves, sandwich_sigma_table
 
 x = Polynomial.x()
 
@@ -189,6 +189,41 @@ class TestMixedRanks:
                 d1 = gram_mixed_det(1, (2, 1), up1)
                 d2 = gram_mixed_det(1, (2, 1), up2)
                 assert d2 == x * d1 - d0
+
+    @pytest.mark.parametrize("l, lam, n_tuple", [
+        (1, (2, 1), (5, 5)), (1, (2, 1), (5, 6)), (1, (2, 1), (6, 5)),
+        (1, (2, 1), (7, 6)), (2, (3, 1), (6, 6, 7)), (2, (2, 2), (6, 7)),
+        (2, (2, 1, 1), (6, 7, 6)),
+        pytest.param(3, (4, 1), (7, 8, 7, 8), marks=pytest.mark.slow),
+        pytest.param(3, (3, 1, 1), (7, 7, 7, 8, 8, 8), marks=pytest.mark.slow)])
+    def test_matches_det_poly(self, l, lam, n_tuple):
+        """The companion determinant is det(gram_mixed) over prod norms^h."""
+        norms = specht_frame(lam)[2]
+        scale = Q(1)
+        for k, nk in enumerate(n_tuple):
+            scale *= norms[k] ** len(one_cup_index(l, nk))
+        assert gram_mixed_det(l, lam, n_tuple) == det_poly(gram_mixed(l, lam, n_tuple)) * (1 / scale)
+
+    def test_failed_check_raises(self, monkeypatch):
+        core = gram.det_monic_companion
+        monkeypatch.setattr(gram, "det_monic_companion",
+                            lambda tail, den: core(tail, den) + 1)
+        with pytest.raises(RuntimeError, match="mixed Gram determinant check failed"):
+            gram_mixed_det(1, (2, 1), (5, 6))
+
+    @pytest.mark.parametrize("i, j, extra", [(0, 1, x), (0, 0, x), (2, 2, x * x)],
+                             ids=["a off the diagonal", "diagonal not a norm", "degree 2"])
+    def test_top_coefficients_not_the_norms_raise(self, monkeypatch, i, j, extra):
+        build = gram.gram_mixed
+
+        def bent(*args):
+            m = build(*args)
+            m.entries[i][j] = m.entries[i][j] + extra
+            return m
+
+        monkeypatch.setattr(gram, "gram_mixed", bent)
+        with pytest.raises(RuntimeError, match="not a diag"):
+            gram_mixed_det(1, (2, 1), (5, 6))
 
 
 class TestSigmaTables:

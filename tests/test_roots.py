@@ -259,6 +259,18 @@ class TestLayoutVerifier:
         assert verify_root_layout(5, (6, 1), k)["status"] == "pass"
         assert verify_root_layout(4, (2, 1, 1, 1, 1), k)["status"] == "pass"
 
+    def test_claims_follow_the_series_dispatch(self):
+        """Every closed-form label gets the claims of the series family_series
+        returns for it, so its degree claim holds; at l = 1 the hook (2, 1)
+        is the conjugate hook."""
+        for l in range(-1, 7):
+            shapes = {(1,) * (l + 2), (l + 2,), (2,) + (1,) * l, (l + 1, 1)}
+            for lam in sorted(s for s in shapes if sum(s) == l + 2 and min(s) > 0):
+                for k in range(1, 4):
+                    (degree,) = [c for c in verify_root_layout(l, lam, k)["claims"]
+                                 if c["id"] == "degree"]
+                    assert degree["status"] == "pass", (l, lam, k, degree)
+
     def test_report_schema(self):
         rep = verify_root_layout(0, (1, 1), 2)
         assert set(rep) == {"l", "lambda", "k", "status", "claims"}
