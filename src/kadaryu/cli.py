@@ -336,9 +336,16 @@ def _alpha_key(alpha) -> str:
 
 def _cmd_bootstrap(args) -> int:
     n = args.n if args.n is not None else args.l + 4
-    if args.alpha is None and n < args.l + 4:
-        # the xi sequence starts at rank l+4
-        print("error: rank must be at least l+4", file=sys.stderr)
+    if args.alpha is None and args.target is not None:
+        problem = "--target needs --alpha"
+    elif args.alpha is None and n < args.l + 4:
+        problem = "rank must be at least l+4"  # the xi sequence starts there
+    elif args.alpha is not None and n < 2:
+        problem = "rank must be at least 2"  # the module at alpha0 has one cup
+    else:
+        problem = None
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     key = f"bootstrap_l{args.l}_lam{_lam_key(args.lam)}_n{n}"
     if args.alpha is not None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count
 
 from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion,
@@ -159,35 +159,36 @@ class GramInstance:
         return {sigma: [[v.numerator * (den // v.denominator) for v in row] for row in m]
                 for sigma, m in mats.items()}, den
 
+    @cached_property
+    def linearisation(self) -> tuple[list[list[int]], int]:
+        """(tail, den): G = (S (x) I) A~ with A~ = a^cups I + (B_0 + .. +
+        B_{cups-1} a^{cups-1}) / den and integer tail = [B_0 | .. | B_{cups-1}],
+        since <u b_i, v b_j> = a^loops (S A(sigma))[i][j], A(sigma) the action
+        of sigma on the Specht basis, and only u = v closes every cup."""
+        lab = self.label
+        nhalf, dim, cups = len(self.half), self.dim, lab.cups
+        action, den = self._blocks(left_action_matrix)
+        tail = [[0] * (cups * dim) for _ in range(dim)]
+        for a, b, loops, sigma in self._pairs():
+            if loops == cups:
+                if a != b or sigma != Permutation.identity(lab.r):
+                    raise RuntimeError(f"half diagrams {a} != {b} close every cup for {lab}")
+                continue
+            for k, values in enumerate(action[sigma]):
+                row = tail[k * nhalf + a]
+                for j, val in enumerate(values):
+                    row[loops * dim + j * nhalf + b] = val
+        return tail, den
+
     @property
     def det_monic(self) -> Polynomial:
-        """The Gram determinant divided by det(S)^h, S the Specht Gram and h
-        the number of half diagrams.
-
-        <u b_i, v b_j> = a^loops (S A(sigma))[i][j], A(sigma) the matrix of
-        sigma on the Specht basis (symmetric.left_action_matrix), so
-        G = (S (x) I) A~ with A~ = sum_k B_k a^k.  Only u = v closes every
-        cup, with sigma = e, so the top block B_cups is I and det_monic is
-        det A~, one block companion characteristic polynomial
-        (exactmath.det_monic_companion) with no Fraction matrix.  It is
-        checked exactly against det G = det(S)^h det A~ at the smallest
-        integer a >= 2 where det A~ is nonzero.
-        """
+        """The Gram determinant divided by det(S)^h, h the number of half
+        diagrams: det A~ (exactmath.det_monic_companion), checked exactly
+        against det G = det(S)^h det A~ at the smallest integer a >= 2 where
+        det A~ is nonzero."""
         if self._det is None:
-            lab = self.label
-            nhalf, dim, cups = len(self.half), self.dim, lab.cups
-            action, den = self._blocks(left_action_matrix)
-            tail = [[0] * (cups * dim) for _ in range(dim)]
-            for a, b, loops, sigma in self._pairs():
-                if loops == cups:
-                    if a != b or sigma != Permutation.identity(lab.r):
-                        raise RuntimeError(f"half diagrams {a} != {b} close every cup for {lab}")
-                    continue
-                for k, values in enumerate(action[sigma]):
-                    row = tail[k * nhalf + a]
-                    for j, val in enumerate(values):
-                        row[loops * dim + j * nhalf + b] = val
-            det = det_monic_companion(tail, den)
+            nhalf, dim = len(self.half), self.dim
+            det = det_monic_companion(*self.linearisation)
             x = next(x for x in count(2) if det(x))
             pairing, den_m = self._blocks(specht_pairing)
             at_x = [[0] * dim for _ in range(dim)]  # den_m G(x)
@@ -197,9 +198,9 @@ class GramInstance:
                     row = at_x[i * nhalf + a]
                     for j, val in enumerate(values):
                         row[j * nhalf + b] = val * power
-            specht = det_rational(specht_gram(lab.lam)) ** nhalf
+            specht = det_rational(specht_gram(self.label.lam)) ** nhalf
             if det_rational(at_x) != den_m ** dim * specht * det(x):
-                raise RuntimeError(f"Gram determinant check failed at a = {x} for {lab}")
+                raise RuntimeError(f"Gram determinant check failed at a = {x} for {self.label}")
             self._det = det
         return self._det
 

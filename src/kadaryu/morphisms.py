@@ -6,11 +6,12 @@ returns a polynomial D(a) times the Specht projector.  D follows the
 three-term Chebyshev recursion up the tower and is divisible by the monic
 series factor of the one-cup determinants, so roots of the latter are
 parameter values where xi generates a submodule isomorphic to the
-cap-free standard module.  This file computes xi exactly from the Gram
-determinant the module already has, as the polynomial adjugate of its
-linearisation (Cayley-Hamilton), checks the recursion and divisibility,
-and certifies the submodule embeddings at explicit (possibly irrational)
-parameter values.
+cap-free standard module.  This file computes xi exactly from the
+linearisation aI + B_0 / den the module's determinant is taken from, as its
+polynomial adjugate (Cayley-Hamilton), reads the uniqueness of xi and the
+radical at explicit (possibly irrational) parameter values off the same
+pencil, checks the recursion and divisibility, and certifies the submodule
+embeddings.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .claims import claim, report
-from .exactmath import (Polynomial, PolyMatrix, Q, QuotElem, field_kernel,
-                        field_rank, field_row_echelon, poly_content_removed,
-                        poly_gcd)
+from .exactmath import (Polynomial, Q, QuotElem, field_kernel, field_rank,
+                        poly_content_removed, poly_gcd)
 from .diagrams import one_cup_index, permutation_diagram
 from .gram import ModuleLabel, action_matrix, factor_one_cup, gram_det, gram_matrix
 from .symmetric import (GroupAlgebraElement, hook_dimension, specht_basis,
@@ -65,41 +65,34 @@ def _last_cup_row(label: ModuleLabel, k: int) -> int:
 def solve_xi(l: int, lam: tuple[int, ...], n: int) -> XiElement:
     """Solve the cap-annihilation system G . xi = D * v for xi.
 
-    v is supported on the last-cup rows with entries <b_m, b_1> (rational
-    Specht basis, so the right side carries the first Gram column).  One-cup
-    Gram entries have degree <= 1 with invertible top coefficients
-    G1 = S (x) I, so G = G1 (aI - C), C = -G1^-1 G0, and det_monic = chi_C.
-    One echelon of [G1 | -G0 | v] over Q gives C and w = G1^-1 v, and
-    adj(aI - C) w = chi_C(a) G^-1 v comes from the Horner recursion
-    u_{dim-1} = w, u_{k-1} = C u_k + c_k w over chi_C's coefficients; the
-    Cayley-Hamilton residue u_{-1} must be zero.  The content is stripped
-    and D = chi_C / content.
+    v is supported on the last-cup rows with entries <b_m, b_1>, so
+    v = (S (x) I) e, e the unit vector at u_{n-1,n} b_1.  The linearisation
+    is G = (S (x) I)(aI - C), C = -B_0 / den, and det_monic = chi_C, so
+    adj(aI - C) e = chi_C(a) G^-1 v comes from the Horner recursion
+    u_{dim-1} = e, u_{k-1} = C u_k + c_k e, run in integers on
+    U_k = den^(dim-1-k) u_k = -B_0 U_{k+1} + den^(dim-1-k) c_{k+1} e.  The
+    Cayley-Hamilton residue U_{-1} must be zero, the content is stripped and
+    D = chi_C / content.
     """
     lam = tuple(lam)
     label = ModuleLabel(l, n, n - 2, lam)
     inst = gram_matrix(label)
-    dim = inst.dim
-    G = specht_gram(lam)
-    rhs = [Q(0)] * dim
-    for m in range(inst.d):
-        rhs[_last_cup_row(label, m)] = G[m][0]
-    aug = []
-    for row, b in zip(inst.matrix.entries, rhs):
-        if any(p.degree > 1 for p in row):
-            raise RuntimeError(f"Gram entry of degree > 1 for {label}")
-        g0, g1 = zip(*((p.coeffs + (Q(0), Q(0)))[:2] for p in row))
-        aug.append(list(g1) + [-c for c in g0] + [b])
-    piv, ech = field_row_echelon(aug)
-    if piv != list(range(dim)):
-        raise RuntimeError(f"top coefficients of the Gram matrix singular for {label}")
-    C = [[(j, c) for j, c in enumerate(row[dim:2 * dim]) if c] for row in ech]
-    w = [row[-1] for row in ech]
+    tail, den = inst.linearisation
+    B0 = [[(j, b) for j, b in enumerate(row) if b] for row in tail]
+    last = _last_cup_row(label, 0)
     det = inst.det_monic
-    us = [w]  # u_{dim-1}, u_{dim-2}, ..., u_{-1}
+    us, scale = [[int(i == last) for i in range(inst.dim)]], 1  # U_{dim-1}, .., U_{-1}
     for ck in det.coeffs[-2::-1]:
-        us.append([sum((c * us[-1][j] for j, c in row), ck * wi) for row, wi in zip(C, w)])
+        scale *= den
+        ck *= scale
+        if ck.denominator != 1:
+            raise RuntimeError(f"den^k c_k = {ck} is not an integer for {label}")
+        u = [-sum(b * us[-1][j] for j, b in row) for row in B0]
+        u[last] += ck.numerator
+        us.append(u)
     if any(us.pop()):
         raise RuntimeError(f"Cayley-Hamilton residue nonzero for {label}")
+    us = [[Q(v, den ** k) for v in u] for k, u in enumerate(us)]
     content, prim = poly_content_removed([Polynomial(u[::-1]) for u in zip(*us)])
     d_poly, rem = det.divmod(content)
     if not rem.is_zero():
@@ -262,31 +255,30 @@ def xi_uniqueness_check(l: int, lam: tuple[int, ...], n: int) -> bool:
     """xi is basis-independent: the vectors killed by every cap except the
     last adjacent one form a line, and that line is spanned by the solved xi.
 
-    xi is checked against those defining rows exactly in Q[a]; the line is
-    then certified by specialisation.  The rank over Q(a) is at least the
-    rank at any point a = t, and a nonzero maximal minor has degree at most
-    the rows' degree bound B, so some t in 0..B has a one-dimensional kernel
-    over Q exactly when the kernel over Q(a) is the line through xi.
+    The defining rows are those of A~ = aI + B_0 / den but u_{n-1,n} b_1:
+    as G = (S (x) I) A~, they span the Gram rows off the last cup and the
+    last-cup Gram rows pinned to the ratios of the first Specht Gram column
+    (the Schur complement of S_00).  xi is checked against them exactly in
+    Q[a]; the line is then certified by specialisation.  The rank over Q(a)
+    is at least the rank at any point a = t, and a nonzero maximal minor of
+    these dim - 1 rows of degree 1 has degree < dim, so some t in 0..dim-1
+    has a one-dimensional kernel over Q exactly when the kernel over Q(a)
+    is the line through xi.
     """
     lam = tuple(lam)
     label = ModuleLabel(l, n, n - 2, lam)
     inst = gram_matrix(label)
-    G = specht_gram(lam)
-    last_rows = {_last_cup_row(label, m) for m in range(inst.d)}
-    rows = [row for i, row in enumerate(inst.matrix.entries) if i not in last_rows]
-    # the last cap must return a multiple of the projector: the last-cup
-    # pairings are pinned to the ratios of the first Specht Gram column
-    r0 = inst.matrix.entries[_last_cup_row(label, 0)]
-    for m in range(1, inst.d):
-        rm = inst.matrix.entries[_last_cup_row(label, m)]
-        rows.append([a * G[0][0] - b * G[m][0] for a, b in zip(rm, r0)])
+    tail, den = inst.linearisation
+    first = _last_cup_row(label, 0)
+    rows = [(i, row) for i, row in enumerate(tail) if i != first]
     xi = solve_xi(l, lam, n)
-    if not any(xi.coeffs) or any(_apply(rows, list(xi.coeffs))):
+    a = Polynomial.x() * den
+    if not any(xi.coeffs) or any(sum((c * b for b, c in zip(row, xi.coeffs) if b),
+                                     a * xi.coeffs[i]) for i, row in rows):
         return False
-    # a zero row would void the degree bound and adds nothing to the kernel
-    system = PolyMatrix([row for row in rows if any(row)])
-    return any(inst.dim - field_rank(system.evaluate(Q(t))) == 1
-               for t in range(system.degree_bound() + 1))
+    return any(inst.dim - field_rank([[Q(b + den * t * (i == j)) for j, b in enumerate(row)]
+                                      for i, row in rows]) == 1
+               for t in range(inst.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +346,10 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
     pre = _annihilates(alpha0, det)
     claim(claims, "parameter-annihilates-det", pre, desc)
 
-    rows = [[to_f(p) for p in row] for row in inst.matrix.entries]
+    # A~(alpha0) = alpha0 I + B_0 / den has the row space of G(alpha0)
+    tail, den = inst.linearisation
+    rows = [[to_f(Polynomial((Q(b, den), int(i == j)))) for j, b in enumerate(row)]
+            for i, row in enumerate(tail)]
     ker = field_kernel(rows)
     deficiency = len(ker)
     claim(claims, "radical-nonzero", deficiency > 0,

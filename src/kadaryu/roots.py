@@ -6,12 +6,12 @@ Sturm chain, built once from its primitive integer squarefree part by
 pseudo-remainders scaled only by positive factors, so its sign sequences
 and counts are those of the chain over Q; the sign at a rational a/b is the
 sign of a homogeneous integer Horner sum.  Values at the algebraic sample
-points 2cos(r pi / m) are handled either symbolically (reduction modulo the
-minimal polynomial of the point) or by certified enclosures with dyadic
-endpoints (Machin bounds for pi, Taylor bounds for cos rounded outward to
-4*terms + 64 bits, interval Horner in integers).  A sign that cannot be
-separated from zero within the refinement budget is reported as
-"inconclusive", never silently passed.
+points 2cos(r pi / m) are handled either symbolically (an integer
+pseudo-remainder by the minimal polynomial of the point) or by certified
+enclosures with dyadic endpoints (Machin bounds for pi, Taylor bounds for
+cos rounded outward to 4*terms + 64 bits, interval Horner in integers).  A
+sign that cannot be separated from zero within the refinement budget is
+reported as "inconclusive", never silently passed.
 """
 
 from __future__ import annotations
@@ -59,6 +59,12 @@ def _neg_prem(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         return ()
     h = math.gcd(*r)
     return tuple(-v // h for v in r)
+
+
+def _divides(h: Polynomial, p: Polynomial) -> bool:
+    """h | p over Q: the integer pseudo-remainder of p's primitive
+    coefficients by h's is a positive multiple of p mod h."""
+    return not _neg_prem(_integer_coeffs(p), _integer_coeffs(h))
 
 
 @lru_cache
@@ -261,8 +267,7 @@ def sign_at_2cos(p: Polynomial, r: int, m: int, budget: int = 64):
     Exact zeroes are detected via the minimal polynomial; otherwise the
     enclosure is tightened until it excludes zero or the budget runs out.
     """
-    h = minimal_poly_2cos(r, m)
-    if (p % h).is_zero():
+    if _divides(minimal_poly_2cos(r, m), p):
         return 0
     f = _integer_coeffs(p)
     terms = 8
@@ -300,7 +305,7 @@ def minimal_poly_2cos(r: int, m: int) -> Polynomial:
     # among the roots 2cos(j pi/m2) of q, the Galois conjugates of our point
     # share the parity of j; P^U_{m2-1} takes value -(-1)^j there
     split = cheb_u(m2 - 1) + Polynomial.const(Q((-1) ** r2))
-    if split.is_zero() or (split % q).is_zero():
+    if _divides(q, split):
         return q
     h = poly_gcd(q, split)
     if h.degree < 1:
@@ -312,9 +317,8 @@ def lemma_roots_check(series: ChebSeries, k: int, kp: int, r: int) -> bool:
     """P_{N+k} = (-1)^r P_{N-kp} at 2cos(r pi/(k+kp)), checked symbolically."""
     if not (0 < r < k + kp):
         raise ValueError("need 0 < r < k + k'")
-    h = minimal_poly_2cos(r, k + kp)
     diff = series.term(series.anchor + k) - series.term(series.anchor - kp) * Q((-1) ** r)
-    return (diff % h).is_zero()
+    return _divides(minimal_poly_2cos(r, k + kp), diff)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +450,7 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
         m = k + 2
         claim(claims, "degree", p.degree == k + 2, p.degree)
         for r in range(1, k + 2):
-            ok = ((p - Polynomial.const(Q((-1) ** r * (l + 2))))
-                  % minimal_poly_2cos(r, m)).is_zero()
+            ok = _divides(minimal_poly_2cos(r, m), p - Q((-1) ** r * (l + 2)))
             claim(claims, f"value-at-2cos({r}pi/{m})", ok)
         claim(claims, "value-at--2", p(-2) == (-1) ** (k + 2) * (4 + k + l), str(p(-2)))
         claim(claims, "value-at-l+2", p(l + 2) == -cheb_u(k)(l + 2), str(p(l + 2)))
@@ -466,8 +469,7 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
         claim(claims, "degree", p.degree == k + 3, p.degree)
         lin = Polynomial([Q(2 * l), Q(1)])
         for r in range(1, k + 2):
-            ok = ((p - lin * Q((-1) ** r * (l + 2)))
-                  % minimal_poly_2cos(r, m)).is_zero()
+            ok = _divides(minimal_poly_2cos(r, m), p - lin * Q((-1) ** r * (l + 2)))
             claim(claims, f"value-at-2cos({r}pi/{m})", ok)
         claim(claims, "value-at-2", p(2) == 2 * (l + 1) * (l + 2), str(p(2)))
         if l >= 1 and k >= 1:

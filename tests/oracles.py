@@ -6,8 +6,9 @@ and by cofactor expansion, Smith invariants over Q[a], the Brauer diagram
 basis by brute force, the pairing of half diagrams by composing diagrams,
 Sturm counts from the chain of remainders over Q, cos bounds from the
 exact Taylor sum, the Specht basis by elimination over r!-long coordinate
-vectors, the Specht data from products in the group algebra, and the
-bootstrap vector by Cramer's rule.
+vectors, the Specht data from products in the group algebra, the
+bootstrap vector by Cramer's rule, its uniqueness from the Gram rows, and
+the radical as the kernel of the Gram matrix at a parameter value.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import operator
 from fractions import Fraction
 from itertools import count
 
-from kadaryu import exactmath
+from kadaryu import exactmath, morphisms
 from kadaryu.diagrams import PairPartition, compose, flip
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
-                               field_row_echelon, poly_content_removed,
-                               poly_squarefree_part)
+                               field_kernel, field_rank, field_row_echelon,
+                               poly_content_removed, poly_squarefree_part)
 from kadaryu.gram import ModuleLabel, gram_matrix
 from kadaryu.morphisms import XiElement, _last_cup_row
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
@@ -535,3 +536,35 @@ def solve_xi_by_cramer(l: int, lam: tuple[int, ...], n: int) -> XiElement:
     assert rem.is_zero(), f"D is not polynomial for {label}"
     scale = 1 / d_poly.lc
     return XiElement(label, tuple(p * scale for p in prim), d_poly.monic())
+
+
+def xi_uniqueness_by_gram_rows(l: int, lam: tuple[int, ...], n: int) -> bool:
+    """morphisms.xi_uniqueness_check on the Gram rows: the rows off the last
+    cup, plus the last-cup rows pinned to the ratios of the first Specht
+    Gram column; xi is checked against them in Q[a] and the line certified
+    at some t in 0..B, B the rows' degree bound."""
+    lam = tuple(lam)
+    label = ModuleLabel(l, n, n - 2, lam)
+    inst = gram_matrix(label)
+    G = specht_gram(lam)
+    entries = inst.matrix.entries
+    last_rows = {_last_cup_row(label, m) for m in range(inst.d)}
+    rows = [row for i, row in enumerate(entries) if i not in last_rows]
+    r0 = entries[_last_cup_row(label, 0)]
+    for m in range(1, inst.d):
+        rm = entries[_last_cup_row(label, m)]
+        rows.append([a * G[0][0] - b * G[m][0] for a, b in zip(rm, r0)])
+    xi = morphisms.solve_xi(l, lam, n)
+    if not any(xi.coeffs) or any(morphisms._apply(rows, list(xi.coeffs))):
+        return False
+    # a zero row would void the degree bound and adds nothing to the kernel
+    system = PolyMatrix([row for row in rows if any(row)])
+    return any(inst.dim - field_rank(system.evaluate(Q(t))) == 1
+               for t in range(system.degree_bound() + 1))
+
+
+def gram_radical(label: ModuleLabel, alpha0) -> list[list]:
+    """Kernel basis of G(alpha0), every polynomial Gram entry taken to Q or
+    to Q[a]/(m) by morphisms._field."""
+    to_f, _desc = morphisms._field(alpha0)
+    return field_kernel([[to_f(p) for p in row] for row in gram_matrix(label).matrix.entries])

@@ -215,6 +215,18 @@ class TestBootstrap:
                    *cache_args(tmp_path)) == (2, "", "error: rank must be at least l+4\n")
         assert not (tmp_path / "cache").exists()
 
+    def test_target_without_alpha_is_usage_error(self, tmp_path, capsys):
+        assert run(capsys, "bootstrap", "--l", "0", "--lambda", "2", "--target", "1,1",
+                   *cache_args(tmp_path)) == (2, "", "error: --target needs --alpha\n")
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_alpha_below_rank_2_is_usage_error(self, tmp_path, capsys, n):
+        assert run(capsys, "bootstrap", "--l", "0", "--lambda", "2", "--n", n,
+                   "--alpha", "1", *cache_args(tmp_path)) == (
+            2, "", "error: rank must be at least 2\n")
+        assert not (tmp_path / "cache").exists()
+
     def test_divisibility(self, tmp_path, capsys):
         code, out, _ = run(capsys, "bootstrap", "--l", "0", "--lambda", "2",
                            "--n", "6", *cache_args(tmp_path))

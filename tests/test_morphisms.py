@@ -8,15 +8,16 @@ import pytest
 from kadaryu import gram, morphisms
 from kadaryu.cheby import ChebSeries
 from kadaryu.diagrams import one_cup_index
-from kadaryu.exactmath import Polynomial, RationalFunction, poly_content_removed
+from kadaryu.exactmath import (Polynomial, RationalFunction, field_kernel,
+                               poly_content_removed)
 from kadaryu.gram import GramInstance, ModuleLabel, factor_one_cup, gram_matrix
-from kadaryu.morphisms import (divisibility_check, niceelt_check,
+from kadaryu.morphisms import (XiElement, divisibility_check, niceelt_check,
                                projector_fixes_xi, solve_xi, submodule_verify,
                                tridiagonal_alpha1_deficiencies,
                                xi_sequence, xi_step, xi_uniqueness_check)
-from kadaryu.symmetric import specht_gram
+from kadaryu.symmetric import Permutation, partitions, specht_gram
 
-from oracles import solve_xi_by_cramer
+from oracles import gram_radical, solve_xi_by_cramer, xi_uniqueness_by_gram_rows
 
 x = Polynomial.x()
 
@@ -27,6 +28,29 @@ CRAMER_LABELS = [(0, (2,), 4), (0, (1, 1), 4), (0, (2,), 5), (0, (1, 1), 5),
                  (1, (3,), 5), (1, (2, 1), 5), (1, (1, 1, 1), 5), (2, (4,), 6),
                  (2, (1, 1, 1, 1), 6), (2, (2, 2), 6),
                  pytest.param(2, (3, 1), 6, marks=pytest.mark.slow)]
+
+
+# the Cramer labels below l = 2, and every l = 2 partition at rank 6
+UNIQUENESS_LABELS = [*CRAMER_LABELS[:7], *((2, lam, 6) for lam in partitions(4))]
+
+# (l, lambda, n, alpha0, target) of the submodule certificates
+SUBMODULE_CASES = [
+    (0, (2,), 4, x * x + x - 4, None), (0, (2,), 3, 1, None), (0, (1, 1), 3, 1, None),
+    (0, (1, 1), 4, 1, (2,)), (0, (2,), 4, 1, (1, 1)), (0, (2,), 2, 2, None),
+    (1, (2, 1), 5, x ** 4 - 7 * x * x + 3, None), (0, (2,), 4, 7, None),
+    (0, (2,), 5, Polynomial([2, -1, -5, 1, 1]), None),
+    (2, (4,), 7, Polynomial([-6, -23, 1, 7, 1]), None)]
+
+
+def bump_tail_after_det(inst):
+    """Keep the determinant, then change one entry of B_0."""
+    assert inst.det_monic
+    inst.linearisation[0][0][0] += 1
+
+
+def close_every_cup_off_diagonal(inst):
+    """Let half diagrams 0 != 1 of a one-cup module close its cup."""
+    inst.table[0][1] = (1, Permutation.identity(inst.label.r))
 
 
 def assert_proportional(got, want):
@@ -106,18 +130,47 @@ class TestExplicitSmallCases:
 
     @pytest.mark.parametrize("break_it,msg", [
         (lambda inst: setattr(inst, "_det", inst.det_monic + 1), "Cayley-Hamilton"),
-        (lambda inst: inst.matrix.entries[0].__setitem__(0, x * x), "degree > 1"),
-        (lambda inst: inst.matrix.entries.__setitem__(
-            0, [Polynomial.const(p(0)) for p in inst.matrix.entries[0]]), "singular"),
+        (bump_tail_after_det, "Cayley-Hamilton"),
+        (close_every_cup_off_diagonal, "close every cup"),
     ])
     def test_internal_checks_raise(self, monkeypatch, break_it, msg):
-        """A wrong characteristic polynomial, a quadratic entry or singular
-        top coefficients each end in RuntimeError, never in a wrong xi."""
+        """A wrong characteristic polynomial, a linearisation corrupted after
+        its determinant was kept, or two different half diagrams that close
+        every cup each end in RuntimeError, never in a wrong xi."""
         fresh = GramInstance(ModuleLabel(0, 4, 2, (2,)))
         break_it(fresh)
         monkeypatch.setattr(morphisms, "gram_matrix", lambda lab: fresh)
         with pytest.raises(RuntimeError, match=msg):
             solve_xi.__wrapped__(0, (2,), 4)
+
+    def test_strand_beyond_r_raises(self, monkeypatch):
+        """A residual permutation that moves a strand beyond r = 2 of the
+        p = 3 lines is a closure bug, never data."""
+        real = gram.pairing_table
+
+        def moved(half):
+            table = real(half)
+            loops, _image = table[0][0]
+            table[0][0] = (loops, (1, 3, 2))
+            return table
+
+        fresh = GramInstance(ModuleLabel(0, 5, 3, (2,)))
+        monkeypatch.setattr(gram, "pairing_table", moved)
+        monkeypatch.setattr(morphisms, "gram_matrix", lambda lab: fresh)
+        with pytest.raises(RuntimeError, match="height-closure violation"):
+            solve_xi.__wrapped__(0, (2,), 5)
+
+    def test_scaled_linearisation(self, monkeypatch):
+        """tail and den enter only as B_0 / den: scaling both by 3 leaves
+        det_monic and xi as they are."""
+        label = ModuleLabel(1, 5, 3, (2, 1))
+        want = solve_xi(1, (2, 1), 5)
+        fresh = GramInstance(label)
+        tail, den = fresh.linearisation
+        fresh.linearisation = [[3 * v for v in row] for row in tail], 3 * den
+        monkeypatch.setattr(morphisms, "gram_matrix", lambda lab: fresh)
+        assert fresh.det_monic == gram_matrix(label).det_monic
+        assert solve_xi.__wrapped__(1, (2, 1), 5) == want
 
     def test_coeff_accessor(self):
         xi = solve_xi(0, (2,), 5)
@@ -165,12 +218,19 @@ class TestRecursion:
 
     @pytest.mark.parametrize("lam,n", [
         ((5,), 9), ((1, 1, 1, 1, 1), 9),
-        *(pytest.param(lam, 8, marks=pytest.mark.slow)
-          for lam in [(4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)])])
+        *((lam, 8) for lam in [(4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)])])
     def test_divisibility_l3(self, lam, n):
         rep = divisibility_check(3, lam, n)
         assert rep["status"] == "pass", rep
         assert f"series-divides-D-n{n}" in [c["id"] for c in rep["claims"]]
+
+    @pytest.mark.parametrize("lam", [
+        (6,), (1, 1, 1, 1, 1, 1),
+        *(pytest.param(lam, marks=pytest.mark.slow) for lam in [(5, 1), (2, 1, 1, 1, 1)])])
+    def test_divisibility_l4(self, lam):
+        rep = divisibility_check(4, lam, 9)
+        assert rep["status"] == "pass", rep
+        assert "series-divides-D-n9" in [c["id"] for c in rep["claims"]]
 
     def test_rank_below_anchor_refused(self):
         """Below rank l+4 there is no xi; the sequence must not fall back
@@ -196,6 +256,44 @@ class TestStructure:
                                          (0, (2,), 5), (1, (2, 1), 5)])
     def test_uniqueness(self, l, lam, n):
         assert xi_uniqueness_check(l, lam, n)
+
+
+class TestOracles:
+    """The linearisation against the Gram rows it replaced."""
+
+    @pytest.mark.parametrize("l,lam,n", UNIQUENESS_LABELS)
+    def test_uniqueness_matches_gram_rows(self, l, lam, n):
+        assert xi_uniqueness_check(l, lam, n) is xi_uniqueness_by_gram_rows(l, lam, n) is True
+
+    def test_perturbed_xi_is_refused_by_both(self, monkeypatch):
+        xi = solve_xi(1, (2, 1), 5)
+        coeffs = list(xi.coeffs)
+        coeffs[3] += 1
+        monkeypatch.setattr(morphisms, "solve_xi",
+                            lambda *args: XiElement(xi.label, tuple(coeffs), xi.D))
+        assert xi_uniqueness_check(1, (2, 1), 5) is False
+        assert xi_uniqueness_by_gram_rows(1, (2, 1), 5) is False
+
+    @pytest.mark.parametrize("l,lam,n,alpha0,target", SUBMODULE_CASES)
+    def test_radical_matches_gram_kernel(self, monkeypatch, l, lam, n, alpha0, target):
+        """The first kernel submodule_verify takes is the radical, exactly
+        the basis the Gram matrix at alpha0 gives."""
+        kernels = []
+
+        def spy(rows):
+            kernels.append(field_kernel(rows))
+            return kernels[-1]
+
+        monkeypatch.setattr(morphisms, "field_kernel", spy)
+        submodule_verify(l, lam, n, alpha0, target=target)
+        label = ModuleLabel(l, n, n - 2, target or morphisms._target_partition(l, n, lam))
+        assert kernels[0] == gram_radical(label, alpha0)
+
+    def test_reducible_modulus_fails_in_both(self):
+        with pytest.raises(ZeroDivisionError):
+            submodule_verify(0, (2,), 4, x * x - 1)
+        with pytest.raises(ZeroDivisionError):
+            gram_radical(ModuleLabel(0, 4, 2, (2,)), x * x - 1)
 
 
 class TestSubmodules:
