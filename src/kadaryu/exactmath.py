@@ -8,8 +8,10 @@ gcd on the primitive parts before Euclid's algorithm.
 Determinants over Q[a] have one certified modular path,
 `det_monic_companion`: the determinant of a monic matrix polynomial is
 the characteristic polynomial of one block companion matrix, taken modulo
-a prime above twice the Hadamard bound.  Its callers build the monic
-matrix polynomial and check the result exactly at one point.
+a prime above twice the Hadamard bound, and checked exactly at one point
+by an integer Bareiss determinant of the matrix polynomial there.  This is
+the only check point a determinant over Q[a] needs: callers build the monic
+matrix polynomial and take the certified result.
 
 Linear algebra over a field has one protocol for Q and Q[a]/(m): a
 `QuotElem` takes +, -, * and == with ints and Fractions on either side,
@@ -24,8 +26,8 @@ reprs (alpha in the docs).
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -56,10 +58,6 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial([])
 
     @staticmethod
     def one() -> "Polynomial":
@@ -634,17 +632,16 @@ def _charpoly_mod(c: list[list[int]], modulus: int) -> list[int]:
         prow = c[j1]
         inv = pow(prow[j], -1, modulus)
         tail = prow[j:]
-        us = []  # row k -= us[k-j-2] * row j+1, then col j+1 += us[k-j-2] * col k
+        nonzero = []  # (k, u): row k -= u * row j+1, then col j+1 += u * col k
         for k in range(j + 2, m):
             row = c[k]
             u = row[j] * inv % modulus
-            us.append(u)
             if u:
+                nonzero.append((k, u))
                 row[j:] = [(x - u * y) % modulus for x, y in zip(row[j:], tail)]
-        if any(us):
-            j2 = j + 2
+        if nonzero:
             for row in c:
-                row[j1] = (row[j1] + sum(map(operator.mul, us, row[j2:]))) % modulus
+                row[j1] = (row[j1] + sum([u * row[k] for k, u in nonzero])) % modulus
     polys = [[1]]  # polys[k]: charpoly of the leading k x k block of h
     for k in range(1, m + 1):
         acc = [0] + polys[-1]
@@ -701,7 +698,10 @@ def det_monic_companion(tail: list[list[int]], den: int) -> Polynomial:
     last block row -tail / den (Gohberg, Lancaster & Rodman, *Matrix
     Polynomials*, ch. 1), taken mod one N above twice the Hadamard bound of
     den*x^t I + B(x) on |x| = 1 (`_lift_mod`), whose det is den^n times
-    this one: no leading determinant and no solve.
+    this one: no leading determinant and no solve.  The lifted result is
+    checked against an integer Bareiss determinant of den*x^t I + B(x) at
+    the smallest integer x >= 2 where it is nonzero; a mismatch raises
+    RuntimeError.
     """
     n = len(tail)
     if not n or not tail[0]:
@@ -719,7 +719,15 @@ def det_monic_companion(tail: list[list[int]], den: int) -> Polynomial:
         return [c * scale % modulus for c in _charpoly_mod(companion, modulus)]
 
     scale = den ** n
-    return Polynomial([Fraction(c, scale) for c in _lift_mod(hadamard_sq, residues)])
+    det = Polynomial([Fraction(c, scale) for c in _lift_mod(hadamard_sq, residues)])
+    x = next(x for x in count(2) if det(x))
+    at_x = [[_horner(row[j::n], x) for j in range(n)] for row in tail]
+    top = den * x ** (len(tail[0]) // n)
+    for r, row in enumerate(at_x):
+        row[r] += top
+    if _int_det_bareiss(at_x) != scale * det(x):
+        raise RuntimeError(f"determinant check failed at a = {x}")
+    return det
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,11 @@ Determinants are reported monic: the form is only defined up to a global
 scalar, and monic normalisation is the canonical representative.  Since
 <x_i c, sigma x_j c> = (S A(sigma))[i][j], S the Specht Gram and A(sigma)
 the action of sigma on the Specht basis, the monic determinant is that of
-a monic matrix polynomial in a whose blocks are the A(sigma): one integer
-block companion characteristic polynomial (GramInstance.det_monic).
+a monic matrix polynomial A~ in a whose blocks are the A(sigma): one integer
+block companion characteristic polynomial (GramInstance.det_monic).  The
+Gram matrix and A~ are placed by one loop from blocks checked to satisfy
+S A(sigma) = M(sigma), so G = (S (x) I) A~ entry by entry, and the one exact
+check point is the determinant core's own (exactmath.det_monic_companion).
 """
 
 from __future__ import annotations
@@ -30,16 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count
 
-from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion,
-                        det_rational, poly_gcd, poly_nth_root)
+from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion, poly_gcd,
+                        poly_nth_root)
 from .cheby import ChebSeries, ramping_check
 from .diagrams import (PairPartition, compose, half_basis, half_normalize,
                        one_cup_basis, one_cup_index, pairing_table)
 from .symmetric import (Permutation, hook_dimension, is_partition,
-                        left_action_matrix, specht_frame, specht_gram,
-                        specht_pairing)
+                        left_action_matrix, specht_frame, specht_pairing)
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,9 @@ class GramInstance:
 
     Basis order: Specht index outermost, half diagrams in their canonical
     order within each block (for one-cup modules this is the (j,k) cup
-    order).  The matrix and the determinant are both read off one pairing
-    table, (loops, sigma) per pair of half diagrams.
+    order).  The matrix and the linearisation the determinant is taken from
+    are both placed by one loop (_placed) over one pairing table, (loops,
+    sigma) per pair of half diagrams.
     """
 
     def __init__(self, label: ModuleLabel):
@@ -91,118 +93,104 @@ class GramInstance:
             self.half = half_basis(label.l, label.n, label.p)
         self.d = hook_dimension(label.lam)
         self.basis = [(i, u) for i in range(self.d) for u in self.half]
-        self._table: list[list] | None = None
-        self._matrix: PolyMatrix | None = None
-        self._det: Polynomial | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
     def table(self) -> list[list]:
         """table[a][b] = (loops, sigma) for flip(half[a]) stacked on half[b],
         sigma the residual permutation restricted to 1..r; None when the
         composite drops below p propagating lines."""
-        if self._table is None:
-            r = self.label.r
-            perms: dict[tuple[int, ...], Permutation] = {}
+        r = self.label.r
+        perms: dict[tuple[int, ...], Permutation] = {}
 
-            def entry(pair):
-                if pair is None:
-                    return None
-                loops, image = pair
-                if image not in perms:
-                    perm = Permutation(image)
-                    if not perm.fixes_from(r + 1):
-                        raise RuntimeError(
-                            f"residual permutation {image} moves a strand beyond {r}: "
-                            "height-closure violation")
-                    perms[image] = perm.restrict(r)
-                return loops, perms[image]
+        def entry(pair):
+            if pair is None:
+                return None
+            loops, image = pair
+            if image not in perms:
+                perm = Permutation(image)
+                if not perm.fixes_from(r + 1):
+                    raise RuntimeError(
+                        f"residual permutation {image} moves a strand beyond {r}: "
+                        "height-closure violation")
+                perms[image] = perm.restrict(r)
+            return loops, perms[image]
 
-            self._table = [[entry(pair) for pair in row] for row in pairing_table(self.half)]
-        return self._table
+        return [[entry(pair) for pair in row] for row in pairing_table(self.half)]
 
-    @property
-    def matrix(self) -> PolyMatrix:
-        if self._matrix is None:
-            self._matrix = self._build()
-        return self._matrix
+    @cached_property
+    def _blocks(self) -> tuple[dict, dict, int]:
+        """(pairing, action, den) over the sigmas of the table: pairing[sigma]
+        is M(sigma) = specht_pairing(lam, sigma), and action[sigma] is the
+        integer den * A(sigma), A(sigma) = left_action_matrix(lam, sigma) and
+        den the lcm of its denominators.  S A(sigma) = M(sigma), S = M(e) the
+        Specht Gram, is checked exactly for every sigma."""
+        lab = self.label
+        sigmas = {pair[1] for pairs in self.table for pair in pairs if pair is not None}
+        pairing = {sigma: specht_pairing(lab.lam, sigma) for sigma in sigmas}
+        action = {sigma: left_action_matrix(lab.lam, sigma) for sigma in sigmas}
+        specht = specht_pairing(lab.lam, Permutation.identity(lab.r))
+        for sigma, a in action.items():
+            if tuple(tuple(sum(s * v for s, v in zip(row, col)) for col in zip(*a))
+                     for row in specht) != pairing[sigma]:
+                raise RuntimeError(f"S A(sigma) != M(sigma) at sigma = {sigma} for {lab}")
+        den = math.lcm(*(v.denominator for a in action.values() for row in a for v in row))
+        return pairing, {sigma: [[v.numerator * (den // v.denominator) for v in row] for row in a]
+                         for sigma, a in action.items()}, den
 
-    def _build(self) -> PolyMatrix:
+    def _placed(self, blocks: dict):
+        """(loops, sigma, i*nhalf + a, j*nhalf + b, v) for every nonzero entry
+        v = blocks[sigma][i][j] at every pair (a, b) of the table."""
         nhalf = len(self.half)
-        zero = Polynomial()
-        rows = [[zero] * self.dim for _ in range(self.dim)]
-        for a, b, loops, sigma in self._pairs():
-            for i, values in enumerate(specht_pairing(self.label.lam, sigma)):
-                row = rows[i * nhalf + a]
-                for j, val in enumerate(values):
-                    if val:
-                        row[j * nhalf + b] = Polynomial.monomial(val, loops)
-        return PolyMatrix(rows)
-
-    def _pairs(self):
-        """(a, b, loops, sigma) for every pair of half diagrams whose
-        composite keeps p propagating lines."""
         for a, pairs in enumerate(self.table):
             for b, pair in enumerate(pairs):
                 if pair is not None:
-                    yield (a, b, *pair)
+                    loops, sigma = pair
+                    for i, values in enumerate(blocks[sigma]):
+                        for j, val in enumerate(values):
+                            if val:
+                                yield loops, sigma, i * nhalf + a, j * nhalf + b, val
 
-    def _blocks(self, matrix_of) -> tuple[dict, int]:
-        """({sigma: den * matrix_of(lam, sigma)}, den) over the sigmas of the
-        table, den the lcm of the denominators."""
-        sigmas = {pair[3] for pair in self._pairs()}
-        mats = {sigma: matrix_of(self.label.lam, sigma) for sigma in sigmas}
-        den = math.lcm(*(v.denominator for m in mats.values() for row in m for v in row))
-        return {sigma: [[v.numerator * (den // v.denominator) for v in row] for row in m]
-                for sigma, m in mats.items()}, den
+    @cached_property
+    def matrix(self) -> PolyMatrix:
+        """G: the block M(sigma) times a^loops at every pair of the table."""
+        zero = Polynomial()
+        rows = [[zero] * self.dim for _ in range(self.dim)]
+        for loops, _sigma, row, col, val in self._placed(self._blocks[0]):
+            rows[row][col] = Polynomial.monomial(val, loops)
+        return PolyMatrix(rows)
 
     @cached_property
     def linearisation(self) -> tuple[list[list[int]], int]:
         """(tail, den): G = (S (x) I) A~ with A~ = a^cups I + (B_0 + .. +
-        B_{cups-1} a^{cups-1}) / den and integer tail = [B_0 | .. | B_{cups-1}],
-        since <u b_i, v b_j> = a^loops (S A(sigma))[i][j], A(sigma) the action
-        of sigma on the Specht basis, and only u = v closes every cup."""
+        B_{cups-1} a^{cups-1}) / den and integer tail = [B_0 | .. | B_{cups-1}].
+        A~ places the block A(sigma) times a^loops where matrix places M(sigma)
+        = S A(sigma), and only u = v closes every cup."""
         lab = self.label
-        nhalf, dim, cups = len(self.half), self.dim, lab.cups
-        action, den = self._blocks(left_action_matrix)
+        dim, cups = self.dim, lab.cups
+        _pairing, action, den = self._blocks
+        identity = Permutation.identity(lab.r)
         tail = [[0] * (cups * dim) for _ in range(dim)]
-        for a, b, loops, sigma in self._pairs():
-            if loops == cups:
-                if a != b or sigma != Permutation.identity(lab.r):
-                    raise RuntimeError(f"half diagrams {a} != {b} close every cup for {lab}")
-                continue
-            for k, values in enumerate(action[sigma]):
-                row = tail[k * nhalf + a]
-                for j, val in enumerate(values):
-                    row[loops * dim + j * nhalf + b] = val
+        for loops, sigma, row, col, val in self._placed(action):
+            if loops < cups:
+                tail[row][loops * dim + col] = val
+            elif row != col or sigma != identity:
+                nhalf = len(self.half)
+                raise RuntimeError(f"half diagrams {row % nhalf} and {col % nhalf} close "
+                                   f"every cup with sigma = {sigma} for {lab}")
         return tail, den
 
-    @property
+    @cached_property
     def det_monic(self) -> Polynomial:
         """The Gram determinant divided by det(S)^h, h the number of half
-        diagrams: det A~ (exactmath.det_monic_companion), checked exactly
-        against det G = det(S)^h det A~ at the smallest integer a >= 2 where
-        det A~ is nonzero."""
-        if self._det is None:
-            nhalf, dim = len(self.half), self.dim
-            det = det_monic_companion(*self.linearisation)
-            x = next(x for x in count(2) if det(x))
-            pairing, den_m = self._blocks(specht_pairing)
-            at_x = [[0] * dim for _ in range(dim)]  # den_m G(x)
-            for a, b, loops, sigma in self._pairs():
-                power = x ** loops
-                for i, values in enumerate(pairing[sigma]):
-                    row = at_x[i * nhalf + a]
-                    for j, val in enumerate(values):
-                        row[j * nhalf + b] = val * power
-            specht = det_rational(specht_gram(self.label.lam)) ** nhalf
-            if det_rational(at_x) != den_m ** dim * specht * det(x):
-                raise RuntimeError(f"Gram determinant check failed at a = {x} for {self.label}")
-            self._det = det
-        return self._det
+        diagrams: det A~, from exactmath.det_monic_companion, which checks it
+        exactly at one point.  matrix and linearisation share one placement
+        and S A(sigma) = M(sigma) for every sigma, so G = (S (x) I) A~ entry
+        by entry and det G = det(S)^h det A~."""
+        return det_monic_companion(*self.linearisation)
 
 
 @lru_cache(maxsize=None)
@@ -301,9 +289,9 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
     Specht form, so gram_mixed is G = a N + G_0 with N = diag(norms), one
     norm per cup of each vector (anything else raises RuntimeError).  The
     normalised determinant det G / det N is det(a I + N^-1 G_0), one block
-    companion characteristic polynomial (exactmath.det_monic_companion),
-    checked exactly against det G at the smallest integer a >= 2 where it is
-    nonzero.
+    companion characteristic polynomial (exactmath.det_monic_companion).
+    The entry check makes its tail exactly N^-1 G_0, so the core's own check
+    point certifies det G = det N * det(a I + N^-1 G_0) as well.
     """
     lam = tuple(lam)
     m = gram_mixed(l, lam, n_tuple)
@@ -316,13 +304,8 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
                                    f"a diag(norms) + G_0 at entry ({i}, {j})")
     low = [[p(0) / nk for p in row] for row, nk in zip(m.entries, top)]
     den = math.lcm(*(v.denominator for row in low for v in row))
-    det = det_monic_companion([[v.numerator * (den // v.denominator) for v in row]
-                               for row in low], den)
-    x = next(x for x in count(2) if det(x))
-    if det_rational(m.evaluate(Q(x))) != math.prod(top) * det(x):
-        raise RuntimeError(f"mixed Gram determinant check failed at a = {x} "
-                           f"for {(l, lam, n_tuple)}")
-    return det
+    return det_monic_companion([[v.numerator * (den // v.denominator) for v in row]
+                                for row in low], den)
 
 
 # ---------------------------------------------------------------------------

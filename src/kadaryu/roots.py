@@ -373,21 +373,28 @@ def hook_t_series(l: int) -> ChebSeries:
     return _series_from_terms(l + 4, term)
 
 
-def family_series(l: int, lam: tuple[int, ...]) -> ChebSeries:
-    lam = tuple(lam)
-    # column before row: at l = -1 the two patterns coincide and only the
-    # column form remains valid there
-    if lam == (1,) * (l + 2):
-        return column_series(l)
-    if lam == (l + 2,):
-        return row_series(l)
-    # at l = 1 the hook and its conjugate coincide; the conjugate-hook form
-    # is the one valid down to l = 1
-    if lam == (2,) + (1,) * l:
-        return hook_t_series(l)
-    if lam == (l + 1, 1):
-        return hook_series(l)
+def _family(l: int, lam: tuple[int, ...]) -> str:
+    """The closed-form family of lam at l, the one dispatch that
+    family_series and verify_root_layout both read.
+
+    Column before row: at l = -1 the two patterns coincide and only the
+    column form remains valid there.  Conjugate hook before hook: at l = 1
+    they coincide, and the conjugate-hook form is the one valid down to
+    l = 1.
+    """
+    for family, shape in (("column", (1,) * (l + 2)), ("row", (l + 2,)),
+                          ("hook_t", (2,) + (1,) * l), ("hook", (l + 1, 1))):
+        if lam == shape:
+            return family
     raise ValueError(f"no closed-form series for lambda = {lam} at l = {l}")
+
+
+_FAMILY_SERIES = {"column": column_series, "row": row_series,
+                  "hook_t": hook_t_series, "hook": hook_series}
+
+
+def family_series(l: int, lam: tuple[int, ...]) -> ChebSeries:
+    return _FAMILY_SERIES[_family(l, tuple(lam))](l)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +449,11 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
     """Check the asserted root distribution of the degree-(k+..) member
     P_{l+4+k} of the closed-form family for lam; returns a claims report."""
     lam = tuple(lam)
-    series = family_series(l, lam)
-    p = series.term(l + 4 + k)
+    family = _family(l, lam)
+    p = _FAMILY_SERIES[family](l).term(l + 4 + k)
     claims: list[dict] = []
 
-    if lam == (1,) * (l + 2):
+    if family == "column":
         m = k + 2
         claim(claims, "degree", p.degree == k + 2, p.degree)
         for r in range(1, k + 2):
@@ -464,7 +471,7 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
             claim(claims, "total-real-roots",
                    sturm_count(p, -math.inf, math.inf) == k + 2)
 
-    elif lam == (l + 2,):
+    elif family == "row":
         m = k + 2
         claim(claims, "degree", p.degree == k + 3, p.degree)
         lin = Polynomial([Q(2 * l), Q(1)])
@@ -489,9 +496,7 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
             claim(claims, "no-root-in-(-l,-2)",
                    sturm_count(p, Q(-l), Q(-2)) == 0)
 
-    # conjugate hook before hook, as in family_series: at l = 1 they
-    # coincide and the series is the conjugate hook's
-    elif lam == (2,) + (1,) * l:
+    elif family == "hook_t":
         m = k + 1
         claim(claims, "degree", p.degree == k + 4, p.degree)
         signs = {}
@@ -510,7 +515,7 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
             claim(claims, "root-in-(l-1,l)", sturm_count(p, Q(l - 1), Q(l)) == 1)
             claim(claims, "root-beyond-l+1", sturm_count(p, Q(l + 1), math.inf) == 1)
 
-    elif lam == (l + 1, 1):
+    else:  # hook
         m = k + 1
         claim(claims, "degree", p.degree == k + 5, p.degree)
         signs = {}
@@ -532,8 +537,5 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
                    sturm_count(p, Q(-2 * l), Q(-l + 1)) == 1)
             claim(claims, "root-in-(-l+2,-l+3)",
                    sturm_count(p, Q(-l + 2), Q(-l + 3)) == 1)
-
-    else:
-        raise ValueError(f"no layout claims for lambda = {lam}")
 
     return report({"l": l, "lambda": list(lam), "k": k}, claims)

@@ -319,6 +319,32 @@ class TestDeterminants:
         with pytest.raises(RuntimeError, match="determinant check failed"):
             det_poly(m)
 
+    def test_companion_checks_itself(self, monkeypatch):
+        """det_monic_companion compares its lifted result with an integer
+        Bareiss determinant of den*a^t I + B(a) at the first a >= 2 where it
+        is nonzero, here a = 4 for (a - 2)(a - 3), and raises on a corrupted
+        charpoly instead of returning a wrong determinant."""
+        x = Polynomial.x()
+        checked = []
+        bareiss = exactmath._int_det_bareiss
+        monkeypatch.setattr(exactmath, "_int_det_bareiss",
+                            lambda m: checked.append([row[:] for row in m]) or bareiss(m))
+        assert det_monic_companion([[-2, 0], [0, -3]], 1) == (x - 2) * (x - 3)
+        assert checked == [[[2, 0], [0, 1]]]
+        # t = 2, den = 2: (a^2 + a/2 + 1)(a^2 - 1/2) - a * a/2
+        tail = [[2, 0, 1, 2], [0, -1, 1, 0]]
+        assert det_monic_companion(tail, 2) == Polynomial([Q(-1, 2), Q(-1, 4), 0, Q(1, 2), 1])
+        charpoly = exactmath._charpoly_mod
+
+        def corrupt(c, modulus):
+            coeffs = charpoly(c, modulus)
+            coeffs[0] = (coeffs[0] + 1) % modulus
+            return coeffs
+
+        monkeypatch.setattr(exactmath, "_charpoly_mod", corrupt)
+        with pytest.raises(RuntimeError, match="determinant check failed at a = 2"):
+            det_monic_companion(tail, 2)
+
     def test_check_point_is_the_first_nonzero_from_two(self, monkeypatch):
         x = Polynomial.x()
         zero = Polynomial()

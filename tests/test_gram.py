@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kadaryu import gram
+from kadaryu import exactmath, gram
 from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
 from kadaryu.diagrams import one_cup_index, s_gen
 from kadaryu.exactmath import Polynomial, PolyMatrix, Q
@@ -28,6 +28,28 @@ def prod(*factors):
     for f in factors:
         out = out * f
     return out
+
+
+def corrupt_charpoly(monkeypatch):
+    """Add 1 to the constant term of every modular charpoly."""
+    charpoly = exactmath._charpoly_mod
+
+    def corrupt(c, modulus):
+        coeffs = charpoly(c, modulus)
+        coeffs[0] = (coeffs[0] + 1) % modulus
+        return coeffs
+
+    monkeypatch.setattr(exactmath, "_charpoly_mod", corrupt)
+
+
+def rescaled(blocks, scale, left):
+    """blocks with entry [i][j] times scale[i]^left * scale[j]: D^left B D
+    for D = diag(scale)."""
+    def block(lam, sigma):
+        b = blocks(lam, sigma)
+        return tuple(tuple(v * scale[i] ** left * scale[j] for j, v in enumerate(row))
+                     for i, row in enumerate(b))
+    return block
 
 
 # the hand-checked one-cup determinants, indexed (l, n, lam)
@@ -205,10 +227,8 @@ class TestMixedRanks:
         assert gram_mixed_det(l, lam, n_tuple) == det_poly(gram_mixed(l, lam, n_tuple)) * (1 / scale)
 
     def test_failed_check_raises(self, monkeypatch):
-        core = gram.det_monic_companion
-        monkeypatch.setattr(gram, "det_monic_companion",
-                            lambda tail, den: core(tail, den) + 1)
-        with pytest.raises(RuntimeError, match="mixed Gram determinant check failed"):
+        corrupt_charpoly(monkeypatch)
+        with pytest.raises(RuntimeError, match="determinant check failed"):
             gram_mixed_det(1, (2, 1), (5, 6))
 
     @pytest.mark.parametrize("i, j, extra", [(0, 1, x), (0, 0, x), (2, 2, x * x)],
@@ -313,18 +333,12 @@ class TestDetMonic:
                                        pytest.param(ModuleLabel(1, 7, 3, (2, 1)),
                                                     marks=pytest.mark.slow)])
     def test_denominators_are_cleared(self, monkeypatch, label):
-        """No A(sigma) at r <= 6 has a denominator, so conjugate every one by
-        D = diag(2, 1, .., 1): the blocks of A~ then carry halves, the
+        """No A(sigma) at r <= 6 has a denominator, so rescale the Specht
+        basis by D = diag(2, 1, .., 1): M(sigma) becomes D M D and A(sigma)
+        becomes D^-1 A D, the blocks of A~ then carry halves, the
         determinant is unchanged, and the companion sees L = 2."""
         want = GramInstance(label).det_monic
-        d = hook_dimension(label.lam)
-        scale = [Q(2)] + [Q(1)] * (d - 1)
-
-        def conjugated(lam, sigma):
-            a = left_action_matrix(lam, sigma)
-            return tuple(tuple(a[i][j] * scale[j] / scale[i] for j in range(d))
-                         for i in range(d))
-
+        scale = [Q(2)] + [Q(1)] * (hook_dimension(label.lam) - 1)
         dens = []
         core = gram.det_monic_companion
 
@@ -332,17 +346,44 @@ class TestDetMonic:
             dens.append(den)
             return core(tail, den)
 
-        monkeypatch.setattr(gram, "left_action_matrix", conjugated)
+        monkeypatch.setattr(gram, "specht_pairing", rescaled(specht_pairing, scale, 1))
+        monkeypatch.setattr(gram, "left_action_matrix", rescaled(left_action_matrix, scale, -1))
         monkeypatch.setattr(gram, "det_monic_companion", spy)
         assert GramInstance(label).det_monic == want
         assert dens == [2]
 
     def test_failed_check_raises(self, monkeypatch):
-        core = gram.det_monic_companion
-        monkeypatch.setattr(gram, "det_monic_companion",
-                            lambda tail, den: core(tail, den) + 1)
-        with pytest.raises(RuntimeError, match="Gram determinant check failed"):
+        corrupt_charpoly(monkeypatch)
+        with pytest.raises(RuntimeError, match="determinant check failed"):
             GramInstance(ModuleLabel(1, 5, 3, (2, 1))).det_monic
+
+    def test_action_not_matching_the_pairing_raises(self, monkeypatch):
+        """A(sigma) conjugated by D = diag(2, 1, ..) while M(sigma) is kept
+        breaks S A(sigma) = M(sigma), and G = (S (x) I) A~ with it."""
+        label = ModuleLabel(1, 5, 3, (2, 1))
+        scale = [Q(2)] + [Q(1)] * (hook_dimension(label.lam) - 1)
+        monkeypatch.setattr(gram, "left_action_matrix", rescaled(left_action_matrix, scale, -1))
+        with pytest.raises(RuntimeError, match=r"S A\(sigma\) != M\(sigma\)"):
+            GramInstance(label).det_monic
+
+    @pytest.mark.parametrize("label", [ModuleLabel(1, 5, 3, (2, 1)), ModuleLabel(-1, 6, 0, ()),
+                                       ModuleLabel(2, 6, 2, (2,)), ModuleLabel(2, 6, 4, (3, 1))],
+                             ids=lambda lab: lab.key())
+    def test_gram_is_s_times_linearisation(self, label):
+        """G = (S (x) I) A~ entry by entry, as polynomials."""
+        inst = GramInstance(label)
+        tail, den = inst.linearisation
+        dim, nhalf, cups = inst.dim, len(inst.half), label.cups
+        S = specht_gram(label.lam)
+        top = Polynomial.monomial(1, cups)
+        lin = [[Polynomial([Q(row[k * dim + c], den) for k in range(cups)])
+                + (top if r == c else Polynomial()) for c in range(dim)]
+               for r, row in enumerate(tail)]
+        for i in range(inst.d):
+            for a in range(nhalf):
+                want = [sum((lin[k * nhalf + a][c] * S[i][k] for k in range(inst.d)),
+                            Polynomial()) for c in range(dim)]
+                assert inst.matrix.entries[i * nhalf + a] == want, (i, a)
 
     def test_is_the_gram_determinant_over_det_s(self):
         """det G = det(S)^h det_monic, h the number of half diagrams."""

@@ -129,7 +129,7 @@ class TestExplicitSmallCases:
         assert not hasattr(morphisms, "det_poly")
 
     @pytest.mark.parametrize("break_it,msg", [
-        (lambda inst: setattr(inst, "_det", inst.det_monic + 1), "Cayley-Hamilton"),
+        (lambda inst: inst.__dict__.update(det_monic=inst.det_monic + 1), "Cayley-Hamilton"),
         (bump_tail_after_det, "Cayley-Hamilton"),
         (close_every_cup_off_diagonal, "close every cup"),
     ])

@@ -282,6 +282,24 @@ class TestLayoutVerifier:
         with pytest.raises(ValueError):
             verify_root_layout(2, (2, 2), 1)
 
+    def test_small_l_failures_pinned(self):
+        """The 22 closed-form layouts at l <= 6, k <= 4 that fail today (the
+        column at l = -1 and the hooks and conjugate hooks at l = 1..4),
+        witnesses included; every other one passes.  A change of dispatch,
+        claim or gate shows up here as a changed report."""
+        path = Path(__file__).parent / "data" / "root_layout_failures.json"
+        wants = {(w["l"], tuple(w["lambda"]), w["k"]): w for w in json.loads(path.read_text())}
+        assert len(wants) == 22
+        for l in range(-1, 7):
+            shapes = {(1,) * (l + 2), (l + 2,), (2,) + (1,) * l, (l + 1, 1)}
+            for lam in sorted(s for s in shapes if sum(s) == l + 2 and min(s) > 0):
+                for k in range(1, 5):
+                    rep = verify_root_layout(l, lam, k)
+                    if (l, lam, k) in wants:
+                        assert json.dumps(rep) == json.dumps(wants[l, lam, k])
+                    else:
+                        assert rep["status"] == "pass", (l, lam, k)
+
     def test_certify_reports_pinned(self):
         # the two layouts the certify workload runs, witnesses included
         path = Path(__file__).parent / "data" / "root_layouts.json"
