@@ -14,27 +14,18 @@ classical Chebyshev U and extends to negative indices by P^U_{-n} = -P^U_n.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactmath import Polynomial, Q, poly_gcd
 
 _A = Polynomial.x()
 
 
-@lru_cache(maxsize=None)
-def _cheb_u_nonneg(n: int) -> Polynomial:
-    if n == 0:
-        return Polynomial()
-    if n == 1:
-        return Polynomial.one()
-    return _A * _cheb_u_nonneg(n - 1) - _cheb_u_nonneg(n - 2)
-
-
 def cheb_u(n: int) -> Polynomial:
-    """Normalised Chebyshev branch; P^U_4 = a(a^2-2), P^U_{-n} = -P^U_n."""
-    if n < 0:
-        return -_cheb_u_nonneg(-n)
-    return _cheb_u_nonneg(n)
+    """Normalised Chebyshev branch; P^U_4 = a(a^2-2), P^U_{-n} = -P^U_n.
+
+    A term of CLASSICAL, by the memoised loop of ChebSeries.term; a negative
+    index reads the positive term."""
+    return -CLASSICAL.term(-n) if n < 0 else CLASSICAL.term(n)
 
 
 def quantum_number(n: int) -> Polynomial:

@@ -265,12 +265,9 @@ def _cmd_series(args) -> int:
 def _cmd_rollet(args) -> int:
     p_max = args.max_p if args.max_p is not None else args.max_n
     if p_max is None:
-        print("error: rollet needs --max-n or --max-p", file=sys.stderr)
-        return 2
+        raise ValueError("rollet needs --max-n or --max-p")
     if any(b is not None and b < 0 for b in (args.max_n, args.max_p)):
-        print("error: rollet bounds --max-n and --max-p must be non-negative",
-              file=sys.stderr)
-        return 2
+        raise ValueError("rollet bounds --max-n and --max-p must be non-negative")
     if args.format == "dot":
         from .rollet import RolletGraph, export_dot
         _emit(args, export_dot(RolletGraph(args.l, p_max)))
@@ -297,9 +294,7 @@ def _cmd_verify(args) -> int:
     m_max = args.m if args.m is not None else 1
     # an empty range of ranks or cups would check nothing and still pass
     if m_max < 1 or max_p < args.l + 2:
-        print(f"error: verify arm needs --m >= 1 and --max-p >= l+2 = {args.l + 2}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"verify arm needs --m >= 1 and --max-p >= l+2 = {args.l + 2}")
 
     def produce():
         records = arm_verify(args.l, args.lam, range(args.l + 2, max_p + 1),
@@ -319,8 +314,7 @@ def _cmd_verify(args) -> int:
 def _cmd_roots(args) -> int:
     k = (args.n - args.l - 4) if args.n is not None else 1
     if k < 0:
-        print("error: rank must be at least l+4", file=sys.stderr)
-        return 2
+        raise ValueError("rank must be at least l+4")
     key = f"roots_l{args.l}_lam{_lam_key(args.lam)}_k{k}"
     payload = cache_get_put(args.cache_dir, key,
                             lambda: verify_root_layout(args.l, args.lam, k))
@@ -337,16 +331,11 @@ def _alpha_key(alpha) -> str:
 def _cmd_bootstrap(args) -> int:
     n = args.n if args.n is not None else args.l + 4
     if args.alpha is None and args.target is not None:
-        problem = "--target needs --alpha"
-    elif args.alpha is None and n < args.l + 4:
-        problem = "rank must be at least l+4"  # the xi sequence starts there
-    elif args.alpha is not None and n < 2:
-        problem = "rank must be at least 2"  # the module at alpha0 has one cup
-    else:
-        problem = None
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
+        raise ValueError("--target needs --alpha")
+    if args.alpha is None and n < args.l + 4:
+        raise ValueError("rank must be at least l+4")  # the xi sequence starts there
+    if args.alpha is not None and n < 2:
+        raise ValueError("rank must be at least 2")  # the module at alpha0 has one cup
     key = f"bootstrap_l{args.l}_lam{_lam_key(args.lam)}_n{n}"
     if args.alpha is not None:
         target = "none" if args.target is None else _lam_key(args.target)
@@ -440,14 +429,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; version/help exit 0
         return int(exc.code or 0)
-    if args.l < -1:
-        print("error: height bound must be >= -1", file=sys.stderr)
-        return 2
-    if args.series_label and sum(args.lam) != args.l + 2:
-        print(f"error: --lambda must be a partition of l+2 = {args.l + 2}",
-              file=sys.stderr)
-        return 2
     try:
+        if args.l < -1:
+            raise ValueError("height bound must be >= -1")
+        if args.series_label and sum(args.lam) != args.l + 2:
+            raise ValueError(f"--lambda must be a partition of l+2 = {args.l + 2}")
         return args.func(args)
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,9 @@ involution, and enumeration of bounded-height diagram bases.
 Points of a diagram with n top and m bottom points are labelled 1..n (top)
 and -1..-m (bottom, negative).  A diagram is a perfect matching stored as a
 sorted tuple of sorted pairs, so equality is plain tuple equality.
+Products are walked on partner arrays (`_arrays`: the partner of each top
+and each bottom point), both in `compose` and in `pairing_table`, whose own
+walk `_stack` reads only the top arrays of half diagrams.
 
 Height is treated operationally: the height-<= l diagrams on n strands are
 exactly the products of the cup-cap generators e_1..e_{n-1} and the
@@ -141,67 +144,73 @@ def u_cup(j: int, k: int, n: int) -> PairPartition:
     return PairPartition(n, n - 2, pairs)
 
 
+def _arrays(d: PairPartition) -> tuple[list[int], list[int]]:
+    """(top, bottom): top[i] is the partner of top point i and bottom[j]
+    that of bottom point j, written +t for a top point t and -b for a bottom
+    point b; index 0 is unused."""
+    top = [0] * (d.n_top + 1)
+    bottom = [0] * (d.n_bottom + 1)
+    for a, b in d.pairs:  # a < b in a stored pair
+        if a > 0:
+            top[a], top[b] = b, a
+        elif b > 0:
+            bottom[-a], top[b] = b, a
+        else:
+            bottom[-a], bottom[-b] = b, a
+    return top, bottom
+
+
 def compose(p1: PairPartition, p2: PairPartition) -> tuple[PairPartition, int]:
     """p1 stacked on top of p2 (p1's bottom glued to p2's top).
 
-    Returns (result diagram, number of closed loops removed).
+    Returns (result diagram, number of closed loops removed).  Both are
+    walked as partner arrays: a line alternates between p2's partner of a
+    glued point and p1's, marking the glued points it passes, until it is
+    outer again; each unmarked glued point then starts one closed loop.
     """
     if p1.n_bottom != p2.n_top:
         raise ValueError(f"size mismatch: {p1.n_bottom} vs {p2.n_top}")
-    n, m, k = p1.n_top, p1.n_bottom, p2.n_bottom
-    # nodes: ('t', i) top of p1, ('m', i) glued middle, ('b', i) bottom of p2
-    adj: dict[tuple, list] = {}
+    top1, bot1 = _arrays(p1)
+    top2, bot2 = _arrays(p2)
+    glued = [False] * (p1.n_bottom + 1)
 
-    def link(a, b):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    def across(y):
+        """The outer end of a line that leaves p1 at y, in the result's
+        labels (p2's bottom points are the result's bottom points)."""
+        while y < 0:
+            glued[-y] = True
+            y = top2[-y]
+            if y < 0:
+                return y
+            glued[y] = True
+            y = bot1[y]
+        return y
 
-    for a, b in p1.pairs:
-        na = ("t", a) if a > 0 else ("m", -a)
-        nb = ("t", b) if b > 0 else ("m", -b)
-        link(na, nb)
-    for a, b in p2.pairs:
-        na = ("m", a) if a > 0 else ("b", -a)
-        nb = ("m", b) if b > 0 else ("b", -b)
-        link(na, nb)
-    ends = [("t", i) for i in range(1, n + 1)] + [("b", i) for i in range(1, k + 1)]
-    seen = set()
+    ends = set()
     pairs = []
-    for start in ends:
-        if start in seen:
-            continue
-        seen.add(start)
-        prev, cur = start, adj[start][0]
-        while cur[0] == "m":
-            seen.add(cur)
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:  # degenerate single-node path cannot happen
-                break
-            # a middle node has exactly two incident edges; when both go to
-            # the same neighbour (double edge) the walk must still alternate
-            if len(adj[cur]) == 2 and adj[cur][0] == adj[cur][1]:
-                nxt = [adj[cur][0]]
-            prev, cur = cur, nxt[0]
-        seen.add(cur)
-        a = start[1] if start[0] == "t" else -start[1]
-        b = cur[1] if cur[0] == "t" else -cur[1]
-        pairs.append((a, b))
+    for i in range(1, p1.n_top + 1):
+        if i not in ends:
+            e = across(top1[i])
+            ends.add(e)
+            pairs.append((i, e))
+    for j in range(1, p2.n_bottom + 1):
+        if -j not in ends:
+            y = bot2[j]
+            if y > 0:
+                glued[y] = True
+                y = across(bot1[y])
+            ends.add(y)
+            pairs.append((-j, y))
     loops = 0
-    for i in range(1, m + 1):
-        node = ("m", i)
-        if node in seen or node not in adj:
-            continue
-        # walk the cycle
-        loops += 1
-        prev, cur = node, adj[node][0]
-        seen.add(node)
-        while cur != node:
-            seen.add(cur)
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-    return PairPartition(n, k, pairs), loops
+    for g in range(1, p1.n_bottom + 1):
+        if not glued[g]:
+            loops += 1
+            t = g
+            while not glued[t]:
+                y = top2[t]
+                glued[t] = glued[y] = True
+                t = -bot1[y]
+    return PairPartition(p1.n_top, p2.n_bottom, pairs), loops
 
 
 def flip(p: PairPartition) -> PairPartition:
@@ -215,29 +224,18 @@ def pairing_table(half) -> list[list]:
     point the composite joins to top i; None when the composite has fewer
     than p propagating lines.
 
-    Each half diagram becomes a flat partner array over its top points (the
-    other top point of a cup, or -slot for a propagating line), and each
-    line is walked through the n glued points: down from a slot of u,
-    across a cup of v and back along a cup of u until it reaches a slot of
-    v, or a slot of u, which leaves the composite short of p lines.  The
-    glued points no line visits close into loops.
+    Each half diagram is read as its partner arrays (`_arrays`); the bottom
+    array of u gives the top point of each of its slots.  `_stack` is the
+    table's own walk, which needs only the top arrays: each line goes down
+    from a slot of u, across a cup of v and back along a cup of u until it
+    reaches a slot of v, or a slot of u, which leaves the composite short of
+    p lines.  The glued points no line visits close into loops.
     """
     if not half:
         return []
     n = half[0].n_top
-    partners, slots = [], []
-    for u in half:
-        partner = [0] * (n + 1)
-        slot_top = [0] * u.n_bottom
-        for a, b in u.pairs:
-            if a < 0:
-                partner[b] = a
-                slot_top[-a - 1] = b
-            else:
-                partner[a], partner[b] = b, a
-        partners.append(partner)
-        slots.append(slot_top)
-    return [[_stack(pu, su, pv, n) for pv in partners] for pu, su in zip(partners, slots)]
+    arrays = [_arrays(u) for u in half]
+    return [[_stack(tu, bu[1:], tv, n) for tv, _ in arrays] for tu, bu in arrays]
 
 
 def _stack(pu: list[int], slots_u: list[int], pv: list[int], n: int):
@@ -277,6 +275,22 @@ def generators(l: int, n: int) -> list[PairPartition]:
     return gens
 
 
+def _closure(start, step) -> set:
+    """Everything reachable from start by step (an element -> its
+    successors), breadth first."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for r in step(d):
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return seen
+
+
 @lru_cache(maxsize=None)
 def basis_by_closure(l: int, n: int) -> frozenset[PairPartition]:
     """All diagrams expressible as products of the height-<= l generators.
@@ -288,19 +302,7 @@ def basis_by_closure(l: int, n: int) -> frozenset[PairPartition]:
     if n == 0:
         return frozenset({PairPartition(0, 0, [])})
     gens = generators(l, n)
-    start = identity(n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for g in gens:
-                r, _ = compose(d, g)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_closure(identity(n), lambda d: (compose(d, g)[0] for g in gens)))
 
 
 def half_normalize(w: PairPartition) -> tuple[PairPartition, tuple[int, ...]]:
@@ -338,21 +340,14 @@ def half_basis(l: int, n: int, p: int) -> tuple[PairPartition, ...]:
         n, p,
         [(i, -i) for i in range(1, p + 1)] + [(q, q + 1) for q in range(p + 1, n, 2)])
     gens = generators(l, n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                w, _ = compose(g, u)
-                if w.propagating_count() < p:
-                    continue
-                u2, _ = half_normalize(w)
-                if u2 not in seen:
-                    seen.add(u2)
-                    nxt.append(u2)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda d: d.pairs))
+
+    def step(u):
+        for g in gens:
+            w, _ = compose(g, u)
+            if w.propagating_count() >= p:
+                yield half_normalize(w)[0]
+
+    return tuple(sorted(_closure(start, step), key=lambda d: d.pairs))
 
 
 def one_cup_basis(l: int, n: int) -> tuple[PairPartition, ...]:

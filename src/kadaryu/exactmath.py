@@ -631,14 +631,15 @@ def _charpoly_mod(c: list[list[int]], modulus: int) -> list[int]:
                 row[i], row[j1] = row[j1], row[i]
         prow = c[j1]
         inv = pow(prow[j], -1, modulus)
-        tail = prow[j:]
+        pivot = [(col, y) for col, y in enumerate(prow[j:], j) if y]
         nonzero = []  # (k, u): row k -= u * row j+1, then col j+1 += u * col k
         for k in range(j + 2, m):
             row = c[k]
             u = row[j] * inv % modulus
             if u:
                 nonzero.append((k, u))
-                row[j:] = [(x - u * y) % modulus for x, y in zip(row[j:], tail)]
+                for col, y in pivot:
+                    row[col] = (row[col] - u * y) % modulus
         if nonzero:
             for row in c:
                 row[j1] = (row[j1] + sum([u * row[k] for k, u in nonzero])) % modulus

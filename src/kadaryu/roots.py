@@ -261,17 +261,23 @@ def _interval_sign(f: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
     return (acc_lo > 0) - (acc_hi < 0)
 
 
-def sign_at_2cos(p: Polynomial, r: int, m: int, budget: int = 64):
+# refinements of an enclosure (6 more Taylor terms each) before a sign at
+# 2cos(r pi/m) is given up as inconclusive
+_BUDGET = 64
+
+
+def sign_at_2cos(p: Polynomial, r: int, m: int):
     """Certified sign of p(2cos(r pi/m)): +1, -1, 0 (exact), or None.
 
     Exact zeroes are detected via the minimal polynomial; otherwise the
-    enclosure is tightened until it excludes zero or the budget runs out.
+    enclosure is tightened until it excludes zero or _BUDGET refinements
+    are spent.
     """
     if _divides(minimal_poly_2cos(r, m), p):
         return 0
     f = _integer_coeffs(p)
     terms = 8
-    for _ in range(budget):
+    for _ in range(_BUDGET):
         s = _interval_sign(f, *cos_point_enclosure(r, m, terms))
         if s:
             return s
@@ -402,8 +408,7 @@ def family_series(l: int, lam: tuple[int, ...]) -> ChebSeries:
 # ---------------------------------------------------------------------------
 
 
-def _certified_separators(p: Polynomial, m: int, signs: dict[int, int],
-                          budget: int = 64):
+def _certified_separators(p: Polynomial, m: int, signs: dict[int, int]):
     """For each r in signs, a rational point q_r near 2cos(r pi/m) with the
     exact (rationally evaluated) sign signs[r]; None on budget exhaustion."""
     f = _integer_coeffs(p)
@@ -411,7 +416,7 @@ def _certified_separators(p: Polynomial, m: int, signs: dict[int, int],
     for r, want in signs.items():
         terms = 10
         found = None
-        for _ in range(budget):
+        for _ in range(_BUDGET):
             lo, hi = cos_point_enclosure(r, m, terms)
             mid = (lo + hi) / 2
             if _sign(f, mid) == want:

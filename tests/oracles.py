@@ -3,9 +3,9 @@ against: polynomial products term by term and gcds by Euclid's algorithm
 over Q, determinants over Q[a] by evaluation/interpolation, by modular
 linearisation of any square matrix (det_poly), by fraction-free Bareiss
 and by cofactor expansion, Smith invariants over Q[a], the Brauer diagram
-basis by brute force, the pairing of half diagrams by composing diagrams,
-Sturm counts from the chain of remainders over Q, cos bounds from the
-exact Taylor sum, the Specht basis by elimination over r!-long coordinate
+basis by brute force, diagram products by a walk on a node graph, the
+pairing of half diagrams by composing diagrams, Sturm counts from the
+chain of remainders over Q, cos bounds from the exact Taylor sum, the Specht basis by elimination over r!-long coordinate
 vectors, the Specht data from products in the group algebra, the
 bootstrap vector by Cramer's rule, its uniqueness from the Gram rows, and
 the radical as the kernel of the Gram matrix at a parameter value.
@@ -365,6 +365,67 @@ def pair_halves(u: PairPartition, v: PairPartition, p: int, r: int):
             f"residual permutation {perm.image} moves a strand beyond {r}: "
             "height-closure violation")
     return loops, perm.restrict(r)
+
+
+def compose_by_graph(p1: PairPartition, p2: PairPartition) -> tuple[PairPartition, int]:
+    """diagrams.compose by a walk on a node graph of the two diagrams'
+    lines: ('t', i) top of p1, ('m', i) glued, ('b', i) bottom of p2."""
+    if p1.n_bottom != p2.n_top:
+        raise ValueError(f"size mismatch: {p1.n_bottom} vs {p2.n_top}")
+    n, m, k = p1.n_top, p1.n_bottom, p2.n_bottom
+    # nodes: ('t', i) top of p1, ('m', i) glued middle, ('b', i) bottom of p2
+    adj: dict[tuple, list] = {}
+
+    def link(a, b):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+
+    for a, b in p1.pairs:
+        na = ("t", a) if a > 0 else ("m", -a)
+        nb = ("t", b) if b > 0 else ("m", -b)
+        link(na, nb)
+    for a, b in p2.pairs:
+        na = ("m", a) if a > 0 else ("b", -a)
+        nb = ("m", b) if b > 0 else ("b", -b)
+        link(na, nb)
+    ends = [("t", i) for i in range(1, n + 1)] + [("b", i) for i in range(1, k + 1)]
+    seen = set()
+    pairs = []
+    for start in ends:
+        if start in seen:
+            continue
+        seen.add(start)
+        prev, cur = start, adj[start][0]
+        while cur[0] == "m":
+            seen.add(cur)
+            nxt = [x for x in adj[cur] if x != prev]
+            if not nxt:  # degenerate single-node path cannot happen
+                break
+            # a middle node has exactly two incident edges; when both go to
+            # the same neighbour (double edge) the walk must still alternate
+            if len(adj[cur]) == 2 and adj[cur][0] == adj[cur][1]:
+                nxt = [adj[cur][0]]
+            prev, cur = cur, nxt[0]
+        seen.add(cur)
+        a = start[1] if start[0] == "t" else -start[1]
+        b = cur[1] if cur[0] == "t" else -cur[1]
+        pairs.append((a, b))
+    loops = 0
+    for i in range(1, m + 1):
+        node = ("m", i)
+        if node in seen or node not in adj:
+            continue
+        # walk the cycle
+        loops += 1
+        prev, cur = node, adj[node][0]
+        seen.add(node)
+        while cur != node:
+            seen.add(cur)
+            nxt = [x for x in adj[cur] if x != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+    return PairPartition(n, k, pairs), loops
 
 
 def brauer_basis(n: int, m: int) -> list[PairPartition]:

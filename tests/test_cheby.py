@@ -26,6 +26,12 @@ def test_negative_indices_are_odd():
         assert cheb_u(-n) == -cheb_u(n)
 
 
+def test_high_index_needs_no_recursion():
+    # P^U_n(2) = n; the old per-index recursion overflowed the stack here
+    assert cheb_u(1200)(2) == 1200
+    assert cheb_u(-1200)(2) == -1200
+
+
 @given(st.integers(-12, 12))
 def test_three_term_recursion(n):
     assert cheb_u(n + 1) == x * cheb_u(n) - cheb_u(n - 1)

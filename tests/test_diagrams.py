@@ -10,7 +10,7 @@ from kadaryu.diagrams import (PairPartition, basis_by_closure, compose, e_gen,
                               one_cup_basis, one_cup_index, permutation_diagram,
                               s_gen, u_cup)
 
-from oracles import brauer_basis
+from oracles import brauer_basis, compose_by_graph
 
 
 def catalan(n):
@@ -31,6 +31,21 @@ def random_diagram(draw, n=4):
     perm = draw(st.permutations(pts))
     pairs = [(perm[2 * i], perm[2 * i + 1]) for i in range(n)]
     return PairPartition(n, n, pairs)
+
+
+@st.composite
+def rectangular_diagram(draw, n, m):
+    pts = list(range(1, n + 1)) + list(range(-m, 0))
+    perm = draw(st.permutations(pts))
+    return PairPartition(n, m, zip(perm[::2], perm[1::2]))
+
+
+@st.composite
+def stackable_pair(draw, most=6):
+    """(p1, p2) with p1's bottom as wide as p2's top, every side <= most."""
+    m = draw(st.integers(0, most))
+    n, k = (draw(st.sampled_from(range(m % 2, most + 1, 2))) for _ in range(2))
+    return draw(rectangular_diagram(n, m)), draw(rectangular_diagram(m, k))
 
 
 class TestBasics:
@@ -67,6 +82,11 @@ class TestCompositionLaws:
         a_bc, l4 = compose(a, bc)
         assert ab_c == a_bc
         assert l1 + l2 == l3 + l4
+
+    @given(stackable_pair())
+    @settings(max_examples=300, deadline=None)
+    def test_compose_matches_graph_walk(self, pair):
+        assert compose(*pair) == compose_by_graph(*pair)
 
     @given(random_diagram())
     def test_flip_involution(self, d):
