@@ -12,7 +12,7 @@ package, or `kadaryu.cli` for a cached answer, loads no engine module.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "exactmath": ("Polynomial", "PolyMatrix", "Q", "RationalFunction"),
+    "exactmath": ("Polynomial", "PolyMatrix", "Q"),
     "cheby": ("ChebSeries", "cheb_u", "quantum_number"),
     "diagrams": ("PairPartition", "compose", "flip", "half_basis", "one_cup_basis"),
     "gram": ("ModuleLabel", "factor_one_cup", "gram_det", "gram_det_lnp",

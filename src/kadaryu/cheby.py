@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import Polynomial, Q, poly_gcd
-
-_A = Polynomial.x()
+from .exactmath import Polynomial, Q, poly_gcd, poly_gcd_cofactors
 
 
 def cheb_u(n: int) -> Polynomial:
@@ -52,19 +50,16 @@ class ChebSeries:
         memo = self._memo
         if n in memo:
             return memo[n]
-        if n > self.anchor + 1:
-            top = max(k for k in memo if k <= n)
-            p0, p1 = memo[top - 1], memo[top]
-            for k in range(top + 1, n + 1):
-                p0, p1 = p1, _A * p1 - p0
-                memo[k] = p1
-            return p1
-        bot = min(k for k in memo if k >= n)
-        p0, p1 = memo[bot], memo[bot + 1]
-        for k in range(bot - 1, n - 1, -1):
-            p0, p1 = _A * p0 - p1, p0
-            memo[k] = p0
-        return p0
+        # the memo is one run of indices around the anchor; the recursion
+        # P_{k-1} = a P_k - P_{k+1} is the same one read downwards
+        step = 1 if n > self.anchor else -1
+        k = max(memo) if step > 0 else min(memo)
+        p0, p1 = memo[k - step], memo[k]
+        while k != n:
+            k += step
+            p0, p1 = p1, Polynomial((0,) + p1.coeffs) - p0
+            memo[k] = p1
+        return p1
 
     def __eq__(self, other):
         if not isinstance(other, ChebSeries):
@@ -105,13 +100,10 @@ def series_reduce(s: ChebSeries) -> tuple[Polynomial, ChebSeries]:
     """Split off the maximal monic common factor of the two anchors."""
     if s.pN.is_zero() and s.pN1.is_zero():
         raise ValueError("zero series")
-    if s.pN.is_zero() or s.pN1.is_zero():
-        common = (s.pN1 if s.pN.is_zero() else s.pN).monic()
-    else:
-        common = poly_gcd(s.pN, s.pN1)
+    common, pN, pN1 = poly_gcd_cofactors(s.pN, s.pN1)
     if common.degree == 0:
         return Polynomial.one(), s
-    return common, ChebSeries(s.anchor, s.pN.exact_div(common), s.pN1.exact_div(common))
+    return common, ChebSeries(s.anchor, pN, pN1)
 
 
 # -- the U-basis expansion --------------------------------------------------

@@ -301,8 +301,8 @@ def _cmd_verify(args) -> int:
                              range(1, m_max + 1))
         return {"l": args.l, "lambda": list(args.lam),
                 "records": [{"p": r.p, "m": r.m, "n": r.n, "equal": r.equal,
-                             "residual": {"num": r.residual.num.to_json(),
-                                          "den": r.residual.den.to_json()}}
+                             "residual": {"num": r.residual[0].to_json(),
+                                          "den": r.residual[1].to_json()}}
                             for r in records]}
 
     key = f"verify_arm_l{args.l}_lam{_lam_key(args.lam)}_p{max_p}_m{m_max}"

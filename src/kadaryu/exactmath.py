@@ -332,32 +332,54 @@ def _gcd_euclid(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor of two polynomials over Q: the
-    heuristic gcd of the primitive parts, else Euclid's algorithm."""
+def poly_gcd_cofactors(a: Polynomial,
+                       b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(g, a / g, b / g) for the monic greatest common divisor g of two
+    polynomials over Q, not both zero: the heuristic gcd of the primitive
+    parts, whose cofactors are exact, else Euclid's algorithm."""
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd undefined for two zero polynomials")
     found = a.degree > 0 and b.degree > 0 and _gcd_heuristic(a, b)
-    return found[0] if found else _gcd_euclid(a, b)
+    if found:
+        return found
+    g = _gcd_euclid(a, b)
+    if g.degree == 0:
+        return g, a, b
+    return g, a.exact_div(g), b.exact_div(g)
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor of two polynomials over Q."""
+    return poly_gcd_cofactors(a, b)[0]
+
+
+def reduced(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num / den in lowest terms with a monic denominator, as a pair;
+    ZeroDivisionError on a zero denominator."""
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    _g, num, den = poly_gcd_cofactors(num, den)
+    inv = 1 / den.lc
+    return num * inv, den * inv
 
 
 def poly_content_removed(vec: Sequence[Polynomial]) -> tuple[Polynomial, list[Polynomial]]:
     """Divide out the monic gcd of a vector of polynomials.
 
-    Returns (content, primitive vector).  Zero vector -> (0, input).
+    Returns (content, primitive vector).  Zero vector -> (0, input).  Each
+    entry is its cofactor at its own gcd step, times old gcd / new gcd at
+    every later step.
     """
-    g = None
-    for p in vec:
+    g, prim, done = Polynomial(), list(vec), []
+    for i, p in enumerate(vec):
         if p.is_zero():
             continue
-        g = p if g is None else poly_gcd(g, p)
-        if g.degree == 0:
-            g = Polynomial.one()
-            break
-    if g is None:
-        return Polynomial(), list(vec)
-    g = g.monic()
-    return g, [p.exact_div(g) if p else p for p in vec]
+        g, shrink, prim[i] = poly_gcd_cofactors(g, p)
+        if shrink.degree > 0:
+            for j in done:
+                prim[j] = prim[j] * shrink
+        done.append(i)
+    return g, prim
 
 
 def poly_nth_root(p: Polynomial, d: int) -> Polynomial:
@@ -396,7 +418,7 @@ def poly_nth_root(p: Polynomial, d: int) -> Polynomial:
 def poly_squarefree_part(p: Polynomial) -> Polynomial:
     if p.degree <= 0:
         return p.monic() if p else p
-    return p.exact_div(poly_gcd(p, p.derivative())).monic()
+    return poly_gcd_cofactors(p, p.derivative())[1].monic()
 
 
 def yun_squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -408,115 +430,16 @@ def yun_squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     if p.degree <= 0:
         return []
     out = []
-    g = poly_gcd(p, p.derivative())
-    c = p.exact_div(g)
-    d = p.derivative().exact_div(g) - c.derivative()
+    _g, c, d = poly_gcd_cofactors(p, p.derivative())
+    d = d - c.derivative()
     i = 1
     while c.degree > 0:
-        q = poly_gcd(c, d)
+        q, c, d = poly_gcd_cofactors(c, d)
         if q.degree > 0:
-            out.append((q.monic(), i))
-        c2 = c.exact_div(q)
-        d = d.exact_div(q) - c2.derivative()
-        c = c2
+            out.append((q, i))
+        d = d - c.derivative()
         i += 1
     return out
-
-
-class RationalFunction:
-    """Quotient of polynomials, stored reduced with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial = None):
-        if den is None:
-            den = Polynomial.one()
-        if isinstance(num, (int, Fraction)):
-            num = Polynomial.const(num)
-        if isinstance(den, (int, Fraction)):
-            den = Polynomial.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = Polynomial(), Polynomial.one()
-            return
-        found = num.degree > 0 and den.degree > 0 and _gcd_heuristic(num, den)
-        if found:
-            _g, num, den = found
-        else:
-            g = _gcd_euclid(num, den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-        lc = den.lc
-        self.num = num * (1 / lc)
-        self.den = den * (1 / lc)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = RationalFunction(other if isinstance(other, Polynomial) else Polynomial.const(other))
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = _ratfun(other)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_ratfun(other))
-
-    def __rsub__(self, other):
-        return _ratfun(other) + (-self)
-
-    def __mul__(self, other):
-        other = _ratfun(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _ratfun(other)
-        if other.is_zero():
-            raise ZeroDivisionError
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _ratfun(other) / self
-
-    def __pow__(self, n: int):
-        if n >= 0:
-            return RationalFunction(self.num ** n, self.den ** n)
-        return RationalFunction(self.den ** (-n), self.num ** (-n))
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: denominator {self.den}")
-        return self.num * (1 / self.den.coeffs[0])
-
-    def __repr__(self):
-        return f"({self.num})/({self.den})"
-
-
-def _ratfun(x) -> RationalFunction:
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, Polynomial):
-        return RationalFunction(x)
-    return RationalFunction(Polynomial.const(x))
 
 
 class PolyMatrix:

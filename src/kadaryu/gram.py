@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion, poly_gcd,
+from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion, poly_gcd_cofactors,
                         poly_nth_root)
 from .cheby import ChebSeries, ramping_check
 from .diagrams import (PairPartition, compose, half_basis, half_normalize,
@@ -237,9 +237,9 @@ def factor_one_cup(l: int, lam: tuple[int, ...]) -> tuple[Polynomial, ChebSeries
     lam = tuple(lam)
     d = hook_dimension(lam)
     s = one_cup_series(l, lam)
-    c = poly_gcd(s.pN, s.pN1)
-    p0 = poly_nth_root(s.pN.exact_div(c), d)
-    p1 = poly_nth_root(s.pN1.exact_div(c), d)
+    c, q0, q1 = poly_gcd_cofactors(s.pN, s.pN1)
+    p0 = poly_nth_root(q0, d)
+    p1 = poly_nth_root(q1, d)
     series = ChebSeries(l + 4, p0, p1)
     ok, why = ramping_check(series)
     if not ok:

@@ -348,7 +348,8 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
 
     # A~(alpha0) = alpha0 I + B_0 / den has the row space of G(alpha0)
     tail, den = inst.linearisation
-    rows = [[to_f(Polynomial((Q(b, den), int(i == j)))) for j, b in enumerate(row)]
+    a0 = to_f(Polynomial.x())
+    rows = [[Q(b, den) + a0 if i == j else Q(b, den) for j, b in enumerate(row)]
             for i, row in enumerate(tail)]
     ker = field_kernel(rows)
     deficiency = len(ker)

@@ -6,6 +6,8 @@ size l+2) or mu is lam with one box added.  Walks from (0, ()) count
 standard-module dimensions; decorating each vertex with its rank-n Gram
 determinant produces the marginal vertex function 𝒱 and its conjectural
 Chebyshev counterpart 𝒞 built from the one-cup series of the arm labels.
+Both are quotients of products of powers, held as reduced (num, den) pairs
+(`exactmath.reduced`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cheby import quantum_number
-from .exactmath import Polynomial, RationalFunction
+from .exactmath import Polynomial, reduced
 from .gram import ModuleLabel, factor_one_cup, gram_det
 from .symmetric import partitions
 
@@ -98,8 +100,8 @@ def _det(l: int, n: int, vertex: Vertex) -> Polynomial:
     return gram_det(ModuleLabel(l, n, p, tuple(lam)))
 
 
-def marginal_v(l: int, vertex: Vertex, n: int) -> RationalFunction:
-    """det_n(vertex) / prod over neighbours of det_{n-1}(neighbour)."""
+def marginal_v(l: int, vertex: Vertex, n: int) -> tuple[Polynomial, Polynomial]:
+    """det_n(vertex) / prod over neighbours of det_{n-1}(neighbour), reduced."""
     p, lam = vertex
     num = _det(l, n, vertex)
     den = Polynomial.one()
@@ -107,11 +109,12 @@ def marginal_v(l: int, vertex: Vertex, n: int) -> RationalFunction:
     for (q, mu) in g.neighbours((p, tuple(lam))):
         if 0 <= q <= n - 1:
             den = den * _det(l, n - 1, (q, mu))
-    return RationalFunction(num, den)
+    return reduced(num, den)
 
 
-def chebyshev_c(l: int, vertex: Vertex, n: int) -> RationalFunction:
-    """The Chebyshev-series prediction for the marginal vertex function.
+def chebyshev_c(l: int, vertex: Vertex, n: int) -> tuple[Polynomial, Polynomial]:
+    """The Chebyshev-series prediction for the marginal vertex function,
+    reduced.
 
     Product over the up-neighbours (p+1, mu) that carry full-size partitions
     of (P^(mu)_{p+2} / P^(mu)_{p+1}) ** dimension(l, n-1, (p+1, mu)).  The
@@ -121,15 +124,16 @@ def chebyshev_c(l: int, vertex: Vertex, n: int) -> RationalFunction:
     p, lam = vertex
     if p + 1 < l + 2:
         raise ValueError("no full-size up-neighbour: vertex too close to the root")
-    out = RationalFunction(Polynomial.one())
+    num, den = Polynomial.one(), Polynomial.one()
     g = _graph(l, p + 1)
     for (q, mu) in g.up_neighbours((p, tuple(lam))):
         if sum(mu) != l + 2:
             continue
         _c, series = factor_one_cup(l, mu)
-        ratio = RationalFunction(series.term(p + 2), series.term(p + 1))
-        out = out * ratio ** dimension(l, n - 1, (q, mu))
-    return out
+        e = dimension(l, n - 1, (q, mu))
+        num = num * series.term(p + 2) ** e
+        den = den * series.term(p + 1) ** e
+    return reduced(num, den)
 
 
 @dataclass
@@ -138,7 +142,7 @@ class ArmRecord:
     m: int
     n: int
     equal: bool
-    residual: RationalFunction  # 𝒞 / 𝒱; one when equal
+    residual: tuple[Polynomial, Polynomial]  # 𝒞 / 𝒱, reduced; (1, 1) when equal
 
 
 def arm_verify(l: int, lam: tuple[int, ...], p_range, m_range) -> list[ArmRecord]:
@@ -152,10 +156,10 @@ def arm_verify(l: int, lam: tuple[int, ...], p_range, m_range) -> list[ArmRecord
             continue
         for m in m_range:
             n = p + 2 * m
-            v = marginal_v(l, (p, lam), n)
-            c = chebyshev_c(l, (p, lam), n)
-            res = c / v
-            out.append(ArmRecord(p, m, n, res == RationalFunction(Polynomial.one()), res))
+            v_num, v_den = marginal_v(l, (p, lam), n)
+            c_num, c_den = chebyshev_c(l, (p, lam), n)
+            res = reduced(c_num * v_den, c_den * v_num)
+            out.append(ArmRecord(p, m, n, res == (1, 1), res))
     return out
 
 
@@ -241,8 +245,8 @@ def export_json(graph: RolletGraph, n_values=(), decorate_det=True,
             if decorate_det:
                 entry["det"] = _det(graph.l, n, (p, lam)).to_json()
             if decorate_mvf and n > p:
-                mvf = marginal_v(graph.l, (p, lam), n)
-                entry["mvf"] = {"num": mvf.num.to_json(), "den": mvf.den.to_json()}
+                num, den = marginal_v(graph.l, (p, lam), n)
+                entry["mvf"] = {"num": num.to_json(), "den": den.to_json()}
             if entry:
                 fibre[str(n)] = entry
         out["vertices"].append({"p": p, "lambda": list(lam), "fibre": fibre})

@@ -59,6 +59,16 @@ class TestChebSeries:
         t = ChebSeries.from_json(s.to_json())
         assert t == s and t.term(9) == s.term(9)
 
+    def test_order_of_requests(self):
+        """Terms asked for upwards or downwards, 40 either side of the
+        anchor, are the same and satisfy the recursion."""
+        ks = range(3 - 40, 3 + 41)
+        up, down = (ChebSeries(3, x * x - 2, x ** 3 + x) for _ in range(2))
+        ups = {k: up.term(k) for k in ks}
+        downs = {k: down.term(k) for k in reversed(ks)}
+        assert ups == downs
+        assert all(ups[k + 1] == x * ups[k] - ups[k - 1] for k in ks[1:-1])
+
     @given(st.integers(-4, 4), st.integers(-3, 8))
     def test_reanchoring(self, shift, probe):
         s = ChebSeries(4, cheb_u(4), cheb_u(5))

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kadaryu import exactmath
-from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotElem,
-                               RationalFunction, det_monic_companion, det_rational,
-                               field_kernel, field_rank, field_row_echelon,
-                               poly_content_removed, poly_gcd, poly_nth_root,
-                               poly_squarefree_part,
+from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotElem, det_monic_companion,
+                               det_rational, field_kernel, field_rank, field_row_echelon,
+                               poly_content_removed, poly_gcd, poly_gcd_cofactors,
+                               poly_nth_root, poly_squarefree_part, reduced,
                                yun_squarefree_decomposition)
 from kadaryu.gram import ModuleLabel, gram_matrix, gram_mixed
 
@@ -138,6 +137,19 @@ class TestGcd:
             assert poly_gcd(a, b) == poly_gcd_euclid(a, b)
         assert calls == [1]
 
+    @given(gcd_inputs(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_cofactors(self, ab, heuristic):
+        """On the heuristic path and on Euclid's alone, the gcd is Euclid's
+        and its cofactors multiply back to the inputs exactly."""
+        a, b = ab
+        with pytest.MonkeyPatch.context() as mp:
+            if not heuristic:
+                mp.setattr(exactmath, "_GCDHEU_TRIES", 0)
+            g, ca, cb = poly_gcd_cofactors(a, b)
+        assert g == poly_gcd_euclid(a, b)
+        assert (g * ca, g * cb) == (a, b)
+
     @given(gcd_inputs())
     @settings(deadline=None)
     def test_rational_function_is_reduced(self, ab):
@@ -145,20 +157,27 @@ class TestGcd:
         if b.is_zero():
             a, b = b, a
         g = poly_gcd_euclid(a, b)
-        r = RationalFunction(a, b)
         lc = b.exact_div(g).lc
-        assert (r.num, r.den) == ((a.exact_div(g) * (1 / lc), b.exact_div(g).monic())
-                                  if a else (Polynomial(), Polynomial.one()))
+        assert reduced(a, b) == ((a.exact_div(g) * (1 / lc), b.exact_div(g).monic())
+                                 if a else (Polynomial(), Polynomial.one()))
 
     def test_two_zeros(self):
-        with pytest.raises(ValueError):
-            poly_gcd(Polynomial(), Polynomial())
+        for gcd in (poly_gcd, poly_gcd_cofactors):
+            with pytest.raises(ValueError):
+                gcd(Polynomial(), Polynomial())
+        with pytest.raises(ZeroDivisionError):
+            reduced(Polynomial.one(), Polynomial())
 
     def test_content_removed(self):
         x = Polynomial.x()
         g, prim = poly_content_removed([(x - 1) * 2, (x - 1) * x])
         assert g == x - 1
         assert prim[0] == Polynomial([2])
+        # the running gcd shrinks at the third entry and at the fifth
+        vec = [(x - 1) * x * 3, Polynomial(), (x - 1) * (x + 2), x - 1, Polynomial([5])]
+        assert poly_content_removed(vec) == (Polynomial.one(), vec)
+        assert poly_content_removed(vec[:4]) == (x - 1, [x * 3, Polynomial(), x + 2,
+                                                         Polynomial.one()])
 
     def test_squarefree(self):
         x = Polynomial.x()
@@ -492,15 +511,10 @@ class TestFieldLinearAlgebra:
 
 
 class TestRationalFunction:
+    """Quotients of polynomials as reduced (num, den) pairs."""
+
     def test_reduction(self):
         x = Polynomial.x()
-        f = RationalFunction((x - 1) * (x + 1), (x - 1) * 2)
-        assert f.num == (x + 1) * Q(1, 2) * 2 * Q(1, 2) or f.den.is_monic()
-        assert f == RationalFunction(x + 1, Polynomial([2]))
-
-    def test_field_ops(self):
-        x = Polynomial.x()
-        f = RationalFunction(Polynomial.one(), x)
-        assert (f + f) == RationalFunction(Polynomial([2]), x)
-        assert (f * x).as_polynomial() == Polynomial.one()
-        assert (1 / f).as_polynomial() == x
+        num, den = reduced((x - 1) * (x + 1), (x - 1) * 2)
+        assert num == (x + 1) * Q(1, 2) * 2 * Q(1, 2) or den.is_monic()
+        assert (num, den) == reduced(x + 1, Polynomial([2]))

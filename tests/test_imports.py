@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in it: a stdlib `ast` scan
-that stands in for a linter's unused-import rule."""
+"""Every name a package module imports is used in it, and every private
+module-level name is read somewhere in the package: stdlib `ast` scans
+that stand in for a linter's unused-import and dead-code rules."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,54 @@ def test_scan_sees_an_unused_import():
     source = ("from __future__ import annotations\nimport math, os.path\n"
               "from itertools import count as c, chain\nprint(math.pi, chain)\n")
     assert unused_imports(source) == [("c", 3), ("os", 2)]
+
+
+def _defined(stmt) -> list[str]:
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _read(stmt) -> set[str]:
+    """Names a statement reads: loaded names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def orphan_helpers(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every private module-level name that no
+    module-level statement reads, the one defining it aside."""
+    stmts = [(module, stmt) for module, source in sources.items()
+             for stmt in ast.parse(source).body]
+    reads = [_read(stmt) for _module, stmt in stmts]
+    out = []
+    for i, (module, stmt) in enumerate(stmts):
+        for name in _defined(stmt):
+            if (name.startswith("_") and not name.startswith("__")
+                    and not any(name in r for j, r in enumerate(reads) if j != i)):
+                out.append((module, name, stmt.lineno))
+    return sorted(out)
+
+
+def test_no_orphan_helpers():
+    assert orphan_helpers({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_scan_sees_an_orphan_helper():
+    sources = {
+        "a.py": ("_ONE = 1\n_TWO: int = 2\n__all__ = []\n"
+                 "def _rec(n):\n    return _rec(n - 1) if n else _ONE\n"
+                 "class _Spare:\n    pass\n"),
+        "b.py": "from a import _TWO\nimport a\nprint(_TWO, a._Spare)\n",
+    }
+    assert orphan_helpers(sources) == [("a.py", "_rec", 4)]

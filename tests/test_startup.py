@@ -16,7 +16,7 @@ SRC = str(Path(kadaryu.__file__).parent.parent)
 
 # where each exported name is defined
 DEFINED_IN = {
-    exactmath: ("Polynomial", "PolyMatrix", "Q", "RationalFunction"),
+    exactmath: ("Polynomial", "PolyMatrix", "Q"),
     cheby: ("ChebSeries", "cheb_u", "quantum_number"),
     diagrams: ("PairPartition", "compose", "flip", "half_basis", "one_cup_basis"),
     gram: ("ModuleLabel", "factor_one_cup", "gram_det", "gram_det_lnp",
