@@ -1,9 +1,8 @@
 """Command-line driver: exact module data, verification reports, exports.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
-(including an --out file that cannot be written), 3 inconclusive (a
-root-enclosure budget ran out), 4 an internal invariant failed
-(RuntimeError: a failed determinant check, a non-polynomial D, a
+(including an --out file that cannot be written), 4 an internal invariant
+failed (RuntimeError: a failed determinant check, a non-polynomial D, a
 height-closure fault), which is a bug in the engine and not a verdict.
 
 Every subcommand but `rollet --format dot` caches its payload as one JSON
@@ -190,7 +189,7 @@ def _emit_json(args, payload: dict) -> None:
 
 def _report_code(report: dict) -> int:
     """The exit code of a claims report, read off its status."""
-    return {"pass": 0, "inconclusive": 3}.get(report["status"], 1)
+    return 0 if report["status"] == "pass" else 1
 
 
 def _lam_key(lam) -> str:

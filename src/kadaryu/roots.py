@@ -5,13 +5,13 @@ Everything here is exact and runs on integers.  Each polynomial gets one
 Sturm chain, built once from its primitive integer squarefree part by
 pseudo-remainders scaled only by positive factors, so its sign sequences
 and counts are those of the chain over Q; the sign at a rational a/b is the
-sign of a homogeneous integer Horner sum.  Values at the algebraic sample
-points 2cos(r pi / m) are handled either symbolically (an integer
-pseudo-remainder by the minimal polynomial of the point) or by certified
-enclosures with dyadic endpoints (Machin bounds for pi, Taylor bounds for
-cos rounded outward to 4*terms + 64 bits, interval Horner in integers).  A
-sign that cannot be separated from zero within the refinement budget is
-reported as "inconclusive", never silently passed.
+sign of a homogeneous integer Horner sum.  The sample points 2cos(r pi / m)
+are the roots of P^U_m, isolated once per m by its Sturm chain.  A
+polynomial vanishes at one exactly when the point's minimal polynomial
+divides it (an integer pseudo-remainder); otherwise the point's interval is
+bisected until it holds no root of the polynomial, whose sign at the point
+is then its sign at the interval's upper end, a dyadic rational.  Those
+rationals are the layout witnesses.
 """
 
 from __future__ import annotations
@@ -182,107 +182,50 @@ def squarefree_check(p: Polynomial) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# certified enclosures of 2 cos(r pi / m)
+# the sample points 2 cos(r pi / m): the roots of P^U_m
 # ---------------------------------------------------------------------------
 
 
-def pi_bounds(terms: int) -> tuple[Fraction, Fraction]:
-    """Machin: pi/4 = 4 atan(1/5) - atan(1/239), alternating tails."""
-
-    def atan_bounds(inv: int, terms: int):
-        x = Fraction(1, inv)
-        s = Q(0)
-        term = x
-        for k in range(terms):
-            s += (-1) ** k * term / (2 * k + 1)
-            term *= x * x
-        # alternating with decreasing terms: error below the next term
-        nxt = term / (2 * terms + 1)
-        return s - nxt, s + nxt
-
-    a5_lo, a5_hi = atan_bounds(5, terms)
-    a239_lo, a239_hi = atan_bounds(239, terms)
-    return 4 * (4 * a5_lo - a239_hi), 4 * (4 * a5_hi - a239_lo)
+def _half(f: Polynomial, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """The half of (lo, hi] that holds the one root f has there."""
+    mid = (lo + hi) / 2
+    return (lo, mid) if sturm_count(f, lo, mid) else (mid, hi)
 
 
-def _cos_bounds(x: Fraction, terms: int, bits: int) -> tuple[Fraction, Fraction]:
-    """cos(x) for 0 <= x <= 4: the Taylor sum of `terms` terms, each term
-    rounded outward to a multiple of 2^-bits, plus or minus the Lagrange
-    bound x^(2 terms)/(2 terms)! on the rest."""
-    one = 1 << bits
-    n, d = x.numerator ** 2 << bits, x.denominator ** 2
-    x2_lo, x2_hi = n // d, -(-n // d)
-    t_lo = t_hi = one
-    s_lo = s_hi = 0
-    for k in range(terms):
-        if k % 2:
-            s_lo, s_hi = s_lo - t_hi, s_hi - t_lo
-        else:
-            s_lo, s_hi = s_lo + t_lo, s_hi + t_hi
-        step = (2 * k + 1) * (2 * k + 2) << bits
-        t_lo, t_hi = t_lo * x2_lo // step, -(-t_hi * x2_hi // step)
-    return Fraction(s_lo - t_hi, one), Fraction(s_hi + t_hi, one)
+@lru_cache(maxsize=None)
+def _cheb_intervals(m: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Isolating intervals (lo, hi] of the roots of P^U_m, ascending;
+    2cos(r pi/m) lies in the one at m - 1 - r.  Each hi is below 2, so a
+    layout witness stays below its right endpoint 2."""
+    u = cheb_u(m)
+    out = []
+    for iv in sturm_isolate(u):
+        lo, hi = iv.lo, iv.hi
+        while hi >= 2:
+            lo, hi = _half(u, lo, hi)
+        out.append((lo, hi))
+    return tuple(out)
 
 
-def _dyadic(x: Fraction, bits: int, up: bool) -> Fraction:
-    """x rounded up or down to a multiple of 2^-bits."""
-    n = x.numerator << bits
-    return Fraction(-(-n // x.denominator) if up else n // x.denominator, 1 << bits)
+@lru_cache
+def _point_interval(p: Polynomial, r: int, m: int) -> tuple[Fraction, Fraction]:
+    """The interval of 2cos(r pi/m), bisected until it holds no root of p;
+    p must not vanish at the point."""
+    lo, hi = _cheb_intervals(m)[m - 1 - r]
+    while sturm_count(p, lo, hi):
+        lo, hi = _half(cheb_u(m), lo, hi)
+    return lo, hi
 
 
-def cos_point_enclosure(r: int, m: int, terms: int = 12) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure of 2 cos(r pi / m), 0 < r <= m, with denominators of
-    at most 4*terms + 64 bits; it tightens as terms grows."""
-    if not 0 < r <= m:
-        raise ValueError("need 0 < r <= m")
-    bits = 4 * terms + 64
-    pi_lo, pi_hi = pi_bounds(max(3, terms // 3))
-    x_lo = _dyadic(r * pi_lo / m, bits, up=False)
-    x_hi = _dyadic(r * pi_hi / m, bits, up=True)
-    # cos is decreasing on [0, pi]; past pi only cos >= -1 is used
-    lo = Q(-1) if x_hi >= pi_lo else _cos_bounds(x_hi, terms, bits)[0]
-    hi = _cos_bounds(x_lo, terms, bits)[1]
-    return 2 * lo, 2 * hi
-
-
-def _interval_sign(f: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
-    """Sign of f on [lo, hi] by interval Horner, exact in integers over the
-    common denominator of lo and hi: +1 or -1, or 0 if the bounds straddle
-    zero."""
-    den = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    acc_lo = acc_hi = 0
-    scale = 1
-    for c in reversed(f):
-        cands = (acc_lo * a, acc_lo * b, acc_hi * a, acc_hi * b)
-        acc_lo, acc_hi = min(cands) + c * scale, max(cands) + c * scale
-        scale *= den
-    return (acc_lo > 0) - (acc_hi < 0)
-
-
-# refinements of an enclosure (6 more Taylor terms each) before a sign at
-# 2cos(r pi/m) is given up as inconclusive
-_BUDGET = 64
-
-
-def sign_at_2cos(p: Polynomial, r: int, m: int):
-    """Certified sign of p(2cos(r pi/m)): +1, -1, 0 (exact), or None.
-
-    Exact zeroes are detected via the minimal polynomial; otherwise the
-    enclosure is tightened until it excludes zero or _BUDGET refinements
-    are spent.
-    """
+def sign_at_2cos(p: Polynomial, r: int, m: int) -> int:
+    """Exact sign of p(2cos(r pi/m)), 0 < r < m: 0 when the minimal
+    polynomial of the point divides p, and otherwise the sign of p at the
+    upper end of an interval around the point that holds no root of p."""
+    if not 0 < r < m:
+        raise ValueError("need 0 < r < m")
     if _divides(minimal_poly_2cos(r, m), p):
         return 0
-    f = _integer_coeffs(p)
-    terms = 8
-    for _ in range(_BUDGET):
-        s = _interval_sign(f, *cos_point_enclosure(r, m, terms))
-        if s:
-            return s
-        terms += 6
-    return None
+    return _sign(_integer_coeffs(p), _point_interval(p, r, m)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -408,46 +351,31 @@ def family_series(l: int, lam: tuple[int, ...]) -> ChebSeries:
 # ---------------------------------------------------------------------------
 
 
-def _certified_separators(p: Polynomial, m: int, signs: dict[int, int]):
-    """For each r in signs, a rational point q_r near 2cos(r pi/m) with the
-    exact (rationally evaluated) sign signs[r]; None on budget exhaustion."""
-    f = _integer_coeffs(p)
-    out = {}
-    for r, want in signs.items():
-        terms = 10
-        found = None
-        for _ in range(_BUDGET):
-            lo, hi = cos_point_enclosure(r, m, terms)
-            mid = (lo + hi) / 2
-            if _sign(f, mid) == want:
-                found = mid
-                break
-            terms += 6
-        if found is None:
-            return None
-        out[r] = found
-    return out
-
-
 def _interior_layout(claims, cid, p: Polynomial, m: int, signs: dict[int, int],
                      left, right, expect_left: int = 1, expect_right: int = 1):
-    """One root between consecutive certified sample points.
+    """One root between consecutive sample points.
 
     signs maps r -> expected sign at 2cos(r pi/m) for the interior points;
-    left/right are exact rational endpoints appended outside them
-    (right > all sample points > left).  The end gaps (largest sample
-    point, right) and (left, smallest sample point) expect expect_right
-    resp. expect_left roots; all inner gaps expect exactly one.
+    a point with another sign fails the claim.  Each point stands in by the
+    upper end of its interval from _point_interval, with no root of p in
+    between, so the gap counts are those between the points.  left/right
+    are exact rational endpoints appended outside them (right > all sample
+    points > left).  The end gaps (largest sample point, right) and (left,
+    smallest sample point) expect expect_right resp. expect_left roots; all
+    inner gaps expect exactly one.
     """
-    seps = _certified_separators(p, m, signs)
-    if seps is None:
-        claim(claims, cid, None, "enclosure budget exhausted")
-        return
-    pts = [right] + [seps[r] for r in sorted(signs)] + [left]
+    pts = [right]
+    for r in sorted(signs):
+        s = sign_at_2cos(p, r, m)
+        if s != signs[r]:
+            claim(claims, cid, False, f"sign {s} at 2cos({r}pi/{m})")
+            return
+        pts.append(_point_interval(p, r, m)[1])
+    pts.append(left)
     expected = [expect_right] + [1] * (len(pts) - 3) + [expect_left]
     ok = all(e is None or sturm_count(p, b, a) == e
              for (a, b), e in zip(zip(pts, pts[1:]), expected))
-    claim(claims, cid, ok, [str(float(x)) for x in pts])
+    claim(claims, cid, ok, [str(x) for x in pts])
 
 
 def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
@@ -508,8 +436,7 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
         for r in range(1, k + 1):
             s = sign_at_2cos(p, r, m)
             want = (-1) ** r
-            claim(claims, f"sign-at-2cos({r}pi/{m})",
-                   None if s is None else s == want, s)
+            claim(claims, f"sign-at-2cos({r}pi/{m})", s == want, s)
             signs[r] = want
         if l > 3:
             claim(claims, "sign-at-2", p(2) > 0, str(p(2)))
@@ -527,8 +454,7 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
         for r in range(1, k + 1):
             s = sign_at_2cos(p, r, m)
             want = -((-1) ** r)
-            claim(claims, f"sign-at-2cos({r}pi/{m})",
-                   None if s is None else s == want, s)
+            claim(claims, f"sign-at-2cos({r}pi/{m})", s == want, s)
             signs[r] = want
         if l > 4:
             claim(claims, "sign-at-2", p(2) < 0, str(p(2)))

@@ -5,10 +5,13 @@ linearisation of any square matrix (det_poly), by fraction-free Bareiss
 and by cofactor expansion, Smith invariants over Q[a], the Brauer diagram
 basis by brute force, diagram products by a walk on a node graph, the
 pairing of half diagrams by composing diagrams, Sturm counts from the
-chain of remainders over Q, cos bounds from the exact Taylor sum, the Specht basis by elimination over r!-long coordinate
-vectors, the Specht data from products in the group algebra, the
-bootstrap vector by Cramer's rule, its uniqueness from the Gram rows, and
-the radical as the kernel of the Gram matrix at a parameter value.
+chain of remainders over Q, cos bounds from the exact Taylor sum, signs
+at 2cos(r pi/m) from dyadic enclosures (Machin bounds for pi, Taylor
+bounds for cos rounded outward, interval Horner in integers), the Specht
+basis by elimination over r!-long coordinate vectors, the Specht data
+from products in the group algebra, the bootstrap vector by Cramer's rule,
+its uniqueness from the Gram rows, and the radical as the kernel of the
+Gram matrix at a parameter value.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                poly_content_removed, poly_squarefree_part)
 from kadaryu.gram import ModuleLabel, gram_matrix
 from kadaryu.morphisms import XiElement, _last_cup_row
+from kadaryu.roots import _integer_coeffs, minimal_poly_2cos
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                _canonical_tableau, _canonical_tableau_columns,
                                _row_group, all_permutations, hook_dimension,
@@ -487,6 +491,105 @@ def cos_bounds_q(x: Fraction, terms: int) -> tuple[Fraction, Fraction]:
         s += t
         t = -t * x * x / ((2 * k + 1) * (2 * k + 2))
     return s - abs(t), s + abs(t)
+
+
+def pi_bounds(terms: int) -> tuple[Fraction, Fraction]:
+    """Machin: pi/4 = 4 atan(1/5) - atan(1/239), alternating tails."""
+
+    def atan_bounds(inv: int, terms: int):
+        x = Fraction(1, inv)
+        s = Q(0)
+        term = x
+        for k in range(terms):
+            s += (-1) ** k * term / (2 * k + 1)
+            term *= x * x
+        # alternating with decreasing terms: error below the next term
+        nxt = term / (2 * terms + 1)
+        return s - nxt, s + nxt
+
+    a5_lo, a5_hi = atan_bounds(5, terms)
+    a239_lo, a239_hi = atan_bounds(239, terms)
+    return 4 * (4 * a5_lo - a239_hi), 4 * (4 * a5_hi - a239_lo)
+
+
+def _cos_bounds(x: Fraction, terms: int, bits: int) -> tuple[Fraction, Fraction]:
+    """cos(x) for 0 <= x <= 4: the Taylor sum of `terms` terms, each term
+    rounded outward to a multiple of 2^-bits, plus or minus the Lagrange
+    bound x^(2 terms)/(2 terms)! on the rest."""
+    one = 1 << bits
+    n, d = x.numerator ** 2 << bits, x.denominator ** 2
+    x2_lo, x2_hi = n // d, -(-n // d)
+    t_lo = t_hi = one
+    s_lo = s_hi = 0
+    for k in range(terms):
+        if k % 2:
+            s_lo, s_hi = s_lo - t_hi, s_hi - t_lo
+        else:
+            s_lo, s_hi = s_lo + t_lo, s_hi + t_hi
+        step = (2 * k + 1) * (2 * k + 2) << bits
+        t_lo, t_hi = t_lo * x2_lo // step, -(-t_hi * x2_hi // step)
+    return Fraction(s_lo - t_hi, one), Fraction(s_hi + t_hi, one)
+
+
+def _dyadic(x: Fraction, bits: int, up: bool) -> Fraction:
+    """x rounded up or down to a multiple of 2^-bits."""
+    n = x.numerator << bits
+    return Fraction(-(-n // x.denominator) if up else n // x.denominator, 1 << bits)
+
+
+def cos_point_enclosure(r: int, m: int, terms: int = 12) -> tuple[Fraction, Fraction]:
+    """Dyadic enclosure of 2 cos(r pi / m), 0 < r <= m, with denominators of
+    at most 4*terms + 64 bits; it tightens as terms grows."""
+    if not 0 < r <= m:
+        raise ValueError("need 0 < r <= m")
+    bits = 4 * terms + 64
+    pi_lo, pi_hi = pi_bounds(max(3, terms // 3))
+    x_lo = _dyadic(r * pi_lo / m, bits, up=False)
+    x_hi = _dyadic(r * pi_hi / m, bits, up=True)
+    # cos is decreasing on [0, pi]; past pi only cos >= -1 is used
+    lo = Q(-1) if x_hi >= pi_lo else _cos_bounds(x_hi, terms, bits)[0]
+    hi = _cos_bounds(x_lo, terms, bits)[1]
+    return 2 * lo, 2 * hi
+
+
+def _interval_sign(f: tuple[int, ...], lo: Fraction, hi: Fraction) -> int:
+    """Sign of f on [lo, hi] by interval Horner, exact in integers over the
+    common denominator of lo and hi: +1 or -1, or 0 if the bounds straddle
+    zero."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    acc_lo = acc_hi = 0
+    scale = 1
+    for c in reversed(f):
+        cands = (acc_lo * a, acc_lo * b, acc_hi * a, acc_hi * b)
+        acc_lo, acc_hi = min(cands) + c * scale, max(cands) + c * scale
+        scale *= den
+    return (acc_lo > 0) - (acc_hi < 0)
+
+
+# refinements of an enclosure (6 more Taylor terms each) before a sign at
+# 2cos(r pi/m) is given up as inconclusive
+_BUDGET = 64
+
+
+def sign_at_2cos_by_enclosure(p: Polynomial, r: int, m: int):
+    """Certified sign of p(2cos(r pi/m)): +1, -1, 0 (exact), or None.
+
+    Exact zeroes are detected by the remainder over Q modulo the minimal
+    polynomial; otherwise the enclosure is tightened until it excludes zero
+    or _BUDGET refinements are spent.
+    """
+    if (p % minimal_poly_2cos(r, m)).is_zero():
+        return 0
+    f = _integer_coeffs(p)
+    terms = 8
+    for _ in range(_BUDGET):
+        s = _interval_sign(f, *cos_point_enclosure(r, m, terms))
+        if s:
+            return s
+        terms += 6
+    return None
 
 
 def young_idempotent_by_square(lam: tuple[int, ...]):

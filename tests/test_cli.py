@@ -12,7 +12,6 @@ import pytest
 
 import kadaryu
 from kadaryu import gram
-from kadaryu.claims import claim, report
 from kadaryu.cli import cache_get_put, main, source_stamp
 from kadaryu.exactmath import Polynomial
 from kadaryu.gram import one_cup_det
@@ -487,21 +486,6 @@ class TestCachedVerdicts:
         first = run(capsys, *argv, *cache_args(tmp_path))
         assert first[0] == 1
         refuse(monkeypatch, "arm_verify")
-        assert run(capsys, *argv, *cache_args(tmp_path)) == first
-
-    def test_inconclusive_layout_is_served_with_exit_3(self, tmp_path, capsys,
-                                                       monkeypatch):
-        argv, _ = VERDICTS["roots"]
-
-        def out_of_budget(l, lam, k):
-            claims = []
-            claim(claims, "interleaving", None, "budget")
-            return report({"l": l, "lambda": list(lam), "k": k}, claims)
-
-        monkeypatch.setattr("kadaryu.cli.verify_root_layout", out_of_budget)
-        first = run(capsys, *argv, *cache_args(tmp_path))
-        assert first[0] == 3
-        refuse(monkeypatch, "verify_root_layout")
         assert run(capsys, *argv, *cache_args(tmp_path)) == first
 
     @pytest.mark.parametrize("error,code", [(ValueError, 2), (RuntimeError, 4)])

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in it, and every private
-module-level name is read somewhere in the package: stdlib `ast` scans
-that stand in for a linter's unused-import and dead-code rules."""
+"""Every name a package module imports is used in it, every private
+module-level name is read somewhere in the package, and no module calls
+float or writes a float literal: stdlib `ast` scans that stand in for a
+linter's unused-import, dead-code and exactness rules."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,23 @@ def test_scan_sees_an_orphan_helper():
         "b.py": "from a import _TWO\nimport a\nprint(_TWO, a._Spare)\n",
     }
     assert orphan_helpers(sources) == [("a.py", "_rec", 4)]
+
+
+def float_uses(source: str) -> list[int]:
+    """Lines of every call of float and every float literal; reading an
+    attribute such as math.inf is neither."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "float")
+                  or (isinstance(node, ast.Constant) and isinstance(node.value, float)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floats(path):
+    assert float_uses(path.read_text()) == []
+
+
+def test_scan_sees_a_float():
+    source = ("import math\nx = math.inf\ny = str(float(3))\nz = 1e-6 + 2\n"
+              "w: float = 0\nv = 'float(1.5)'\n")
+    assert float_uses(source) == [3, 4]

@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kadaryu.cheby import cheb_u
 from kadaryu.exactmath import Polynomial, Q
 from kadaryu.gram import factor_one_cup
-from kadaryu.roots import (_cos_bounds, column_series, cos_point_enclosure,
-                           family_series, hook_t_series, lemma_roots_check,
-                           minimal_poly_2cos, pi_bounds, row_series,
+from kadaryu.roots import (_interior_layout, _point_interval, column_series,
+                           family_series, hook_series, hook_t_series,
+                           lemma_roots_check, minimal_poly_2cos, row_series,
                            sign_at_2cos, squarefree_check, sturm_count,
                            sturm_isolate, verify_root_layout)
 
-from oracles import cos_bounds_q, sturm_count_q
+from oracles import (_cos_bounds, cos_bounds_q, cos_point_enclosure,
+                     pi_bounds, sign_at_2cos_by_enclosure, sturm_count_q)
 
 x = Polynomial.x()
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -126,23 +128,25 @@ class TestEnclosures:
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_enclosures_are_short_dyadics_around_the_point(self, m):
-        for r in range(1, m):
-            h = minimal_poly_2cos(r, m)
-            width = math.inf
-            for terms in range(8, 63, 6):
-                lo, hi = cos_point_enclosure(r, m, terms)
+        # the interval sign_at_2cos reads p's sign off: dyadic ends, below
+        # 2, around the point, no root of p inside, disjoint across r
+        for p in (Polynomial.one(), cheb_u(m + 1), x ** 3 - 3,
+                  hook_series(5).term(8 + m)):
+            below = 2
+            for r in range(1, m):
+                assert sign_at_2cos(p, r, m) != 0, (p, r, m)
+                lo, hi = _point_interval(p, r, m)
                 for end in (lo, hi):
                     den = end.denominator
-                    assert den & (den - 1) == 0, (r, m, terms)
-                    assert den.bit_length() - 1 <= 4 * terms + 64
-                    assert end.numerator.bit_length() <= 4 * terms + 64 + 2
+                    assert den & (den - 1) == 0, (r, m)
+                assert hi < 2 and hi <= below, (r, m)
+                below = lo
                 # the only conjugate of 2cos(r pi/m) inside, and the point
                 # itself (to float accuracy)
-                assert sturm_count(h, lo, hi) == 1, (r, m, terms)
+                assert sturm_count_q(minimal_poly_2cos(r, m), lo, hi) == 1, (r, m)
+                assert sturm_count_q(p, lo, hi) == 0, (p, r, m)
                 point = 2 * math.cos(r * math.pi / m)
                 assert float(lo) - 1e-12 <= point <= float(hi) + 1e-12
-                assert hi - lo < width
-                width = hi - lo
 
     def test_enclosure_reaches_minus_two(self):
         # at r = m the x-interval passes pi, where cos stops decreasing
@@ -177,6 +181,39 @@ class TestEnclosures:
         assert sign_at_2cos(x, 1, 3) == 1
         assert sign_at_2cos(x, 2, 3) == -1
         assert sign_at_2cos(x - 2, 1, 7) == -1
+        # the rational points 0, 1 and -1 take the same path
+        assert sign_at_2cos(x, 1, 2) == 0
+        assert sign_at_2cos(x - Q(1, 1000), 1, 2) == -1
+        assert sign_at_2cos(x - Q(999, 1000), 1, 3) == 1
+        assert sign_at_2cos(x + Q(1001, 1000), 2, 3) == 1
+
+    @pytest.mark.parametrize("r,m", [(0, 3), (3, 3), (4, 3), (-1, 5), (1, 1)])
+    def test_sign_at_2cos_rejects_bad_index(self, r, m):
+        with pytest.raises(ValueError):
+            sign_at_2cos(x, r, m)
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=9),
+           st.integers(2, 16), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sign_matches_enclosure_oracle(self, coeffs, m, data):
+        # integer polynomials of degree <= 8, some with a planted factor
+        # vanishing at a point of the same m
+        q = Polynomial([Q(c) for c in coeffs]) or Polynomial.one()
+        r = data.draw(st.integers(1, m - 1))
+        planted = data.draw(st.none() | st.integers(1, m - 1))
+        h = minimal_poly_2cos(r, m)
+        p = q if planted is None else q * minimal_poly_2cos(planted, m)
+        s = sign_at_2cos(p, r, m)
+        want = sign_at_2cos_by_enclosure(p, r, m)
+        if want is not None:
+            assert s == want
+        zero = (q % h).is_zero() or (planted is not None
+                                     and minimal_poly_2cos(planted, m) == h)
+        assert (s == 0) == zero
+        value = sum(float(c) * (2 * math.cos(r * math.pi / m)) ** i
+                    for i, c in enumerate(p.coeffs))
+        if abs(value) > 1e-6:
+            assert s == (1 if value > 0 else -1)
 
 
 # the r = 5 families cost 0.4 s each at most, (3, (4, 1)) included, and the
@@ -241,6 +278,15 @@ class TestLemmaGrid:
             lemma_roots_check(series, 2, 2, 4)
 
 
+def assert_exact_interleaving(rep):
+    """The interleaving witness is a list of exact fractions, strictly
+    decreasing from the right endpoint to the left one."""
+    for c in rep["claims"]:
+        if c["id"] == "interleaving":
+            pts = [Fraction(w) for w in c["witness"]]
+            assert all(a > b for a, b in zip(pts, pts[1:])), c
+
+
 class TestLayoutVerifier:
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -276,7 +322,16 @@ class TestLayoutVerifier:
         assert set(rep) == {"l", "lambda", "k", "status", "claims"}
         assert rep["lambda"] == [1, 1] and rep["k"] == 2
         for c in rep["claims"]:
-            assert c["status"] in {"pass", "fail", "inconclusive"}
+            assert c["status"] in {"pass", "fail"}
+
+    @pytest.mark.parametrize("p,m,signs,witness", [
+        (x, 3, {1: -1, 2: -1}, "sign 1 at 2cos(1pi/3)"),
+        (x, 2, {1: 1}, "sign 0 at 2cos(1pi/2)"),  # an exact zero
+    ])
+    def test_wrong_sign_fails_interleaving(self, p, m, signs, witness):
+        claims = []
+        _interior_layout(claims, "interleaving", p, m, signs, Q(-2), Q(2))
+        assert claims == [{"id": "interleaving", "status": "fail", "witness": witness}]
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -295,6 +350,7 @@ class TestLayoutVerifier:
             for lam in sorted(s for s in shapes if sum(s) == l + 2 and min(s) > 0):
                 for k in range(1, 5):
                     rep = verify_root_layout(l, lam, k)
+                    assert_exact_interleaving(rep)
                     if (l, lam, k) in wants:
                         assert json.dumps(rep) == json.dumps(wants[l, lam, k])
                     else:
@@ -305,4 +361,5 @@ class TestLayoutVerifier:
         path = Path(__file__).parent / "data" / "root_layouts.json"
         for want in json.loads(path.read_text()):
             rep = verify_root_layout(want["l"], tuple(want["lambda"]), want["k"])
+            assert_exact_interleaving(rep)
             assert json.dumps(rep) == json.dumps(want)
