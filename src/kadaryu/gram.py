@@ -26,6 +26,11 @@ block companion characteristic polynomial (GramInstance.det_monic).  The
 Gram matrix and A~ are placed by one loop from blocks checked to satisfy
 S A(sigma) = M(sigma), so G = (S (x) I) A~ entry by entry, and the one exact
 check point is the determinant core's own (exactmath.det_monic_companion).
+
+S_r acts on the first r strands of a module (act): s u_a = u_b sigma, read
+off compose and half_normalize once per (label, s), gives s (u_a b_i) =
+sum_j A(sigma)[j][i] u_b b_j, and no matrix of the whole module is built.
+The pairing table and the action share one residual-permutation check.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion, poly_gcd_cofactors,
+from .exactmath import (Polynomial, PolyMatrix, det_monic_companion, poly_gcd_cofactors,
                         poly_nth_root)
 from .cheby import ChebSeries, ramping_check
-from .diagrams import (PairPartition, compose, half_basis, half_normalize,
-                       one_cup_basis, one_cup_index, pairing_table)
+from .diagrams import (compose, half_basis, half_normalize, one_cup_basis,
+                       one_cup_index, pairing_table, permutation_diagram)
 from .symmetric import (Permutation, hook_dimension, is_partition,
                         left_action_matrix, specht_frame, specht_pairing)
 
@@ -104,22 +109,8 @@ class GramInstance:
         sigma the residual permutation restricted to 1..r; None when the
         composite drops below p propagating lines."""
         r = self.label.r
-        perms: dict[tuple[int, ...], Permutation] = {}
-
-        def entry(pair):
-            if pair is None:
-                return None
-            loops, image = pair
-            if image not in perms:
-                perm = Permutation(image)
-                if not perm.fixes_from(r + 1):
-                    raise RuntimeError(
-                        f"residual permutation {image} moves a strand beyond {r}: "
-                        "height-closure violation")
-                perms[image] = perm.restrict(r)
-            return loops, perms[image]
-
-        return [[entry(pair) for pair in row] for row in pairing_table(self.half)]
+        return [[None if pair is None else (pair[0], _residual(pair[1], r)) for pair in row]
+                for row in pairing_table(self.half)]
 
     @cached_property
     def _blocks(self) -> tuple[dict, dict, int]:
@@ -309,37 +300,47 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
 
 
 # ---------------------------------------------------------------------------
-# algebra action on a standard module
+# the symmetric group acting on a standard module
 # ---------------------------------------------------------------------------
 
-def action_matrix(label: ModuleLabel, g: PairPartition):
-    """Matrix of a permutation diagram g acting on the module basis.
+@lru_cache(maxsize=None)
+def _residual(image: tuple[int, ...], r: int) -> Permutation:
+    """The residual permutation with this image, restricted to 1..r; one
+    that moves a strand beyond r is a closure bug, not data."""
+    perm = Permutation(image)
+    if not perm.fixes_from(r + 1):
+        raise RuntimeError(f"residual permutation {image} moves a strand beyond {r}: "
+                           "height-closure violation")
+    return perm.restrict(r)
 
-    Returns rows A with g.(basis[j]) = sum_i A[i][j] basis[i], over Q.
-    """
-    inst = gram_matrix(label)
-    half = list(inst.half)
-    index = {u: a for a, u in enumerate(half)}
-    nhalf = len(half)
-    d = inst.d
-    size = inst.dim
-    A = [[Q(0)] * size for _ in range(size)]
-    for a, u in enumerate(half):
-        w, loops = compose(g, u)
-        if loops:
-            raise ValueError("action of a diagram with closed loops is not supported here")
-        if w.propagating_count() < label.p:
-            continue
-        u2, image = half_normalize(w)
-        perm = Permutation(image)
-        if not perm.fixes_from(label.r + 1):
-            raise RuntimeError("action residual moves a strand beyond r")
-        sigma = perm.restrict(label.r)
-        lam_mat = left_action_matrix(label.lam, sigma)
-        a2 = index[u2]
-        for m in range(d):
-            for i in range(d):
-                if lam_mat[i][m]:
-                    A[i * nhalf + a2][m * nhalf + a] += lam_mat[i][m]
-    return A
 
+@lru_cache(maxsize=None)
+def _moves(label: ModuleLabel, s: Permutation) -> tuple:
+    """(b, A(sigma)) for every half diagram u_a, with s u_a = u_b sigma and
+    s extended by identity strands.  A permutation keeps all p lines of u_a
+    and closes no loop."""
+    half = gram_matrix(label).half
+    index = {u: b for b, u in enumerate(half)}
+    g = permutation_diagram(s.extend(label.n).image)
+    moves = []
+    for u in half:
+        u2, image = half_normalize(compose(g, u)[0])
+        moves.append((index[u2], left_action_matrix(label.lam, _residual(image, label.r))))
+    return tuple(moves)
+
+
+def act(label: ModuleLabel, terms: dict, vec) -> list:
+    """sum_s c_s (s . vec) for the group-algebra element {s: c_s} of S_r
+    acting on the first r strands, in the module basis order: s (u_a b_m)
+    = sum_i A(sigma)[i][m] u_b b_i with (b, A(sigma)) from _moves.  An
+    entry that no term reaches is 0, as in a product that skips zeros."""
+    nhalf = len(gram_matrix(label).half)
+    out = [0] * len(vec)
+    for s, c in terms.items():
+        for a, (b, mat) in enumerate(_moves(label, s)):
+            for m, v in enumerate(vec[a::nhalf]):
+                if v:
+                    for i, row in enumerate(mat):
+                        if row[m]:
+                            out[i * nhalf + b] += row[m] * c * v
+    return out

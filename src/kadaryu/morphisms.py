@@ -8,10 +8,11 @@ series factor of the one-cup determinants, so roots of the latter are
 parameter values where xi generates a submodule isomorphic to the
 cap-free standard module.  This file computes xi exactly from the
 linearisation aI + B_0 / den the module's determinant is taken from, as its
-polynomial adjugate (Cayley-Hamilton), reads the uniqueness of xi and the
-radical at explicit (possibly irrational) parameter values off the same
-pencil, checks the recursion and divisibility, and certifies the submodule
-embeddings.
+polynomial adjugate (Cayley-Hamilton), checks xi against the same pencil
+(its uniqueness follows from det A~ being monic), reads the
+radical at explicit (possibly irrational) parameter values off it, checks
+the recursion and divisibility, and certifies the submodule embeddings,
+with the Specht projector and translates applied by gram.act.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from functools import lru_cache
 from .claims import claim, report
 from .exactmath import (Polynomial, Q, QuotElem, field_kernel, field_rank,
                         poly_content_removed, poly_gcd)
-from .diagrams import one_cup_index, permutation_diagram
-from .gram import ModuleLabel, action_matrix, factor_one_cup, gram_det, gram_matrix
-from .symmetric import (GroupAlgebraElement, hook_dimension, specht_basis,
-                        specht_gram, young_idempotent)
+from .diagrams import one_cup_index
+from .gram import ModuleLabel, act, factor_one_cup, gram_det, gram_matrix
+from .symmetric import hook_dimension, specht_basis, specht_gram, young_idempotent
 
 
 @dataclass(frozen=True)
@@ -172,24 +172,8 @@ def divisibility_check(l: int, lam: tuple[int, ...], n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# group algebra elements acting on a module
+# the symmetric group acting on xi
 # ---------------------------------------------------------------------------
-
-def _algebra_action(label: ModuleLabel, elem: GroupAlgebraElement):
-    """Matrix (over Q) of a symmetric-group-algebra element, extended by
-    identity strands, acting on the module."""
-    size = gram_matrix(label).dim
-    A = [[Q(0)] * size for _ in range(size)]
-    for s, c in elem.terms.items():
-        g = permutation_diagram(s.extend(label.n).image)
-        M = action_matrix(label, g)
-        for i in range(size):
-            row_a, row_m = A[i], M[i]
-            for j in range(size):
-                if row_m[j]:
-                    row_a[j] += c * row_m[j]
-    return A
-
 
 def _apply(A, vec):
     """The product A * vec, skipping zero entries; a row with no nonzero
@@ -209,15 +193,13 @@ def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
     inst = gram_matrix(label)
     nhalf = len(inst.half)
     last = _cup_positions(label)[(n - 1, n)]
-    c_elem = young_idempotent(lam)
     xs = specht_basis(lam)
     G = specht_gram(lam)
     claims: list[dict] = []
     common = None
+    projected = act(label, young_idempotent(lam).terms, xi.coeffs)
     for k, xk in enumerate(xs):
-        elem = GroupAlgebraElement.of(xk) * c_elem
-        A = _algebra_action(label, elem)
-        vec = _apply(A, list(xi.coeffs))
+        vec = act(label, {xk: 1}, projected)  # (x_k C) xi = x_k (C xi)
         # part 1: last-cup coefficients
         ok1 = True
         for kk in range(inst.d):
@@ -231,7 +213,7 @@ def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
                 ok1 = False
         claim(claims, f"last-cup-support-k{k}", ok1)
         # part 2: the contravariant form against every basis vector
-        form = _apply([list(r) for r in inst.matrix.entries], vec)
+        form = _apply(inst.matrix.entries, vec)
         ok2 = True
         for m in range(inst.d):
             for a in range(nhalf):
@@ -247,8 +229,7 @@ def projector_fixes_xi(l: int, lam: tuple[int, ...], n: int) -> bool:
     """Generic parameter: the Specht projector acts as identity on xi."""
     lam = tuple(lam)
     xi = solve_xi(l, lam, n) if n == l + 4 else xi_sequence(l, lam, n)[-1]
-    A = _algebra_action(xi.label, young_idempotent(lam))
-    return tuple(_apply(A, list(xi.coeffs))) == xi.coeffs
+    return tuple(act(xi.label, young_idempotent(lam).terms, xi.coeffs)) == xi.coeffs
 
 
 def xi_uniqueness_check(l: int, lam: tuple[int, ...], n: int) -> bool:
@@ -259,26 +240,20 @@ def xi_uniqueness_check(l: int, lam: tuple[int, ...], n: int) -> bool:
     as G = (S (x) I) A~, they span the Gram rows off the last cup and the
     last-cup Gram rows pinned to the ratios of the first Specht Gram column
     (the Schur complement of S_00).  xi is checked against them exactly in
-    Q[a]; the line is then certified by specialisation.  The rank over Q(a)
-    is at least the rank at any point a = t, and a nonzero maximal minor of
-    these dim - 1 rows of degree 1 has degree < dim, so some t in 0..dim-1
-    has a one-dimensional kernel over Q exactly when the kernel over Q(a)
-    is the line through xi.
+    Q[a], and nothing more is needed for the line: A~ = aI + B_0 / den has
+    a monic determinant of degree dim, so A~ is invertible over Q(a), any
+    dim - 1 of its rows are independent, and their kernel is one line,
+    which the nonzero xi spans.
     """
     lam = tuple(lam)
     label = ModuleLabel(l, n, n - 2, lam)
-    inst = gram_matrix(label)
-    tail, den = inst.linearisation
+    tail, den = gram_matrix(label).linearisation
     first = _last_cup_row(label, 0)
-    rows = [(i, row) for i, row in enumerate(tail) if i != first]
     xi = solve_xi(l, lam, n)
     a = Polynomial.x() * den
-    if not any(xi.coeffs) or any(sum((c * b for b, c in zip(row, xi.coeffs) if b),
-                                     a * xi.coeffs[i]) for i, row in rows):
-        return False
-    return any(inst.dim - field_rank([[Q(b + den * t * (i == j)) for j, b in enumerate(row)]
-                                      for i, row in rows]) == 1
-               for t in range(inst.dim))
+    return any(xi.coeffs) and not any(
+        sum((c * b for b, c in zip(row, xi.coeffs) if b), a * xi.coeffs[i])
+        for i, row in enumerate(tail) if i != first)
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +335,16 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
     if deficiency == 0 or not pre:
         return report(fields, claims)
 
-    A_c = _algebra_action(label, young_idempotent(lam))
-    proj = [_apply(A_c, v) for v in ker]
+    projector = young_idempotent(lam).terms
+    proj = [act(label, projector, v) for v in ker]
     proj = [v for v in proj if any(v)]
     claim(claims, "projector-survives-radical", bool(proj))
     if not proj:
         return report(fields, claims)
     w = proj[0]
 
-    translates = []
-    for s in specht_basis(lam):
-        A = _algebra_action(label, GroupAlgebraElement.of(s))
-        translates.append(_apply(A, w))
-    rank = field_rank([list(t) for t in translates])
+    translates = [act(label, {s: 1}, w) for s in specht_basis(lam)]
+    rank = field_rank(translates)
     claim(claims, "translates-independent", rank == d_emb,
           {"rank": rank, "expected": d_emb})
     claim(claims, "translates-in-radical",

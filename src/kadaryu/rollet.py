@@ -188,7 +188,7 @@ def _tl_factored(n: int, p: int) -> tuple[tuple[int, int], ...]:
 
     if p > 0:
         mix(_tl_factored(n - 1, p - 1))
-    d_up = dimension(-1, n - 1, (p + 1, (1,) if p + 1 >= 1 else ()))
+    d_up = dimension(-1, n - 1, (p + 1, (1,)))
     mix(_tl_factored(n - 1, p + 1))
     acc[p + 2] = acc.get(p + 2, 0) + d_up
     acc[p + 1] = acc.get(p + 1, 0) - d_up

@@ -119,19 +119,6 @@ class IsolatingInterval:
     poly: Polynomial
     multiplicity: int
 
-    def refine(self, width: Fraction) -> "IsolatingInterval":
-        lo, hi, f = self.lo, self.hi, self.poly
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if _sign(_sturm_chain(f)[0], mid) == 0:
-                lo, hi = mid - width / 4, mid + width / 4
-                break
-            if sturm_count(f, lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        return IsolatingInterval(lo, hi, f, self.multiplicity)
-
 
 def _root_bound(p: Polynomial) -> Fraction:
     lc = abs(p.lc)

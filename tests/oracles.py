@@ -10,8 +10,9 @@ at 2cos(r pi/m) from dyadic enclosures (Machin bounds for pi, Taylor
 bounds for cos rounded outward, interval Horner in integers), the Specht
 basis by elimination over r!-long coordinate vectors, the Specht data
 from products in the group algebra, the bootstrap vector by Cramer's rule,
-its uniqueness from the Gram rows, and the radical as the kernel of the
-Gram matrix at a parameter value.
+its uniqueness from the Gram rows, the radical as the kernel of the
+Gram matrix at a parameter value, and the action of group-algebra elements
+on a module as dense matrices summed over their permutations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import count
 
 from kadaryu import exactmath, morphisms
-from kadaryu.diagrams import PairPartition, compose, flip
+from kadaryu.diagrams import PairPartition, compose, flip, half_normalize, permutation_diagram
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                field_kernel, field_rank, field_row_echelon,
                                poly_content_removed, poly_squarefree_part)
@@ -32,8 +33,8 @@ from kadaryu.roots import _integer_coeffs, minimal_poly_2cos
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                _canonical_tableau, _canonical_tableau_columns,
                                _row_group, all_permutations, hook_dimension,
-                               sorted_by_length, specht_basis, specht_gram,
-                               young_idempotent)
+                               left_action_matrix, sorted_by_length, specht_basis,
+                               specht_gram, young_idempotent)
 
 
 def poly_mul_schoolbook(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -732,3 +733,51 @@ def gram_radical(label: ModuleLabel, alpha0) -> list[list]:
     to Q[a]/(m) by morphisms._field."""
     to_f, _desc = morphisms._field(alpha0)
     return field_kernel([[to_f(p) for p in row] for row in gram_matrix(label).matrix.entries])
+
+
+def action_matrix(label: ModuleLabel, g: PairPartition):
+    """Matrix of a permutation diagram g acting on the module basis.
+
+    Returns rows A with g.(basis[j]) = sum_i A[i][j] basis[i], over Q.
+    """
+    inst = gram_matrix(label)
+    half = list(inst.half)
+    index = {u: a for a, u in enumerate(half)}
+    nhalf = len(half)
+    d = inst.d
+    size = inst.dim
+    A = [[Q(0)] * size for _ in range(size)]
+    for a, u in enumerate(half):
+        w, loops = compose(g, u)
+        if loops:
+            raise ValueError("action of a diagram with closed loops is not supported here")
+        if w.propagating_count() < label.p:
+            continue
+        u2, image = half_normalize(w)
+        perm = Permutation(image)
+        if not perm.fixes_from(label.r + 1):
+            raise RuntimeError("action residual moves a strand beyond r")
+        sigma = perm.restrict(label.r)
+        lam_mat = left_action_matrix(label.lam, sigma)
+        a2 = index[u2]
+        for m in range(d):
+            for i in range(d):
+                if lam_mat[i][m]:
+                    A[i * nhalf + a2][m * nhalf + a] += lam_mat[i][m]
+    return A
+
+
+def algebra_action(label: ModuleLabel, elem: GroupAlgebraElement):
+    """Matrix (over Q) of a symmetric-group-algebra element, extended by
+    identity strands, acting on the module: gram.act as one dense matrix."""
+    size = gram_matrix(label).dim
+    A = [[Q(0)] * size for _ in range(size)]
+    for s, c in elem.terms.items():
+        g = permutation_diagram(s.extend(label.n).image)
+        M = action_matrix(label, g)
+        for i in range(size):
+            row_a, row_m = A[i], M[i]
+            for j in range(size):
+                if row_m[j]:
+                    row_a[j] += c * row_m[j]
+    return A

@@ -5,12 +5,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kadaryu import exactmath, gram
 from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
-from kadaryu.diagrams import one_cup_index, s_gen
-from kadaryu.exactmath import Polynomial, PolyMatrix, Q
-from kadaryu.gram import (GramInstance, ModuleLabel, action_matrix,
+from kadaryu.diagrams import one_cup_index
+from kadaryu.exactmath import Polynomial, PolyMatrix, Q, QuotElem
+from kadaryu.gram import (GramInstance, ModuleLabel, act,
                           factor_one_cup, gram_det_lnp, gram_matrix,
                           gram_mixed, gram_mixed_det, one_cup_det, one_cup_series)
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
@@ -18,7 +20,8 @@ from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                left_action_matrix, partitions, specht_frame,
                                specht_gram, specht_pairing, young_idempotent)
 from kadaryu.rollet import dimension
-from oracles import det_poly, pair_halves, sandwich_sigma_table
+from kadaryu.morphisms import _apply
+from oracles import algebra_action, det_poly, pair_halves, sandwich_sigma_table
 
 x = Polynomial.x()
 
@@ -161,17 +164,58 @@ class TestGramStructure:
             ModuleLabel(-2, 4, 2, (2,))
 
 
+# (label, r): modules and the S_r acting on their first r strands; the
+# last two are truncated, S_2 on the target (1,) and S_3 on a p = 2 module
+ACTED = [(ModuleLabel(0, 4, 2, (2,)), 2), (ModuleLabel(0, 4, 2, (1, 1)), 2),
+         (ModuleLabel(1, 5, 3, (2, 1)), 3), (ModuleLabel(1, 5, 1, (1,)), 3),
+         (ModuleLabel(0, 3, 1, (1,)), 2), (ModuleLabel(1, 4, 2, (1, 1)), 3)]
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+MODULUS = x * x - x - 1
+
+
+def transpositions(label):
+    """s_j in S_{l+2} for the j the height-l generators reach."""
+    return [Permutation.from_cycles(label.l + 2, (j, j + 1))
+            for j in range(1, min(label.l + 1, label.n - 1) + 1)]
+
+
+def act_matrix(label, terms):
+    """A with columns act(label, terms, e_j)."""
+    size = gram_matrix(label).dim
+    cols = [act(label, terms, [Q(int(i == j)) for i in range(size)]) for j in range(size)]
+    return [list(row) for row in zip(*cols)]
+
+
+@st.composite
+def acted(draw):
+    """(label, r, terms, vec): a random element of Q S_r and a vector of
+    Fractions, Polynomials or elements of Q[a]/(a^2 - a - 1), many of them
+    zero."""
+    label, r = draw(st.sampled_from(ACTED))
+    perms = all_permutations(r)
+    terms = draw(st.dictionaries(st.sampled_from(perms), rationals, max_size=len(perms)))
+    kind = draw(st.sampled_from(["fraction", "polynomial", "quotient"]))
+    size = gram_matrix(label).dim
+    entries = st.just(Q(0)) | rationals
+    if kind == "fraction":
+        vec = draw(st.lists(entries, min_size=size, max_size=size))
+    else:
+        vec = [Polynomial(cs) for cs in draw(st.lists(st.lists(entries, max_size=3),
+                                                      min_size=size, max_size=size))]
+        if kind == "quotient":
+            vec = [QuotElem(MODULUS, p) for p in vec]
+    return label, r, terms, vec
+
+
 class TestAction:
-    @pytest.mark.parametrize("label", [ModuleLabel(0, 4, 2, (2,)),
-                                       ModuleLabel(0, 4, 2, (1, 1)),
-                                       ModuleLabel(1, 5, 3, (2, 1))])
+    @pytest.mark.parametrize("label", [label for label, _r in ACTED[:3]])
     def test_contravariance(self, label):
-        """<g v, w> = <v, g* w> with g* the flip (inverse for permutations)."""
+        """<s v, w> = <v, s* w> with s* = s^-1 = s for a transposition."""
         G = gram_matrix(label).matrix
         size = G.rows
-        for j in range(1, min(label.l + 1, label.n - 1) + 1):
-            g = s_gen(j, label.n)
-            A = action_matrix(label, g)  # involutive generator: g* = g
+        for s in transpositions(label):
+            A = act_matrix(label, {s: 1})
             lhs = [[sum((G[k, jj] * A[k][i] for k in range(size)), Polynomial())
                     for jj in range(size)] for i in range(size)]
             rhs = [[sum((G[i, k] * A[k][jj] for k in range(size)), Polynomial())
@@ -179,17 +223,29 @@ class TestAction:
             assert lhs == rhs
 
     def test_action_composes(self):
-        from kadaryu.diagrams import compose
         label = ModuleLabel(1, 5, 3, (2, 1))
-        g1, g2 = s_gen(1, 5), s_gen(2, 5)
-        prod_diag, loops = compose(g1, g2)
-        assert loops == 0
-        A1 = action_matrix(label, g1)
-        A2 = action_matrix(label, g2)
+        s1, s2 = transpositions(label)
+        A1, A2 = act_matrix(label, {s1: 1}), act_matrix(label, {s2: 1})
         size = len(A1)
         comp = [[sum(A1[i][k] * A2[k][j] for k in range(size))
                  for j in range(size)] for i in range(size)]
-        assert comp == action_matrix(label, prod_diag)
+        assert comp == act_matrix(label, {s1 * s2: 1})
+
+    @given(acted())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracle(self, case):
+        label, r, terms, vec = case
+        dense = algebra_action(label, GroupAlgebraElement(r, terms))
+        assert act(label, terms, vec) == _apply(dense, vec)
+
+    @given(acted(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_product_acts_as_composite(self, case, data):
+        """act({s t: 1}, v) = act({s: 1}, act({t: 1}, v)): niceelt_check
+        applies x_k C to xi as x_k after C."""
+        label, r, _terms, vec = case
+        s, t = data.draw(st.tuples(*[st.sampled_from(all_permutations(r))] * 2))
+        assert act(label, {s * t: 1}, vec) == act(label, {s: 1}, act(label, {t: 1}, vec))
 
 
 class TestMixedRanks:

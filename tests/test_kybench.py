@@ -1,14 +1,26 @@
-"""The benchmark harness still runs against the engine.
+"""The benchmark harness still runs against the engine, and the engine
+still prints what the harness saw.
 
 kybench/ drives the package through its public names; these tests run its
 own checks and import its stage-by-stage replay, so a rename in the engine
-that breaks the harness fails here rather than in a benchmark run.
+that breaks the harness fails here rather than in a benchmark run.  Every
+command of its workloads is also run in-process, cold and warm, against the
+exit code and the sha256 of its stdout pinned in
+tests/data/kybench_payloads.json.
 """
 
+import hashlib
+import importlib.util
+import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from kadaryu.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 KYBENCH = ROOT / "kybench"
@@ -28,3 +40,31 @@ def test_selftest_passes():
 def test_traced_imports():
     proc = run_python("-c", "import traced")
     assert proc.returncode == 0, proc.stderr
+
+
+def load_run():
+    spec = importlib.util.spec_from_file_location("kybench_run", KYBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_payloads_are_pinned(tmp_path, capsys):
+    """Cold and warm, each command prints the pinned payload with the pinned
+    exit code; the kept failure still ends in ZeroDivisionError."""
+    run = load_run()
+    pinned = json.loads((ROOT / "tests" / "data" / "kybench_payloads.json").read_text())
+    texts = [text for cmds in run.WORKLOADS.values() for text in cmds]
+    assert sorted(pinned) == sorted(t for t in texts if t != run.KEPT_FAILURE)
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    for name in ("cold", "warm"):
+        for text in texts:
+            argv = shlex.split(text) + cache
+            if text == run.KEPT_FAILURE:
+                with pytest.raises(ZeroDivisionError):
+                    main(argv)
+                assert capsys.readouterr().out == ""
+                continue
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert [code, hashlib.sha256(out.encode()).hexdigest()] == pinned[text], (name, text)

@@ -1,7 +1,9 @@
 """The bootstrap vector: explicit small cases, the rank recursion,
 divisibility by the series factor, and submodule certification."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +31,10 @@ CRAMER_LABELS = [(0, (2,), 4), (0, (1, 1), 4), (0, (2,), 5), (0, (1, 1), 5),
                  pytest.param(2, (3, 1), 6, marks=pytest.mark.slow)]
 
 
-# the Cramer labels below l = 2, and every l = 2 partition at rank 6
-UNIQUENESS_LABELS = [*CRAMER_LABELS[:7], *((2, lam, 6) for lam in partitions(4))]
+# the Cramer labels below l = 2, every l = 2 partition at rank 6, and one
+# l = 3 module of dimension 96
+UNIQUENESS_LABELS = [*CRAMER_LABELS[:7], *((2, lam, 6) for lam in partitions(4)),
+                     pytest.param(3, (3, 1, 1), 7, marks=pytest.mark.slow)]
 
 # (l, lambda, n, alpha0, target) of the submodule certificates
 SUBMODULE_CASES = [
@@ -252,7 +256,7 @@ class TestStructure:
         assert projector_fixes_xi(1, (2, 1), 5)
 
     @pytest.mark.parametrize("l,lam,n", [(0, (2,), 4), (0, (1, 1), 4),
-                                         (0, (2,), 5), (1, (2, 1), 5)])
+                                         (0, (2,), 5), (1, (2, 1), 5), (3, (3, 1, 1), 7)])
     def test_uniqueness(self, l, lam, n):
         assert xi_uniqueness_check(l, lam, n)
 
@@ -264,10 +268,13 @@ class TestOracles:
     def test_uniqueness_matches_gram_rows(self, l, lam, n):
         assert xi_uniqueness_check(l, lam, n) is xi_uniqueness_by_gram_rows(l, lam, n) is True
 
-    def test_perturbed_xi_is_refused_by_both(self, monkeypatch):
+    @pytest.mark.parametrize("perturb", [lambda cs: cs[:3] + [cs[3] + 1] + cs[4:],
+                                         lambda cs: [Polynomial()] * len(cs)],
+                             ids=["bumped", "zero"])
+    def test_perturbed_xi_is_refused_by_both(self, monkeypatch, perturb):
+        """A vector off the kernel, and the zero vector, which is in it."""
         xi = solve_xi(1, (2, 1), 5)
-        coeffs = list(xi.coeffs)
-        coeffs[3] += 1
+        coeffs = perturb(list(xi.coeffs))
         monkeypatch.setattr(morphisms, "solve_xi",
                             lambda *args: XiElement(xi.label, tuple(coeffs), xi.D))
         assert xi_uniqueness_check(1, (2, 1), 5) is False
@@ -330,6 +337,13 @@ class TestSubmodules:
         assert rep["status"] == "fail"
         assert rep["claims"][0]["id"] == "parameter-annihilates-det"
         assert rep["claims"][0]["status"] == "fail"
+
+    def test_reports_are_pinned(self):
+        """The ten SUBMODULE_CASES reports, byte for byte as JSON."""
+        path = Path(__file__).parent / "data" / "submodule_reports.json"
+        for case, want in zip(SUBMODULE_CASES, json.loads(path.read_text()), strict=True):
+            l, lam, n, alpha0, target = case
+            assert json.dumps(submodule_verify(l, lam, n, alpha0, target=target)) == json.dumps(want)
 
 
 def test_tridiagonal_pattern_at_one():

@@ -47,14 +47,6 @@ class TestSturm:
         # disjoint
         assert ivs[0].hi <= ivs[1].lo
 
-    def test_refine(self):
-        p = x * x - 2
-        iv = sturm_isolate(p)[-1]  # the positive root
-        narrow = iv.refine(Fraction(1, 10 ** 6))
-        assert narrow.hi - narrow.lo <= Fraction(1, 10 ** 6)
-        assert narrow.lo > 1
-        assert narrow.lo ** 2 < 2 < narrow.hi ** 2
-
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
            st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
