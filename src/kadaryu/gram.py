@@ -26,6 +26,8 @@ block companion characteristic polynomial (GramInstance.det_monic).  The
 Gram matrix and A~ are placed by one loop from blocks checked to satisfy
 S A(sigma) = M(sigma), so G = (S (x) I) A~ entry by entry, and the one exact
 check point is the determinant core's own (exactmath.det_monic_companion).
+The dense Gram matrix is built only to be printed; the mixed-rank
+determinant (gram_mixed_det) and every certificate read A~.
 
 S_r acts on the first r strands of a module (act): s u_a = u_b sigma, read
 off compose and half_normalize once per (label, s), gives s (u_a b_i) =
@@ -239,17 +241,25 @@ def factor_one_cup(l: int, lam: tuple[int, ...]) -> tuple[Polynomial, ChebSeries
 
 
 # ---------------------------------------------------------------------------
-# mixed-rank one-cup matrices
+# mixed-rank one-cup determinants
 # ---------------------------------------------------------------------------
 
-def gram_mixed(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> PolyMatrix:
-    """Form matrix on per-Specht-vector one-cup sets of (possibly) different
-    ranks, over the orthogonal Specht basis y_k = sum_m T[m][k] x_m C of
-    symmetric.specht_frame.
+def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Polynomial:
+    """Normalised determinant of the form on per-Specht-vector one-cup sets
+    of (possibly) different ranks, over the orthogonal Specht basis
+    y_k = sum_m T[m][k] x_m C of symmetric.specht_frame.
 
     The pairing rules only see the cup indices, so smaller-rank cups keep
-    their values at the largest rank: each entry is read off the one-cup
-    Gram matrix there, restricted to each vector's cups and conjugated by T.
+    their values at the largest rank: the form is the one-cup Gram matrix
+    there, G = (S (x) I) A~ with A~ = a I + B_0 / den, conjugated by T and
+    restricted to each vector's cups.  T^t S T = N = diag(norms) gives
+    T^t S = N T^-1, so in the y frame the form is (N (x) I)(a I + R) with
+    R = (T^-1 (x) I) B_0 / den (T (x) I).  Normalised per cup by the norms,
+    so that the three-term rank recursion is scale-free, the determinant is
+    the principal minor det(a I + R) on those cups, one block companion
+    characteristic polynomial (exactmath.det_monic_companion).  T^-1 is
+    N^-1 T^t S, checked to invert T exactly; T and T^-1 are upper
+    triangular, so only the nonzero entries of B_0 are walked.
     """
     lam = tuple(lam)
     d = hook_dimension(lam)
@@ -258,45 +268,36 @@ def gram_mixed(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> PolyMa
     if any(nk < l + 4 for nk in n_tuple):
         raise ValueError("each rank must be >= l+4")
     big = max(n_tuple)
-    rows = gram_matrix(ModuleLabel(l, big, big - 2, lam)).matrix.entries
+    tail, den = gram_matrix(ModuleLabel(l, big, big - 2, lam)).linearisation
+    _xs, T, norms = specht_frame(lam)
+    S = specht_pairing(lam, Permutation.identity(sum(lam)))
+    inv = [[sum(T[i][k] * S[i][m] for i in range(d)) / norms[k] for m in range(d)]
+           for k in range(d)]
+    if any(sum(inv[k][m] * T[m][kk] for m in range(d)) != (k == kk)
+           for k in range(d) for kk in range(d)):
+        raise RuntimeError(f"Specht frame of {lam} is not orthogonal: T^t S T != diag(norms)")
     where = {jk: a for a, jk in enumerate(one_cup_index(l, big))}
     nhalf = len(where)
-    _xs, T, _norms = specht_frame(lam)
-    basis = [(k, where[jk]) for k in range(d) for jk in one_cup_index(l, n_tuple[k])]
-
-    def entry(k, a, kk, b):
-        # T is upper triangular: y_k only involves x_0..x_k
-        return sum((rows[m * nhalf + a][mm * nhalf + b] * (T[m][k] * T[mm][kk])
-                    for m in range(k + 1) for mm in range(kk + 1)), Polynomial())
-
-    return PolyMatrix([[entry(k, a, kk, b) for kk, b in basis] for k, a in basis])
-
-
-def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Polynomial:
-    """Determinant of gram_mixed, normalised per cup by the orthogonal-basis
-    norms so that the three-term rank recursion is scale-free.
-
-    Only a cup paired with itself closes a loop, and T orthogonalises the
-    Specht form, so gram_mixed is G = a N + G_0 with N = diag(norms), one
-    norm per cup of each vector (anything else raises RuntimeError).  The
-    normalised determinant det G / det N is det(a I + N^-1 G_0), one block
-    companion characteristic polynomial (exactmath.det_monic_companion).
-    The entry check makes its tail exactly N^-1 G_0, so the core's own check
-    point certifies det G = det N * det(a I + N^-1 G_0) as well.
-    """
-    lam = tuple(lam)
-    m = gram_mixed(l, lam, n_tuple)
-    _xs, _T, norms = specht_frame(lam)
-    top = [norms[k] for k, nk in enumerate(n_tuple) for _ in one_cup_index(l, nk)]
-    for i, row in enumerate(m.entries):
-        for j, p in enumerate(row):
-            if p.coeffs[1:] != ((top[i],) if i == j else ()):
-                raise RuntimeError(f"mixed Gram matrix of {(l, lam, n_tuple)} is not "
-                                   f"a diag(norms) + G_0 at entry ({i}, {j})")
-    low = [[p(0) / nk for p in row] for row, nk in zip(m.entries, top)]
-    den = math.lcm(*(v.denominator for row in low for v in row))
-    return det_monic_companion([[v.numerator * (den // v.denominator) for v in row]
-                                for row in low], den)
+    cups = [k * nhalf + where[jk] for k, nk in enumerate(n_tuple) for jk in one_cup_index(l, nk)]
+    pos = {row: i for i, row in enumerate(cups)}
+    # R restricted to the cups: row (k, a) takes T^-1[k][m] / den for
+    # m >= k, column (kk, b) takes T[mm][kk] for mm <= kk
+    low = [[0] * len(pos) for _ in pos]
+    for row, values in enumerate(tail):
+        m, a = divmod(row, nhalf)
+        rows = [(pos[k * nhalf + a], inv[k][m] / den) for k in range(m + 1)
+                if k * nhalf + a in pos and inv[k][m]]
+        for col, val in enumerate(values):
+            if val and rows:
+                mm, b = divmod(col, nhalf)
+                cols = [(pos[kk * nhalf + b], T[mm][kk] * val) for kk in range(mm, d)
+                        if kk * nhalf + b in pos and T[mm][kk]]
+                for i, t in rows:
+                    for j, v in cols:
+                        low[i][j] += t * v
+    lcm = math.lcm(*(v.denominator for r in low for v in r))
+    return det_monic_companion([[v.numerator * (lcm // v.denominator) for v in r] for r in low],
+                               lcm)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ three-term Chebyshev recursion up the tower and is divisible by the monic
 series factor of the one-cup determinants, so roots of the latter are
 parameter values where xi generates a submodule isomorphic to the
 cap-free standard module.  This file computes xi exactly from the
-linearisation aI + B_0 / den the module's determinant is taken from, as its
-polynomial adjugate (Cayley-Hamilton), checks xi against the same pencil
-(its uniqueness follows from det A~ being monic), reads the
-radical at explicit (possibly irrational) parameter values off it, checks
-the recursion and divisibility, and certifies the submodule embeddings,
-with the Specht projector and translates applied by gram.act.
+linearisation A~ = aI + B_0 / den the module's determinant is taken from,
+as its polynomial adjugate (Cayley-Hamilton), and reads everything else off
+rows of the same pencil den A~(a) (_pencil_rows): xi's uniqueness (which
+follows from det A~ being monic), D at every rank of the step recursion,
+the form-support claims of the translates of xi, and the radical at
+explicit (possibly irrational) parameter values.  It checks the recursion
+and divisibility and certifies the submodule embeddings, with the Specht
+projector and translates applied by gram.act.
 """
 
 from __future__ import annotations
@@ -101,15 +103,33 @@ def solve_xi(l: int, lam: tuple[int, ...], n: int) -> XiElement:
     return XiElement(label, tuple(prim), d_poly)
 
 
+def _pencil_rows(label: ModuleLabel, a, rows) -> list[dict]:
+    """The given rows of den A~(a) = den a I + B_0, the linearisation the
+    module's determinant is taken from, at a parameter value a: the
+    variable, a rational or a QuotElem.  Each row is {column: entry} over
+    the nonzero entries of B_0 and the diagonal.  Entries are Fractions,
+    Polynomials or field elements, never bare ints, since
+    field_row_echelon scales a pivot row by 1 / pivot."""
+    tail, den = gram_matrix(label).linearisation
+    da = den * a
+    return [{j: Q(b) + da if i == j else Q(b) for j, b in enumerate(tail[i]) if b or i == j}
+            for i in rows]
+
+
+def _apply(rows, vec):
+    """The product of rows {column: entry} with vec, skipping zero entries
+    of vec; a row with no nonzero term gives 0."""
+    return [sum((vec[j] * v for j, v in row.items() if vec[j]), 0) for row in rows]
+
+
 def _compute_d(label: ModuleLabel, coeffs) -> Polynomial:
-    """D from the form: <u_{n-1,n} b_1, xi> = D * <b_1, b_1> = D."""
-    inst = gram_matrix(label)
-    row = inst.matrix.entries[_last_cup_row(label, 0)]
-    acc = Polynomial()
-    for g, c in zip(row, coeffs):
-        if not g.is_zero() and not c.is_zero():
-            acc = acc + g * c
-    return acc
+    """D from the form: <u_{n-1,n} b_1, xi> = D * <b_1, b_1> = D.  As
+    G = (S (x) I) A~ entry by entry, that is sum_m S[0][m] (A~ xi)_(m, last)
+    for any vector xi, read off the d last-cup rows of den A~."""
+    S = specht_gram(label.lam)
+    rows = _pencil_rows(label, Polynomial.x(), [_last_cup_row(label, m) for m in range(len(S))])
+    acc = sum((p * s for p, s in zip(_apply(rows, coeffs), S[0]) if s), Polynomial())
+    return acc * Q(1, gram_matrix(label).linearisation[1])
 
 
 def xi_step(xi: XiElement) -> XiElement:
@@ -175,12 +195,6 @@ def divisibility_check(l: int, lam: tuple[int, ...], n: int) -> dict:
 # the symmetric group acting on xi
 # ---------------------------------------------------------------------------
 
-def _apply(A, vec):
-    """The product A * vec, skipping zero entries; a row with no nonzero
-    term gives 0."""
-    return [sum((v * c for c, v in zip(row, vec) if c and v), 0) for row in A]
-
-
 def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
     """Translate xi by each Specht basis vector and check the two support
     claims: only the matching last-cup coefficient survives, with a value
@@ -194,7 +208,8 @@ def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
     nhalf = len(inst.half)
     last = _cup_positions(label)[(n - 1, n)]
     xs = specht_basis(lam)
-    G = specht_gram(lam)
+    pencil = _pencil_rows(label, Polynomial.x(), range(inst.dim))
+    den_d = xi.D * inst.linearisation[1]
     claims: list[dict] = []
     common = None
     projected = act(label, young_idempotent(lam).terms, xi.coeffs)
@@ -212,23 +227,20 @@ def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
             elif coef:
                 ok1 = False
         claim(claims, f"last-cup-support-k{k}", ok1)
-        # part 2: the contravariant form against every basis vector
-        form = _apply(inst.matrix.entries, vec)
-        ok2 = True
-        for m in range(inst.d):
-            for a in range(nhalf):
-                got = form[m * nhalf + a]
-                want = xi.D * G[m][k] if a == last else Polynomial()
-                if got != want:
-                    ok2 = False
-        claim(claims, f"form-support-k{k}", ok2)
+        # part 2: the form against the basis is D * <b_m, b_k> on the last
+        # cup and 0 elsewhere, G vec = D (S (x) I) e_(k, last); as
+        # G = (S (x) I) A~ and S is invertible, den A~ vec = den D e_(k, last)
+        target = k * nhalf + last
+        claim(claims, f"form-support-k{k}",
+              all(got == (den_d if i == target else 0)
+                  for i, got in enumerate(_apply(pencil, vec))))
     return report({"l": l, "lambda": list(lam), "n": n}, claims)
 
 
 def projector_fixes_xi(l: int, lam: tuple[int, ...], n: int) -> bool:
     """Generic parameter: the Specht projector acts as identity on xi."""
     lam = tuple(lam)
-    xi = solve_xi(l, lam, n) if n == l + 4 else xi_sequence(l, lam, n)[-1]
+    xi = xi_sequence(l, lam, n)[-1]
     return tuple(act(xi.label, young_idempotent(lam).terms, xi.coeffs)) == xi.coeffs
 
 
@@ -247,13 +259,10 @@ def xi_uniqueness_check(l: int, lam: tuple[int, ...], n: int) -> bool:
     """
     lam = tuple(lam)
     label = ModuleLabel(l, n, n - 2, lam)
-    tail, den = gram_matrix(label).linearisation
     first = _last_cup_row(label, 0)
     xi = solve_xi(l, lam, n)
-    a = Polynomial.x() * den
-    return any(xi.coeffs) and not any(
-        sum((c * b for b, c in zip(row, xi.coeffs) if b), a * xi.coeffs[i])
-        for i, row in enumerate(tail) if i != first)
+    rows = _pencil_rows(label, Polynomial.x(), (i for i in range(len(xi.coeffs)) if i != first))
+    return any(xi.coeffs) and not any(_apply(rows, xi.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +283,6 @@ def _field(alpha0):
         return (lambda p: QuotElem(m, p)), f"root of {alpha0}"
     a0 = Q(alpha0)
     return (lambda p: p(a0)), str(a0)
-
-
-def _annihilates(alpha0, p: Polynomial) -> bool:
-    if isinstance(alpha0, Polynomial):
-        return (p % alpha0).is_zero() or poly_gcd(p, alpha0).degree > 0
-    return p(Q(alpha0)) == 0
 
 
 def _target_partition(l: int, n: int, lam: tuple[int, ...]) -> tuple[int, ...]:
@@ -317,16 +320,13 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
     claims: list[dict] = []
     fields = {"l": l, "lambda": list(lam), "n": n, "alpha0": desc}
 
-    det = gram_det(label)
-    pre = _annihilates(alpha0, det)
+    pre = not to_f(gram_det(label))
     claim(claims, "parameter-annihilates-det", pre, desc)
 
-    # A~(alpha0) = alpha0 I + B_0 / den has the row space of G(alpha0)
-    tail, den = inst.linearisation
-    a0 = to_f(Polynomial.x())
-    rows = [[Q(b, den) + a0 if i == j else Q(b, den) for j, b in enumerate(row)]
-            for i, row in enumerate(tail)]
-    ker = field_kernel(rows)
+    # den A~(alpha0) has the row space of G(alpha0), and scaling rows leaves
+    # the reduced echelon form, so the kernel basis, as it is
+    rows = _pencil_rows(label, to_f(Polynomial.x()), range(inst.dim))
+    ker = field_kernel([[row.get(j, Q(0)) for j in range(inst.dim)] for row in rows])
     deficiency = len(ker)
     claim(claims, "radical-nonzero", deficiency > 0,
           {"rank_deficiency": deficiency, "dim": inst.dim})
@@ -352,13 +352,11 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
 
     if lam == label.lam:
         _c, series = factor_one_cup(l, lam)
-        if _annihilates(alpha0, series.term(n)):
+        if not to_f(series.term(n)):
             xi = xi_sequence(l, lam, n)[-1]
             spec = [to_f(p) for p in xi.coeffs]
             claim(claims, "xi-specialises-nonzero", any(spec))
-            claim(claims, "xi-cap-scalar-vanishes",
-                  _annihilates(alpha0, xi.D) if not xi.D.is_zero() else True,
-                  {"D": str(xi.D)})
+            claim(claims, "xi-cap-scalar-vanishes", not to_f(xi.D), {"D": str(xi.D)})
             claim(claims, "xi-in-radical", not any(_apply(rows, spec)))
 
     return report(fields, claims)

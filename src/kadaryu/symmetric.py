@@ -109,10 +109,6 @@ class GroupAlgebraElement:
         self.r = r
         self.terms = {s: Q(c) for s, c in (terms or {}).items() if c}
 
-    @staticmethod
-    def of(s: Permutation, c=1) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(len(s.image), {s: Q(c)})
-
     def __add__(self, other):
         out = dict(self.terms)
         for s, c in other.terms.items():
@@ -128,10 +124,6 @@ class GroupAlgebraElement:
                 s = s1 * s2
                 out[s] = out.get(s, Q(0)) + c1 * c2
         return GroupAlgebraElement(self.r, out)
-
-    def star(self) -> "GroupAlgebraElement":
-        """Linear extension of permutation inversion; an involution."""
-        return GroupAlgebraElement(self.r, {s.inverse(): c for s, c in self.terms.items()})
 
     def coeff(self, s: Permutation) -> Fraction:
         return self.terms.get(s, Q(0))

@@ -9,10 +9,14 @@ chain of remainders over Q, cos bounds from the exact Taylor sum, signs
 at 2cos(r pi/m) from dyadic enclosures (Machin bounds for pi, Taylor
 bounds for cos rounded outward, interval Horner in integers), the Specht
 basis by elimination over r!-long coordinate vectors, the Specht data
-from products in the group algebra, the bootstrap vector by Cramer's rule,
-its uniqueness from the Gram rows, the radical as the kernel of the
-Gram matrix at a parameter value, and the action of group-algebra elements
-on a module as dense matrices summed over their permutations.
+from products in the group algebra (with single permutations and the
+involution * as elements of Q S_r), the bootstrap vector by Cramer's rule,
+its uniqueness from the Gram rows, its cap scalar D from a Gram row, dense
+matrix-vector products, the
+radical as the kernel of the Gram matrix at a parameter value, the
+mixed-rank form matrix conjugated entry by entry over Q[a], and the action
+of group-algebra elements on a module as dense matrices summed over their
+permutations.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from fractions import Fraction
 from itertools import count
 
 from kadaryu import exactmath, morphisms
-from kadaryu.diagrams import PairPartition, compose, flip, half_normalize, permutation_diagram
+from kadaryu.diagrams import (PairPartition, compose, flip, half_normalize, one_cup_index,
+                               permutation_diagram)
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                field_kernel, field_rank, field_row_echelon,
                                poly_content_removed, poly_squarefree_part)
@@ -34,7 +39,7 @@ from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                _canonical_tableau, _canonical_tableau_columns,
                                _row_group, all_permutations, hook_dimension,
                                left_action_matrix, sorted_by_length, specht_basis,
-                               specht_gram, young_idempotent)
+                               specht_frame, specht_gram, young_idempotent)
 
 
 def poly_mul_schoolbook(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -630,6 +635,16 @@ def specht_basis_by_elimination(lam: tuple[int, ...]) -> tuple[Permutation, ...]
     return tuple(chosen)
 
 
+def algebra_element(s: Permutation, c=1) -> GroupAlgebraElement:
+    """c times the permutation s, as an element of Q S_r."""
+    return GroupAlgebraElement(len(s.image), {s: Q(c)})
+
+
+def star(z: GroupAlgebraElement) -> GroupAlgebraElement:
+    """Linear extension of permutation inversion; an involution."""
+    return GroupAlgebraElement(z.r, {s.inverse(): c for s, c in z.terms.items()})
+
+
 def scalar_extract(lam: tuple[int, ...], z: GroupAlgebraElement) -> Fraction:
     """The t with z = t*C_lam, for z in C_lam * QS_r * C_lam; raises
     ValueError when z is not proportional to C_lam."""
@@ -647,11 +662,11 @@ def sandwich_sigma_table(lam, sigma):
     """M[i][j] = scalar(C x_i* sigma x_j C), by products in the group algebra."""
     c = young_idempotent(lam)
     xs = specht_basis(lam)
-    sig = GroupAlgebraElement.of(sigma)
+    sig = algebra_element(sigma)
     out = []
     for xi in xs:
-        left = c * GroupAlgebraElement.of(xi.inverse()) * sig
-        out.append(tuple(scalar_extract(lam, left * GroupAlgebraElement.of(xj) * c)
+        left = c * algebra_element(xi.inverse()) * sig
+        out.append(tuple(scalar_extract(lam, left * algebra_element(xj) * c)
                          for xj in xs))
     return tuple(out)
 
@@ -670,7 +685,7 @@ def elimination_left_action(lam, s):
     order = all_permutations(sum(lam))
 
     def vector(g):
-        z = GroupAlgebraElement.of(g) * c
+        z = algebra_element(g) * c
         return [z.coeff(p) for p in order]
 
     cols = [vector(x) for x in xs] + [vector(s * x) for x in xs]
@@ -720,12 +735,55 @@ def xi_uniqueness_by_gram_rows(l: int, lam: tuple[int, ...], n: int) -> bool:
         rm = entries[_last_cup_row(label, m)]
         rows.append([a * G[0][0] - b * G[m][0] for a, b in zip(rm, r0)])
     xi = morphisms.solve_xi(l, lam, n)
-    if not any(xi.coeffs) or any(morphisms._apply(rows, list(xi.coeffs))):
+    if not any(xi.coeffs) or any(apply_dense(rows, list(xi.coeffs))):
         return False
     # a zero row would void the degree bound and adds nothing to the kernel
     system = PolyMatrix([row for row in rows if any(row)])
     return any(inst.dim - field_rank(system.evaluate(Q(t))) == 1
                for t in range(system.degree_bound() + 1))
+
+
+def apply_dense(A, vec):
+    """The product of a dense matrix with vec, skipping zero entries; a row
+    with no nonzero term gives 0."""
+    return [sum((v * c for c, v in zip(row, vec) if c and v), 0) for row in A]
+
+
+def compute_d_by_gram_row(label: ModuleLabel, coeffs) -> Polynomial:
+    """morphisms._compute_d on the Gram matrix: <u_{n-1,n} b_1, xi>, the
+    Gram row of u_{n-1,n} b_1 times the vector."""
+    row = gram_matrix(label).matrix.entries[_last_cup_row(label, 0)]
+    acc = Polynomial()
+    for g, c in zip(row, coeffs):
+        if not g.is_zero() and not c.is_zero():
+            acc = acc + g * c
+    return acc
+
+
+def gram_mixed(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> PolyMatrix:
+    """Form matrix on per-Specht-vector one-cup sets of (possibly) different
+    ranks, over the orthogonal Specht basis y_k = sum_m T[m][k] x_m C of
+    symmetric.specht_frame: the one-cup Gram matrix at the largest rank,
+    restricted to each vector's cups and conjugated by T entry by entry."""
+    lam = tuple(lam)
+    d = hook_dimension(lam)
+    if len(n_tuple) != d:
+        raise ValueError(f"need a tuple of length d = {d}")
+    if any(nk < l + 4 for nk in n_tuple):
+        raise ValueError("each rank must be >= l+4")
+    big = max(n_tuple)
+    rows = gram_matrix(ModuleLabel(l, big, big - 2, lam)).matrix.entries
+    where = {jk: a for a, jk in enumerate(one_cup_index(l, big))}
+    nhalf = len(where)
+    _xs, T, _norms = specht_frame(lam)
+    basis = [(k, where[jk]) for k in range(d) for jk in one_cup_index(l, n_tuple[k])]
+
+    def entry(k, a, kk, b):
+        # T is upper triangular: y_k only involves x_0..x_k
+        return sum((rows[m * nhalf + a][mm * nhalf + b] * (T[m][k] * T[mm][kk])
+                    for m in range(k + 1) for mm in range(kk + 1)), Polynomial())
+
+    return PolyMatrix([[entry(k, a, kk, b) for kk, b in basis] for k, a in basis])
 
 
 def gram_radical(label: ModuleLabel, alpha0) -> list[list]:

@@ -12,9 +12,9 @@ from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotElem, det_monic_co
                                poly_content_removed, poly_gcd, poly_gcd_cofactors,
                                poly_nth_root, poly_squarefree_part, reduced,
                                yun_squarefree_decomposition)
-from kadaryu.gram import ModuleLabel, gram_matrix, gram_mixed
+from kadaryu.gram import ModuleLabel, gram_matrix
 
-from oracles import (det_cofactor, det_interpolate, det_poly, det_poly_bareiss,
+from oracles import (det_cofactor, det_interpolate, det_poly, det_poly_bareiss, gram_mixed,
                      poly_gcd_euclid, poly_mul_schoolbook, smith_invariants)
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))

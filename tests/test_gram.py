@@ -14,14 +14,14 @@ from kadaryu.diagrams import one_cup_index
 from kadaryu.exactmath import Polynomial, PolyMatrix, Q, QuotElem
 from kadaryu.gram import (GramInstance, ModuleLabel, act,
                           factor_one_cup, gram_det_lnp, gram_matrix,
-                          gram_mixed, gram_mixed_det, one_cup_det, one_cup_series)
+                          gram_mixed_det, one_cup_det, one_cup_series)
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                all_permutations, hook_dimension,
                                left_action_matrix, partitions, specht_frame,
                                specht_gram, specht_pairing, young_idempotent)
 from kadaryu.rollet import dimension
-from kadaryu.morphisms import _apply
-from oracles import algebra_action, det_poly, pair_halves, sandwich_sigma_table
+from oracles import (algebra_action, apply_dense, det_poly, gram_mixed, pair_halves,
+                     sandwich_sigma_table)
 
 x = Polynomial.x()
 
@@ -236,7 +236,7 @@ class TestAction:
     def test_matches_dense_oracle(self, case):
         label, r, terms, vec = case
         dense = algebra_action(label, GroupAlgebraElement(r, terms))
-        assert act(label, terms, vec) == _apply(dense, vec)
+        assert act(label, terms, vec) == apply_dense(dense, vec)
 
     @given(acted(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -273,9 +273,13 @@ class TestMixedRanks:
         (1, (2, 1), (7, 6)), (2, (3, 1), (6, 6, 7)), (2, (2, 2), (6, 7)),
         (2, (2, 1, 1), (6, 7, 6)),
         pytest.param(3, (4, 1), (7, 8, 7, 8), marks=pytest.mark.slow),
-        pytest.param(3, (3, 1, 1), (7, 7, 7, 8, 8, 8), marks=pytest.mark.slow)])
+        pytest.param(3, (3, 1, 1), (7, 7, 7, 8, 8, 8), marks=pytest.mark.slow),
+        (1, (2, 1), (7, 5)), (1, (2, 1), (5, 7)), (2, (3, 1), (7, 6, 6)),
+        (2, (2, 2), (8, 6)), (0, (2,), (6,)), (0, (1, 1), (5,)), (-1, (1,), (5,)),
+        pytest.param(3, (3, 2), (7, 8, 7, 8, 7), marks=pytest.mark.slow)])
     def test_matches_det_poly(self, l, lam, n_tuple):
-        """The companion determinant is det(gram_mixed) over prod norms^h."""
+        """The companion determinant is det(gram_mixed) over prod norms^h,
+        also for d = 1 and for ranks falling along the frame."""
         norms = specht_frame(lam)[2]
         scale = Q(1)
         for k, nk in enumerate(n_tuple):
@@ -287,19 +291,50 @@ class TestMixedRanks:
         with pytest.raises(RuntimeError, match="determinant check failed"):
             gram_mixed_det(1, (2, 1), (5, 6))
 
-    @pytest.mark.parametrize("i, j, extra", [(0, 1, x), (0, 0, x), (2, 2, x * x)],
-                             ids=["a off the diagonal", "diagonal not a norm", "degree 2"])
-    def test_top_coefficients_not_the_norms_raise(self, monkeypatch, i, j, extra):
-        build = gram.gram_mixed
-
-        def bent(*args):
-            m = build(*args)
-            m.entries[i][j] = m.entries[i][j] + extra
-            return m
-
-        monkeypatch.setattr(gram, "gram_mixed", bent)
-        with pytest.raises(RuntimeError, match="not a diag"):
+    @pytest.mark.parametrize("bend", [
+        lambda T, norms: ([[v + ((i, j) == (0, 1)) for j, v in enumerate(row)]
+                           for i, row in enumerate(T)], norms),
+        lambda T, norms: (T, [norms[0] * 2, *norms[1:]])],
+        ids=["T off the diagonal", "a norm doubled"])
+    def test_bent_frame_raises(self, monkeypatch, bend):
+        """A frame with T^t S T != diag(norms) fails the check T^-1 T = I,
+        T^-1 = N^-1 T^t S, and never reaches the determinant."""
+        frame = gram.specht_frame
+        monkeypatch.setattr(gram, "specht_frame",
+                            lambda lam: (frame(lam)[0], *bend(*frame(lam)[1:])))
+        with pytest.raises(RuntimeError, match="not orthogonal"):
             gram_mixed_det(1, (2, 1), (5, 6))
+
+    def test_denominators_are_cleared(self, monkeypatch):
+        """TestDetMonic.test_denominators_are_cleared's rescaling of the
+        Specht basis by D = diag(2, 1), with T taken to D^-1 T so that the
+        orthogonal y_k stay as they are: the linearisation at the largest
+        rank has den = 2, while R = (T^-1 (x) I) B_0 / den (T (x) I), the
+        mixed determinant and the companion's L = 4 are unchanged."""
+        args = (1, (2, 1), (5, 6))
+        scale = [Q(2), Q(1)]
+        dens = []
+        core = gram.det_monic_companion
+        frame = gram.specht_frame
+
+        def spy(tail, den):
+            dens.append(den)
+            return core(tail, den)
+
+        monkeypatch.setattr(gram, "det_monic_companion", spy)
+        want = gram_mixed_det(*args)
+
+        def rescaled_frame(lam):
+            xs, T, norms = frame(lam)
+            return xs, tuple(tuple(v / scale[m] for v in row) for m, row in enumerate(T)), norms
+
+        monkeypatch.setattr(gram, "specht_pairing", rescaled(specht_pairing, scale, 1))
+        monkeypatch.setattr(gram, "left_action_matrix", rescaled(left_action_matrix, scale, -1))
+        monkeypatch.setattr(gram, "specht_frame", rescaled_frame)
+        monkeypatch.setattr(gram, "gram_matrix", GramInstance)
+        assert gram.gram_matrix(ModuleLabel(1, 6, 4, (2, 1))).linearisation[1] == 2
+        assert gram_mixed_det(*args) == want
+        assert dens == [4, 4]
 
 
 class TestSigmaTables:

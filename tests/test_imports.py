@@ -1,7 +1,8 @@
 """Every name a package module imports is used in it, every private
-module-level name is read somewhere in the package, and no module calls
-float or writes a float literal: stdlib `ast` scans that stand in for a
-linter's unused-import, dead-code and exactness rules."""
+module-level name is read somewhere in the package, no module calls
+float or writes a float literal, and only the CLI reads the dense Gram
+matrix: stdlib `ast` scans that stand in for a linter's unused-import,
+dead-code, exactness and layering rules."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,24 @@ def test_scan_sees_a_float():
     source = ("import math\nx = math.inf\ny = str(float(3))\nz = 1e-6 + 2\n"
               "w: float = 0\nv = 'float(1.5)'\n")
     assert float_uses(source) == [3, 4]
+
+
+def attribute_reads(source: str, attr: str) -> list[int]:
+    """Lines of every read of the attribute attr; defining a method of that
+    name or assigning the attribute is not a read."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_the_cli_reads_the_gram_matrix(path):
+    """The engine reads the linearisation A~; GramInstance.matrix, the dense
+    Q[a] Gram matrix, is built only to print the gram payload."""
+    assert attribute_reads(path.read_text(), "matrix") == []
+
+
+def test_scan_sees_a_matrix_read():
+    source = ("rows = inst.matrix.entries\ng = gram_matrix(lab).matrix\n"
+              "inst.matrix = None\nclass G:\n    def matrix(self):\n        return 'x.matrix'\n")
+    assert attribute_reads(source, "matrix") == [1, 2]

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kadaryu import gram, morphisms
 from kadaryu.cheby import ChebSeries
@@ -18,7 +20,8 @@ from kadaryu.morphisms import (XiElement, divisibility_check, niceelt_check,
                                xi_sequence, xi_step, xi_uniqueness_check)
 from kadaryu.symmetric import Permutation, partitions, specht_gram
 
-from oracles import gram_radical, solve_xi_by_cramer, xi_uniqueness_by_gram_rows
+from oracles import (compute_d_by_gram_row, gram_radical, solve_xi_by_cramer,
+                     xi_uniqueness_by_gram_rows)
 
 x = Polynomial.x()
 
@@ -251,6 +254,16 @@ class TestStructure:
     def test_translate_support(self, l, lam):
         assert niceelt_check(l, lam)["status"] == "pass"
 
+    def test_perturbed_d_fails_form_support(self, monkeypatch):
+        """den A~ vec = den D e_(k, last) is checked against D itself: a D
+        off by one fails every form-support claim and nothing else."""
+        xi = solve_xi(1, (2, 1), 5)
+        monkeypatch.setattr(morphisms, "solve_xi",
+                            lambda *args: XiElement(xi.label, xi.coeffs, xi.D + 1))
+        rep = niceelt_check(1, (2, 1))
+        failed = [c["id"] for c in rep["claims"] if c["status"] == "fail"]
+        assert failed == ["form-support-k0", "form-support-k1"]
+
     def test_projector_fixes(self):
         assert projector_fixes_xi(0, (2,), 5)
         assert projector_fixes_xi(1, (2, 1), 5)
@@ -294,6 +307,19 @@ class TestOracles:
         submodule_verify(l, lam, n, alpha0, target=target)
         label = ModuleLabel(l, n, n - 2, target or morphisms._target_partition(l, n, lam))
         assert kernels[0] == gram_radical(label, alpha0)
+
+    @given(st.sampled_from([(0, (2,), 4), (0, (1, 1), 5), (1, (2, 1), 5), (2, (3, 1), 6)]),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_compute_d_matches_gram_row(self, case, data):
+        """D read off the d last-cup rows of den A~ is the Gram row of
+        u_{n-1,n} b_1 times the vector, for any vector, not only xi."""
+        l, lam, n = case
+        label = ModuleLabel(l, n, n - 2, lam)
+        dim = gram_matrix(label).dim
+        coeff = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=3)
+        coeffs = [Polynomial(cs) for cs in data.draw(st.lists(coeff, min_size=dim, max_size=dim))]
+        assert morphisms._compute_d(label, coeffs) == compute_d_by_gram_row(label, coeffs)
 
     def test_reducible_modulus_fails_in_both(self):
         with pytest.raises(ZeroDivisionError):
