@@ -58,10 +58,6 @@ class PairPartition:
     def __hash__(self):
         return hash((self.n_top, self.n_bottom, self.pairs))
 
-    def __lt__(self, other):
-        # canonical order: more propagating lines first, then pair lists
-        return (-self.propagating_count(), self.pairs) < (-other.propagating_count(), other.pairs)
-
     def propagating_count(self) -> int:
         return sum(1 for a, b in self.pairs if a < 0 < b)
 
@@ -361,6 +357,7 @@ def one_cup_basis(l: int, n: int) -> tuple[PairPartition, ...]:
     return tuple(u_cup(j, k, n) for j, k in one_cup_index(l, n))
 
 
+@lru_cache(maxsize=None)
 def one_cup_index(l: int, n: int) -> tuple[tuple[int, int], ...]:
     """The (j,k) index list matching one_cup_basis ordering."""
     idx = {(j, j + 1) for j in range(1, n)}

@@ -105,6 +105,9 @@ class Polynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes as that coefficient
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     # -- arithmetic ----------------------------------------------------------

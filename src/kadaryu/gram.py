@@ -14,20 +14,22 @@ permutation sigma (which must fix the strands beyond r; anything else is a
 closure bug, not data).  Terms with fewer than p propagating lines die in
 the cell quotient and contribute 0.  The (d, sigma) of every pair of half
 diagrams come from one pairing table (diagrams.pairing_table), and each
-sigma-table <x_i c, sigma x_j c> is read off the coefficients of the Young
-idempotent (symmetric.specht_pairing).
+sigma-table <x_i c, sigma x_j c> is M(sigma) = S A(sigma), S the Specht
+Gram and A(sigma) the action of sigma on the Specht basis
+(symmetric.left_action_matrix, which checks S A(sigma) = M(sigma) exactly
+where it solves for A(sigma)).
 
 Determinants are reported monic: the form is only defined up to a global
-scalar, and monic normalisation is the canonical representative.  Since
-<x_i c, sigma x_j c> = (S A(sigma))[i][j], S the Specht Gram and A(sigma)
-the action of sigma on the Specht basis, the monic determinant is that of
-a monic matrix polynomial A~ in a whose blocks are the A(sigma): one integer
-block companion characteristic polynomial (GramInstance.det_monic).  The
-Gram matrix and A~ are placed by one loop from blocks checked to satisfy
-S A(sigma) = M(sigma), so G = (S (x) I) A~ entry by entry, and the one exact
-check point is the determinant core's own (exactmath.det_monic_companion).
-The dense Gram matrix is built only to be printed; the mixed-rank
-determinant (gram_mixed_det) and every certificate read A~.
+scalar, and monic normalisation is the canonical representative.  The
+monic determinant is that of a monic matrix polynomial A~ in a whose
+blocks are the A(sigma) times a^loops, placed by one loop over the pairing
+table: one integer block companion characteristic polynomial
+(GramInstance.det_monic), and the one exact check point is the
+determinant core's own (exactmath.det_monic_companion).  The Gram matrix
+is G = (S (x) I) A~, built only to be printed; the mixed-rank determinant
+(gram_mixed_det) and every certificate read A~.  Only this module knows
+the basis layout: GramInstance.cup_row gives the position of u_cup b_k in
+a one-cup module.
 
 S_r acts on the first r strands of a module (act): s u_a = u_b sigma, read
 off compose and half_normalize once per (label, s), gives s (u_a b_i) =
@@ -41,13 +43,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .exactmath import (Polynomial, PolyMatrix, det_monic_companion, poly_gcd_cofactors,
+from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion, poly_gcd_cofactors,
                         poly_nth_root)
 from .cheby import ChebSeries, ramping_check
 from .diagrams import (compose, half_basis, half_normalize, one_cup_basis,
                        one_cup_index, pairing_table, permutation_diagram)
 from .symmetric import (Permutation, hook_dimension, is_partition,
-                        left_action_matrix, specht_frame, specht_pairing)
+                        left_action_matrix, specht_frame, specht_gram)
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,9 @@ class GramInstance:
 
     Basis order: Specht index outermost, half diagrams in their canonical
     order within each block (for one-cup modules this is the (j,k) cup
-    order).  The matrix and the linearisation the determinant is taken from
-    are both placed by one loop (_placed) over one pairing table, (loops,
-    sigma) per pair of half diagrams.
+    order, cup_row).  The linearisation the determinant is taken from is
+    placed by one loop over one pairing table, (loops, sigma) per pair of
+    half diagrams, and the Gram matrix is read off it.
     """
 
     def __init__(self, label: ModuleLabel):
@@ -99,11 +101,10 @@ class GramInstance:
         else:
             self.half = half_basis(label.l, label.n, label.p)
         self.d = hook_dimension(label.lam)
-        self.basis = [(i, u) for i in range(self.d) for u in self.half]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.d * len(self.half)
 
     @cached_property
     def table(self) -> list[list]:
@@ -114,75 +115,79 @@ class GramInstance:
         return [[None if pair is None else (pair[0], _residual(pair[1], r)) for pair in row]
                 for row in pairing_table(self.half)]
 
-    @cached_property
-    def _blocks(self) -> tuple[dict, dict, int]:
-        """(pairing, action, den) over the sigmas of the table: pairing[sigma]
-        is M(sigma) = specht_pairing(lam, sigma), and action[sigma] is the
-        integer den * A(sigma), A(sigma) = left_action_matrix(lam, sigma) and
-        den the lcm of its denominators.  S A(sigma) = M(sigma), S = M(e) the
-        Specht Gram, is checked exactly for every sigma."""
+    def cup_row(self, k: int, cup: tuple[int, int]) -> int:
+        """Basis position of u_cup b_k in a one-cup module."""
         lab = self.label
-        sigmas = {pair[1] for pairs in self.table for pair in pairs if pair is not None}
-        pairing = {sigma: specht_pairing(lab.lam, sigma) for sigma in sigmas}
-        action = {sigma: left_action_matrix(lab.lam, sigma) for sigma in sigmas}
-        specht = specht_pairing(lab.lam, Permutation.identity(lab.r))
-        for sigma, a in action.items():
-            if tuple(tuple(sum(s * v for s, v in zip(row, col)) for col in zip(*a))
-                     for row in specht) != pairing[sigma]:
-                raise RuntimeError(f"S A(sigma) != M(sigma) at sigma = {sigma} for {lab}")
-        den = math.lcm(*(v.denominator for a in action.values() for row in a for v in row))
-        return pairing, {sigma: [[v.numerator * (den // v.denominator) for v in row] for row in a]
-                         for sigma, a in action.items()}, den
-
-    def _placed(self, blocks: dict):
-        """(loops, sigma, i*nhalf + a, j*nhalf + b, v) for every nonzero entry
-        v = blocks[sigma][i][j] at every pair (a, b) of the table."""
-        nhalf = len(self.half)
-        for a, pairs in enumerate(self.table):
-            for b, pair in enumerate(pairs):
-                if pair is not None:
-                    loops, sigma = pair
-                    for i, values in enumerate(blocks[sigma]):
-                        for j, val in enumerate(values):
-                            if val:
-                                yield loops, sigma, i * nhalf + a, j * nhalf + b, val
-
-    @cached_property
-    def matrix(self) -> PolyMatrix:
-        """G: the block M(sigma) times a^loops at every pair of the table."""
-        zero = Polynomial()
-        rows = [[zero] * self.dim for _ in range(self.dim)]
-        for loops, _sigma, row, col, val in self._placed(self._blocks[0]):
-            rows[row][col] = Polynomial.monomial(val, loops)
-        return PolyMatrix(rows)
+        if lab.p != lab.n - 2:
+            raise ValueError(f"{lab} is not a one-cup module")
+        return k * len(self.half) + one_cup_index(lab.l, lab.n).index(cup)
 
     @cached_property
     def linearisation(self) -> tuple[list[list[int]], int]:
-        """(tail, den): G = (S (x) I) A~ with A~ = a^cups I + (B_0 + .. +
-        B_{cups-1} a^{cups-1}) / den and integer tail = [B_0 | .. | B_{cups-1}].
-        A~ places the block A(sigma) times a^loops where matrix places M(sigma)
-        = S A(sigma), and only u = v closes every cup."""
+        """(tail, den): A~ = a^cups I + (B_0 + .. + B_{cups-1} a^{cups-1}) /
+        den with integer tail = [B_0 | .. | B_{cups-1}].  A~ places the block
+        A(sigma) = left_action_matrix(lam, sigma) times a^loops at every pair
+        of the table, den the lcm of the blocks' denominators, and only
+        u = v closes every cup."""
         lab = self.label
-        dim, cups = self.dim, lab.cups
-        _pairing, action, den = self._blocks
+        dim, cups, nhalf = self.dim, lab.cups, len(self.half)
+        sigmas = {pair[1] for pairs in self.table for pair in pairs if pair is not None}
+        action = {sigma: left_action_matrix(lab.lam, sigma) for sigma in sigmas}
+        den = math.lcm(*(v.denominator for a in action.values() for row in a for v in row))
+        # den A(sigma) once per sigma, as (i * nhalf, j * nhalf, integer entry)
+        blocks = {sigma: [(i * nhalf, j * nhalf, v.numerator * (den // v.denominator))
+                          for i, row in enumerate(a) for j, v in enumerate(row) if v]
+                  for sigma, a in action.items()}
         identity = Permutation.identity(lab.r)
         tail = [[0] * (cups * dim) for _ in range(dim)]
-        for loops, sigma, row, col, val in self._placed(action):
-            if loops < cups:
-                tail[row][loops * dim + col] = val
-            elif row != col or sigma != identity:
-                nhalf = len(self.half)
-                raise RuntimeError(f"half diagrams {row % nhalf} and {col % nhalf} close "
-                                   f"every cup with sigma = {sigma} for {lab}")
+        for a, pairs in enumerate(self.table):
+            for b, pair in enumerate(pairs):
+                if pair is None:
+                    continue
+                loops, sigma = pair
+                if loops < cups:
+                    shift = loops * dim + b
+                    for i, j, val in blocks[sigma]:
+                        tail[i + a][shift + j] = val
+                elif a != b or sigma != identity:
+                    raise RuntimeError(f"half diagrams {a} and {b} close every cup "
+                                       f"with sigma = {sigma} for {lab}")
         return tail, den
+
+    @cached_property
+    def matrix(self) -> PolyMatrix:
+        """G = (S (x) I) A~, S the Specht Gram, built only to be printed: L den
+        G summed in integers over the nonzero entries of den A~, L the lcm of
+        the denominators of S.  Entry ((i, a), (j, b)) is a^loops
+        M(sigma)[i][j] for the pair (a, b) of the table, one monomial."""
+        tail, den = self.linearisation
+        dim, cups, nhalf = self.dim, self.label.cups, len(self.half)
+        S = specht_gram(self.label.lam)
+        L = math.lcm(*(v.denominator for row in S for v in row))
+        S = [[v.numerator * (L // v.denominator) for v in row] for row in S]
+        acc = [{} for _ in range(dim)]
+        for row, values in enumerate(tail):
+            m, a = divmod(row, nhalf)
+            # columns k * dim + c of den A~, its diagonal den a^cups as k = cups
+            terms = [(col, v) for col, v in enumerate(values) if v] + [(cups * dim + row, den)]
+            for i, s in enumerate(S):
+                if s[m]:
+                    out = acc[i * nhalf + a]
+                    for col, v in terms:
+                        out[col] = out.get(col, 0) + s[m] * v
+        monomial = lru_cache(maxsize=None)(lambda v, k: Polynomial.monomial(Q(v, L * den), k))
+        rows = [[Polynomial()] * dim for _ in range(dim)]
+        for r, out in enumerate(acc):
+            for col, v in out.items():
+                if v:
+                    rows[r][col % dim] = monomial(v, col // dim)
+        return PolyMatrix(rows)
 
     @cached_property
     def det_monic(self) -> Polynomial:
         """The Gram determinant divided by det(S)^h, h the number of half
         diagrams: det A~, from exactmath.det_monic_companion, which checks it
-        exactly at one point.  matrix and linearisation share one placement
-        and S A(sigma) = M(sigma) for every sigma, so G = (S (x) I) A~ entry
-        by entry and det G = det(S)^h det A~."""
+        exactly at one point.  G = (S (x) I) A~, so det G = det(S)^h det A~."""
         return det_monic_companion(*self.linearisation)
 
 
@@ -268,17 +273,17 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
     if any(nk < l + 4 for nk in n_tuple):
         raise ValueError("each rank must be >= l+4")
     big = max(n_tuple)
-    tail, den = gram_matrix(ModuleLabel(l, big, big - 2, lam)).linearisation
+    inst = gram_matrix(ModuleLabel(l, big, big - 2, lam))
+    tail, den = inst.linearisation
     _xs, T, norms = specht_frame(lam)
-    S = specht_pairing(lam, Permutation.identity(sum(lam)))
+    S = specht_gram(lam)
     inv = [[sum(T[i][k] * S[i][m] for i in range(d)) / norms[k] for m in range(d)]
            for k in range(d)]
     if any(sum(inv[k][m] * T[m][kk] for m in range(d)) != (k == kk)
            for k in range(d) for kk in range(d)):
         raise RuntimeError(f"Specht frame of {lam} is not orthogonal: T^t S T != diag(norms)")
-    where = {jk: a for a, jk in enumerate(one_cup_index(l, big))}
-    nhalf = len(where)
-    cups = [k * nhalf + where[jk] for k, nk in enumerate(n_tuple) for jk in one_cup_index(l, nk)]
+    nhalf = len(inst.half)
+    cups = [inst.cup_row(k, jk) for k, nk in enumerate(n_tuple) for jk in one_cup_index(l, nk)]
     pos = {row: i for i, row in enumerate(cups)}
     # R restricted to the cups: row (k, a) takes T^-1[k][m] / den for
     # m >= k, column (kk, b) takes T[mm][kk] for mm <= kk

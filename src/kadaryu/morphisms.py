@@ -14,7 +14,8 @@ follows from det A~ being monic), D at every rank of the step recursion,
 the form-support claims of the translates of xi, and the radical at
 explicit (possibly irrational) parameter values.  It checks the recursion
 and divisibility and certifies the submodule embeddings, with the Specht
-projector and translates applied by gram.act.
+projector and translates applied by gram.act.  The position of u_cup b_k
+in the module basis is GramInstance.cup_row; the basis layout is gram's.
 """
 
 from __future__ import annotations
@@ -45,22 +46,7 @@ class XiElement:
         return self.label.n
 
     def coeff(self, k: int, cup: tuple[int, int]) -> Polynomial:
-        inst = gram_matrix(self.label)
-        pos = _cup_positions(self.label)[cup]
-        return self.coeffs[k * len(inst.half) + pos]
-
-
-@lru_cache(maxsize=None)
-def _cup_positions(label: ModuleLabel) -> dict[tuple[int, int], int]:
-    idx = one_cup_index(label.l, label.n)
-    return {jk: a for a, jk in enumerate(idx)}
-
-
-def _last_cup_row(label: ModuleLabel, k: int) -> int:
-    """Basis position of u_{n-1,n} b_k."""
-    inst = gram_matrix(label)
-    pos = _cup_positions(label)[(label.n - 1, label.n)]
-    return k * len(inst.half) + pos
+        return self.coeffs[gram_matrix(self.label).cup_row(k, cup)]
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +67,7 @@ def solve_xi(l: int, lam: tuple[int, ...], n: int) -> XiElement:
     inst = gram_matrix(label)
     tail, den = inst.linearisation
     B0 = [[(j, b) for j, b in enumerate(row) if b] for row in tail]
-    last = _last_cup_row(label, 0)
+    last = inst.cup_row(0, (n - 1, n))
     det = inst.det_monic
     us, scale = [[int(i == last) for i in range(inst.dim)]], 1  # U_{dim-1}, .., U_{-1}
     for ck in det.coeffs[-2::-1]:
@@ -126,10 +112,12 @@ def _compute_d(label: ModuleLabel, coeffs) -> Polynomial:
     """D from the form: <u_{n-1,n} b_1, xi> = D * <b_1, b_1> = D.  As
     G = (S (x) I) A~ entry by entry, that is sum_m S[0][m] (A~ xi)_(m, last)
     for any vector xi, read off the d last-cup rows of den A~."""
+    inst = gram_matrix(label)
     S = specht_gram(label.lam)
-    rows = _pencil_rows(label, Polynomial.x(), [_last_cup_row(label, m) for m in range(len(S))])
+    last = (label.n - 1, label.n)
+    rows = _pencil_rows(label, Polynomial.x(), [inst.cup_row(m, last) for m in range(len(S))])
     acc = sum((p * s for p, s in zip(_apply(rows, coeffs), S[0]) if s), Polynomial())
-    return acc * Q(1, gram_matrix(label).linearisation[1])
+    return acc * Q(1, inst.linearisation[1])
 
 
 def xi_step(xi: XiElement) -> XiElement:
@@ -139,14 +127,11 @@ def xi_step(xi: XiElement) -> XiElement:
     n = label.n + 1
     new_label = ModuleLabel(label.l, n, n - 2, label.lam)
     new_inst = gram_matrix(new_label)
-    old_pos = _cup_positions(label)
-    new_pos = _cup_positions(new_label)
-    nhalf = len(new_inst.half)
     coeffs = [Polynomial()] * new_inst.dim
     for k in range(new_inst.d):
-        for cup, a in old_pos.items():
-            coeffs[k * nhalf + new_pos[cup]] = -xi.coeffs[k * len(gram_matrix(label).half) + a]
-    coeffs[new_pos[(n - 1, n)]] = xi.D  # Specht index 0: the projector itself
+        for cup in one_cup_index(label.l, label.n):
+            coeffs[new_inst.cup_row(k, cup)] = -xi.coeff(k, cup)
+    coeffs[new_inst.cup_row(0, (n - 1, n))] = xi.D  # the projector itself
     d_new = _compute_d(new_label, coeffs)
     if not d_new.is_monic():
         raise RuntimeError(f"stepped D is not monic at rank {n}: {d_new}")
@@ -205,8 +190,7 @@ def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
     xi = solve_xi(l, lam, n)
     label = xi.label
     inst = gram_matrix(label)
-    nhalf = len(inst.half)
-    last = _cup_positions(label)[(n - 1, n)]
+    last = [inst.cup_row(k, (n - 1, n)) for k in range(inst.d)]
     xs = specht_basis(lam)
     pencil = _pencil_rows(label, Polynomial.x(), range(inst.dim))
     den_d = xi.D * inst.linearisation[1]
@@ -217,8 +201,8 @@ def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
         vec = act(label, {xk: 1}, projected)  # (x_k C) xi = x_k (C xi)
         # part 1: last-cup coefficients
         ok1 = True
-        for kk in range(inst.d):
-            coef = vec[kk * nhalf + last]
+        for kk, row in enumerate(last):
+            coef = vec[row]
             if kk == k:
                 if common is None:
                     common = coef
@@ -230,9 +214,8 @@ def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
         # part 2: the form against the basis is D * <b_m, b_k> on the last
         # cup and 0 elsewhere, G vec = D (S (x) I) e_(k, last); as
         # G = (S (x) I) A~ and S is invertible, den A~ vec = den D e_(k, last)
-        target = k * nhalf + last
         claim(claims, f"form-support-k{k}",
-              all(got == (den_d if i == target else 0)
+              all(got == (den_d if i == last[k] else 0)
                   for i, got in enumerate(_apply(pencil, vec))))
     return report({"l": l, "lambda": list(lam), "n": n}, claims)
 
@@ -259,7 +242,7 @@ def xi_uniqueness_check(l: int, lam: tuple[int, ...], n: int) -> bool:
     """
     lam = tuple(lam)
     label = ModuleLabel(l, n, n - 2, lam)
-    first = _last_cup_row(label, 0)
+    first = gram_matrix(label).cup_row(0, (n - 1, n))
     xi = solve_xi(l, lam, n)
     rows = _pencil_rows(label, Polynomial.x(), (i for i in range(len(xi.coeffs)) if i != first))
     return any(xi.coeffs) and not any(_apply(rows, xi.coeffs))

@@ -338,10 +338,14 @@ def left_action_matrix(lam: tuple[int, ...], s: Permutation) -> tuple[tuple[Frac
 
     Pairing both sides with x_i C gives G A = M(s), with G the Specht Gram
     and M(s) the pairing at s; G is positive definite, so A is the right
-    half of the reduced echelon form of [G | M(s)].
+    half of the reduced echelon form of [G | M(s)].  G A = M(s) is checked
+    exactly, once per (lam, s), so every A that a Gram linearisation or an
+    action on a module reads is certified.
     """
     lam = tuple(lam)
     d = hook_dimension(lam)
-    _piv, ech = field_row_echelon([g + m for g, m in zip(specht_gram(lam),
-                                                         specht_pairing(lam, s))])
-    return tuple(tuple(row[d:]) for row in ech)
+    G, M = specht_gram(lam), specht_pairing(lam, s)
+    A = tuple(tuple(row[d:]) for row in field_row_echelon([g + m for g, m in zip(G, M)])[1])
+    if tuple(tuple(sum(g * v for g, v in zip(row, col)) for col in zip(*A)) for row in G) != M:
+        raise RuntimeError(f"S A(sigma) != M(sigma) at sigma = {s} for lambda = {lam}")
+    return A

@@ -4,7 +4,8 @@ over Q, determinants over Q[a] by evaluation/interpolation, by modular
 linearisation of any square matrix (det_poly), by fraction-free Bareiss
 and by cofactor expansion, Smith invariants over Q[a], the Brauer diagram
 basis by brute force, diagram products by a walk on a node graph, the
-pairing of half diagrams by composing diagrams, Sturm counts from the
+pairing of half diagrams by composing diagrams, the Gram matrix from those
+pairings and group-algebra products, Sturm counts from the
 chain of remainders over Q, cos bounds from the exact Taylor sum, signs
 at 2cos(r pi/m) from dyadic enclosures (Machin bounds for pi, Taylor
 bounds for cos rounded outward, interval Horner in integers), the Specht
@@ -33,7 +34,7 @@ from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                field_kernel, field_rank, field_row_echelon,
                                poly_content_removed, poly_squarefree_part)
 from kadaryu.gram import ModuleLabel, gram_matrix
-from kadaryu.morphisms import XiElement, _last_cup_row
+from kadaryu.morphisms import XiElement
 from kadaryu.roots import _integer_coeffs, minimal_poly_2cos
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                _canonical_tableau, _canonical_tableau_columns,
@@ -705,7 +706,7 @@ def solve_xi_by_cramer(l: int, lam: tuple[int, ...], n: int) -> XiElement:
     G = specht_gram(tuple(lam))
     rhs = [Polynomial()] * inst.dim
     for m in range(inst.d):
-        rhs[_last_cup_row(label, m)] = Polynomial.const(G[m][0])
+        rhs[inst.cup_row(m, (n - 1, n))] = Polynomial.const(G[m][0])
     rows = inst.matrix.entries
     det = det_poly(inst.matrix)
     numerators = [det_poly(PolyMatrix([row[:i] + [b] + row[i + 1:]
@@ -728,11 +729,11 @@ def xi_uniqueness_by_gram_rows(l: int, lam: tuple[int, ...], n: int) -> bool:
     inst = gram_matrix(label)
     G = specht_gram(lam)
     entries = inst.matrix.entries
-    last_rows = {_last_cup_row(label, m) for m in range(inst.d)}
+    last_rows = [inst.cup_row(m, (n - 1, n)) for m in range(inst.d)]
     rows = [row for i, row in enumerate(entries) if i not in last_rows]
-    r0 = entries[_last_cup_row(label, 0)]
+    r0 = entries[last_rows[0]]
     for m in range(1, inst.d):
-        rm = entries[_last_cup_row(label, m)]
+        rm = entries[last_rows[m]]
         rows.append([a * G[0][0] - b * G[m][0] for a, b in zip(rm, r0)])
     xi = morphisms.solve_xi(l, lam, n)
     if not any(xi.coeffs) or any(apply_dense(rows, list(xi.coeffs))):
@@ -752,12 +753,36 @@ def apply_dense(A, vec):
 def compute_d_by_gram_row(label: ModuleLabel, coeffs) -> Polynomial:
     """morphisms._compute_d on the Gram matrix: <u_{n-1,n} b_1, xi>, the
     Gram row of u_{n-1,n} b_1 times the vector."""
-    row = gram_matrix(label).matrix.entries[_last_cup_row(label, 0)]
+    inst = gram_matrix(label)
+    row = inst.matrix.entries[inst.cup_row(0, (label.n - 1, label.n))]
     acc = Polynomial()
     for g, c in zip(row, coeffs):
         if not g.is_zero() and not c.is_zero():
             acc = acc + g * c
     return acc
+
+
+def gram_by_sandwich(label: ModuleLabel) -> PolyMatrix:
+    """The Gram matrix entry by entry, <u b_i, v b_j> = a^loops M(sigma)[i][j]
+    with (loops, sigma) from composing flip(u) with v (pair_halves) and
+    M(sigma) from products in the group algebra (sandwich_sigma_table), in
+    the basis order of gram.GramInstance."""
+    half = gram_matrix(label).half
+    d = hook_dimension(label.lam)
+    tables = {}
+    rows = [[Polynomial()] * (d * len(half)) for _ in range(d * len(half))]
+    for a, u in enumerate(half):
+        for b, v in enumerate(half):
+            pair = pair_halves(u, v, label.p, label.r)
+            if pair is None:
+                continue
+            loops, sigma = pair
+            if sigma not in tables:
+                tables[sigma] = sandwich_sigma_table(label.lam, sigma)
+            for i, values in enumerate(tables[sigma]):
+                for j, val in enumerate(values):
+                    rows[i * len(half) + a][j * len(half) + b] = Polynomial.monomial(val, loops)
+    return PolyMatrix(rows)
 
 
 def gram_mixed(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> PolyMatrix:

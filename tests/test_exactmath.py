@@ -77,6 +77,16 @@ class TestPolynomial:
         assert quo * q + rem == p
         assert rem.degree < q.degree
 
+    @given(st.integers(-10 ** 30, 10 ** 30) | rationals, polys)
+    def test_hash_agrees_with_eq(self, c, p):
+        """A constant polynomial equals its coefficient, so the two hash
+        alike and find each other in sets, the zero polynomial as 0."""
+        const = Polynomial.const(c)
+        assert const == c and hash(const) == hash(c)
+        assert c in {const} and const in {c}
+        assert hash(Polynomial()) == hash(0) and Polynomial() in {0, Q(0)}
+        assert (p in {p.coeffs[0] if p.coeffs else 0}) == (p.degree < 1)
+
     @given(polys)
     def test_json_roundtrip(self, p):
         assert Polynomial.from_json(p.to_json()) == p

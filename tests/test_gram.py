@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kadaryu import exactmath, gram
+from kadaryu import exactmath, gram, symmetric
 from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
-from kadaryu.diagrams import one_cup_index
+from kadaryu.diagrams import compose, half_normalize, one_cup_index, permutation_diagram
 from kadaryu.exactmath import Polynomial, PolyMatrix, Q, QuotElem
 from kadaryu.gram import (GramInstance, ModuleLabel, act,
                           factor_one_cup, gram_det_lnp, gram_matrix,
                           gram_mixed_det, one_cup_det, one_cup_series)
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                all_permutations, hook_dimension,
-                               left_action_matrix, partitions, specht_frame,
-                               specht_gram, specht_pairing, young_idempotent)
+                               left_action_matrix, partitions, sorted_by_length,
+                               specht_frame, specht_gram, specht_pairing,
+                               young_idempotent)
 from kadaryu.rollet import dimension
-from oracles import (algebra_action, apply_dense, det_poly, gram_mixed, pair_halves,
-                     sandwich_sigma_table)
+from oracles import (algebra_action, apply_dense, det_poly, gram_by_sandwich, gram_mixed,
+                     pair_halves, sandwich_sigma_table)
 
 x = Polynomial.x()
 
@@ -45,11 +46,29 @@ def corrupt_charpoly(monkeypatch):
     monkeypatch.setattr(exactmath, "_charpoly_mod", corrupt)
 
 
+@pytest.fixture
+def corrupt_solve(monkeypatch):
+    """A switch that adds 1 to the first entry of A(sigma) in every later
+    echelon solve of left_action_matrix (an A(sigma) already cached stays
+    as it is); the cached actions are dropped afterwards."""
+    echelon = symmetric.field_row_echelon
+
+    def corrupt(rows):
+        piv, ech = echelon(rows)
+        ech[0][len(rows)] += 1
+        return piv, ech
+
+    yield lambda: monkeypatch.setattr(symmetric, "field_row_echelon", corrupt)
+    monkeypatch.undo()
+    left_action_matrix.cache_clear()
+    gram._moves.cache_clear()
+
+
 def rescaled(blocks, scale, left):
     """blocks with entry [i][j] times scale[i]^left * scale[j]: D^left B D
     for D = diag(scale)."""
-    def block(lam, sigma):
-        b = blocks(lam, sigma)
+    def block(*args):
+        b = blocks(*args)
         return tuple(tuple(v * scale[i] ** left * scale[j] for j, v in enumerate(row))
                      for i, row in enumerate(b))
     return block
@@ -155,6 +174,17 @@ class TestGramStructure:
         diag = [m[i, i] for i in range(3)]
         assert all(p == x for p in diag)
 
+    def test_cup_rows(self):
+        """u_cup b_k sits at k times the number of half diagrams plus the
+        cup's place in the (j, k) order; a module without exactly one cup
+        has no cup rows."""
+        inst = gram_matrix(ModuleLabel(1, 5, 3, (2, 1)))
+        rows = [inst.cup_row(k, jk) for k in range(inst.d) for jk in one_cup_index(1, 5)]
+        assert rows == list(range(inst.dim))
+        for label in [ModuleLabel(1, 6, 2, (2,)), ModuleLabel(1, 3, 3, (2, 1))]:
+            with pytest.raises(ValueError, match="not a one-cup module"):
+                gram_matrix(label).cup_row(0, (1, 2))
+
     def test_invalid_labels_rejected(self):
         with pytest.raises(ValueError):
             ModuleLabel(0, 4, 3, (2,))  # parity
@@ -230,6 +260,28 @@ class TestAction:
         comp = [[sum(A1[i][k] * A2[k][j] for k in range(size))
                  for j in range(size)] for i in range(size)]
         assert comp == act_matrix(label, {s1 * s2: 1})
+
+    def test_corrupted_solve_outside_the_table_raises(self, corrupt_solve):
+        """act reads A(sigma) for residual sigmas that no pairing table
+        holds; each is checked against S A(sigma) = M(sigma) where it is
+        solved.  The table's sigmas are solved and cached first, so the
+        corrupted solve only reaches sigmas outside the table."""
+        label = ModuleLabel(3, 7, 5, (3, 2))
+        left_action_matrix.cache_clear()
+        gram._moves.cache_clear()
+        inst = GramInstance(label)
+        assert inst.linearisation
+        table = {pair[1] for pairs in inst.table for pair in pairs if pair is not None}
+
+        def residuals(s):
+            g = permutation_diagram(s.extend(label.n).image)
+            return {gram._residual(half_normalize(compose(g, u)[0])[1], label.r)
+                    for u in inst.half}
+
+        s = next(s for s in sorted_by_length(label.r) if residuals(s) - table)
+        corrupt_solve()
+        with pytest.raises(RuntimeError, match=r"S A\(sigma\) != M\(sigma\)"):
+            act(label, {s: 1}, [Q(1)] * inst.dim)
 
     @given(acted())
     @settings(max_examples=150, deadline=None)
@@ -328,7 +380,7 @@ class TestMixedRanks:
             xs, T, norms = frame(lam)
             return xs, tuple(tuple(v / scale[m] for v in row) for m, row in enumerate(T)), norms
 
-        monkeypatch.setattr(gram, "specht_pairing", rescaled(specht_pairing, scale, 1))
+        monkeypatch.setattr(gram, "specht_gram", rescaled(specht_gram, scale, 1))
         monkeypatch.setattr(gram, "left_action_matrix", rescaled(left_action_matrix, scale, -1))
         monkeypatch.setattr(gram, "specht_frame", rescaled_frame)
         monkeypatch.setattr(gram, "gram_matrix", GramInstance)
@@ -425,7 +477,7 @@ class TestDetMonic:
                                                     marks=pytest.mark.slow)])
     def test_denominators_are_cleared(self, monkeypatch, label):
         """No A(sigma) at r <= 6 has a denominator, so rescale the Specht
-        basis by D = diag(2, 1, .., 1): M(sigma) becomes D M D and A(sigma)
+        basis by D = diag(2, 1, .., 1): S becomes D S D and A(sigma)
         becomes D^-1 A D, the blocks of A~ then carry halves, the
         determinant is unchanged, and the companion sees L = 2."""
         want = GramInstance(label).det_monic
@@ -437,7 +489,7 @@ class TestDetMonic:
             dens.append(den)
             return core(tail, den)
 
-        monkeypatch.setattr(gram, "specht_pairing", rescaled(specht_pairing, scale, 1))
+        monkeypatch.setattr(gram, "specht_gram", rescaled(specht_gram, scale, 1))
         monkeypatch.setattr(gram, "left_action_matrix", rescaled(left_action_matrix, scale, -1))
         monkeypatch.setattr(gram, "det_monic_companion", spy)
         assert GramInstance(label).det_monic == want
@@ -448,21 +500,25 @@ class TestDetMonic:
         with pytest.raises(RuntimeError, match="determinant check failed"):
             GramInstance(ModuleLabel(1, 5, 3, (2, 1))).det_monic
 
-    def test_action_not_matching_the_pairing_raises(self, monkeypatch):
-        """A(sigma) conjugated by D = diag(2, 1, ..) while M(sigma) is kept
-        breaks S A(sigma) = M(sigma), and G = (S (x) I) A~ with it."""
-        label = ModuleLabel(1, 5, 3, (2, 1))
-        scale = [Q(2)] + [Q(1)] * (hook_dimension(label.lam) - 1)
-        monkeypatch.setattr(gram, "left_action_matrix", rescaled(left_action_matrix, scale, -1))
+    def test_action_not_matching_the_pairing_raises(self, corrupt_solve):
+        """An echelon solve with one entry of A(sigma) bumped breaks
+        S A(sigma) = M(sigma), and left_action_matrix refuses it before the
+        linearisation places it."""
+        left_action_matrix.cache_clear()
+        corrupt_solve()
         with pytest.raises(RuntimeError, match=r"S A\(sigma\) != M\(sigma\)"):
-            GramInstance(label).det_monic
+            GramInstance(ModuleLabel(1, 5, 3, (2, 1))).det_monic
 
     @pytest.mark.parametrize("label", [ModuleLabel(1, 5, 3, (2, 1)), ModuleLabel(-1, 6, 0, ()),
-                                       ModuleLabel(2, 6, 2, (2,)), ModuleLabel(2, 6, 4, (3, 1))],
+                                       ModuleLabel(2, 6, 2, (2,)), ModuleLabel(2, 6, 4, (3, 1)),
+                                       ModuleLabel(-1, 8, 2, (1,)), ModuleLabel(2, 6, 4, (2, 2))],
                              ids=lambda lab: lab.key())
     def test_gram_is_s_times_linearisation(self, label):
-        """G = (S (x) I) A~ entry by entry, as polynomials."""
+        """The Gram matrix read off composed half diagrams and group-algebra
+        products (oracles.gram_by_sandwich) is (S (x) I) A~ entry by entry,
+        as polynomials, and it is the matrix printed."""
         inst = GramInstance(label)
+        G = gram_by_sandwich(label).entries
         tail, den = inst.linearisation
         dim, nhalf, cups = inst.dim, len(inst.half), label.cups
         S = specht_gram(label.lam)
@@ -474,7 +530,8 @@ class TestDetMonic:
             for a in range(nhalf):
                 want = [sum((lin[k * nhalf + a][c] * S[i][k] for k in range(inst.d)),
                             Polynomial()) for c in range(dim)]
-                assert inst.matrix.entries[i * nhalf + a] == want, (i, a)
+                assert G[i * nhalf + a] == want, (i, a)
+        assert inst.matrix.entries == G
 
     def test_is_the_gram_determinant_over_det_s(self):
         """det G = det(S)^h det_monic, h the number of half diagrams."""

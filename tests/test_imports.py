@@ -1,8 +1,9 @@
 """Every name a package module imports is used in it, every private
 module-level name is read somewhere in the package, no module calls
-float or writes a float literal, and only the CLI reads the dense Gram
-matrix: stdlib `ast` scans that stand in for a linter's unused-import,
-dead-code, exactness and layering rules."""
+float or writes a float literal, only the CLI reads the dense Gram
+matrix and only gram.py reads a module's half-diagram list: stdlib `ast`
+scans that stand in for a linter's unused-import, dead-code, exactness
+and layering rules."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,16 @@ def test_scan_sees_a_matrix_read():
     source = ("rows = inst.matrix.entries\ng = gram_matrix(lab).matrix\n"
               "inst.matrix = None\nclass G:\n    def matrix(self):\n        return 'x.matrix'\n")
     assert attribute_reads(source, "matrix") == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"], ids=lambda p: p.name)
+def test_only_gram_reads_the_half_diagrams(path):
+    """The basis layout (Specht index outermost, then the half diagrams)
+    is known to gram.py alone; other modules ask GramInstance.cup_row."""
+    assert attribute_reads(path.read_text(), "half") == []
+
+
+def test_scan_sees_a_half_read():
+    source = ("nhalf = len(inst.half)\nhalf = 3\ninst.half = ()\n"
+              "u = gram_matrix(lab).half[0]\nprint('x.half', half)\n")
+    assert attribute_reads(source, "half") == [1, 4]
