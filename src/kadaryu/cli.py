@@ -18,8 +18,9 @@ recompute the same payload.
 
 This module imports only the standard library at the top: the engine
 modules load on a cache miss, so a cache hit (and --version) loads only
-kadaryu and kadaryu.cli, plus kadaryu.exactmath where a Polynomial
-normalises the key (--alpha minpoly:...) or the output (--format csv).
+kadaryu and kadaryu.cli, plus kadaryu.exactmath where a Polynomial prints
+the output (--format csv).  fractions loads only to parse --alpha, and a
+miss loads no dataclasses: the engine's value types are NamedTuples.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import re
 import sys
 import tempfile
 import zlib
-from fractions import Fraction
 
 from . import __version__
 
@@ -74,11 +74,16 @@ def _parse_partition(s: str) -> tuple[int, ...]:
 
 
 def _parse_alpha(s: str):
-    """A rational value "p/q", or "minpoly:c0,c1,..." for an algebraic one."""
+    """A rational value "p/q" as a Fraction, or "minpoly:c0,c1,..." for an
+    algebraic one as the tuple of its coefficients, trailing zeros stripped
+    (morphisms turns it into a Polynomial on a cache miss)."""
+    from fractions import Fraction
     try:
         if s.startswith("minpoly:"):
-            from .exactmath import Polynomial
-            return Polynomial([Fraction(x) for x in s[len("minpoly:"):].split(",")])
+            coeffs = [Fraction(x) for x in s[len("minpoly:"):].split(",")]
+            while coeffs and coeffs[-1] == 0:
+                coeffs.pop()
+            return tuple(coeffs)
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
@@ -322,9 +327,9 @@ def _cmd_roots(args) -> int:
 
 
 def _alpha_key(alpha) -> str:
-    if isinstance(alpha, Fraction):
-        return str(alpha)
-    return "minpoly:" + ",".join(map(str, alpha.coeffs))
+    if isinstance(alpha, tuple):
+        return "minpoly:" + ",".join(map(str, alpha))
+    return str(alpha)
 
 
 def _cmd_bootstrap(args) -> int:

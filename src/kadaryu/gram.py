@@ -40,8 +40,8 @@ The pairing table and the action share one residual-permutation check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion, poly_gcd_cofactors,
                         poly_nth_root)
@@ -52,21 +52,28 @@ from .symmetric import (Permutation, hook_dimension, is_partition,
                         left_action_matrix, specht_frame, specht_gram)
 
 
-@dataclass(frozen=True)
-class ModuleLabel:
+class _LabelFields(NamedTuple):
     l: int
     n: int
     p: int
     lam: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.l < -1:
+
+class ModuleLabel(_LabelFields):
+    """The standard module of J_{l,n} with p propagating lines and Specht
+    part lam, a partition of min(p, l+2)."""
+
+    __slots__ = ()
+
+    def __new__(cls, l: int, n: int, p: int, lam: tuple[int, ...]):
+        if l < -1:
             raise ValueError("height bound must be >= -1")
-        if self.p < 0 or self.p > self.n or (self.n - self.p) % 2:
-            raise ValueError(f"invalid (n,p)=({self.n},{self.p}): parity/range")
-        r = min(self.p, self.l + 2)
-        if sum(self.lam) != r or not (is_partition(self.lam) or self.lam == ()):
-            raise ValueError(f"lambda {self.lam} is not a partition of min(p, l+2) = {r}")
+        if p < 0 or p > n or (n - p) % 2:
+            raise ValueError(f"invalid (n,p)=({n},{p}): parity/range")
+        r = min(p, l + 2)
+        if sum(lam) != r or not (is_partition(lam) or lam == ()):
+            raise ValueError(f"lambda {lam} is not a partition of min(p, l+2) = {r}")
+        return super().__new__(cls, l, n, p, lam)
 
     @property
     def r(self) -> int:

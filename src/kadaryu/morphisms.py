@@ -20,8 +20,8 @@ in the module basis is GramInstance.cup_row; the basis layout is gram's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .claims import claim, report
 from .exactmath import (Polynomial, Q, QuotElem, field_kernel, field_rank,
@@ -31,8 +31,7 @@ from .gram import ModuleLabel, act, factor_one_cup, gram_det, gram_matrix
 from .symmetric import hook_dimension, specht_basis, specht_gram, young_idempotent
 
 
-@dataclass(frozen=True)
-class XiElement:
+class XiElement(NamedTuple):
     """The bootstrap vector of a one-cup module, with polynomial coefficients
     in the Gram basis order (Specht index outermost), no common polynomial
     factor, and D monic."""
@@ -256,7 +255,9 @@ def _field(alpha0):
     """(to_field, describe) for a rational value or a minimal polynomial of
     an algebraic one: to_field maps Q[a] to Q or to Q[a]/(m).  A repeated
     factor (gcd(m, m') nonconstant) leaves nilpotents in Q[a]/(m), so such
-    a modulus is refused."""
+    a modulus is refused.  A tuple is the modulus's coefficient list."""
+    if isinstance(alpha0, tuple):
+        alpha0 = Polynomial(alpha0)
     if isinstance(alpha0, Polynomial):
         if alpha0.degree < 1:
             raise ValueError("modulus must be nonconstant")
@@ -285,15 +286,15 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
     a submodule isomorphic to the cap-free module with Specht part lam.
 
     alpha0 is a Fraction/int or the minimal polynomial of an algebraic
-    value; it must annihilate the target's Gram determinant.  The target
-    module's own partition defaults to lam (truncated when the rank is too
-    small); passing `target` explicitly covers the twisted embeddings where
-    the radical carries a different Specht type than the module label.  The
-    witness submodule is cut out of the radical (the Gram kernel) by the
-    Specht projector, and its translates are checked to be independent and
-    again form-degenerate.  When the value also kills the monic series
-    factor, the bootstrap vector itself is checked to specialise into the
-    radical.
+    value, as a Polynomial or its coefficient tuple; it must annihilate the
+    target's Gram determinant.  The target module's own partition defaults
+    to lam (truncated when the rank is too small); passing `target`
+    explicitly covers the twisted embeddings where the radical carries a
+    different Specht type than the module label.  The witness submodule is
+    cut out of the radical (the Gram kernel) by the Specht projector, and
+    its translates are checked to be independent and again form-degenerate.
+    When the value also kills the monic series factor, the bootstrap vector
+    itself is checked to specialise into the radical.
     """
     lam = tuple(lam)
     lam_t = tuple(target) if target is not None else _target_partition(l, n, lam)

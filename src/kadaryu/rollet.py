@@ -13,8 +13,8 @@ Both are quotients of products of powers, held as reduced (num, den) pairs
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cheby import quantum_number
 from .exactmath import Polynomial, reduced
@@ -136,8 +136,7 @@ def chebyshev_c(l: int, vertex: Vertex, n: int) -> tuple[Polynomial, Polynomial]
     return reduced(num, den)
 
 
-@dataclass
-class ArmRecord:
+class ArmRecord(NamedTuple):
     p: int
     m: int
     n: int

@@ -17,9 +17,9 @@ rationals are the layout witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cheby import ChebSeries, cheb_u
 from .claims import claim, report
@@ -112,8 +112,7 @@ def sturm_count(p: Polynomial, lo, hi) -> int:
     return _chain_at(chain, lo) - _chain_at(chain, hi)
 
 
-@dataclass
-class IsolatingInterval:
+class IsolatingInterval(NamedTuple):
     lo: Fraction
     hi: Fraction
     poly: Polynomial

@@ -1,6 +1,5 @@
 """Command-line driver: subcommands, exit codes, and the result cache."""
 
-import dataclasses
 import json
 import os
 import shutil
@@ -480,7 +479,7 @@ class TestCachedVerdicts:
 
         def mismatch(*args):
             first, *rest = real(*args)
-            return [dataclasses.replace(first, equal=False), *rest]
+            return [first._replace(equal=False), *rest]
 
         monkeypatch.setattr("kadaryu.cli.arm_verify", mismatch)
         first = run(capsys, *argv, *cache_args(tmp_path))

@@ -1,9 +1,9 @@
 """Every name a package module imports is used in it, every private
 module-level name is read somewhere in the package, no module calls
-float or writes a float literal, only the CLI reads the dense Gram
-matrix and only gram.py reads a module's half-diagram list: stdlib `ast`
-scans that stand in for a linter's unused-import, dead-code, exactness
-and layering rules."""
+float, writes a float literal or imports dataclasses, only the CLI reads
+the dense Gram matrix and only gram.py reads a module's half-diagram
+list: stdlib `ast` scans that stand in for a linter's unused-import,
+dead-code, exactness, start-up and layering rules."""
 
 import ast
 from pathlib import Path
@@ -110,6 +110,28 @@ def test_scan_sees_a_float():
     source = ("import math\nx = math.inf\ny = str(float(3))\nz = 1e-6 + 2\n"
               "w: float = 0\nv = 'float(1.5)'\n")
     assert float_uses(source) == [3, 4]
+
+
+def dataclass_imports(source: str) -> list[int]:
+    """Lines of every import of dataclasses, whose inspect chain would cost
+    every cold process about 10 ms; the value types are NamedTuples."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Import)
+                      and any(a.name.partition(".")[0] == "dataclasses" for a in node.names))
+                  or (isinstance(node, ast.ImportFrom) and node.level == 0
+                      and (node.module or "").partition(".")[0] == "dataclasses"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert dataclass_imports(path.read_text()) == []
+
+
+def test_scan_sees_a_dataclasses_import():
+    source = ("import os, dataclasses as dc\nfrom dataclasses import dataclass\n"
+              "from .dataclasses import x\nfrom typing import NamedTuple\n"
+              "y = 'import dataclasses'\ndef f():\n    import dataclasses\n")
+    assert dataclass_imports(source) == [1, 2, 7]
 
 
 def attribute_reads(source: str, attr: str) -> list[int]:

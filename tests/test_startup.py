@@ -1,5 +1,6 @@
-"""Start-up cost: the package exports load on first use, and a cache hit
-loads no engine module."""
+"""Start-up cost: the package exports load on first use, a cache hit
+loads no engine module (and, without --alpha, no fractions), and a miss
+loads no dataclasses."""
 
 import json
 import os
@@ -62,13 +63,15 @@ class TestExports:
         assert proc.returncode == 0, proc.stderr
 
 
-# runs cli.main on argv and prints, as the last line of stderr, the kadaryu
-# modules the process has loaded
-PROBE = ("import json, sys\n"
+# runs cli.main on argv and prints, as the last line of stderr, the modules
+# it loaded beyond a bare interpreter's start-up
+PROBE = ("import sys\n"
+         "before = set(sys.modules)\n"
          "from kadaryu.cli import main\n"
          "code = main(sys.argv[1:])\n"
-         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('kadaryu'))),"
-         " file=sys.stderr)\n"
+         "loaded = set(sys.modules) - before\n"
+         "import json\n"
+         "print(json.dumps(sorted(loaded)), file=sys.stderr)\n"
          "sys.exit(code)\n")
 
 # runs cli.main on argv and prints, as the last line of stderr, the top-level
@@ -94,53 +97,73 @@ WARM = {
     "bootstrap": ["bootstrap", "--l", "0", "--lambda", "2"],
     "rational-alpha": ["bootstrap", "--l", "0", "--lambda", "2", "--n", "4",
                        "--alpha", "1/2"],
-}
-# a Polynomial normalises the key or the output
-WITH_EXACTMATH = {
     "minpoly-alpha": ["bootstrap", "--l", "0", "--lambda", "2", "--n", "4",
                       "--alpha", "minpoly:-4,1,1"],
+}
+# a Polynomial prints the output
+WITH_EXACTMATH = {
     "csv": ["gram", "--l", "0", "--n", "4", "--p", "2", "--lambda", "2",
             "--format", "csv"],
 }
+# dataclasses and the modules it imports
+INSPECT_CHAIN = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# what parsing a rational loads
+FRACTIONS = {"fractions", "decimal"}
 
 
 @pytest.fixture(scope="module")
 def filled_cache(tmp_path_factory):
-    """A cache holding the record of every warm command, and the exit code
-    and output of its cold run."""
+    """A cache holding the record of every warm command, the exit code and
+    output of its cold run, and the modules that run loaded."""
     cache = tmp_path_factory.mktemp("startup") / "cache"
-    outputs = {}
+    outputs, cold = {}, {}
     for name, argv in {**WARM, **WITH_EXACTMATH}.items():
-        proc = python(PROBE, *argv, "--cache-dir", str(cache))
+        proc, cold[name] = probe([*argv, "--cache-dir", str(cache)])
         assert proc.returncode in (0, 1), proc.stderr
         outputs[name] = proc.returncode, proc.stdout
-    return cache, outputs
+    return cache, outputs, cold
 
 
 def probe(argv):
+    """The finished process, and the modules it loaded beyond start-up."""
     proc = python(PROBE, *argv)
-    return proc, json.loads(proc.stderr.splitlines()[-1])
+    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def package_modules(loaded):
+    return sorted(m for m in loaded if m.startswith("kadaryu"))
 
 
 class TestStartup:
     @pytest.mark.parametrize("name", sorted(WARM))
     def test_cache_hit_loads_no_engine_module(self, filled_cache, name):
-        cache, outputs = filled_cache
+        cache, outputs, _cold = filled_cache
         proc, loaded = probe([*WARM[name], "--cache-dir", str(cache)])
         assert (proc.returncode, proc.stdout) == outputs[name]
-        assert loaded == BARE
+        assert package_modules(loaded) == BARE
+        if "--alpha" not in WARM[name]:
+            assert not loaded & FRACTIONS
 
     @pytest.mark.parametrize("name", sorted(WITH_EXACTMATH))
     def test_cache_hit_may_load_exactmath(self, filled_cache, name):
-        cache, outputs = filled_cache
+        cache, outputs, _cold = filled_cache
         proc, loaded = probe([*WITH_EXACTMATH[name], "--cache-dir", str(cache)])
         assert (proc.returncode, proc.stdout) == outputs[name]
-        assert loaded == [*BARE, "kadaryu.exactmath"]
+        assert package_modules(loaded) == [*BARE, "kadaryu.exactmath"]
 
     def test_version_loads_no_engine_module(self):
         proc, loaded = probe(["--version"])
         assert proc.stdout == f"{kadaryu.__version__}\n"
-        assert loaded == BARE
+        assert package_modules(loaded) == BARE
+        assert not loaded & FRACTIONS
+
+    @pytest.mark.parametrize("name", sorted(WARM))
+    def test_cold_miss_loads_no_inspect_chain(self, filled_cache, name):
+        """The engine's value types are NamedTuples: a miss that loads the
+        engine loads no dataclasses, nor the inspect chain behind it."""
+        _cache, _outputs, cold = filled_cache
+        assert len(package_modules(cold[name])) > len(BARE)
+        assert not cold[name] & INSPECT_CHAIN
 
     @pytest.mark.parametrize("name", ["gram-det", "verify"])
     def test_cold_miss_loads_no_third_party_module(self, tmp_path, name):
@@ -153,6 +176,7 @@ class TestStartup:
     def test_cold_gram_det_loads_only_its_layers(self, tmp_path):
         proc, loaded = probe([*WARM["gram-det"], "--cache-dir", str(tmp_path)])
         assert proc.returncode == 0
+        loaded = package_modules(loaded)
         assert "kadaryu.gram" in loaded
         for module in ("rollet", "morphisms", "roots", "claims"):
             assert f"kadaryu.{module}" not in loaded
