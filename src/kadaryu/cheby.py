@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactmath import Polynomial, Q, poly_gcd, poly_gcd_cofactors
+from .exactmath import Polynomial, Q, poly_gcd
 
 
 def cheb_u(n: int) -> Polynomial:
@@ -94,16 +94,6 @@ def ramping_check(s: ChebSeries) -> tuple[bool, str]:
     if poly_gcd(pN, pN1).degree != 0:
         return False, "anchors share a factor"
     return True, "ok"
-
-
-def series_reduce(s: ChebSeries) -> tuple[Polynomial, ChebSeries]:
-    """Split off the maximal monic common factor of the two anchors."""
-    if s.pN.is_zero() and s.pN1.is_zero():
-        raise ValueError("zero series")
-    common, pN, pN1 = poly_gcd_cofactors(s.pN, s.pN1)
-    if common.degree == 0:
-        return Polynomial.one(), s
-    return common, ChebSeries(s.anchor, pN, pN1)
 
 
 # -- the U-basis expansion --------------------------------------------------

@@ -159,7 +159,7 @@ def cache_get_put(cache_dir: str, key: str, producer):
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(rec, fh, sort_keys=True)
+            fh.write(json.dumps(rec, sort_keys=True))  # json.dump streams in pure Python
         os.replace(tmp, _record_path(cache_dir, key))
     except OSError:
         if not _warned_unwritable:

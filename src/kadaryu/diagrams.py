@@ -10,8 +10,9 @@ walk `_stack` reads only the top arrays of half diagrams.
 
 Height is treated operationally: the height-<= l diagrams on n strands are
 exactly the products of the cup-cap generators e_1..e_{n-1} and the
-transpositions s_1..s_{l+1}.  This closure is what `basis_by_closure`
-enumerates, and its cardinalities are cross-checked elsewhere against
+transpositions s_1..s_{l+1}.  `half_basis` enumerates the half diagrams
+of a standard module as the closure of one cup diagram under those
+generators, and its cardinalities are cross-checked elsewhere against
 walk counts on the corresponding branching graphs.
 """
 
@@ -61,41 +62,12 @@ class PairPartition:
     def propagating_count(self) -> int:
         return sum(1 for a, b in self.pairs if a < 0 < b)
 
-    def is_permutation(self) -> bool:
-        return (self.n_top == self.n_bottom
-                and self.propagating_count() == self.n_top)
-
-    def as_permutation_image(self) -> tuple[int, ...]:
-        """For a permutation diagram: image[i-1] = bottom point of top i."""
-        if not self.is_permutation():
-            raise ValueError("not a permutation diagram")
-        img = [0] * self.n_top
-        for a, b in self.pairs:
-            img[b - 1] = -a
-        return tuple(img)
-
     def encode(self) -> str:
         """Text encoding "n,m:[(a,b),(c,d'),...]" with primes for bottom points."""
         def pt(x):
             return f"{-x}'" if x < 0 else str(x)
         body = ",".join(f"({pt(a)},{pt(b)})" for a, b in self.pairs)
         return f"{self.n_top},{self.n_bottom}:[{body}]"
-
-    @staticmethod
-    def decode(s: str) -> "PairPartition":
-        head, body = s.split(":", 1)
-        n, m = (int(x) for x in head.split(","))
-        body = body.strip()[1:-1]
-        pairs = []
-        if body:
-            for chunk in body.split("),("):
-                chunk = chunk.strip("()")
-                a, b = chunk.split(",")
-                def val(t):
-                    t = t.strip()
-                    return -int(t[:-1]) if t.endswith("'") else int(t)
-                pairs.append((val(a), val(b)))
-        return PairPartition(n, m, pairs)
 
     def __repr__(self):
         return f"PairPartition({self.encode()})"
@@ -285,20 +257,6 @@ def _closure(start, step) -> set:
                     nxt.append(r)
         frontier = nxt
     return seen
-
-
-@lru_cache(maxsize=None)
-def basis_by_closure(l: int, n: int) -> frozenset[PairPartition]:
-    """All diagrams expressible as products of the height-<= l generators.
-
-    BFS over right multiplication starting from the identity; loop scalars
-    are discarded.  For l = -1 this is the Temperley-Lieb basis (Catalan
-    many), for l >= n-2 the full Brauer basis ((2n-1)!! many).
-    """
-    if n == 0:
-        return frozenset({PairPartition(0, 0, [])})
-    gens = generators(l, n)
-    return frozenset(_closure(identity(n), lambda d: (compose(d, g)[0] for g in gens)))
 
 
 def half_normalize(w: PairPartition) -> tuple[PairPartition, tuple[int, ...]]:

@@ -141,8 +141,8 @@ class Polynomial:
             return Polynomial([c * other for c in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return Polynomial()
-        a, da = _integer_coeffs(self.coeffs)
-        b, db = _integer_coeffs(other.coeffs)
+        (a,), da = clear_denominators((self.coeffs,))
+        (b,), db = clear_denominators((other.coeffs,))
         den = da * db
         return Polynomial([Fraction(c, den) for c in _kronecker_mul(a, b)])
 
@@ -241,10 +241,11 @@ class Polynomial:
         return Polynomial([Fraction(s) for s in d["coeffs"]])
 
 
-def _integer_coeffs(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(numerators over the common denominator, that denominator)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def clear_denominators(rows) -> tuple[list[list[int]], int]:
+    """(den * rows, den) for rows of Fractions or ints, den the lcm of their
+    denominators: the integer numerators over one common denominator."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 
 
 def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
@@ -274,7 +275,7 @@ def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
 def _primitive(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     """(q, c) with coeffs = c * q, q an integer coefficient list with
     coprime entries and a positive last one."""
-    ints, den = _integer_coeffs(coeffs)
+    (ints,), den = clear_denominators((coeffs,))
     g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
     return [c // g for c in ints], Fraction(g, den)
 
@@ -461,18 +462,6 @@ class PolyMatrix:
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def is_square(self):
-        return self.rows == self.cols
-
-    def is_symmetric(self):
-        if not self.is_square():
-            return False
-        return all(self.entries[i][j] == self.entries[j][i]
-                   for i in range(self.rows) for j in range(i))
-
-    def evaluate(self, x: Fraction) -> list[list[Fraction]]:
-        return [[p(x) for p in row] for row in self.entries]
-
     def degree_bound(self) -> int:
         """A-priori bound on deg(det): sum over rows of the max entry degree."""
         total = 0
@@ -525,9 +514,8 @@ def det_rational(m: list[list[Fraction]]) -> Fraction:
     n = len(m)
     if n == 0:
         return Q(1)
-    den = math.lcm(*(c.denominator for row in m for c in row))
-    d = _int_det_bareiss([[c.numerator * (den // c.denominator) for c in row] for row in m])
-    return Q(d, den ** n)
+    ints, den = clear_denominators(m)
+    return Q(_int_det_bareiss(ints), den ** n)
 
 
 # Floor on the modulus of _lift_mod: large enough that a probable prime above

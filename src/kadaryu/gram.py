@@ -43,8 +43,8 @@ import math
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .exactmath import (Polynomial, PolyMatrix, Q, det_monic_companion, poly_gcd_cofactors,
-                        poly_nth_root)
+from .exactmath import (Polynomial, PolyMatrix, Q, clear_denominators, det_monic_companion,
+                        poly_gcd_cofactors, poly_nth_root)
 from .cheby import ChebSeries, ramping_check
 from .diagrams import (compose, half_basis, half_normalize, one_cup_basis,
                        one_cup_index, pairing_table, permutation_diagram)
@@ -169,9 +169,7 @@ class GramInstance:
         M(sigma)[i][j] for the pair (a, b) of the table, one monomial."""
         tail, den = self.linearisation
         dim, cups, nhalf = self.dim, self.label.cups, len(self.half)
-        S = specht_gram(self.label.lam)
-        L = math.lcm(*(v.denominator for row in S for v in row))
-        S = [[v.numerator * (L // v.denominator) for v in row] for row in S]
+        S, L = clear_denominators(specht_gram(self.label.lam))
         acc = [{} for _ in range(dim)]
         for row, values in enumerate(tail):
             m, a = divmod(row, nhalf)
@@ -307,9 +305,7 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
                 for i, t in rows:
                     for j, v in cols:
                         low[i][j] += t * v
-    lcm = math.lcm(*(v.denominator for r in low for v in r))
-    return det_monic_companion([[v.numerator * (lcm // v.denominator) for v in r] for r in low],
-                               lcm)
+    return det_monic_companion(*clear_denominators(low))
 
 
 # ---------------------------------------------------------------------------

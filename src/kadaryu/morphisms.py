@@ -13,9 +13,11 @@ rows of the same pencil den A~(a) (_pencil_rows): xi's uniqueness (which
 follows from det A~ being monic), D at every rank of the step recursion,
 the form-support claims of the translates of xi, and the radical at
 explicit (possibly irrational) parameter values.  It checks the recursion
-and divisibility and certifies the submodule embeddings, with the Specht
-projector and translates applied by gram.act.  The position of u_cup b_k
-in the module basis is GramInstance.cup_row; the basis layout is gram's.
+and divisibility, reports on xi (xi_report: its uniqueness, the Specht
+projector fixing it and the support of its translates) and certifies the
+submodule embeddings, with the Specht projector and translates applied by
+gram.act.  The position of u_cup b_k in the module basis is
+GramInstance.cup_row; the basis layout is gram's.
 """
 
 from __future__ import annotations
@@ -176,75 +178,57 @@ def divisibility_check(l: int, lam: tuple[int, ...], n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the symmetric group acting on xi
+# the claims on xi
 # ---------------------------------------------------------------------------
 
-def niceelt_check(l: int, lam: tuple[int, ...]) -> dict:
-    """Translate xi by each Specht basis vector and check the two support
-    claims: only the matching last-cup coefficient survives, with a value
-    independent of the translate; and the form against the basis is
-    supported on the last cup with values D * <b_m, b_k>."""
+def xi_report(l: int, lam: tuple[int, ...], n: int) -> dict:
+    """Claims report on the solved xi at rank n, read off one pencil den A~
+    over all rows and one Specht projection C xi:
+
+    - xi-unique: every row of den A~ but u_{n-1,n} b_1 kills xi, and xi is
+      nonzero.  As G = (S (x) I) A~, those rows span the Gram rows off the
+      last cup and the last-cup Gram rows pinned to the ratios of the first
+      Specht Gram column (the Schur complement of S_00).  Nothing more is
+      needed for the line: A~ = aI + B_0 / den has a monic determinant of
+      degree dim, so any dim - 1 of its rows are independent over Q(a), and
+      their kernel is one line, which the nonzero xi spans.  The claims
+      below are about that line, so the report stops here if it fails.
+    - projector-fixes-xi: C acts as the identity on xi.
+    - last-cup-support-k{k}: of the last-cup coefficients of the translate
+      x_k C xi, only the k-th survives, with a value independent of k.
+    - form-support-k{k}: the form of x_k C xi against the basis is
+      D <b_m, b_k> on the last cup and 0 elsewhere, G vec = D (S (x) I)
+      e_(k, last); as G = (S (x) I) A~ and S is invertible, that is
+      den A~ vec = den D e_(k, last).
+    """
+    if n < l + 4:
+        raise ValueError("rank must be at least l+4")
     lam = tuple(lam)
-    n = l + 4
     xi = solve_xi(l, lam, n)
     label = xi.label
     inst = gram_matrix(label)
     last = [inst.cup_row(k, (n - 1, n)) for k in range(inst.d)]
-    xs = specht_basis(lam)
     pencil = _pencil_rows(label, Polynomial.x(), range(inst.dim))
-    den_d = xi.D * inst.linearisation[1]
     claims: list[dict] = []
-    common = None
+    fields = {"l": l, "lambda": list(lam), "n": n}
+    unique = any(xi.coeffs) and not any(
+        v for i, v in enumerate(_apply(pencil, xi.coeffs)) if i != last[0])
+    claim(claims, "xi-unique", unique)
+    if not unique:
+        return report(fields, claims)
     projected = act(label, young_idempotent(lam).terms, xi.coeffs)
-    for k, xk in enumerate(xs):
+    claim(claims, "projector-fixes-xi", tuple(projected) == xi.coeffs)
+    den_d = xi.D * inst.linearisation[1]
+    for k, xk in enumerate(specht_basis(lam)):
         vec = act(label, {xk: 1}, projected)  # (x_k C) xi = x_k (C xi)
-        # part 1: last-cup coefficients
-        ok1 = True
-        for kk, row in enumerate(last):
-            coef = vec[row]
-            if kk == k:
-                if common is None:
-                    common = coef
-                elif coef != common:
-                    ok1 = False
-            elif coef:
-                ok1 = False
-        claim(claims, f"last-cup-support-k{k}", ok1)
-        # part 2: the form against the basis is D * <b_m, b_k> on the last
-        # cup and 0 elsewhere, G vec = D (S (x) I) e_(k, last); as
-        # G = (S (x) I) A~ and S is invertible, den A~ vec = den D e_(k, last)
+        if k == 0:
+            common = vec[last[0]]
+        claim(claims, f"last-cup-support-k{k}",
+              all(vec[row] == (common if kk == k else 0) for kk, row in enumerate(last)))
         claim(claims, f"form-support-k{k}",
               all(got == (den_d if i == last[k] else 0)
                   for i, got in enumerate(_apply(pencil, vec))))
-    return report({"l": l, "lambda": list(lam), "n": n}, claims)
-
-
-def projector_fixes_xi(l: int, lam: tuple[int, ...], n: int) -> bool:
-    """Generic parameter: the Specht projector acts as identity on xi."""
-    lam = tuple(lam)
-    xi = xi_sequence(l, lam, n)[-1]
-    return tuple(act(xi.label, young_idempotent(lam).terms, xi.coeffs)) == xi.coeffs
-
-
-def xi_uniqueness_check(l: int, lam: tuple[int, ...], n: int) -> bool:
-    """xi is basis-independent: the vectors killed by every cap except the
-    last adjacent one form a line, and that line is spanned by the solved xi.
-
-    The defining rows are those of A~ = aI + B_0 / den but u_{n-1,n} b_1:
-    as G = (S (x) I) A~, they span the Gram rows off the last cup and the
-    last-cup Gram rows pinned to the ratios of the first Specht Gram column
-    (the Schur complement of S_00).  xi is checked against them exactly in
-    Q[a], and nothing more is needed for the line: A~ = aI + B_0 / den has
-    a monic determinant of degree dim, so A~ is invertible over Q(a), any
-    dim - 1 of its rows are independent, and their kernel is one line,
-    which the nonzero xi spans.
-    """
-    lam = tuple(lam)
-    label = ModuleLabel(l, n, n - 2, lam)
-    first = gram_matrix(label).cup_row(0, (n - 1, n))
-    xi = solve_xi(l, lam, n)
-    rows = _pencil_rows(label, Polynomial.x(), (i for i in range(len(xi.coeffs)) if i != first))
-    return any(xi.coeffs) and not any(_apply(rows, xi.coeffs))
+    return report(fields, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +328,3 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
             claim(claims, "xi-in-radical", not any(_apply(rows, spec)))
 
     return report(fields, claims)
-
-
-# ---------------------------------------------------------------------------
-# the adjacent-cap tridiagonal pattern at parameter 1
-# ---------------------------------------------------------------------------
-
-def tridiagonal_alpha1_deficiencies(n_max: int = 12) -> dict[int, int]:
-    """Rank deficiency of the k x k tridiagonal matrix with diagonal 1 and
-    off-diagonal 1 (the adjacent-cap action matrix at parameter 1), for
-    k = 2 .. n_max.  The deficiency is 1 exactly when k + 1 is divisible by
-    3, mirroring the vanishing pattern of the normalised Chebyshev branch
-    at 1."""
-    out = {}
-    for k in range(2, n_max + 1):
-        m = [[Q(1) if abs(i - j) <= 1 else Q(0) for j in range(k)] for i in range(k)]
-        out[k] = k - field_rank(m)
-    return out

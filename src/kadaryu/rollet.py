@@ -207,11 +207,6 @@ def tl_recursive_det(n: int, p: int) -> Polynomial:
     return num.exact_div(den)
 
 
-def tl_factored_det(n: int, p: int) -> dict[int, int]:
-    """The {quantum index: exponent} form of tl_recursive_det."""
-    return dict(_tl_factored(n, p))
-
-
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------

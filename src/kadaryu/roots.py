@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 from .cheby import ChebSeries, cheb_u
 from .claims import claim, report
-from .exactmath import (Polynomial, Q, poly_gcd, poly_squarefree_part,
-                        yun_squarefree_decomposition)
+from .exactmath import (Polynomial, Q, clear_denominators, poly_gcd,
+                        poly_squarefree_part, yun_squarefree_decomposition)
 
 # ---------------------------------------------------------------------------
 # Sturm machinery
@@ -34,8 +34,7 @@ from .exactmath import (Polynomial, Q, poly_gcd, poly_squarefree_part,
 def _integer_coeffs(p: Polynomial) -> tuple[int, ...]:
     """p times a positive rational, as primitive integer coefficients
     (lowest first); p keeps its sign at every real point."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    (ints,), _den = clear_denominators((p.coeffs,))
     g = math.gcd(*ints) or 1
     return tuple(c // g for c in ints)
 
@@ -161,10 +160,6 @@ def sturm_isolate(p: Polynomial) -> list[IsolatingInterval]:
             stack.append((mid, hi))
     out.sort(key=lambda iv: iv.lo)
     return out
-
-
-def squarefree_check(p: Polynomial) -> bool:
-    return p.degree < 1 or poly_gcd(p, p.derivative()).degree == 0
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,6 @@ class Permutation:
     def identity(r: int) -> "Permutation":
         return Permutation(range(1, r + 1))
 
-    @staticmethod
-    def from_cycles(r: int, *cycles) -> "Permutation":
-        img = list(range(1, r + 1))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
-                img[a - 1] = b
-        return Permutation(img)
-
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
 

@@ -3,7 +3,8 @@ against: polynomial products term by term and gcds by Euclid's algorithm
 over Q, determinants over Q[a] by evaluation/interpolation, by modular
 linearisation of any square matrix (det_poly), by fraction-free Bareiss
 and by cofactor expansion, Smith invariants over Q[a], the Brauer diagram
-basis by brute force, diagram products by a walk on a node graph, the
+basis by brute force and by closure under the generators, permutation
+images of diagrams, diagram products by a walk on a node graph, the
 pairing of half diagrams by composing diagrams, the Gram matrix from those
 pairings and group-algebra products, Sturm counts from the
 chain of remainders over Q, cos bounds from the exact Taylor sum, signs
@@ -11,7 +12,9 @@ at 2cos(r pi/m) from dyadic enclosures (Machin bounds for pi, Taylor
 bounds for cos rounded outward, interval Horner in integers), the Specht
 basis by elimination over r!-long coordinate vectors, the Specht data
 from products in the group algebra (with single permutations and the
-involution * as elements of Q S_r), the bootstrap vector by Cramer's rule,
+involution * as elements of Q S_r), permutations from cycles, the TL
+determinant's quantum exponents, the square-free test, polynomial
+matrices evaluated at a point, the bootstrap vector by Cramer's rule,
 its uniqueness from the Gram rows, its cap scalar D from a Gram row, dense
 matrix-vector products, the
 radical as the kernel of the Gram matrix at a parameter value, the
@@ -25,16 +28,19 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 
 from kadaryu import exactmath, morphisms
-from kadaryu.diagrams import (PairPartition, compose, flip, half_normalize, one_cup_index,
+from kadaryu.diagrams import (PairPartition, _closure, compose, flip, generators,
+                               half_normalize, identity, one_cup_index,
                                permutation_diagram)
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                field_kernel, field_rank, field_row_echelon,
-                               poly_content_removed, poly_squarefree_part)
+                               poly_content_removed, poly_gcd, poly_squarefree_part)
 from kadaryu.gram import ModuleLabel, gram_matrix
 from kadaryu.morphisms import XiElement
+from kadaryu.rollet import _tl_factored
 from kadaryu.roots import _integer_coeffs, minimal_poly_2cos
 from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
                                _canonical_tableau, _canonical_tableau_columns,
@@ -59,6 +65,16 @@ def poly_gcd_euclid(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def squarefree_check(p: Polynomial) -> bool:
+    """p has no repeated factor: gcd(p, p') is a constant."""
+    return p.degree < 1 or poly_gcd(p, p.derivative()).degree == 0
+
+
+def matrix_at(m: PolyMatrix, x) -> list[list[Fraction]]:
+    """The entries of m evaluated at a = x."""
+    return [[p(x) for p in row] for row in m.entries]
 
 
 def _det_mod(rows: list[list[int]], modulus: int) -> int:
@@ -129,7 +145,7 @@ def det_interpolate(m: PolyMatrix) -> Polynomial:
     det = Polynomial([Fraction(c - modulus if c > half else c, den ** n)
                       for c in _interpolate_mod(values, modulus)])
     x = Q(bound + 1)
-    assert det(x) == det_rational(m.evaluate(x)), "degree bound below deg det"
+    assert det(x) == det_rational(matrix_at(m, x)), "degree bound below deg det"
     return det
 
 
@@ -217,14 +233,14 @@ def det_poly(m: PolyMatrix) -> Polynomial:
     smallest integer a >= 2 where it is nonzero (a = 2 for a zero result);
     a mismatch raises RuntimeError.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return Polynomial.one()
     bound = m.degree_bound()
     if bound == 0:
-        return Polynomial.const(det_rational(m.evaluate(Q(0))))
+        return Polynomial.const(det_rational(matrix_at(m, Q(0))))
     den = math.lcm(*(c.denominator for row in m.entries for p in row for c in p.coeffs))
     entries = [[[c.numerator * (den // c.denominator) for c in p.coeffs] for p in row]
                for row in m.entries]
@@ -240,7 +256,7 @@ def det_poly(m: PolyMatrix) -> Polynomial:
     scale = den ** n
     det = Polynomial([Fraction(c, scale) for c in exactmath._lift_mod(hadamard_sq, residues)])
     x = next(x for x in count(2) if det(x)) if det else 2
-    if det(x) != det_rational(m.evaluate(Q(x))):
+    if det(x) != det_rational(matrix_at(m, Q(x))):
         raise RuntimeError(f"determinant check failed at a = {x}")
     return det
 
@@ -298,7 +314,7 @@ def smith_invariants(m: PolyMatrix) -> list[Polynomial]:
     Each factor is monic (or zero); the product equals det up to a rational
     scalar.
     """
-    if not m.is_square():
+    if m.rows != m.cols:
         raise ValueError("Smith form of a non-square matrix")
     n = m.rows
     a = [[p for p in row] for row in m.entries]
@@ -364,13 +380,23 @@ def smith_invariants(m: PolyMatrix) -> list[Polynomial]:
     return invariants
 
 
+def permutation_image(d: PairPartition) -> tuple[int, ...]:
+    """For a permutation diagram: image[i-1] = bottom point of top i."""
+    if d.n_top != d.n_bottom or d.propagating_count() != d.n_top:
+        raise ValueError("not a permutation diagram")
+    img = [0] * d.n_top
+    for a, b in d.pairs:
+        img[b - 1] = -a
+    return tuple(img)
+
+
 def pair_halves(u: PairPartition, v: PairPartition, p: int, r: int):
     """(loops, sigma) for the form between half diagrams u, v, by composing
     flip(u) with v; None if the composite drops below p propagating lines."""
     w, loops = compose(flip(u), v)
     if w.propagating_count() < p:
         return None
-    perm = Permutation(w.as_permutation_image())
+    perm = Permutation(permutation_image(w))
     if not perm.fixes_from(r + 1):
         raise RuntimeError(
             f"residual permutation {perm.image} moves a strand beyond {r}: "
@@ -455,6 +481,25 @@ def brauer_basis(n: int, m: int) -> list[PairPartition]:
                 yield [(a, b)] + tail
 
     return [PairPartition(n, m, ps) for ps in rec(pts)]
+
+
+@lru_cache(maxsize=None)
+def basis_by_closure(l: int, n: int) -> frozenset[PairPartition]:
+    """All diagrams expressible as products of the height-<= l generators.
+
+    BFS over right multiplication starting from the identity; loop scalars
+    are discarded.  For l = -1 this is the Temperley-Lieb basis (Catalan
+    many), for l >= n-2 the full Brauer basis ((2n-1)!! many).
+    """
+    if n == 0:
+        return frozenset({PairPartition(0, 0, [])})
+    gens = generators(l, n)
+    return frozenset(_closure(identity(n), lambda d: (compose(d, g)[0] for g in gens)))
+
+
+def tl_factored_det(n: int, p: int) -> dict[int, int]:
+    """The {quantum index: exponent} form of rollet.tl_recursive_det."""
+    return dict(_tl_factored(n, p))
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
@@ -599,6 +644,15 @@ def sign_at_2cos_by_enclosure(p: Polynomial, r: int, m: int):
     return None
 
 
+def from_cycles(r: int, *cycles) -> Permutation:
+    """The permutation of 1..r with the given cycles, each a tuple."""
+    img = list(range(1, r + 1))
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
+            img[a - 1] = b
+    return Permutation(img)
+
+
 def young_idempotent_by_square(lam: tuple[int, ...]):
     """(C, kappa) with y = E F E, kappa the ratio y^2 / y read off one
     supported permutation and checked on all of them, and C = y / kappa."""
@@ -720,7 +774,7 @@ def solve_xi_by_cramer(l: int, lam: tuple[int, ...], n: int) -> XiElement:
 
 
 def xi_uniqueness_by_gram_rows(l: int, lam: tuple[int, ...], n: int) -> bool:
-    """morphisms.xi_uniqueness_check on the Gram rows: the rows off the last
+    """The xi-unique claim of morphisms.xi_report on the Gram rows: the rows off the last
     cup, plus the last-cup rows pinned to the ratios of the first Specht
     Gram column; xi is checked against them in Q[a] and the line certified
     at some t in 0..B, B the rows' degree bound."""
@@ -740,7 +794,7 @@ def xi_uniqueness_by_gram_rows(l: int, lam: tuple[int, ...], n: int) -> bool:
         return False
     # a zero row would void the degree bound and adds nothing to the kernel
     system = PolyMatrix([row for row in rows if any(row)])
-    return any(inst.dim - field_rank(system.evaluate(Q(t))) == 1
+    return any(inst.dim - field_rank(matrix_at(system, Q(t))) == 1
                for t in range(system.degree_bound() + 1))
 
 

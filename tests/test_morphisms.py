@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from kadaryu import gram, morphisms
 from kadaryu.cheby import ChebSeries
 from kadaryu.diagrams import one_cup_index
-from kadaryu.exactmath import Polynomial, field_kernel, poly_content_removed
+from kadaryu.exactmath import Polynomial, Q, field_kernel, field_rank, poly_content_removed
 from kadaryu.gram import GramInstance, ModuleLabel, factor_one_cup, gram_matrix
-from kadaryu.morphisms import (XiElement, divisibility_check, niceelt_check,
-                               projector_fixes_xi, solve_xi, submodule_verify,
-                               tridiagonal_alpha1_deficiencies,
-                               xi_sequence, xi_step, xi_uniqueness_check)
+from kadaryu.morphisms import (XiElement, divisibility_check, solve_xi, submodule_verify,
+                               xi_report, xi_sequence, xi_step)
 from kadaryu.symmetric import Permutation, partitions, specht_gram
 
 from oracles import (compute_d_by_gram_row, gram_radical, solve_xi_by_cramer,
@@ -26,6 +24,11 @@ from oracles import (compute_d_by_gram_row, gram_radical, solve_xi_by_cramer,
 x = Polynomial.x()
 
 FAMILIES = [(0, (2,)), (0, (1, 1)), (1, (3,)), (1, (2, 1)), (1, (1, 1, 1))]
+
+
+def failed(rep: dict) -> list[str]:
+    return [c["id"] for c in rep["claims"] if c["status"] == "fail"]
+
 
 # the labels the Cramer solve was first checked on
 CRAMER_LABELS = [(0, (2,), 4), (0, (1, 1), 4), (0, (2,), 5), (0, (1, 1), 5),
@@ -245,14 +248,19 @@ class TestRecursion:
             xi_sequence(0, (2,), 3)
         with pytest.raises(ValueError):
             divisibility_check(0, (2,), 3)
-        with pytest.raises(ValueError):
-            projector_fixes_xi(0, (2,), 2)
+        with pytest.raises(ValueError, match="rank must be at least l\\+4"):
+            xi_report(0, (2,), 3)
 
 
 class TestStructure:
     @pytest.mark.parametrize("l,lam", FAMILIES)
     def test_translate_support(self, l, lam):
-        assert niceelt_check(l, lam)["status"] == "pass"
+        rep = xi_report(l, lam, l + 4)
+        assert rep["status"] == "pass", rep
+        ks = range(len(specht_gram(lam)))
+        assert [c["id"] for c in rep["claims"]] == [
+            "xi-unique", "projector-fixes-xi",
+            *(f"{kind}-support-k{k}" for k in ks for kind in ("last-cup", "form"))]
 
     def test_perturbed_d_fails_form_support(self, monkeypatch):
         """den A~ vec = den D e_(k, last) is checked against D itself: a D
@@ -260,18 +268,20 @@ class TestStructure:
         xi = solve_xi(1, (2, 1), 5)
         monkeypatch.setattr(morphisms, "solve_xi",
                             lambda *args: XiElement(xi.label, xi.coeffs, xi.D + 1))
-        rep = niceelt_check(1, (2, 1))
-        failed = [c["id"] for c in rep["claims"] if c["status"] == "fail"]
-        assert failed == ["form-support-k0", "form-support-k1"]
+        assert failed(xi_report(1, (2, 1), 5)) == ["form-support-k0", "form-support-k1"]
 
     def test_projector_fixes(self):
-        assert projector_fixes_xi(0, (2,), 5)
-        assert projector_fixes_xi(1, (2, 1), 5)
+        """At rank 5 the report's solved xi is the stepped one too."""
+        for l, lam in [(0, (2,)), (1, (2, 1))]:
+            rep = xi_report(l, lam, 5)
+            assert rep["claims"][1] == {"id": "projector-fixes-xi", "status": "pass",
+                                        "witness": None}
+            assert xi_sequence(l, lam, 5)[-1].coeffs == solve_xi(l, lam, 5).coeffs
 
     @pytest.mark.parametrize("l,lam,n", [(0, (2,), 4), (0, (1, 1), 4),
                                          (0, (2,), 5), (1, (2, 1), 5), (3, (3, 1, 1), 7)])
     def test_uniqueness(self, l, lam, n):
-        assert xi_uniqueness_check(l, lam, n)
+        assert xi_report(l, lam, n)["status"] == "pass"
 
 
 class TestOracles:
@@ -279,18 +289,23 @@ class TestOracles:
 
     @pytest.mark.parametrize("l,lam,n", UNIQUENESS_LABELS)
     def test_uniqueness_matches_gram_rows(self, l, lam, n):
-        assert xi_uniqueness_check(l, lam, n) is xi_uniqueness_by_gram_rows(l, lam, n) is True
+        rep = xi_report(l, lam, n)
+        assert rep["status"] == "pass", rep
+        assert rep["claims"][0]["id"] == "xi-unique"
+        assert xi_uniqueness_by_gram_rows(l, lam, n) is True
 
     @pytest.mark.parametrize("perturb", [lambda cs: cs[:3] + [cs[3] + 1] + cs[4:],
                                          lambda cs: [Polynomial()] * len(cs)],
                              ids=["bumped", "zero"])
     def test_perturbed_xi_is_refused_by_both(self, monkeypatch, perturb):
-        """A vector off the kernel, and the zero vector, which is in it."""
+        """A vector off the kernel, and the zero vector, which is in it; the
+        report makes no claim about a vector that is not xi."""
         xi = solve_xi(1, (2, 1), 5)
         coeffs = perturb(list(xi.coeffs))
         monkeypatch.setattr(morphisms, "solve_xi",
                             lambda *args: XiElement(xi.label, tuple(coeffs), xi.D))
-        assert xi_uniqueness_check(1, (2, 1), 5) is False
+        rep = xi_report(1, (2, 1), 5)
+        assert failed(rep) == [c["id"] for c in rep["claims"]] == ["xi-unique"]
         assert xi_uniqueness_by_gram_rows(1, (2, 1), 5) is False
 
     @pytest.mark.parametrize("l,lam,n,alpha0,target", SUBMODULE_CASES)
@@ -373,5 +388,10 @@ class TestSubmodules:
 
 
 def test_tridiagonal_pattern_at_one():
-    got = tridiagonal_alpha1_deficiencies(12)
-    assert got == {k: (1 if (k + 1) % 3 == 0 else 0) for k in range(2, 13)}
+    """The k x k tridiagonal matrix with diagonal and off-diagonal 1 (the
+    adjacent-cap action matrix at parameter 1) has rank deficiency 1
+    exactly when 3 divides k + 1, the vanishing pattern of the normalised
+    Chebyshev branch at 1, and is invertible otherwise."""
+    for k in range(2, 13):
+        m = [[Q(int(abs(i - j) <= 1)) for j in range(k)] for i in range(k)]
+        assert k - field_rank(m) == (1 if (k + 1) % 3 == 0 else 0), k

@@ -11,8 +11,10 @@ from kadaryu.exactmath import Polynomial, reduced
 from kadaryu.gram import ModuleLabel, factor_one_cup, gram_det
 from kadaryu.rollet import (RolletGraph, arm_verify, chebyshev_c, dimension,
                             edge, export_dot, export_json, marginal_v,
-                            tl_factored_det, tl_recursive_det)
+                            tl_recursive_det)
 from kadaryu.symmetric import hook_dimension, partitions
+
+from oracles import tl_factored_det
 
 x = Polynomial.x()
 

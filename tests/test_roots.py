@@ -15,11 +15,11 @@ from kadaryu.gram import factor_one_cup
 from kadaryu.roots import (_interior_layout, _point_interval, column_series,
                            family_series, hook_series, hook_t_series,
                            lemma_roots_check, minimal_poly_2cos, row_series,
-                           sign_at_2cos, squarefree_check, sturm_count,
-                           sturm_isolate, verify_root_layout)
+                           sign_at_2cos, sturm_count, sturm_isolate,
+                           verify_root_layout)
 
-from oracles import (_cos_bounds, cos_bounds_q, cos_point_enclosure,
-                     pi_bounds, sign_at_2cos_by_enclosure, sturm_count_q)
+from oracles import (_cos_bounds, cos_bounds_q, cos_point_enclosure, pi_bounds,
+                     sign_at_2cos_by_enclosure, squarefree_check, sturm_count_q)
 
 x = Polynomial.x()
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)

@@ -11,21 +11,22 @@ from pathlib import Path
 import pytest
 
 import kadaryu
-from kadaryu import cheby, diagrams, exactmath, gram, morphisms, rollet
+from kadaryu import cheby, diagrams, exactmath, gram, morphisms, rollet, roots
 
 SRC = str(Path(kadaryu.__file__).parent.parent)
 
 # where each exported name is defined
 DEFINED_IN = {
     exactmath: ("Polynomial", "PolyMatrix", "Q"),
-    cheby: ("ChebSeries", "cheb_u", "quantum_number"),
+    cheby: ("ChebSeries", "cheb_u", "quantum_number", "u_expansion"),
     diagrams: ("PairPartition", "compose", "flip", "half_basis", "one_cup_basis"),
     gram: ("ModuleLabel", "factor_one_cup", "gram_det", "gram_det_lnp",
-           "gram_matrix", "one_cup_det", "one_cup_series"),
+           "gram_matrix", "gram_mixed_det", "one_cup_det", "one_cup_series"),
     rollet: ("RolletGraph", "arm_verify", "chebyshev_c", "dimension",
              "marginal_v", "tl_recursive_det"),
     morphisms: ("XiElement", "divisibility_check", "solve_xi", "submodule_verify",
-                "xi_step"),
+                "xi_report", "xi_step"),
+    roots: ("lemma_roots_check",),
 }
 
 

@@ -11,8 +11,8 @@ from kadaryu.symmetric import (Permutation, all_permutations, conjugate_partitio
                                hook_dimension, is_partition, left_action_matrix,
                                partitions, specht_basis, specht_frame,
                                specht_gram, specht_pairing, young_idempotent)
-from oracles import (algebra_element, elimination_left_action, sandwich_sigma_table,
-                     sandwich_specht_gram, scalar_extract,
+from oracles import (algebra_element, elimination_left_action, from_cycles,
+                     sandwich_sigma_table, sandwich_specht_gram, scalar_extract,
                      specht_basis_by_elimination, star, young_idempotent_by_square)
 
 perms4 = st.permutations([1, 2, 3, 4]).map(Permutation)
@@ -37,7 +37,7 @@ class TestPermutation:
         assert (s * t).sign() == s.sign() * t.sign()
 
     def test_cycles(self):
-        assert Permutation.from_cycles(4, (1, 2, 3)).image == (2, 3, 1, 4)
+        assert from_cycles(4, (1, 2, 3)).image == (2, 3, 1, 4)
 
 
 class TestGroupAlgebra:
