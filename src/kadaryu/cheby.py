@@ -100,30 +100,19 @@ def ramping_check(s: ChebSeries) -> tuple[bool, str]:
 #
 # A ramping series P with deg(P_N) = d expands uniquely as
 #     P_{N+j} = sum_{k=-(d+1)}^{d+1} a_k P^U_{k+j}     (all j)
-# with a_{d+1} = 1 and a_{-(d+1)} = 0.  Substituting x = t + 1/t turns each
-# term into Laurent monomials, which is how the coefficients are read off.
+# with a_{d+1} = 1 and a_{-(d+1)} = 0.  Since P^U_0 = 0 and P^U_{-k} = -P^U_k,
+# the anchors are P_N = sum_{k>=1} (a_k - a_{-k}) P^U_k and
+# P_{N+1} = sum_{k>=1} (a_{k-1} - a_{-(k+1)}) P^U_k; their coefficients in
+# the P^U basis are read off by division, top degree first.
 
 
-def _laurent_from_poly(p: Polynomial) -> dict[int, Fraction]:
-    """p(t + 1/t) * (t - 1/t) as a Laurent polynomial in t."""
-    # p(t+1/t): build power-by-power
-    acc: dict[int, Fraction] = {}
-    base = {1: Q(1), -1: Q(1)}  # t + 1/t
-    power = {0: Q(1)}
-    for c in p.coeffs:
-        if c:
-            for e, v in power.items():
-                acc[e] = acc.get(e, Q(0)) + c * v
-        nxt: dict[int, Fraction] = {}
-        for e, v in power.items():
-            for eb, vb in base.items():
-                nxt[e + eb] = nxt.get(e + eb, Q(0)) + v * vb
-        power = nxt
-    out: dict[int, Fraction] = {}
-    for e, v in acc.items():
-        out[e + 1] = out.get(e + 1, Q(0)) + v
-        out[e - 1] = out.get(e - 1, Q(0)) - v
-    return {e: v for e, v in out.items() if v}
+def _u_coeffs(p: Polynomial) -> dict[int, Fraction]:
+    """The c_k with p = sum_{k>=1} c_k P^U_k (P^U_k is monic of degree k-1)."""
+    c: dict[int, Fraction] = {}
+    while p:
+        c[p.degree + 1] = p.lc
+        p -= cheb_u(p.degree + 1) * p.lc
+    return c
 
 
 def u_expansion(s: ChebSeries) -> dict[int, Fraction]:
@@ -137,8 +126,8 @@ def u_expansion(s: ChebSeries) -> dict[int, Fraction]:
         raise ValueError(f"series is not ramping at its anchor: {why}")
     d = s.pN.degree
     # L0 coefficients: b_k = a_k - a_{-k};  L1: b'_k = a_{k-1} - a_{-(k+1)}
-    b = _laurent_from_poly(s.pN)
-    bp = _laurent_from_poly(s.pN1)
+    b = _u_coeffs(s.pN)
+    bp = _u_coeffs(s.pN1)
     a: dict[int, Fraction] = {d + 1: Q(1), -(d + 1): Q(0), -(d + 2): Q(0)}
     for j in range(d, -1, -1):
         # from b'_{j+1} = a_j - a_{-(j+2)}

@@ -282,9 +282,9 @@ def _cmd_rollet(args) -> int:
     def produce():
         from .rollet import RolletGraph
         graph = RolletGraph(args.l, p_max)
-        return json.loads(export_json(graph, n_values=n_values,
-                                      decorate_det="det" in decorations,
-                                      decorate_mvf="mvf" in decorations))
+        return export_json(graph, n_values=n_values,
+                           decorate_det="det" in decorations,
+                           decorate_mvf="mvf" in decorations)
 
     key = (f"rollet_l{args.l}_p{p_max}_n{args.max_n}"
            f"_{'-'.join(sorted(decorations)) or 'plain'}")

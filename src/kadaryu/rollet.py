@@ -12,7 +12,6 @@ Both are quotients of products of powers, held as reduced (num, den) pairs
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -44,6 +43,14 @@ def edge(l: int, v: Vertex, w: Vertex) -> bool:
     return all(d >= 0 for d in diffs) and sum(diffs) == 1
 
 
+def neighbours(l: int, v: Vertex) -> list[Vertex]:
+    """The vertices joined to v: those at p - 1, then those at p + 1, each
+    rank in `partitions` order.  The only reader of adjacency."""
+    p, _lam = v
+    return [(q, mu) for q in (p - 1, p + 1) if q >= 0
+            for mu in _vertex_partitions(l, q) if edge(l, v, (q, mu))]
+
+
 class RolletGraph:
     """The branching graph for height bound l, truncated at p <= p_max."""
 
@@ -52,47 +59,27 @@ class RolletGraph:
         self.p_max = p_max
         self.vertices: list[Vertex] = [
             (p, lam) for p in range(p_max + 1) for lam in _vertex_partitions(l, p)]
-        self.edges: list[tuple[Vertex, Vertex]] = []
-        vs = set(self.vertices)
-        for (p, lam) in self.vertices:
-            for mu in _vertex_partitions(l, p + 1):
-                w = (p + 1, mu)
-                if w in vs and edge(l, (p, lam), w):
-                    self.edges.append(((p, lam), w))
-
-    def neighbours(self, v: Vertex) -> list[Vertex]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
-    def up_neighbours(self, v: Vertex) -> list[Vertex]:
-        return [w for w in self.neighbours(v) if w[0] == v[0] + 1]
+        self.edges: list[tuple[Vertex, Vertex]] = [
+            (v, w) for v in self.vertices for w in neighbours(l, v) if v[0] < w[0] <= p_max]
 
 
 @lru_cache(maxsize=None)
-def _graph(l: int, p_max: int) -> RolletGraph:
-    return RolletGraph(l, p_max)
+def _walks(l: int, n: int) -> dict[Vertex, int]:
+    """Number of length-n walks from (0, ()) to each vertex they reach."""
+    if n <= 0:
+        return {(0, ()): 1} if n == 0 else {}
+    counts: dict[Vertex, int] = {}
+    for v, c in _walks(l, n - 1).items():
+        for w in neighbours(l, v):
+            counts[w] = counts.get(w, 0) + c
+    return counts
 
 
 def dimension(l: int, n: int, vertex: Vertex) -> int:
     """Number of length-n walks from (0, ()) to the vertex; 0 on parity or
     reachability mismatch.  Equals the standard-module dimension."""
     p, lam = vertex
-    if p < 0 or p > n or (n - p) % 2:
-        return 0
-    g = _graph(l, n)
-    counts: dict[Vertex, int] = {(0, ()): 1}
-    for _ in range(n):
-        nxt: dict[Vertex, int] = {}
-        for v, c in counts.items():
-            for w in g.neighbours(v):
-                nxt[w] = nxt.get(w, 0) + c
-        counts = nxt
-    return counts.get((p, tuple(lam)), 0)
+    return _walks(l, n).get((p, tuple(lam)), 0)
 
 
 def _det(l: int, n: int, vertex: Vertex) -> Polynomial:
@@ -105,9 +92,8 @@ def marginal_v(l: int, vertex: Vertex, n: int) -> tuple[Polynomial, Polynomial]:
     p, lam = vertex
     num = _det(l, n, vertex)
     den = Polynomial.one()
-    g = _graph(l, max(n, p + 1))
-    for (q, mu) in g.neighbours((p, tuple(lam))):
-        if 0 <= q <= n - 1:
+    for (q, mu) in neighbours(l, (p, tuple(lam))):
+        if q <= n - 1:
             den = den * _det(l, n - 1, (q, mu))
     return reduced(num, den)
 
@@ -125,9 +111,8 @@ def chebyshev_c(l: int, vertex: Vertex, n: int) -> tuple[Polynomial, Polynomial]
     if p + 1 < l + 2:
         raise ValueError("no full-size up-neighbour: vertex too close to the root")
     num, den = Polynomial.one(), Polynomial.one()
-    g = _graph(l, p + 1)
-    for (q, mu) in g.up_neighbours((p, tuple(lam))):
-        if sum(mu) != l + 2:
+    for (q, mu) in neighbours(l, (p, tuple(lam))):
+        if q != p + 1 or sum(mu) != l + 2:
             continue
         _c, series = factor_one_cup(l, mu)
         e = dimension(l, n - 1, (q, mu))
@@ -228,7 +213,7 @@ def export_dot(graph: RolletGraph) -> str:
 
 
 def export_json(graph: RolletGraph, n_values=(), decorate_det=True,
-                decorate_mvf=False) -> str:
+                decorate_mvf=False) -> dict:
     out = {"l": graph.l, "vertices": []}
     for (p, lam) in graph.vertices:
         fibre = {}
@@ -244,4 +229,4 @@ def export_json(graph: RolletGraph, n_values=(), decorate_det=True,
             if entry:
                 fibre[str(n)] = entry
         out["vertices"].append({"p": p, "lambda": list(lam), "fibre": fibre})
-    return json.dumps(out, indent=2, sort_keys=True)
+    return out

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _itperms
+from itertools import permutations as _itperms, product
 
 from .exactmath import Q, field_row_echelon
 
@@ -188,21 +188,15 @@ def _canonical_tableau(lam):
 
 
 def _row_group(rows, r):
-    """All permutations preserving each row (as a list)."""
-    groups = [list(_itperms(row)) for row in rows]
+    """All permutations preserving each row (as a list), the first row's
+    permutation varying slowest; young_idempotent's term order follows it."""
     out = []
-
-    def rec(i, img):
-        if i == len(rows):
-            out.append(Permutation(img))
-            return
-        for perm in groups[i]:
-            img2 = list(img)
-            for a, b in zip(rows[i], perm):
-                img2[a - 1] = b
-            rec(i + 1, img2)
-
-    rec(0, list(range(1, r + 1)))
+    for perms in product(*(_itperms(row) for row in rows)):
+        img = list(range(1, r + 1))
+        for row, perm in zip(rows, perms):
+            for a, b in zip(row, perm):
+                img[a - 1] = b
+        out.append(Permutation(img))
     return out
 
 

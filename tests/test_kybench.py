@@ -2,8 +2,8 @@
 still prints what the harness saw.
 
 kybench/ drives the package through its public names; these tests run its
-own checks and import its stage-by-stage replay, so a rename in the engine
-that breaks the harness fails here rather than in a benchmark run.  Every
+own checks and its stage-by-stage replay, so a rename in the engine that
+breaks the harness fails here rather than in a benchmark run.  Every
 command of its workloads is also run in-process, cold and warm, against the
 exit code and the sha256 of its stdout pinned in
 tests/data/kybench_payloads.json.
@@ -40,6 +40,25 @@ def test_selftest_passes():
 def test_traced_imports():
     proc = run_python("-c", "import traced")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_replay_prints_the_untraced_payload(tmp_path, capsys):
+    """The replay runs every stage without an error span, then prints what
+    cli.main prints; its spans cover the walk, mvf and export layers."""
+    names = set()
+    for i, text in enumerate(["rollet --l 0 --max-n 4 --decorate det --decorate mvf",
+                              "verify arm --l 0 --lambda 2 --max-p 4 --m 1"]):
+        argv = shlex.split(text)
+        spans = tmp_path / f"spans-{i}.jsonl"
+        proc = run_python(str(KYBENCH / "traced.py"), "0", str(spans), "1", "--",
+                          *argv, "--cache-dir", str(tmp_path / "traced"))
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv + ["--cache-dir", str(tmp_path / "plain")]) == 0
+        assert proc.stdout == capsys.readouterr().out
+        records = [json.loads(line) for line in spans.read_text().splitlines()]
+        assert [r for r in records if "error" in r["counts"]] == []
+        names |= {r["name"] for r in records}
+    assert {"rollet.export", "rollet.mvf", "rollet.walk"} <= names
 
 
 def load_run():

@@ -1,7 +1,8 @@
 """Branching graphs: walk-count dimensions, the chain-determinant oracle,
 and the marginal-vertex / series identity on the arms."""
 
-import json
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -11,12 +12,21 @@ from kadaryu.exactmath import Polynomial, reduced
 from kadaryu.gram import ModuleLabel, factor_one_cup, gram_det
 from kadaryu.rollet import (RolletGraph, arm_verify, chebyshev_c, dimension,
                             edge, export_dot, export_json, marginal_v,
-                            tl_recursive_det)
+                            neighbours, tl_recursive_det)
 from kadaryu.symmetric import hook_dimension, partitions
 
 from oracles import tl_factored_det
 
 x = Polynomial.x()
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_checks():
+    spec = importlib.util.spec_from_file_location("kybench_checks",
+                                                  ROOT / "kybench" / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestGraph:
@@ -36,6 +46,21 @@ class TestGraph:
         g = RolletGraph(-1, 6)
         assert len(g.vertices) == 7
         assert len(g.edges) == 6
+
+    def test_neighbours_match_the_benchmark_rule(self):
+        """Same list, same order as kybench's own statement of the rule."""
+        checks = load_checks()
+        for l in range(-1, 4):
+            for v in RolletGraph(l, 8).vertices:
+                assert neighbours(l, v) == checks.neighbours(l, v), (l, v)
+
+    def test_neighbours_are_symmetric(self):
+        for l in range(-1, 4):
+            vertices = RolletGraph(l, 8).vertices
+            for v in vertices:
+                for w in vertices:
+                    if abs(v[0] - w[0]) == 1:
+                        assert (w in neighbours(l, v)) == (v in neighbours(l, w)), (l, v, w)
 
 
 class TestDimension:
@@ -57,12 +82,11 @@ class TestDimension:
         """A vertex's dimension at rank n is the sum of its neighbours'
         dimensions at rank n-1."""
         for l in (-1, 0, 1):
-            g = RolletGraph(l, 9)
-            for v in g.vertices:
+            for v in RolletGraph(l, 9).vertices:
                 for n in range(v[0], 9, 2):
                     if n == 0:
                         continue
-                    total = sum(dimension(l, n - 1, u) for u in g.neighbours(v))
+                    total = sum(dimension(l, n - 1, u) for u in neighbours(l, v))
                     assert dimension(l, n, v) == total
 
     def test_matches_basis_cardinality(self):
@@ -208,10 +232,15 @@ class TestExport:
         assert '"1_1" -- "2_2"' in dot or '"2_2" -- "1_1"' in dot
         assert '"0_"' in dot
 
+    @pytest.mark.parametrize("l, p_max", [(1, 6), (3, 7)])
+    def test_dot_text_is_pinned(self, l, p_max):
+        """Vertex and edge order included."""
+        want = (ROOT / "tests" / "data" / f"rollet_l{l}_p{p_max}.dot").read_text()
+        assert export_dot(RolletGraph(l, p_max)) == want
+
     def test_json_schema(self):
         g = RolletGraph(-1, 4)
-        data = json.loads(export_json(g, n_values=(2, 4), decorate_det=True,
-                                      decorate_mvf=True))
+        data = export_json(g, n_values=(2, 4), decorate_det=True, decorate_mvf=True)
         assert data["l"] == -1
         by_p = {v["p"]: v for v in data["vertices"]}
         assert by_p[0]["lambda"] == []
@@ -223,7 +252,7 @@ class TestExport:
 
     def test_json_det_matches_oracle(self):
         g = RolletGraph(-1, 6)
-        data = json.loads(export_json(g, n_values=(6,), decorate_det=True))
+        data = export_json(g, n_values=(6,), decorate_det=True)
         for v in data["vertices"]:
             if "6" in v["fibre"]:
                 det = Polynomial.from_json(v["fibre"]["6"]["det"])
