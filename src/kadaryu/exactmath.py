@@ -425,27 +425,6 @@ def poly_squarefree_part(p: Polynomial) -> Polynomial:
     return poly_gcd_cofactors(p, p.derivative())[1].monic()
 
 
-def yun_squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun's algorithm: p (monic) = prod q_i^i with the q_i squarefree, coprime.
-
-    Returns [(q_i, i)] for the nonconstant q_i.
-    """
-    p = p.monic()
-    if p.degree <= 0:
-        return []
-    out = []
-    _g, c, d = poly_gcd_cofactors(p, p.derivative())
-    d = d - c.derivative()
-    i = 1
-    while c.degree > 0:
-        q, c, d = poly_gcd_cofactors(c, d)
-        if q.degree > 0:
-            out.append((q, i))
-        d = d - c.derivative()
-        i += 1
-    return out
-
-
 class PolyMatrix:
     """Dense rectangular matrix of Polynomial entries."""
 

@@ -216,7 +216,7 @@ def xi_report(l: int, lam: tuple[int, ...], n: int) -> dict:
     claim(claims, "xi-unique", unique)
     if not unique:
         return report(fields, claims)
-    projected = act(label, young_idempotent(lam).terms, xi.coeffs)
+    projected = act(label, young_idempotent(lam), xi.coeffs)
     claim(claims, "projector-fixes-xi", tuple(projected) == xi.coeffs)
     den_d = xi.D * inst.linearisation[1]
     for k, xk in enumerate(specht_basis(lam)):
@@ -303,7 +303,7 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
     if deficiency == 0 or not pre:
         return report(fields, claims)
 
-    projector = young_idempotent(lam).terms
+    projector = young_idempotent(lam)
     proj = [act(label, projector, v) for v in ker]
     proj = [v for v in proj if any(v)]
     claim(claims, "projector-survives-radical", bool(proj))

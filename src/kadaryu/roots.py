@@ -19,12 +19,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .cheby import ChebSeries, cheb_u
 from .claims import claim, report
-from .exactmath import (Polynomial, Q, clear_denominators, poly_gcd,
-                        poly_squarefree_part, yun_squarefree_decomposition)
+from .exactmath import Polynomial, Q, clear_denominators, poly_gcd, poly_squarefree_part
 
 # ---------------------------------------------------------------------------
 # Sturm machinery
@@ -111,55 +109,35 @@ def sturm_count(p: Polynomial, lo, hi) -> int:
     return _chain_at(chain, lo) - _chain_at(chain, hi)
 
 
-class IsolatingInterval(NamedTuple):
-    lo: Fraction
-    hi: Fraction
-    poly: Polynomial
-    multiplicity: int
-
-
 def _root_bound(p: Polynomial) -> Fraction:
     lc = abs(p.lc)
     return 1 + max((abs(c) / lc for c in p.coeffs[:-1]), default=Q(0))
 
 
-def sturm_isolate(p: Polynomial) -> list[IsolatingInterval]:
-    """All distinct real roots with pairwise-disjoint isolating intervals
-    and multiplicities (read off the square-free decomposition)."""
+def sturm_isolate(p: Polynomial) -> list[tuple[Fraction, Fraction]]:
+    """Pairwise-disjoint isolating intervals (lo, hi] of the distinct real
+    roots of p, ascending: the start interval (-b - 1, b] for the root
+    bound b of p's squarefree part, bisected at midpoints.  A Sturm count
+    on (lo, hi] is exact when an end is a root, so a root at a midpoint
+    lands in the left half."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     sq = poly_squarefree_part(p)
     if sq.degree < 1:
         return []
-    factors = [(f, m) for f, m in yun_squarefree_decomposition(p) if f.degree >= 1]
-    out: list[IsolatingInterval] = []
+    out = []
     b = _root_bound(sq)
     stack = [(-b - 1, b)]
     while stack:
         lo, hi = stack.pop()
         count = sturm_count(sq, lo, hi)
-        if count == 0:
-            continue
         if count == 1:
-            mults = [m for f, m in factors if sturm_count(f, lo, hi) == 1]
-            if len(mults) != 1:
-                raise RuntimeError(f"root in ({lo}, {hi}] lies in {len(mults)} "
-                                   "squarefree factors")
-            out.append(IsolatingInterval(Q(lo), Q(hi), sq, mults[0]))
-            continue
-        mid = Fraction(lo + hi, 2)
-        if _sign(_sturm_chain(sq)[0], mid) == 0:
-            w = (hi - lo) / (4 * sq.degree + 4)
-            while sturm_count(sq, mid - w, mid + w) > 1:
-                w /= 2
-            stack.append((mid - w, mid + w))
-            stack.append((lo, mid - w))
-            stack.append((mid + w, hi))
-        else:
+            out.append((lo, hi))
+        elif count > 1:
+            mid = (lo + hi) / 2
             stack.append((lo, mid))
             stack.append((mid, hi))
-    out.sort(key=lambda iv: iv.lo)
-    return out
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +158,7 @@ def _cheb_intervals(m: int) -> tuple[tuple[Fraction, Fraction], ...]:
     layout witness stays below its right endpoint 2."""
     u = cheb_u(m)
     out = []
-    for iv in sturm_isolate(u):
-        lo, hi = iv.lo, iv.hi
+    for lo, hi in sturm_isolate(u):
         while hi >= 2:
             lo, hi = _half(u, lo, hi)
         out.append((lo, hi))

@@ -1,4 +1,4 @@
-"""Symmetric group algebra over Q, Young idempotents and Specht bases.
+"""Permutations, Young idempotents in Q S_r and Specht bases.
 
 The group product mirrors diagram stacking: ``(a * b)(i) = b(a(i))`` — apply
 ``a`` first, then ``b``.  This keeps every translation between permutation
@@ -10,10 +10,11 @@ The Specht module of lam is the left ideal QS_r C_lam of the Young
 idempotent, with basis translates x_i C_lam (James, *The Representation
 Theory of the Symmetric Groups*, LNM 682, section 4).  A translate only
 permutes the coordinates of C_lam on S_r, so the basis, the form and the
-action are all read off the coefficients of C_lam.  The basis is chosen
-by one Gram-Schmidt pass over those pairings (specht_frame), and the one
-group-algebra product is E F inside young_idempotent; the right factor E
-is summed over row cosets.
+action are all read off the coefficients of C_lam, a dict from
+permutations to Fractions.  The basis is chosen by one Gram-Schmidt pass
+over those pairings (specht_frame).  E F is formed directly from the row
+and column groups inside young_idempotent, and the right factor E is
+summed over row cosets.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ class Permutation:
     @staticmethod
     def identity(r: int) -> "Permutation":
         return Permutation(range(1, r + 1))
-
-    def __call__(self, i: int) -> int:
-        return self.image[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """self then other: (self*other)(i) = other(self(i))."""
@@ -90,47 +88,6 @@ def all_permutations(r: int) -> list[Permutation]:
 def sorted_by_length(r: int) -> list[Permutation]:
     """All of the symmetric group ordered by (Coxeter length, image)."""
     return sorted(all_permutations(r), key=lambda s: (s.inversions(), s.image))
-
-
-class GroupAlgebraElement:
-    """Finitely supported map Permutation -> Fraction."""
-
-    __slots__ = ("r", "terms")
-
-    def __init__(self, r: int, terms: dict[Permutation, Fraction] | None = None):
-        self.r = r
-        self.terms = {s: Q(c) for s, c in (terms or {}).items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, Q(0)) + c
-        return GroupAlgebraElement(self.r, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GroupAlgebraElement(self.r, {s: c * other for s, c in self.terms.items()})
-        out: dict[Permutation, Fraction] = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                s = s1 * s2
-                out[s] = out.get(s, Q(0)) + c1 * c2
-        return GroupAlgebraElement(self.r, out)
-
-    def coeff(self, s: Permutation) -> Fraction:
-        return self.terms.get(s, Q(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupAlgebraElement)
-                and self.r == other.r and self.terms == other.terms)
-
-    def __repr__(self):
-        bits = " + ".join(f"{c}*{s.image}" for s, c in sorted(
-            self.terms.items(), key=lambda t: t[0].image))
-        return f"GA[{bits or '0'}]"
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +158,9 @@ def _row_group(rows, r):
 
 
 @lru_cache(maxsize=None)
-def young_idempotent(lam: tuple[int, ...]) -> GroupAlgebraElement:
-    """The self-adjoint idempotent C_lam = E F E / kappa.
+def young_idempotent(lam: tuple[int, ...]) -> dict[Permutation, Fraction]:
+    """The self-adjoint idempotent C_lam = E F E / kappa, as its nonzero
+    coefficients {s: C_lam(s)}.
 
     E is the row symmetrizer and F the signed column symmetrizer of the
     canonical tableau, and kappa = |R_lam| r!/f^lam with R_lam the row
@@ -216,25 +174,26 @@ def young_idempotent(lam: tuple[int, ...]) -> GroupAlgebraElement:
     r = sum(lam)
     rows = _canonical_tableau(lam)
     row_group = _row_group(rows, r)
-    E = GroupAlgebraElement(r, {s: Q(1) for s in row_group})
-    F = GroupAlgebraElement(r, {s: Q(s.sign())
-                                for s in _row_group(_canonical_tableau_columns(lam), r)})
+    columns = [(t, t.sign()) for t in _row_group(_canonical_tableau_columns(lam), r)]
+    # E F is the sum of sign(t) s t over s in R_lam and t in the column
+    # group, and the two groups meet only in e, so every s t is distinct.
     # (X E)(pi) is the sum of X = E F over the coset pi R_lam, and that
     # coset is fixed by the row of each pi(i): sum X per coset, then
     # expand each coset with a nonzero sum once.
     row_of = {v: i for i, row in enumerate(rows) for v in row}
     cosets: dict[tuple[int, ...], list] = {}
-    for s, c in (E * F).terms.items():
-        coset = cosets.setdefault(tuple(row_of[v] for v in s.image), [Q(0), s])
-        coset[0] += c
-    y = GroupAlgebraElement(r, {s * rho: total for total, s in cosets.values() if total
-                                for rho in row_group})
+    for s in row_group:
+        for t, sign in columns:
+            st = s * t
+            coset = cosets.setdefault(tuple(row_of[v] for v in st.image), [Q(0), st])
+            coset[0] += sign
+    y = {s * rho: total for total, s in cosets.values() if total for rho in row_group}
     kappa = Q(len(row_group) * math.factorial(r), hook_dimension(lam))
     # the identity coefficient of y^2 = kappa y, a sum of |supp y| terms
     e = Permutation.identity(r)
-    if sum(c * y.coeff(s.inverse()) for s, c in y.terms.items()) != kappa * y.coeff(e):
+    if sum(c * y.get(s.inverse(), 0) for s, c in y.items()) != kappa * y.get(e, 0):
         raise RuntimeError("Young sandwich is not quasi-idempotent")
-    return GroupAlgebraElement(r, {s: c / kappa for s, c in y.terms.items()})
+    return {s: c / kappa for s, c in y.items()}
 
 
 def _canonical_tableau_columns(lam):
@@ -263,12 +222,12 @@ def specht_frame(lam: tuple[int, ...]):
     r = sum(lam)
     d = hook_dimension(lam)
     c = young_idempotent(lam)
-    c_e = c.coeff(Permutation.identity(r))
+    c_e = c[Permutation.identity(r)]
     xs: list[Permutation] = []
     cols: list[list[Fraction]] = []  # column k of T, truncated after row k
     norms: list[Fraction] = []
     for s in sorted_by_length(r):
-        pairs = [c.coeff(x.inverse() * s) / c_e for x in xs]
+        pairs = [c.get(x.inverse() * s, 0) / c_e for x in xs]
         coefs = [sum(t * g for t, g in zip(col, pairs)) / nk
                  for col, nk in zip(cols, norms)]
         residual = 1 - sum(p * p * nk for p, nk in zip(coefs, norms))
@@ -307,9 +266,9 @@ def specht_pairing(lam: tuple[int, ...], sigma: Permutation) -> tuple[tuple[Frac
     lam = tuple(lam)
     c = young_idempotent(lam)
     xs = specht_basis(lam)
-    c_e = c.coeff(Permutation.identity(sum(lam)))
+    c_e = c[Permutation.identity(sum(lam))]
     targets = [sigma * x for x in xs]
-    return tuple(tuple(c.coeff(x.inverse() * t) / c_e for t in targets) for x in xs)
+    return tuple(tuple(c.get(x.inverse() * t, 0) / c_e for t in targets) for x in xs)
 
 
 @lru_cache(maxsize=None)

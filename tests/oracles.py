@@ -11,10 +11,11 @@ chain of remainders over Q, cos bounds from the exact Taylor sum, signs
 at 2cos(r pi/m) from dyadic enclosures (Machin bounds for pi, Taylor
 bounds for cos rounded outward, interval Horner in integers), the Specht
 basis by elimination over r!-long coordinate vectors, the Specht data
-from products in the group algebra (with single permutations and the
-involution * as elements of Q S_r), permutations from cycles, the TL
-determinant's quantum exponents, the square-free test, polynomial
-matrices evaluated at a point, the bootstrap vector by Cramer's rule,
+from products in the group algebra (Q S_r as finitely supported maps,
+with single permutations, the Young idempotent and the involution * as
+elements), permutations from cycles, the TL determinant's quantum
+exponents, the square-free test, Yun's square-free decomposition,
+polynomial matrices evaluated at a point, the bootstrap vector by Cramer's rule,
 its uniqueness from the Gram rows, its cap scalar D from a Gram row, dense
 matrix-vector products, the
 radical as the kernel of the Gram matrix at a parameter value, the
@@ -37,14 +38,14 @@ from kadaryu.diagrams import (PairPartition, _closure, compose, flip, generators
                                permutation_diagram)
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                field_kernel, field_rank, field_row_echelon,
-                               poly_content_removed, poly_gcd, poly_squarefree_part)
+                               poly_content_removed, poly_gcd, poly_gcd_cofactors,
+                               poly_squarefree_part)
 from kadaryu.gram import ModuleLabel, gram_matrix
 from kadaryu.morphisms import XiElement
 from kadaryu.rollet import _tl_factored
 from kadaryu.roots import _integer_coeffs, minimal_poly_2cos
-from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
-                               _canonical_tableau, _canonical_tableau_columns,
-                               _row_group, all_permutations, hook_dimension,
+from kadaryu.symmetric import (Permutation, _canonical_tableau,
+                               _canonical_tableau_columns, _row_group, all_permutations, hook_dimension,
                                left_action_matrix, sorted_by_length, specht_basis,
                                specht_frame, specht_gram, young_idempotent)
 
@@ -70,6 +71,27 @@ def poly_gcd_euclid(a: Polynomial, b: Polynomial) -> Polynomial:
 def squarefree_check(p: Polynomial) -> bool:
     """p has no repeated factor: gcd(p, p') is a constant."""
     return p.degree < 1 or poly_gcd(p, p.derivative()).degree == 0
+
+
+def yun_squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
+    """Yun's algorithm: p (monic) = prod q_i^i with the q_i squarefree, coprime.
+
+    Returns [(q_i, i)] for the nonconstant q_i.
+    """
+    p = p.monic()
+    if p.degree <= 0:
+        return []
+    out = []
+    _g, c, d = poly_gcd_cofactors(p, p.derivative())
+    d = d - c.derivative()
+    i = 1
+    while c.degree > 0:
+        q, c, d = poly_gcd_cofactors(c, d)
+        if q.degree > 0:
+            out.append((q, i))
+        d = d - c.derivative()
+        i += 1
+    return out
 
 
 def matrix_at(m: PolyMatrix, x) -> list[list[Fraction]]:
@@ -644,6 +666,52 @@ def sign_at_2cos_by_enclosure(p: Polynomial, r: int, m: int):
     return None
 
 
+class GroupAlgebraElement:
+    """Finitely supported map Permutation -> Fraction."""
+
+    __slots__ = ("r", "terms")
+
+    def __init__(self, r: int, terms: dict[Permutation, Fraction] | None = None):
+        self.r = r
+        self.terms = {s: Q(c) for s, c in (terms or {}).items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for s, c in other.terms.items():
+            out[s] = out.get(s, Q(0)) + c
+        return GroupAlgebraElement(self.r, out)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GroupAlgebraElement(self.r, {s: c * other for s, c in self.terms.items()})
+        out: dict[Permutation, Fraction] = {}
+        for s1, c1 in self.terms.items():
+            for s2, c2 in other.terms.items():
+                s = s1 * s2
+                out[s] = out.get(s, Q(0)) + c1 * c2
+        return GroupAlgebraElement(self.r, out)
+
+    def coeff(self, s: Permutation) -> Fraction:
+        return self.terms.get(s, Q(0))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return (isinstance(other, GroupAlgebraElement)
+                and self.r == other.r and self.terms == other.terms)
+
+    def __repr__(self):
+        bits = " + ".join(f"{c}*{s.image}" for s, c in sorted(
+            self.terms.items(), key=lambda t: t[0].image))
+        return f"GA[{bits or '0'}]"
+
+
+def idempotent(lam: tuple[int, ...]) -> GroupAlgebraElement:
+    """young_idempotent(lam) as an element of Q S_r."""
+    return GroupAlgebraElement(sum(lam), young_idempotent(lam))
+
+
 def from_cycles(r: int, *cycles) -> Permutation:
     """The permutation of 1..r with the given cycles, each a tuple."""
     img = list(range(1, r + 1))
@@ -673,7 +741,7 @@ def specht_basis_by_elimination(lam: tuple[int, ...]) -> tuple[Permutation, ...]
     echelon over its coordinate vector on S_r, (s C)(pi) = C(s^-1 pi)."""
     r = sum(lam)
     d = hook_dimension(lam)
-    c = young_idempotent(lam)
+    c = idempotent(lam)
     order = all_permutations(r)
     chosen: list[Permutation] = []
     rows: list[list[Fraction]] = []
@@ -703,7 +771,7 @@ def star(z: GroupAlgebraElement) -> GroupAlgebraElement:
 def scalar_extract(lam: tuple[int, ...], z: GroupAlgebraElement) -> Fraction:
     """The t with z = t*C_lam, for z in C_lam * QS_r * C_lam; raises
     ValueError when z is not proportional to C_lam."""
-    c = young_idempotent(lam)
+    c = idempotent(lam)
     if z.is_zero():
         return Q(0)
     e = Permutation.identity(c.r)
@@ -715,7 +783,7 @@ def scalar_extract(lam: tuple[int, ...], z: GroupAlgebraElement) -> Fraction:
 
 def sandwich_sigma_table(lam, sigma):
     """M[i][j] = scalar(C x_i* sigma x_j C), by products in the group algebra."""
-    c = young_idempotent(lam)
+    c = idempotent(lam)
     xs = specht_basis(lam)
     sig = algebra_element(sigma)
     out = []
@@ -735,7 +803,7 @@ def elimination_left_action(lam, s):
     """A with s x_j C = sum_i A[i][j] x_i C, from one elimination over the
     |S_r| x 2d matrix whose columns are the translates x_k C, then the
     targets s x_j C, as coefficient vectors of group-algebra products."""
-    c = young_idempotent(lam)
+    c = idempotent(lam)
     xs = specht_basis(lam)
     order = all_permutations(sum(lam))
 

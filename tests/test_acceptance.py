@@ -24,10 +24,11 @@ from kadaryu.gram import (ModuleLabel, factor_one_cup, gram_det,
 from kadaryu.morphisms import divisibility_check, submodule_verify
 from kadaryu.rollet import arm_verify, chebyshev_c, dimension, marginal_v, tl_recursive_det
 from kadaryu.roots import family_series, lemma_roots_check, sturm_count, verify_root_layout
-from kadaryu.symmetric import hook_dimension, partitions, young_idempotent
+from kadaryu.symmetric import hook_dimension, partitions
 
 from oracles import (basis_by_closure, det_cofactor, det_poly, det_poly_bareiss,
-                     smith_invariants, squarefree_check, star, tl_factored_det)
+                     idempotent, smith_invariants, squarefree_check, star,
+                     tl_factored_det)
 from test_gram import COMMON_FACTORS, ONE_CUP_DETS, U_EXPANSIONS
 
 SLOW = bool(os.environ.get("KY_SLOW_TESTS"))
@@ -343,7 +344,7 @@ def test_11_property_suite(tmp_path, capsys):
         if abc1 != abc2 or l1 + e1 != l3 + e2:
             failures.append("associativity-loops")
     for lam in [(2,), (2, 1), (2, 2)]:
-        cc = young_idempotent(lam)
+        cc = idempotent(lam)
         if cc * cc != cc or star(cc) != cc:
             failures.append(("idempotent", lam))
     for size in (3, 4, 5):

@@ -10,13 +10,13 @@ from kadaryu import exactmath
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, QuotElem, det_monic_companion,
                                det_rational, field_kernel, field_rank, field_row_echelon,
                                poly_content_removed, poly_gcd, poly_gcd_cofactors,
-                               poly_nth_root, poly_squarefree_part, reduced,
-                               yun_squarefree_decomposition)
+                               poly_nth_root, poly_squarefree_part, reduced)
 from kadaryu.gram import ModuleLabel, gram_matrix
 
 import oracles
 from oracles import (det_cofactor, det_interpolate, det_poly, det_poly_bareiss, gram_mixed,
-                     poly_gcd_euclid, poly_mul_schoolbook, smith_invariants)
+                     poly_gcd_euclid, poly_mul_schoolbook, smith_invariants,
+                     yun_squarefree_decomposition)
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
 polys = st.lists(rationals, max_size=6).map(Polynomial)

@@ -1,7 +1,6 @@
 """Gram matrices of standard modules: printed determinants, one-cup
 factorisations, the mixed-rank recursion, and form contravariance."""
 
-import sys
 from fractions import Fraction
 
 import pytest
@@ -15,14 +14,13 @@ from kadaryu.exactmath import Polynomial, PolyMatrix, Q, QuotElem
 from kadaryu.gram import (GramInstance, ModuleLabel, act,
                           factor_one_cup, gram_det_lnp, gram_matrix,
                           gram_mixed_det, one_cup_det, one_cup_series)
-from kadaryu.symmetric import (GroupAlgebraElement, Permutation,
-                               all_permutations, hook_dimension,
+from kadaryu.symmetric import (Permutation, all_permutations, hook_dimension,
                                left_action_matrix, partitions, sorted_by_length,
-                               specht_frame, specht_gram, specht_pairing,
-                               young_idempotent)
+                               specht_frame, specht_gram, specht_pairing)
 from kadaryu.rollet import dimension
-from oracles import (algebra_action, apply_dense, det_poly, from_cycles, gram_by_sandwich,
-                     gram_mixed, pair_halves, sandwich_sigma_table)
+from oracles import (GroupAlgebraElement, algebra_action, apply_dense, det_poly,
+                     from_cycles, gram_by_sandwich, gram_mixed, pair_halves,
+                     sandwich_sigma_table)
 
 x = Polynomial.x()
 
@@ -404,28 +402,6 @@ class TestSigmaTables:
                       from_cycles(5, (1, 3, 5)),
                       Permutation((5, 4, 3, 2, 1))]:
             assert specht_pairing(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
-
-
-def test_assembly_multiplies_only_inside_young_idempotent(monkeypatch):
-    """Building a Gram matrix multiplies in the group algebra only for
-    E F inside young_idempotent: the sigma-tables are read off the
-    coefficients of C."""
-    for fn in (young_idempotent, specht_frame, specht_pairing, specht_gram):
-        fn.cache_clear()
-    inner = young_idempotent.__wrapped__.__code__
-    callers = []
-    mul = GroupAlgebraElement.__mul__
-
-    def spy(self, other):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not inner:
-            frame = frame.f_back
-        callers.append(frame is not None)
-        return mul(self, other)
-
-    monkeypatch.setattr(GroupAlgebraElement, "__mul__", spy)
-    gram_matrix.__wrapped__(ModuleLabel(2, 6, 4, (3, 1))).matrix
-    assert callers and all(callers)
 
 
 def labels(ls, ns, max_dim=None):

@@ -1,5 +1,6 @@
 """Exact real-root machinery and the root-layout verifier."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from kadaryu.cheby import cheb_u
 from kadaryu.exactmath import Polynomial, Q
 from kadaryu.gram import factor_one_cup
-from kadaryu.roots import (_interior_layout, _point_interval, column_series,
-                           family_series, hook_series, hook_t_series,
+from kadaryu.roots import (_cheb_intervals, _interior_layout, _point_interval,
+                           column_series, family_series, hook_series, hook_t_series,
                            lemma_roots_check, minimal_poly_2cos, row_series,
                            sign_at_2cos, sturm_count, sturm_isolate,
                            verify_root_layout)
@@ -38,14 +39,20 @@ class TestSturm:
         assert sturm_count(3 * x ** 4 + 2 * x ** 2 - 1, -math.inf, math.inf) == 2
         assert sturm_count(3 * x ** 4 + 2 * x ** 2 - 1, 0, math.inf) == 1
 
-    def test_isolate_with_multiplicity(self):
+    def test_isolate_distinct_roots(self):
         p = (x - 1) ** 2 * (x + 3)
-        ivs = sturm_isolate(p)
-        assert [iv.multiplicity for iv in ivs] == [1, 2]
-        assert ivs[0].lo < -3 < ivs[0].hi
-        assert ivs[1].lo < 1 < ivs[1].hi
-        # disjoint
-        assert ivs[0].hi <= ivs[1].lo
+        (lo0, hi0), (lo1, hi1) = sturm_isolate(p)
+        assert lo0 < -3 < hi0
+        assert lo1 < 1 < hi1
+        # disjoint and ascending
+        assert hi0 <= lo1
+
+    def test_root_at_a_midpoint_lands_left(self):
+        # the root bound of the square-free part is 3/2, so the first
+        # midpoint of (-5/2, 3/2] is the root -1/2: the half-open count
+        # puts it in the left half
+        p = (x + Q(1, 2)) * (x - 1)
+        assert sturm_isolate(p) == [(Q(-5, 2), Q(-1, 2)), (Q(-1, 2), Q(3, 2))]
 
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
            st.integers(1, 3))
@@ -59,11 +66,11 @@ class TestSturm:
         planted[roots[0]] += extra_mult - 1
         ivs = sturm_isolate(p)
         assert len(ivs) == len(planted)
-        for iv in ivs:
-            hits = [r for r in planted if iv.lo < r <= iv.hi]
-            assert len(hits) == 1, (iv, hits)
-            assert iv.multiplicity == planted[hits[0]]
-            assert sturm_count(p, iv.lo, iv.hi) == 1
+        for lo, hi in ivs:
+            hits = [r for r in planted if lo < r <= hi]
+            assert len(hits) == 1, (lo, hi, hits)
+            assert sturm_count(p, lo, hi) == 1
+            assert sturm_count_q(p, lo, hi) == 1
 
     @given(st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=4),
            st.lists(st.just(Q(0)) | rationals, max_size=6), st.data())
@@ -78,14 +85,6 @@ class TestSturm:
                           rationals)
         lo, hi = data.draw(point), data.draw(point)
         assert sturm_count(p, lo, hi) == sturm_count_q(p, lo, hi)
-
-    def test_factor_mismatch_is_internal_error(self, monkeypatch):
-        # a root that no factor (or two factors) of the decomposition claims
-        # is an engine fault, and must survive python -O
-        monkeypatch.setattr("kadaryu.roots.yun_squarefree_decomposition",
-                            lambda p: [(p.monic(), 1), (p.monic(), 2)])
-        with pytest.raises(RuntimeError, match="squarefree factors"):
-            sturm_isolate(x - 1)
 
     def test_squarefree_check(self):
         assert squarefree_check((x - 1) * (x + 2))
@@ -139,6 +138,14 @@ class TestEnclosures:
                 assert sturm_count_q(p, lo, hi) == 0, (p, r, m)
                 point = 2 * math.cos(r * math.pi / m)
                 assert float(lo) - 1e-12 <= point <= float(hi) + 1e-12
+
+    def test_sample_point_intervals_are_pinned(self):
+        """The isolating intervals of the roots of P^U_m, m = 2..40: every
+        layout witness is an end of one of them after further bisection,
+        so an edit that moves them moves the witnesses."""
+        text = "\n".join(repr(_cheb_intervals(m)) for m in range(2, 41))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e19f943424c09ae1b1efde0bf22d75aa4e42a9fe8c9ec4290e66fddcc8d9b131")
 
     def test_enclosure_reaches_minus_two(self):
         # at r = m the x-interval passes pi, where cos stops decreasing

@@ -181,3 +181,21 @@ class TestStartup:
         assert "kadaryu.gram" in loaded
         for module in ("rollet", "morphisms", "roots", "claims"):
             assert f"kadaryu.{module}" not in loaded
+
+    def test_cold_roots_loads_only_its_layers(self, tmp_path):
+        """A process that writes no bytecode compiles every module it
+        imports again: a cold layout loads the root machinery, the
+        Chebyshev series and no more."""
+        proc, loaded = probe([*WARM["roots"], "--cache-dir", str(tmp_path)])
+        assert proc.returncode == 0
+        assert package_modules(loaded) == ["kadaryu", "kadaryu.cheby", "kadaryu.claims",
+                                           "kadaryu.cli", "kadaryu.exactmath",
+                                           "kadaryu.roots"]
+
+    def test_cold_bootstrap_loads_no_roots_or_rollet(self, tmp_path):
+        proc, loaded = probe([*WARM["bootstrap"], "--cache-dir", str(tmp_path)])
+        assert proc.returncode == 0
+        loaded = package_modules(loaded)
+        assert "kadaryu.morphisms" in loaded
+        for module in ("roots", "rollet"):
+            assert f"kadaryu.{module}" not in loaded

@@ -1,5 +1,6 @@
 """Symmetric group algebra, Young idempotents, Specht data."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from kadaryu.symmetric import (Permutation, all_permutations, conjugate_partitio
                                hook_dimension, is_partition, left_action_matrix,
                                partitions, specht_basis, specht_frame,
                                specht_gram, specht_pairing, young_idempotent)
-from oracles import (algebra_element, elimination_left_action, from_cycles,
+from oracles import (algebra_element, elimination_left_action, from_cycles, idempotent,
                      sandwich_sigma_table, sandwich_specht_gram, scalar_extract,
                      specht_basis_by_elimination, star, young_idempotent_by_square)
 
@@ -78,7 +79,7 @@ class TestPartitions:
 class TestYoungIdempotent:
     @pytest.mark.parametrize("lam", UP_TO_5)
     def test_idempotent(self, lam):
-        c = young_idempotent(lam)
+        c = idempotent(lam)
         assert c * c == c
 
     @pytest.mark.parametrize("lam", UP_TO_5)
@@ -88,28 +89,28 @@ class TestYoungIdempotent:
         c, kappa = young_idempotent_by_square(lam)
         rows = math.prod(math.factorial(part) for part in lam)
         assert kappa == Fraction(rows * math.factorial(sum(lam)), hook_dimension(lam))
-        assert young_idempotent(lam) == c
+        assert idempotent(lam) == c
 
     @pytest.mark.slow
     @pytest.mark.parametrize("lam", partitions(6))
     def test_matches_square_oracle_r6(self, lam):
-        assert young_idempotent(lam) == young_idempotent_by_square(lam)[0]
+        assert idempotent(lam) == young_idempotent_by_square(lam)[0]
 
     @pytest.mark.parametrize("lam", [(2,), (2, 1), (2, 2)])
     def test_self_adjoint(self, lam):
-        c = young_idempotent(lam)
+        c = idempotent(lam)
         assert star(c) == c
 
     def test_trivial_and_sign(self):
         r = 3
-        triv = young_idempotent((3,))
-        sgn = young_idempotent((1, 1, 1))
+        triv = idempotent((3,))
+        sgn = idempotent((1, 1, 1))
         for s in all_permutations(r):
             assert triv.coeff(s) == Fraction(1, 6)
             assert sgn.coeff(s) == Fraction(s.sign(), 6)
 
     def test_two_one_explicit(self):
-        c = young_idempotent((2, 1))
+        c = idempotent((2, 1))
         # (1/6)(e + (12))(e - (13))(e + (12)) expanded
         e = Permutation.identity(3)
         assert c.coeff(e) == Fraction(1, 3)
@@ -117,7 +118,23 @@ class TestYoungIdempotent:
         assert c.coeff(Permutation((3, 2, 1))) == Fraction(-1, 6)
 
     def test_orthogonality_of_conjugate_types(self):
-        assert (young_idempotent((3,)) * young_idempotent((1, 1, 1))).is_zero()
+        assert (idempotent((3,)) * idempotent((1, 1, 1))).is_zero()
+
+    def test_terms_are_pinned(self):
+        """The coefficients of every C_lam, lam of r <= 5, in dict order:
+        gram.act sums its terms, and the Specht frame reads them, in this
+        order."""
+        text = "\n".join(repr(list(young_idempotent(lam).items()))
+                         for lam in UP_TO_5)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ccd73292916f76b47e1889b01cb6bee2eeee16c43fc15f757674dc996baf24a5")
+
+    def test_quasi_idempotence_is_checked(self, monkeypatch):
+        """A wrong kappa fails the check on y^2 = kappa y, and the fault
+        survives python -O."""
+        monkeypatch.setattr("kadaryu.symmetric.hook_dimension", lambda lam: 1)
+        with pytest.raises(RuntimeError, match="not quasi-idempotent"):
+            young_idempotent.__wrapped__((2, 1))
 
 
 class TestSpecht:
@@ -167,7 +184,7 @@ class TestSpecht:
         z = algebra_element(Permutation.identity(3))
         with pytest.raises(ValueError):
             scalar_extract(lam, z)
-        c = young_idempotent(lam)
+        c = idempotent(lam)
         assert scalar_extract(lam, c * Fraction(5, 2)) == Fraction(5, 2)
 
     @pytest.mark.parametrize("lam", [(2, 1), (2, 2)])

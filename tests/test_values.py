@@ -4,11 +4,10 @@ which every lru_cache keyed by a label relies on."""
 
 import pytest
 
-from kadaryu.exactmath import Polynomial, Q
+from kadaryu.exactmath import Polynomial
 from kadaryu.gram import ModuleLabel, gram_matrix
 from kadaryu.morphisms import solve_xi
 from kadaryu.rollet import arm_verify
-from kadaryu.roots import sturm_isolate
 
 
 class TestModuleLabel:
@@ -64,14 +63,3 @@ def test_arm_record():
     assert rec.residual == (Polynomial.one(), Polynomial.one())
     with pytest.raises(AttributeError):
         rec.equal = False
-
-
-def test_isolating_interval():
-    p = Polynomial([-2, 0, 1])
-    lower, upper = sturm_isolate(p)
-    assert lower.hi <= upper.lo
-    for iv in (lower, upper):
-        assert (iv.poly, iv.multiplicity) == (p, 1)
-        assert p(iv.lo) * p(iv.hi) < 0
-    with pytest.raises(AttributeError):
-        upper.lo = Q(0)
