@@ -704,8 +704,8 @@ def field_rank(rows: list[list]) -> int:
 
 def field_row_echelon(rows: list[list]):
     """Reduced row echelon form over Q or Q[a]/(m); returns (pivot column
-    list, echelon rows).  Entries are Fractions or QuotElems: pivots are
-    found by truth value and scaled by 1 / pivot."""
+    list, echelon rows).  Entries are ints, Fractions or QuotElems: pivots
+    are found by truth value and scaled by Q(1) / pivot."""
     m = [list(r) for r in rows]
     if not m or not m[0]:
         return [], m
@@ -721,7 +721,7 @@ def field_row_echelon(rows: list[list]):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        scale = 1 / m[r][c]
+        scale = Q(1) / m[r][c]
         m[r] = [scale * x for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:

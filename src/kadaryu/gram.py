@@ -16,20 +16,22 @@ the cell quotient and contribute 0.  The (d, sigma) of every pair of half
 diagrams come from one pairing table (diagrams.pairing_table), and each
 sigma-table <x_i c, sigma x_j c> is M(sigma) = S A(sigma), S the Specht
 Gram and A(sigma) the action of sigma on the Specht basis
-(symmetric.left_action_matrix, which checks S A(sigma) = M(sigma) exactly
-where it solves for A(sigma)).
+(symmetric.left_action_matrix, which checks S A(sigma) = M(sigma) and the
+integrality of A(sigma) exactly where it solves for A(sigma)).
 
 Determinants are reported monic: the form is only defined up to a global
 scalar, and monic normalisation is the canonical representative.  The
-monic determinant is that of a monic matrix polynomial A~ in a whose
-blocks are the A(sigma) times a^loops, placed by one loop over the pairing
-table: one integer block companion characteristic polynomial
+monic determinant is that of a monic integer matrix polynomial A~ in a
+whose blocks are the A(sigma) times a^loops, placed by one loop over the
+pairing table: one integer block companion characteristic polynomial
 (GramInstance.det_monic), and the one exact check point is the
 determinant core's own (exactmath.det_monic_companion).  The Gram matrix
 is G = (S (x) I) A~, built only to be printed; the mixed-rank determinant
-(gram_mixed_det) and every certificate read A~.  Only this module knows
-the basis layout: GramInstance.cup_row gives the position of u_cup b_k in
-a one-cup module.
+(gram_mixed_det) and every certificate read A~, and only this module
+reads it: the certificates take rows of the pencil A~(a) = a I + B_0 of a
+one-cup module (GramInstance.pencil).  Only this module knows the basis
+layout: GramInstance.cup_row gives the position of u_cup b_k in a one-cup
+module.
 
 S_r acts on the first r strands of a module (act): s u_a = u_b sigma, read
 off compose and half_normalize once per (label, s), gives s (u_a b_i) =
@@ -39,7 +41,6 @@ The pairing table and the action share one residual-permutation check.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -129,22 +130,31 @@ class GramInstance:
             raise ValueError(f"{lab} is not a one-cup module")
         return k * len(self.half) + one_cup_index(lab.l, lab.n).index(cup)
 
+    def pencil(self, a, rows) -> list[dict]:
+        """The given rows of A~(a) = a I + B_0 of a one-cup module at a
+        parameter value a: the variable, an int, a rational or a QuotElem.
+        Each row is {column: entry} over the nonzero entries of B_0 and the
+        diagonal; off the diagonal the entries are ints."""
+        if self.label.cups != 1:
+            raise ValueError(f"{self.label} is not a one-cup module")
+        tail = self.linearisation
+        return [{j: b + a if i == j else b for j, b in enumerate(tail[i]) if b or i == j}
+                for i in rows]
+
     @cached_property
-    def linearisation(self) -> tuple[list[list[int]], int]:
-        """(tail, den): A~ = a^cups I + (B_0 + .. + B_{cups-1} a^{cups-1}) /
-        den with integer tail = [B_0 | .. | B_{cups-1}].  A~ places the block
-        A(sigma) = left_action_matrix(lam, sigma) times a^loops at every pair
-        of the table, den the lcm of the blocks' denominators, and only
-        u = v closes every cup."""
+    def linearisation(self) -> list[list[int]]:
+        """The integer tail [B_0 | .. | B_{cups-1}] of A~ = a^cups I + B_0 +
+        .. + B_{cups-1} a^{cups-1}.  A~ places the integer block A(sigma) =
+        left_action_matrix(lam, sigma) times a^loops at every pair of the
+        table, and only u = v closes every cup."""
         lab = self.label
         dim, cups, nhalf = self.dim, lab.cups, len(self.half)
         sigmas = {pair[1] for pairs in self.table for pair in pairs if pair is not None}
-        action = {sigma: left_action_matrix(lab.lam, sigma) for sigma in sigmas}
-        den = math.lcm(*(v.denominator for a in action.values() for row in a for v in row))
-        # den A(sigma) once per sigma, as (i * nhalf, j * nhalf, integer entry)
-        blocks = {sigma: [(i * nhalf, j * nhalf, v.numerator * (den // v.denominator))
-                          for i, row in enumerate(a) for j, v in enumerate(row) if v]
-                  for sigma, a in action.items()}
+        # A(sigma) once per sigma, as (i * nhalf, j * nhalf, entry)
+        blocks = {sigma: [(i * nhalf, j * nhalf, v)
+                          for i, row in enumerate(left_action_matrix(lab.lam, sigma))
+                          for j, v in enumerate(row) if v]
+                  for sigma in sigmas}
         identity = Permutation.identity(lab.r)
         tail = [[0] * (cups * dim) for _ in range(dim)]
         for a, pairs in enumerate(self.table):
@@ -159,28 +169,28 @@ class GramInstance:
                 elif a != b or sigma != identity:
                     raise RuntimeError(f"half diagrams {a} and {b} close every cup "
                                        f"with sigma = {sigma} for {lab}")
-        return tail, den
+        return tail
 
     @cached_property
     def matrix(self) -> PolyMatrix:
-        """G = (S (x) I) A~, S the Specht Gram, built only to be printed: L den
-        G summed in integers over the nonzero entries of den A~, L the lcm of
-        the denominators of S.  Entry ((i, a), (j, b)) is a^loops
-        M(sigma)[i][j] for the pair (a, b) of the table, one monomial."""
-        tail, den = self.linearisation
+        """G = (S (x) I) A~, S the Specht Gram, built only to be printed: L G
+        summed in integers over the nonzero entries of A~, L the lcm of the
+        denominators of S.  Entry ((i, a), (j, b)) is a^loops M(sigma)[i][j]
+        for the pair (a, b) of the table, one monomial."""
+        tail = self.linearisation
         dim, cups, nhalf = self.dim, self.label.cups, len(self.half)
         S, L = clear_denominators(specht_gram(self.label.lam))
         acc = [{} for _ in range(dim)]
         for row, values in enumerate(tail):
             m, a = divmod(row, nhalf)
-            # columns k * dim + c of den A~, its diagonal den a^cups as k = cups
-            terms = [(col, v) for col, v in enumerate(values) if v] + [(cups * dim + row, den)]
+            # columns k * dim + c of A~, its diagonal a^cups as k = cups
+            terms = [(col, v) for col, v in enumerate(values) if v] + [(cups * dim + row, 1)]
             for i, s in enumerate(S):
                 if s[m]:
                     out = acc[i * nhalf + a]
                     for col, v in terms:
                         out[col] = out.get(col, 0) + s[m] * v
-        monomial = lru_cache(maxsize=None)(lambda v, k: Polynomial.monomial(Q(v, L * den), k))
+        monomial = lru_cache(maxsize=None)(lambda v, k: Polynomial.monomial(Q(v, L), k))
         rows = [[Polynomial()] * dim for _ in range(dim)]
         for r, out in enumerate(acc):
             for col, v in out.items():
@@ -193,7 +203,7 @@ class GramInstance:
         """The Gram determinant divided by det(S)^h, h the number of half
         diagrams: det A~, from exactmath.det_monic_companion, which checks it
         exactly at one point.  G = (S (x) I) A~, so det G = det(S)^h det A~."""
-        return det_monic_companion(*self.linearisation)
+        return det_monic_companion(self.linearisation, 1)
 
 
 @lru_cache(maxsize=None)
@@ -206,10 +216,6 @@ def gram_det(label: ModuleLabel) -> Polynomial:
     return gram_matrix(label).det_monic
 
 
-def gram_det_lnp(l: int, n: int, p: int, lam: tuple[int, ...]) -> Polynomial:
-    return gram_det(ModuleLabel(l, n, p, tuple(lam)))
-
-
 # ---------------------------------------------------------------------------
 # one-cup series and the determinant factorisation
 # ---------------------------------------------------------------------------
@@ -219,28 +225,19 @@ def one_cup_det(l: int, n: int, lam: tuple[int, ...]) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def one_cup_series(l: int, lam: tuple[int, ...]) -> ChebSeries:
-    """The Chebyshev series of monic one-cup determinants, anchored at the
-    first two interesting ranks n = l+4, l+5."""
-    lam = tuple(lam)
-    if sum(lam) != l + 2:
-        raise ValueError("lambda must be a partition of l+2")
-    return ChebSeries(l + 4, one_cup_det(l, l + 4, lam), one_cup_det(l, l + 5, lam))
-
-
-@lru_cache(maxsize=None)
 def factor_one_cup(l: int, lam: tuple[int, ...]) -> tuple[Polynomial, ChebSeries]:
     """Split the one-cup determinant series as det_n = C * (P_n)^d.
 
-    C is the gcd of the two anchor determinants; P is the d-th root of the
-    reduced anchors and is itself a ramping Chebyshev series.  A failed
-    d-th root would falsify the factorisation and is reported, never
-    masked.
+    C is the gcd of the two anchor determinants at the first two
+    interesting ranks n = l+4, l+5; P is the d-th root of the reduced
+    anchors and is itself a ramping Chebyshev series.  A failed d-th root
+    would falsify the factorisation and is reported, never masked.
     """
     lam = tuple(lam)
+    if sum(lam) != l + 2:
+        raise ValueError("lambda must be a partition of l+2")
     d = hook_dimension(lam)
-    s = one_cup_series(l, lam)
-    c, q0, q1 = poly_gcd_cofactors(s.pN, s.pN1)
+    c, q0, q1 = poly_gcd_cofactors(one_cup_det(l, l + 4, lam), one_cup_det(l, l + 5, lam))
     p0 = poly_nth_root(q0, d)
     p1 = poly_nth_root(q1, d)
     series = ChebSeries(l + 4, p0, p1)
@@ -261,15 +258,16 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
 
     The pairing rules only see the cup indices, so smaller-rank cups keep
     their values at the largest rank: the form is the one-cup Gram matrix
-    there, G = (S (x) I) A~ with A~ = a I + B_0 / den, conjugated by T and
+    there, G = (S (x) I) A~ with A~ = a I + B_0, conjugated by T and
     restricted to each vector's cups.  T^t S T = N = diag(norms) gives
     T^t S = N T^-1, so in the y frame the form is (N (x) I)(a I + R) with
-    R = (T^-1 (x) I) B_0 / den (T (x) I).  Normalised per cup by the norms,
+    R = (T^-1 (x) I) B_0 (T (x) I).  Normalised per cup by the norms,
     so that the three-term rank recursion is scale-free, the determinant is
     the principal minor det(a I + R) on those cups, one block companion
-    characteristic polynomial (exactmath.det_monic_companion).  T^-1 is
-    N^-1 T^t S, checked to invert T exactly; T and T^-1 are upper
-    triangular, so only the nonzero entries of B_0 are walked.
+    characteristic polynomial (exactmath.det_monic_companion) whose common
+    denominator comes from T alone.  T^-1 is N^-1 T^t S, checked to invert
+    T exactly; T and T^-1 are upper triangular, so only the nonzero entries
+    of B_0 are walked.
     """
     lam = tuple(lam)
     d = hook_dimension(lam)
@@ -279,7 +277,7 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
         raise ValueError("each rank must be >= l+4")
     big = max(n_tuple)
     inst = gram_matrix(ModuleLabel(l, big, big - 2, lam))
-    tail, den = inst.linearisation
+    tail = inst.linearisation
     _xs, T, norms = specht_frame(lam)
     S = specht_gram(lam)
     inv = [[sum(T[i][k] * S[i][m] for i in range(d)) / norms[k] for m in range(d)]
@@ -290,12 +288,12 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
     nhalf = len(inst.half)
     cups = [inst.cup_row(k, jk) for k, nk in enumerate(n_tuple) for jk in one_cup_index(l, nk)]
     pos = {row: i for i, row in enumerate(cups)}
-    # R restricted to the cups: row (k, a) takes T^-1[k][m] / den for
+    # R restricted to the cups: row (k, a) takes T^-1[k][m] for
     # m >= k, column (kk, b) takes T[mm][kk] for mm <= kk
     low = [[0] * len(pos) for _ in pos]
     for row, values in enumerate(tail):
         m, a = divmod(row, nhalf)
-        rows = [(pos[k * nhalf + a], inv[k][m] / den) for k in range(m + 1)
+        rows = [(pos[k * nhalf + a], inv[k][m]) for k in range(m + 1)
                 if k * nhalf + a in pos and inv[k][m]]
         for col, val in enumerate(values):
             if val and rows:

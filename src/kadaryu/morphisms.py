@@ -6,10 +6,10 @@ returns a polynomial D(a) times the Specht projector.  D follows the
 three-term Chebyshev recursion up the tower and is divisible by the monic
 series factor of the one-cup determinants, so roots of the latter are
 parameter values where xi generates a submodule isomorphic to the
-cap-free standard module.  This file computes xi exactly from the
-linearisation A~ = aI + B_0 / den the module's determinant is taken from,
-as its polynomial adjugate (Cayley-Hamilton), and reads everything else off
-rows of the same pencil den A~(a) (_pencil_rows): xi's uniqueness (which
+cap-free standard module.  This file computes xi exactly from the integer
+linearisation A~ = aI + B_0 the module's determinant is taken from, as its
+polynomial adjugate (Cayley-Hamilton), and reads everything else off rows
+of the same pencil A~(a) (GramInstance.pencil): xi's uniqueness (which
 follows from det A~ being monic), D at every rank of the step recursion,
 the form-support claims of the translates of xi, and the radical at
 explicit (possibly irrational) parameter values.  It checks the recursion
@@ -56,51 +56,31 @@ def solve_xi(l: int, lam: tuple[int, ...], n: int) -> XiElement:
 
     v is supported on the last-cup rows with entries <b_m, b_1>, so
     v = (S (x) I) e, e the unit vector at u_{n-1,n} b_1.  The linearisation
-    is G = (S (x) I)(aI - C), C = -B_0 / den, and det_monic = chi_C, so
-    adj(aI - C) e = chi_C(a) G^-1 v comes from the Horner recursion
-    u_{dim-1} = e, u_{k-1} = C u_k + c_k e, run in integers on
-    U_k = den^(dim-1-k) u_k = -B_0 U_{k+1} + den^(dim-1-k) c_{k+1} e.  The
-    Cayley-Hamilton residue U_{-1} must be zero, the content is stripped and
-    D = chi_C / content.
+    is G = (S (x) I)(aI - C), C = -B_0 an integer matrix, and det_monic =
+    chi_C, an integer polynomial, so adj(aI - C) e = chi_C(a) G^-1 v comes
+    from the Horner recursion u_{dim-1} = e, u_{k-1} = C u_k + c_k e, run
+    in integers.  The Cayley-Hamilton residue u_{-1} must be zero, the
+    content is stripped and D = chi_C / content.
     """
     lam = tuple(lam)
     label = ModuleLabel(l, n, n - 2, lam)
     inst = gram_matrix(label)
-    tail, den = inst.linearisation
-    B0 = [[(j, b) for j, b in enumerate(row) if b] for row in tail]
+    B0 = [list(row.items()) for row in inst.pencil(0, range(inst.dim))]
     last = inst.cup_row(0, (n - 1, n))
     det = inst.det_monic
-    us, scale = [[int(i == last) for i in range(inst.dim)]], 1  # U_{dim-1}, .., U_{-1}
+    us = [[int(i == last) for i in range(inst.dim)]]  # u_{dim-1}, .., u_{-1}
     for ck in det.coeffs[-2::-1]:
-        scale *= den
-        ck *= scale
-        if ck.denominator != 1:
-            raise RuntimeError(f"den^k c_k = {ck} is not an integer for {label}")
         u = [-sum(b * us[-1][j] for j, b in row) for row in B0]
         u[last] += ck.numerator
         us.append(u)
     if any(us.pop()):
         raise RuntimeError(f"Cayley-Hamilton residue nonzero for {label}")
-    us = [[Q(v, den ** k) for v in u] for k, u in enumerate(us)]
     content, prim = poly_content_removed([Polynomial(u[::-1]) for u in zip(*us)])
     d_poly, rem = det.divmod(content)
     if not rem.is_zero():
         raise RuntimeError(f"D is not polynomial for {label}: ({det})/({content})")
     # det and the content are monic, so D is too
     return XiElement(label, tuple(prim), d_poly)
-
-
-def _pencil_rows(label: ModuleLabel, a, rows) -> list[dict]:
-    """The given rows of den A~(a) = den a I + B_0, the linearisation the
-    module's determinant is taken from, at a parameter value a: the
-    variable, a rational or a QuotElem.  Each row is {column: entry} over
-    the nonzero entries of B_0 and the diagonal.  Entries are Fractions,
-    Polynomials or field elements, never bare ints, since
-    field_row_echelon scales a pivot row by 1 / pivot."""
-    tail, den = gram_matrix(label).linearisation
-    da = den * a
-    return [{j: Q(b) + da if i == j else Q(b) for j, b in enumerate(tail[i]) if b or i == j}
-            for i in rows]
 
 
 def _apply(rows, vec):
@@ -112,13 +92,12 @@ def _apply(rows, vec):
 def _compute_d(label: ModuleLabel, coeffs) -> Polynomial:
     """D from the form: <u_{n-1,n} b_1, xi> = D * <b_1, b_1> = D.  As
     G = (S (x) I) A~ entry by entry, that is sum_m S[0][m] (A~ xi)_(m, last)
-    for any vector xi, read off the d last-cup rows of den A~."""
+    for any vector xi, read off the d last-cup rows of A~."""
     inst = gram_matrix(label)
     S = specht_gram(label.lam)
     last = (label.n - 1, label.n)
-    rows = _pencil_rows(label, Polynomial.x(), [inst.cup_row(m, last) for m in range(len(S))])
-    acc = sum((p * s for p, s in zip(_apply(rows, coeffs), S[0]) if s), Polynomial())
-    return acc * Q(1, inst.linearisation[1])
+    rows = inst.pencil(Polynomial.x(), [inst.cup_row(m, last) for m in range(len(S))])
+    return sum((p * s for p, s in zip(_apply(rows, coeffs), S[0]) if s), Polynomial())
 
 
 def xi_step(xi: XiElement) -> XiElement:
@@ -182,14 +161,14 @@ def divisibility_check(l: int, lam: tuple[int, ...], n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def xi_report(l: int, lam: tuple[int, ...], n: int) -> dict:
-    """Claims report on the solved xi at rank n, read off one pencil den A~
+    """Claims report on the solved xi at rank n, read off one pencil A~
     over all rows and one Specht projection C xi:
 
-    - xi-unique: every row of den A~ but u_{n-1,n} b_1 kills xi, and xi is
+    - xi-unique: every row of A~ but u_{n-1,n} b_1 kills xi, and xi is
       nonzero.  As G = (S (x) I) A~, those rows span the Gram rows off the
       last cup and the last-cup Gram rows pinned to the ratios of the first
       Specht Gram column (the Schur complement of S_00).  Nothing more is
-      needed for the line: A~ = aI + B_0 / den has a monic determinant of
+      needed for the line: A~ = aI + B_0 has a monic determinant of
       degree dim, so any dim - 1 of its rows are independent over Q(a), and
       their kernel is one line, which the nonzero xi spans.  The claims
       below are about that line, so the report stops here if it fails.
@@ -199,7 +178,7 @@ def xi_report(l: int, lam: tuple[int, ...], n: int) -> dict:
     - form-support-k{k}: the form of x_k C xi against the basis is
       D <b_m, b_k> on the last cup and 0 elsewhere, G vec = D (S (x) I)
       e_(k, last); as G = (S (x) I) A~ and S is invertible, that is
-      den A~ vec = den D e_(k, last).
+      A~ vec = D e_(k, last).
     """
     if n < l + 4:
         raise ValueError("rank must be at least l+4")
@@ -208,7 +187,7 @@ def xi_report(l: int, lam: tuple[int, ...], n: int) -> dict:
     label = xi.label
     inst = gram_matrix(label)
     last = [inst.cup_row(k, (n - 1, n)) for k in range(inst.d)]
-    pencil = _pencil_rows(label, Polynomial.x(), range(inst.dim))
+    pencil = inst.pencil(Polynomial.x(), range(inst.dim))
     claims: list[dict] = []
     fields = {"l": l, "lambda": list(lam), "n": n}
     unique = any(xi.coeffs) and not any(
@@ -218,7 +197,6 @@ def xi_report(l: int, lam: tuple[int, ...], n: int) -> dict:
         return report(fields, claims)
     projected = act(label, young_idempotent(lam), xi.coeffs)
     claim(claims, "projector-fixes-xi", tuple(projected) == xi.coeffs)
-    den_d = xi.D * inst.linearisation[1]
     for k, xk in enumerate(specht_basis(lam)):
         vec = act(label, {xk: 1}, projected)  # (x_k C) xi = x_k (C xi)
         if k == 0:
@@ -226,7 +204,7 @@ def xi_report(l: int, lam: tuple[int, ...], n: int) -> dict:
         claim(claims, f"last-cup-support-k{k}",
               all(vec[row] == (common if kk == k else 0) for kk, row in enumerate(last)))
         claim(claims, f"form-support-k{k}",
-              all(got == (den_d if i == last[k] else 0)
+              all(got == (xi.D if i == last[k] else 0)
                   for i, got in enumerate(_apply(pencil, vec))))
     return report(fields, claims)
 
@@ -291,10 +269,10 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
     pre = not to_f(gram_det(label))
     claim(claims, "parameter-annihilates-det", pre, desc)
 
-    # den A~(alpha0) has the row space of G(alpha0), and scaling rows leaves
-    # the reduced echelon form, so the kernel basis, as it is
-    rows = _pencil_rows(label, to_f(Polynomial.x()), range(inst.dim))
-    ker = field_kernel([[row.get(j, Q(0)) for j in range(inst.dim)] for row in rows])
+    # A~(alpha0) has the row space of G(alpha0), so the same reduced
+    # echelon form and the same kernel basis
+    rows = inst.pencil(to_f(Polynomial.x()), range(inst.dim))
+    ker = field_kernel([[row.get(j, 0) for j in range(inst.dim)] for row in rows])
     deficiency = len(ker)
     claim(claims, "radical-nonzero", deficiency > 0,
           {"rank_deficiency": deficiency, "dim": inst.dim})

@@ -12,9 +12,10 @@ Theory of the Symmetric Groups*, LNM 682, section 4).  A translate only
 permutes the coordinates of C_lam on S_r, so the basis, the form and the
 action are all read off the coefficients of C_lam, a dict from
 permutations to Fractions.  The basis is chosen by one Gram-Schmidt pass
-over those pairings (specht_frame).  E F is formed directly from the row
-and column groups inside young_idempotent, and the right factor E is
-summed over row cosets.
+over those pairings (specht_frame), and S_r acts on it by integer
+matrices, each certified where it is solved (left_action_matrix).  E F is
+formed directly from the row and column groups inside young_idempotent,
+and the right factor E is summed over row cosets.
 """
 
 from __future__ import annotations
@@ -278,14 +279,16 @@ def specht_gram(lam: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def left_action_matrix(lam: tuple[int, ...], s: Permutation) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix A with s * x_j C = sum_i A[i][j] x_i C (columns indexed by j).
+def left_action_matrix(lam: tuple[int, ...], s: Permutation) -> tuple[tuple[int, ...], ...]:
+    """Integer matrix A with s * x_j C = sum_i A[i][j] x_i C (columns
+    indexed by j).
 
     Pairing both sides with x_i C gives G A = M(s), with G the Specht Gram
     and M(s) the pairing at s; G is positive definite, so A is the right
-    half of the reduced echelon form of [G | M(s)].  G A = M(s) is checked
-    exactly, once per (lam, s), so every A that a Gram linearisation or an
-    action on a module reads is certified.
+    half of the reduced echelon form of [G | M(s)].  G A = M(s) and the
+    integrality of A (the Specht basis x_i C spans an integral form) are
+    checked exactly, once per (lam, s), so every A that a Gram
+    linearisation or an action on a module reads is certified.
     """
     lam = tuple(lam)
     d = hook_dimension(lam)
@@ -293,4 +296,6 @@ def left_action_matrix(lam: tuple[int, ...], s: Permutation) -> tuple[tuple[Frac
     A = tuple(tuple(row[d:]) for row in field_row_echelon([g + m for g, m in zip(G, M)])[1])
     if tuple(tuple(sum(g * v for g, v in zip(row, col)) for col in zip(*A)) for row in G) != M:
         raise RuntimeError(f"S A(sigma) != M(sigma) at sigma = {s} for lambda = {lam}")
-    return A
+    if any(v.denominator != 1 for row in A for v in row):
+        raise RuntimeError(f"A(sigma) is not integral at sigma = {s} for lambda = {lam}")
+    return tuple(tuple(v.numerator for v in row) for row in A)

@@ -261,6 +261,26 @@ class TestBootstrap:
         assert code == 2 and out == ""
         assert "argument --alpha: bad value" in err
 
+    def test_constant_modulus_is_usage_error(self, tmp_path, capsys):
+        assert run(capsys, "bootstrap", "--l", "0", "--lambda", "2", "--n", "4",
+                   "--alpha", "minpoly:5", *cache_args(tmp_path)) == (
+            2, "", "error: modulus must be nonconstant\n")
+        assert not (tmp_path / "cache").exists()
+
+    def test_ambiguous_truncation_is_usage_error(self, tmp_path, capsys):
+        assert run(capsys, "bootstrap", "--l", "2", "--lambda", "2,2", "--n", "4",
+                   "--alpha", "1", *cache_args(tmp_path)) == (
+            2, "", "error: ambiguous truncation of (2, 2) to size 2\n")
+        assert not (tmp_path / "cache").exists()
+
+    def test_trailing_zero_coefficients_share_a_record(self, tmp_path, capsys):
+        """The modulus is keyed with its trailing zero coefficients stripped."""
+        argv = ["bootstrap", "--l", "0", "--lambda", "2", "--n", "4", *cache_args(tmp_path)]
+        padded = run(capsys, *argv, "--alpha", "minpoly:-4,1,1,0")
+        assert padded[0] == 0
+        assert run(capsys, *argv, "--alpha", "minpoly:-4,1,1") == padded
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+
 
 class TestUsage:
     @pytest.mark.parametrize("command,fmt", [
@@ -293,6 +313,13 @@ class TestUsage:
 
     def test_bad_partition_string(self, capsys):
         assert main(["series", "--l", "0", "--lambda", "1,2"]) == 2
+
+    def test_unparsable_partition_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "gram", "--l", "0", "--n", "4", "--p", "2",
+                             "--lambda", "2,x", *cache_args(tmp_path))
+        assert (code, out) == (2, "")
+        assert "argument --lambda: bad partition '2,x'" in err
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("command", [["series"], ["verify", "arm"],
                                          ["roots"], ["bootstrap"]])

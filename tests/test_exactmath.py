@@ -494,6 +494,15 @@ class TestFieldLinearAlgebra:
         for v in ker:
             assert sum(a * b for a, b in zip(rows[0], v)) == 0
 
+    def test_integer_rows_give_fractions(self):
+        """Pivots are inverted as Q(1) / pivot, so integer rows never turn
+        into floats."""
+        assert field_kernel([[2, 1]]) == [[Q(-1, 2), Q(1)]]
+        _piv, ech = field_row_echelon([[2, 1], [4, 3]])
+        assert ech == [[1, 0], [0, 1]]
+        for v in [*field_kernel([[2, 1]])[0], *ech[0], *ech[1]]:
+            assert type(v) is Fraction, v
+
     def test_kernel_over_an_algebraic_field(self):
         m = Polynomial([-2, 0, 1])  # a^2 - 2
         a = QuotElem(m, Polynomial.x())

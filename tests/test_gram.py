@@ -11,9 +11,8 @@ from kadaryu import exactmath, gram, symmetric
 from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
 from kadaryu.diagrams import compose, half_normalize, one_cup_index, permutation_diagram
 from kadaryu.exactmath import Polynomial, PolyMatrix, Q, QuotElem
-from kadaryu.gram import (GramInstance, ModuleLabel, act,
-                          factor_one_cup, gram_det_lnp, gram_matrix,
-                          gram_mixed_det, one_cup_det, one_cup_series)
+from kadaryu.gram import (GramInstance, ModuleLabel, act, factor_one_cup, gram_matrix,
+                          gram_mixed_det, one_cup_det)
 from kadaryu.symmetric import (Permutation, all_permutations, hook_dimension,
                                left_action_matrix, partitions, sorted_by_length,
                                specht_frame, specht_gram, specht_pairing)
@@ -149,6 +148,11 @@ def test_series_predicts_next_rank():
 def test_p21_rank7():
     _c, series = factor_one_cup(1, (2, 1))
     assert series.term(7) == x ** 6 - 9 * x ** 4 + 14 * x * x - 3
+
+
+def test_factorisation_refuses_a_partition_of_another_size():
+    with pytest.raises(ValueError, match=r"lambda must be a partition of l\+2"):
+        factor_one_cup(1, (2,))
 
 
 class TestGramStructure:
@@ -358,35 +362,20 @@ class TestMixedRanks:
             gram_mixed_det(1, (2, 1), (5, 6))
 
     def test_denominators_are_cleared(self, monkeypatch):
-        """TestDetMonic.test_denominators_are_cleared's rescaling of the
-        Specht basis by D = diag(2, 1), with T taken to D^-1 T so that the
-        orthogonal y_k stay as they are: the linearisation at the largest
-        rank has den = 2, while R = (T^-1 (x) I) B_0 / den (T (x) I), the
-        mixed determinant and the companion's L = 4 are unchanged."""
-        args = (1, (2, 1), (5, 6))
-        scale = [Q(2), Q(1)]
+        """B_0 is an integer matrix, so the denominators of
+        R = (T^-1 (x) I) B_0 (T (x) I) come from the frame T alone, and the
+        companion clears them: L = 4 for (2, 1) and L = 36 for (3, 1)."""
         dens = []
         core = gram.det_monic_companion
-        frame = gram.specht_frame
 
         def spy(tail, den):
             dens.append(den)
             return core(tail, den)
 
         monkeypatch.setattr(gram, "det_monic_companion", spy)
-        want = gram_mixed_det(*args)
-
-        def rescaled_frame(lam):
-            xs, T, norms = frame(lam)
-            return xs, tuple(tuple(v / scale[m] for v in row) for m, row in enumerate(T)), norms
-
-        monkeypatch.setattr(gram, "specht_gram", rescaled(specht_gram, scale, 1))
-        monkeypatch.setattr(gram, "left_action_matrix", rescaled(left_action_matrix, scale, -1))
-        monkeypatch.setattr(gram, "specht_frame", rescaled_frame)
-        monkeypatch.setattr(gram, "gram_matrix", GramInstance)
-        assert gram.gram_matrix(ModuleLabel(1, 6, 4, (2, 1))).linearisation[1] == 2
-        assert gram_mixed_det(*args) == want
-        assert dens == [4, 4]
+        gram_mixed_det(1, (2, 1), (5, 6))
+        gram_mixed_det(2, (3, 1), (6, 6, 7))
+        assert dens == [4, 36]
 
 
 class TestSigmaTables:
@@ -453,25 +442,22 @@ class TestDetMonic:
                                        ModuleLabel(2, 6, 4, (3, 1)),
                                        pytest.param(ModuleLabel(1, 7, 3, (2, 1)),
                                                     marks=pytest.mark.slow)])
-    def test_denominators_are_cleared(self, monkeypatch, label):
-        """No A(sigma) at r <= 6 has a denominator, so rescale the Specht
-        basis by D = diag(2, 1, .., 1): S becomes D S D and A(sigma)
-        becomes D^-1 A D, the blocks of A~ then carry halves, the
-        determinant is unchanged, and the companion sees L = 2."""
-        want = GramInstance(label).det_monic
+    def test_non_integral_action_raises(self, monkeypatch, label):
+        """Rescaling the Specht basis by D = diag(2, 1, .., 1) takes S to
+        D S D, every M(sigma) to D M(sigma) D and A(sigma) to
+        D^-1 A(sigma) D: S A(sigma) = M(sigma) still holds, but some
+        A(sigma) carries a half, and left_action_matrix refuses it before
+        the linearisation places it."""
         scale = [Q(2)] + [Q(1)] * (hook_dimension(label.lam) - 1)
-        dens = []
-        core = gram.det_monic_companion
-
-        def spy(tail, den):
-            dens.append(den)
-            return core(tail, den)
-
-        monkeypatch.setattr(gram, "specht_gram", rescaled(specht_gram, scale, 1))
-        monkeypatch.setattr(gram, "left_action_matrix", rescaled(left_action_matrix, scale, -1))
-        monkeypatch.setattr(gram, "det_monic_companion", spy)
-        assert GramInstance(label).det_monic == want
-        assert dens == [2]
+        specht_gram(label.lam)  # cache S unscaled: it reads specht_pairing, patched below
+        left_action_matrix.cache_clear()
+        monkeypatch.setattr(symmetric, "specht_gram", rescaled(specht_gram, scale, 1))
+        monkeypatch.setattr(symmetric, "specht_pairing", rescaled(specht_pairing, scale, 1))
+        try:
+            with pytest.raises(RuntimeError, match="not integral"):
+                GramInstance(label).det_monic
+        finally:
+            left_action_matrix.cache_clear()
 
     def test_failed_check_raises(self, monkeypatch):
         corrupt_charpoly(monkeypatch)
@@ -497,11 +483,11 @@ class TestDetMonic:
         as polynomials, and it is the matrix printed."""
         inst = GramInstance(label)
         G = gram_by_sandwich(label).entries
-        tail, den = inst.linearisation
+        tail = inst.linearisation
         dim, nhalf, cups = inst.dim, len(inst.half), label.cups
         S = specht_gram(label.lam)
         top = Polynomial.monomial(1, cups)
-        lin = [[Polynomial([Q(row[k * dim + c], den) for k in range(cups)])
+        lin = [[Polynomial([row[k * dim + c] for k in range(cups)])
                 + (top if r == c else Polynomial()) for c in range(dim)]
                for r, row in enumerate(tail)]
         for i in range(inst.d):
@@ -510,6 +496,26 @@ class TestDetMonic:
                             Polynomial()) for c in range(dim)]
                 assert G[i * nhalf + a] == want, (i, a)
         assert inst.matrix.entries == G
+
+    @pytest.mark.parametrize("label", [ModuleLabel(0, 4, 2, (2,)), ModuleLabel(1, 5, 3, (2, 1)),
+                                       ModuleLabel(2, 6, 4, (3, 1)), ModuleLabel(2, 6, 4, (2, 2))],
+                             ids=lambda lab: lab.key())
+    def test_pencil_is_the_gram_matrix_over_s(self, label):
+        """sum_m S[i][m] (row (m, a) of the pencil at the variable) is the
+        printed Gram row (i, a): G = (S (x) I) A~."""
+        inst = GramInstance(label)
+        nhalf, S = len(inst.half), specht_gram(label.lam)
+        for a in range(nhalf):
+            rows = inst.pencil(x, [m * nhalf + a for m in range(inst.d)])
+            for i in range(inst.d):
+                want = [sum((row.get(c, 0) * s for row, s in zip(rows, S[i])), Polynomial())
+                        for c in range(inst.dim)]
+                assert inst.matrix.entries[i * nhalf + a] == want, (i, a)
+
+    def test_pencil_of_two_cups_raises(self):
+        inst = GramInstance(ModuleLabel(2, 6, 2, (2,)))
+        with pytest.raises(ValueError, match="not a one-cup module"):
+            inst.pencil(x, [0])
 
     def test_is_the_gram_determinant_over_det_s(self):
         """det G = det(S)^h det_monic, h the number of half diagrams."""

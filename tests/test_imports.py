@@ -3,7 +3,7 @@ module-level name is read somewhere in the package, every public function,
 class and method is read by the package or the benchmark harness or is
 library API, no module calls float, writes a float literal or imports
 dataclasses, only the CLI reads the dense Gram matrix and only gram.py
-reads a module's half-diagram list: stdlib `ast` scans that stand in for a
+reads a module's half-diagram list and its linearisation: stdlib `ast` scans that stand in for a
 linter's unused-import, dead-code, exactness, start-up and layering
 rules."""
 
@@ -242,6 +242,13 @@ def test_only_gram_reads_the_half_diagrams(path):
     """The basis layout (Specht index outermost, then the half diagrams)
     is known to gram.py alone; other modules ask GramInstance.cup_row."""
     assert attribute_reads(path.read_text(), "half") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"], ids=lambda p: p.name)
+def test_only_gram_reads_the_linearisation(path):
+    """The layout of A~ (the integer tail [B_0 | .. | B_{cups-1}]) is known
+    to gram.py alone; other modules take rows of GramInstance.pencil."""
+    assert attribute_reads(path.read_text(), "linearisation") == []
 
 
 def test_scan_sees_a_half_read():

@@ -20,8 +20,8 @@ DEFINED_IN = {
     exactmath: ("Polynomial", "PolyMatrix", "Q"),
     cheby: ("ChebSeries", "cheb_u", "quantum_number", "u_expansion"),
     diagrams: ("PairPartition", "compose", "flip", "half_basis", "one_cup_basis"),
-    gram: ("ModuleLabel", "factor_one_cup", "gram_det", "gram_det_lnp",
-           "gram_matrix", "gram_mixed_det", "one_cup_det", "one_cup_series"),
+    gram: ("ModuleLabel", "factor_one_cup", "gram_det", "gram_matrix",
+           "gram_mixed_det", "one_cup_det"),
     rollet: ("RolletGraph", "arm_verify", "chebyshev_c", "dimension",
              "marginal_v", "tl_recursive_det"),
     morphisms: ("XiElement", "divisibility_check", "solve_xi", "submodule_verify",

@@ -242,3 +242,13 @@ class TestAgainstSandwichOracles:
             assert specht_gram(lam) == sandwich_specht_gram(lam), lam
             for sigma in all_permutations(5)[3::59]:
                 assert specht_pairing(lam, sigma) == sandwich_sigma_table(lam, sigma), (lam, sigma)
+
+
+@pytest.mark.parametrize("r", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
+def test_action_is_integral(r):
+    """left_action_matrix returns ints for every adjacent transposition, so
+    every A(sigma), a product of those, is an integer matrix."""
+    for lam in partitions(r):
+        for i in range(1, r):
+            s = Permutation(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, r + 1)))
+            assert all(type(v) is int for row in left_action_matrix(lam, s) for v in row), (lam, i)
