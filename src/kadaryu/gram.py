@@ -16,8 +16,8 @@ the cell quotient and contribute 0.  The (d, sigma) of every pair of half
 diagrams come from one pairing table (diagrams.pairing_table), and each
 sigma-table <x_i c, sigma x_j c> is M(sigma) = S A(sigma), S the Specht
 Gram and A(sigma) the action of sigma on the Specht basis
-(symmetric.left_action_matrix, which checks S A(sigma) = M(sigma) and the
-integrality of A(sigma) exactly where it solves for A(sigma)).
+(symmetric.left_action_matrix, read off one table of translates solved
+once per lam, where S A = M and integrality are checked exactly).
 
 Determinants are reported monic: the form is only defined up to a global
 scalar, and monic normalisation is the canonical representative.  The
@@ -49,8 +49,8 @@ from .exactmath import (Polynomial, PolyMatrix, Q, clear_denominators, det_monic
 from .cheby import ChebSeries, ramping_check
 from .diagrams import (compose, half_basis, half_normalize, one_cup_basis,
                        one_cup_index, pairing_table, permutation_diagram)
-from .symmetric import (Permutation, hook_dimension, is_partition,
-                        left_action_matrix, specht_frame, specht_gram)
+from .symmetric import (hook_dimension, identity, is_partition, left_action_matrix,
+                        specht_frame, specht_gram)
 
 
 class _LabelFields(NamedTuple):
@@ -72,7 +72,8 @@ class ModuleLabel(_LabelFields):
         if p < 0 or p > n or (n - p) % 2:
             raise ValueError(f"invalid (n,p)=({n},{p}): parity/range")
         r = min(p, l + 2)
-        if sum(lam) != r or not (is_partition(lam) or lam == ()):
+        lam = tuple(lam)
+        if sum(lam) != r or not is_partition(lam):
             raise ValueError(f"lambda {lam} is not a partition of min(p, l+2) = {r}")
         return super().__new__(cls, l, n, p, lam)
 
@@ -155,7 +156,7 @@ class GramInstance:
                           for i, row in enumerate(left_action_matrix(lab.lam, sigma))
                           for j, v in enumerate(row) if v]
                   for sigma in sigmas}
-        identity = Permutation.identity(lab.r)
+        e = identity(lab.r)
         tail = [[0] * (cups * dim) for _ in range(dim)]
         for a, pairs in enumerate(self.table):
             for b, pair in enumerate(pairs):
@@ -166,7 +167,7 @@ class GramInstance:
                     shift = loops * dim + b
                     for i, j, val in blocks[sigma]:
                         tail[i + a][shift + j] = val
-                elif a != b or sigma != identity:
+                elif a != b or sigma != e:
                     raise RuntimeError(f"half diagrams {a} and {b} close every cup "
                                        f"with sigma = {sigma} for {lab}")
         return tail
@@ -311,24 +312,27 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _residual(image: tuple[int, ...], r: int) -> Permutation:
-    """The residual permutation with this image, restricted to 1..r; one
-    that moves a strand beyond r is a closure bug, not data."""
-    perm = Permutation(image)
-    if not perm.fixes_from(r + 1):
+def _residual(image: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The residual permutation with this image, restricted to 1..r; an
+    image that is not a permutation, or one that moves a strand beyond r,
+    is a closure bug, not data."""
+    e = identity(len(image))
+    if sorted(image) != list(e):
+        raise RuntimeError(f"residual {image} is not a permutation")
+    if image[r:] != e[r:]:
         raise RuntimeError(f"residual permutation {image} moves a strand beyond {r}: "
                            "height-closure violation")
-    return perm.restrict(r)
+    return image[:r]
 
 
 @lru_cache(maxsize=None)
-def _moves(label: ModuleLabel, s: Permutation) -> tuple:
+def _moves(label: ModuleLabel, s: tuple[int, ...]) -> tuple:
     """(b, A(sigma)) for every half diagram u_a, with s u_a = u_b sigma and
     s extended by identity strands.  A permutation keeps all p lines of u_a
     and closes no loop."""
     half = gram_matrix(label).half
     index = {u: b for b, u in enumerate(half)}
-    g = permutation_diagram(s.extend(label.n).image)
+    g = permutation_diagram(s + identity(label.n)[len(s):])
     moves = []
     for u in half:
         u2, image = half_normalize(compose(g, u)[0])

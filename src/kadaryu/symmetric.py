@@ -1,21 +1,23 @@
 """Permutations, Young idempotents in Q S_r and Specht bases.
 
-The group product mirrors diagram stacking: ``(a * b)(i) = b(a(i))`` — apply
-``a`` first, then ``b``.  This keeps every translation between permutation
-diagrams and group algebra elements a homomorphism (composition of diagrams
-is also read top-to-bottom).  The star operation inverts permutations and is
-the restriction of the diagram flip.
+A permutation is its image tuple, and the product mirrors diagram stacking:
+``mul(a, b)(i) = b(a(i))`` — apply ``a`` first, then ``b`` — so every
+translation between permutation diagrams and group algebra elements is a
+homomorphism.  The star operation inverts permutations and is the
+restriction of the diagram flip.
 
 The Specht module of lam is the left ideal QS_r C_lam of the Young
 idempotent, with basis translates x_i C_lam (James, *The Representation
-Theory of the Symmetric Groups*, LNM 682, section 4).  A translate only
-permutes the coordinates of C_lam on S_r, so the basis, the form and the
-action are all read off the coefficients of C_lam, a dict from
-permutations to Fractions.  The basis is chosen by one Gram-Schmidt pass
-over those pairings (specht_frame), and S_r acts on it by integer
-matrices, each certified where it is solved (left_action_matrix).  E F is
-formed directly from the row and column groups inside young_idempotent,
-and the right factor E is summed over row cosets.
+Theory of the Symmetric Groups*, LNM 682, sections 3-4).  rho C = C rho = C
+for rho in the row group R_lam, so a translate t C and the coefficient C(t)
+depend only on the row coset t R_lam, the tabloid of t (row_coset).  The
+basis, the form and the action are read off the coefficients of C_lam, a
+dict from image tuples to Fractions: one Gram-Schmidt pass over one
+translate per row coset picks the basis (specht_frame), and one certified
+solve per lam gives the integer coordinates of every translate, off which
+each A(s) of the action is read (left_action_matrix).  E F is formed
+directly from the row and column groups inside young_idempotent, and the
+right factor E is summed over row cosets.
 """
 
 from __future__ import annotations
@@ -28,67 +30,33 @@ from itertools import permutations as _itperms, product
 from .exactmath import Q, field_row_echelon
 
 
-class Permutation:
-    """Permutation of {1..r} stored as an image tuple."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image):
-        self.image = tuple(image)
-        if sorted(self.image) != list(range(1, len(self.image) + 1)):
-            raise ValueError(f"not a permutation image: {image}")
-
-    @staticmethod
-    def identity(r: int) -> "Permutation":
-        return Permutation(range(1, r + 1))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """self then other: (self*other)(i) = other(self(i))."""
-        return Permutation(other.image[v - 1] for v in self.image)
-
-    def inverse(self) -> "Permutation":
-        img = [0] * len(self.image)
-        for i, v in enumerate(self.image, start=1):
-            img[v - 1] = i
-        return Permutation(img)
-
-    def sign(self) -> int:
-        return -1 if self.inversions() % 2 else 1
-
-    def inversions(self) -> int:
-        img = self.image
-        return sum(1 for i in range(len(img)) for j in range(i + 1, len(img))
-                   if img[i] > img[j])
-
-    def fixes_from(self, k: int) -> bool:
-        """True when every point >= k is fixed."""
-        return all(self.image[i - 1] == i for i in range(k, len(self.image) + 1))
-
-    def restrict(self, r: int) -> "Permutation":
-        if not self.fixes_from(r + 1):
-            raise ValueError("does not fix the tail")
-        return Permutation(self.image[:r])
-
-    def extend(self, r: int) -> "Permutation":
-        return Permutation(self.image + tuple(range(len(self.image) + 1, r + 1)))
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.image == other.image
-
-    def __hash__(self):
-        return hash(self.image)
-
-    def __repr__(self):
-        return f"Permutation{self.image}"
+def identity(r: int) -> tuple[int, ...]:
+    return tuple(range(1, r + 1))
 
 
-def all_permutations(r: int) -> list[Permutation]:
-    return [Permutation(img) for img in _itperms(range(1, r + 1))]
+def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a then b: mul(a, b)(i) = b(a(i))."""
+    return tuple(b[v - 1] for v in a)
 
 
-def sorted_by_length(r: int) -> list[Permutation]:
+def inverse(s: tuple[int, ...]) -> tuple[int, ...]:
+    img = [0] * len(s)
+    for i, v in enumerate(s, start=1):
+        img[v - 1] = i
+    return tuple(img)
+
+
+def inversions(s: tuple[int, ...]) -> int:
+    return sum(1 for i in range(len(s)) for j in range(i + 1, len(s)) if s[i] > s[j])
+
+
+def all_permutations(r: int) -> list[tuple[int, ...]]:
+    return list(_itperms(range(1, r + 1)))
+
+
+def sorted_by_length(r: int) -> list[tuple[int, ...]]:
     """All of the symmetric group ordered by (Coxeter length, image)."""
-    return sorted(all_permutations(r), key=lambda s: (s.inversions(), s.image))
+    return sorted(all_permutations(r), key=lambda s: (inversions(s), s))
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +122,20 @@ def _row_group(rows, r):
         for row, perm in zip(rows, perms):
             for a, b in zip(row, perm):
                 img[a - 1] = b
-        out.append(Permutation(img))
+        out.append(tuple(img))
     return out
 
 
+def row_coset(lam: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
+    """The row coset s R_lam, as the row of lam's canonical tableau that
+    holds each s(i) (the tabloid of s): a row permutation rho moves no s(i)
+    out of its row, so mul(s, rho) has the same key."""
+    rows = [i for i, part in enumerate(lam) for _ in range(part)]
+    return tuple(rows[v - 1] for v in s)
+
+
 @lru_cache(maxsize=None)
-def young_idempotent(lam: tuple[int, ...]) -> dict[Permutation, Fraction]:
+def young_idempotent(lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
     """The self-adjoint idempotent C_lam = E F E / kappa, as its nonzero
     coefficients {s: C_lam(s)}.
 
@@ -173,26 +149,23 @@ def young_idempotent(lam: tuple[int, ...]) -> dict[Permutation, Fraction]:
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam}")
     r = sum(lam)
-    rows = _canonical_tableau(lam)
-    row_group = _row_group(rows, r)
-    columns = [(t, t.sign()) for t in _row_group(_canonical_tableau_columns(lam), r)]
+    row_group = _row_group(_canonical_tableau(lam), r)
+    columns = [(t, (-1) ** inversions(t))
+               for t in _row_group(_canonical_tableau_columns(lam), r)]
     # E F is the sum of sign(t) s t over s in R_lam and t in the column
     # group, and the two groups meet only in e, so every s t is distinct.
-    # (X E)(pi) is the sum of X = E F over the coset pi R_lam, and that
-    # coset is fixed by the row of each pi(i): sum X per coset, then
-    # expand each coset with a nonzero sum once.
-    row_of = {v: i for i, row in enumerate(rows) for v in row}
+    # (X E)(pi) is the sum of X = E F over the coset pi R_lam: sum X per
+    # coset, then expand each coset with a nonzero sum once.
     cosets: dict[tuple[int, ...], list] = {}
     for s in row_group:
         for t, sign in columns:
-            st = s * t
-            coset = cosets.setdefault(tuple(row_of[v] for v in st.image), [Q(0), st])
+            st = mul(s, t)
+            coset = cosets.setdefault(row_coset(lam, st), [Q(0), st])
             coset[0] += sign
-    y = {s * rho: total for total, s in cosets.values() if total for rho in row_group}
+    y = {mul(s, rho): total for total, s in cosets.values() if total for rho in row_group}
     kappa = Q(len(row_group) * math.factorial(r), hook_dimension(lam))
     # the identity coefficient of y^2 = kappa y, a sum of |supp y| terms
-    e = Permutation.identity(r)
-    if sum(c * y.get(s.inverse(), 0) for s, c in y.items()) != kappa * y.get(e, 0):
+    if sum(c * y.get(inverse(s), 0) for s, c in y.items()) != kappa * y.get(identity(r), 0):
         raise RuntimeError("Young sandwich is not quasi-idempotent")
     return {s: c / kappa for s, c in y.items()}
 
@@ -208,27 +181,37 @@ def _canonical_tableau_columns(lam):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _translates(lam: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """{row coset: its first permutation in (Coxeter length, image) order},
+    one permutation t for each distinct translate t C_lam."""
+    out: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for s in sorted_by_length(sum(lam)):
+        out.setdefault(row_coset(lam, s), s)
+    return out
+
+
+@lru_cache(maxsize=None)
 def specht_frame(lam: tuple[int, ...]):
     """(xs, T, norms): the Specht basis x_i C_lam and its Gram-Schmidt frame.
 
     The form is positive definite on QS_r C and pairs x C with s C as
-    C(x^-1 s)/C(e) (specht_pairing), so every translate has norm 1.  The
-    candidates s run greedily in (Coxeter length, image) order, and s is
-    kept exactly when its residual norm 1 - sum_k p_k^2 <y_k, y_k> against
-    the orthogonal y_k built so far is nonzero.  T is unit upper triangular
+    C(x^-1 s)/C(e) (_pairing), so every translate has norm 1.  The
+    candidates s run greedily in (Coxeter length, image) order, one per
+    row coset (_translates: the rest repeat a translate), and s is kept
+    exactly when its residual norm 1 - sum_k p_k^2 <y_k, y_k> against the
+    orthogonal y_k built so far is nonzero.  T is unit upper triangular
     with y_k = sum_m T[m][k] x_m C, and T^t G T = diag(norms) for the
     Specht Gram G (no normalisation: that needs surds).
     """
     lam = tuple(lam)
-    r = sum(lam)
     d = hook_dimension(lam)
     c = young_idempotent(lam)
-    c_e = c[Permutation.identity(r)]
-    xs: list[Permutation] = []
+    c_e = c[identity(sum(lam))]
+    xs: list[tuple[int, ...]] = []
     cols: list[list[Fraction]] = []  # column k of T, truncated after row k
     norms: list[Fraction] = []
-    for s in sorted_by_length(r):
-        pairs = [c.get(x.inverse() * s, 0) / c_e for x in xs]
+    for s in _translates(lam).values():
+        pairs = [c.get(mul(inverse(x), s), 0) / c_e for x in xs]
         coefs = [sum(t * g for t, g in zip(col, pairs)) / nk
                  for col, nk in zip(cols, norms)]
         residual = 1 - sum(p * p * nk for p, nk in zip(coefs, norms))
@@ -249,53 +232,63 @@ def specht_frame(lam: tuple[int, ...]):
     return tuple(xs), T, tuple(norms)
 
 
-def specht_basis(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
+def specht_basis(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Permutations x_i with {x_i C_lam} a basis of the left ideal."""
     return specht_frame(lam)[0]
 
 
-@lru_cache(maxsize=None)
-def specht_pairing(lam: tuple[int, ...], sigma: Permutation) -> tuple[tuple[Fraction, ...], ...]:
-    """M[i][j] = <x_i c, sigma x_j c>, the t with C x_i* sigma x_j C = t C.
+def _pairing(lam: tuple[int, ...], ts) -> tuple[tuple[Fraction, ...], ...]:
+    """M[i][k] = <x_i C, t_k C>, the t with C x_i^-1 t_k C = t C.
 
     The identity coefficient of u* v is the dot product of the coordinate
     vectors of u and v.  For translates of the self-adjoint idempotent C it
     is one coordinate: (C g C)(e) = (C C)(g^-1) = C(g).  So
-    M[i][j] = C(x_i^-1 sigma x_j) / C(e), the coordinate of the translate
-    x_i C at sigma x_j, with no group-algebra product.
+    M[i][k] = C(x_i^-1 t_k) / C(e), with no group-algebra product.
     """
-    lam = tuple(lam)
     c = young_idempotent(lam)
-    xs = specht_basis(lam)
-    c_e = c[Permutation.identity(sum(lam))]
-    targets = [sigma * x for x in xs]
-    return tuple(tuple(c.get(x.inverse() * t, 0) / c_e for t in targets) for x in xs)
+    c_e = c[identity(sum(lam))]
+    return tuple(tuple(c.get(mul(inverse(x), t), 0) / c_e for t in ts)
+                 for x in specht_basis(lam))
 
 
 @lru_cache(maxsize=None)
 def specht_gram(lam: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """G[i][j] = <x_i c, x_j c>: the pairing at sigma = e."""
-    return specht_pairing(tuple(lam), Permutation.identity(sum(lam)))
+    """G[i][j] = <x_i C, x_j C>."""
+    return _pairing(lam, specht_basis(lam))
 
 
 @lru_cache(maxsize=None)
-def left_action_matrix(lam: tuple[int, ...], s: Permutation) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix A with s * x_j C = sum_i A[i][j] x_i C (columns
+def _coordinates(lam: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """{row coset of t: the integer coordinates a of t C in the basis x_i C},
+    over every row coset of S_r.
+
+    Pairing t C = sum_i a_i x_i C with x_i C gives S a = m(t), S the
+    Specht Gram and m(t) the pairing of the basis with t C.  S is positive
+    definite, so one reduced echelon form of [S | m(t_1) .. m(t_K)] over
+    the K translates gives every a.  S a = m(t) and the integrality of a
+    (the Specht basis x_i C spans an integral form) are checked exactly,
+    once per lam, so every A(sigma) read off the table is certified.
+    """
+    ts = _translates(lam)
+    S, M = specht_gram(lam), _pairing(lam, ts.values())
+    ech = field_row_echelon([g + m for g, m in zip(S, M)])[1]
+    table = {}
+    for key, t, a, m in zip(ts, ts.values(), zip(*(row[len(S):] for row in ech)), zip(*M)):
+        if tuple(sum(g * v for g, v in zip(row, a)) for row in S) != m:
+            raise RuntimeError(f"S A(sigma) != M(sigma) at the translate {t} for lambda = {lam}")
+        if any(v.denominator != 1 for v in a):
+            raise RuntimeError(f"A(sigma) is not integral at the translate {t} for lambda = {lam}")
+        table[key] = tuple(v.numerator for v in a)
+    return table
+
+
+def left_action_matrix(lam: tuple[int, ...], s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Integer matrix A(s) with s x_j C = sum_i A[i][j] x_i C (columns
     indexed by j).
 
-    Pairing both sides with x_i C gives G A = M(s), with G the Specht Gram
-    and M(s) the pairing at s; G is positive definite, so A is the right
-    half of the reduced echelon form of [G | M(s)].  G A = M(s) and the
-    integrality of A (the Specht basis x_i C spans an integral form) are
-    checked exactly, once per (lam, s), so every A that a Gram
-    linearisation or an action on a module reads is certified.
+    s x_j C is the translate of the row coset of s x_j, so column j is read
+    off the certified coordinate table (_coordinates), and S A(s) = M(s),
+    M(s) the pairing of the basis with s x_j C, holds column by column.
     """
-    lam = tuple(lam)
-    d = hook_dimension(lam)
-    G, M = specht_gram(lam), specht_pairing(lam, s)
-    A = tuple(tuple(row[d:]) for row in field_row_echelon([g + m for g, m in zip(G, M)])[1])
-    if tuple(tuple(sum(g * v for g, v in zip(row, col)) for col in zip(*A)) for row in G) != M:
-        raise RuntimeError(f"S A(sigma) != M(sigma) at sigma = {s} for lambda = {lam}")
-    if any(v.denominator != 1 for row in A for v in row):
-        raise RuntimeError(f"A(sigma) is not integral at sigma = {s} for lambda = {lam}")
-    return tuple(tuple(v.numerator for v in row) for row in A)
+    table = _coordinates(lam)
+    return tuple(zip(*(table[row_coset(lam, mul(s, x))] for x in specht_basis(lam))))

@@ -44,10 +44,10 @@ from kadaryu.gram import ModuleLabel, gram_matrix
 from kadaryu.morphisms import XiElement
 from kadaryu.rollet import _tl_factored
 from kadaryu.roots import _integer_coeffs, minimal_poly_2cos
-from kadaryu.symmetric import (Permutation, _canonical_tableau,
-                               _canonical_tableau_columns, _row_group, all_permutations, hook_dimension,
-                               left_action_matrix, sorted_by_length, specht_basis,
-                               specht_frame, specht_gram, young_idempotent)
+from kadaryu.symmetric import (_canonical_tableau, _canonical_tableau_columns, _row_group,
+                               all_permutations, hook_dimension, identity as perm_identity,
+                               inverse, inversions, left_action_matrix, mul, sorted_by_length,
+                               specht_basis, specht_frame, specht_gram, young_idempotent)
 
 
 def poly_mul_schoolbook(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -418,12 +418,12 @@ def pair_halves(u: PairPartition, v: PairPartition, p: int, r: int):
     w, loops = compose(flip(u), v)
     if w.propagating_count() < p:
         return None
-    perm = Permutation(permutation_image(w))
-    if not perm.fixes_from(r + 1):
+    perm = permutation_image(w)
+    if perm[r:] != perm_identity(len(perm))[r:]:
         raise RuntimeError(
-            f"residual permutation {perm.image} moves a strand beyond {r}: "
+            f"residual permutation {perm} moves a strand beyond {r}: "
             "height-closure violation")
-    return loops, perm.restrict(r)
+    return loops, perm[:r]
 
 
 def compose_by_graph(p1: PairPartition, p2: PairPartition) -> tuple[PairPartition, int]:
@@ -667,11 +667,11 @@ def sign_at_2cos_by_enclosure(p: Polynomial, r: int, m: int):
 
 
 class GroupAlgebraElement:
-    """Finitely supported map Permutation -> Fraction."""
+    """Finitely supported map from permutations (image tuples) to Fractions."""
 
     __slots__ = ("r", "terms")
 
-    def __init__(self, r: int, terms: dict[Permutation, Fraction] | None = None):
+    def __init__(self, r: int, terms: dict[tuple[int, ...], Fraction] | None = None):
         self.r = r
         self.terms = {s: Q(c) for s, c in (terms or {}).items() if c}
 
@@ -684,14 +684,14 @@ class GroupAlgebraElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return GroupAlgebraElement(self.r, {s: c * other for s, c in self.terms.items()})
-        out: dict[Permutation, Fraction] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for s1, c1 in self.terms.items():
             for s2, c2 in other.terms.items():
-                s = s1 * s2
+                s = mul(s1, s2)
                 out[s] = out.get(s, Q(0)) + c1 * c2
         return GroupAlgebraElement(self.r, out)
 
-    def coeff(self, s: Permutation) -> Fraction:
+    def coeff(self, s: tuple[int, ...]) -> Fraction:
         return self.terms.get(s, Q(0))
 
     def is_zero(self) -> bool:
@@ -702,8 +702,7 @@ class GroupAlgebraElement:
                 and self.r == other.r and self.terms == other.terms)
 
     def __repr__(self):
-        bits = " + ".join(f"{c}*{s.image}" for s, c in sorted(
-            self.terms.items(), key=lambda t: t[0].image))
+        bits = " + ".join(f"{c}*{s}" for s, c in sorted(self.terms.items()))
         return f"GA[{bits or '0'}]"
 
 
@@ -712,13 +711,13 @@ def idempotent(lam: tuple[int, ...]) -> GroupAlgebraElement:
     return GroupAlgebraElement(sum(lam), young_idempotent(lam))
 
 
-def from_cycles(r: int, *cycles) -> Permutation:
+def from_cycles(r: int, *cycles) -> tuple[int, ...]:
     """The permutation of 1..r with the given cycles, each a tuple."""
     img = list(range(1, r + 1))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
             img[a - 1] = b
-    return Permutation(img)
+    return tuple(img)
 
 
 def young_idempotent_by_square(lam: tuple[int, ...]):
@@ -726,7 +725,7 @@ def young_idempotent_by_square(lam: tuple[int, ...]):
     supported permutation and checked on all of them, and C = y / kappa."""
     r = sum(lam)
     E = GroupAlgebraElement(r, {s: Q(1) for s in _row_group(_canonical_tableau(lam), r)})
-    F = GroupAlgebraElement(r, {s: Q(s.sign())
+    F = GroupAlgebraElement(r, {s: Q((-1) ** inversions(s))
                                 for s in _row_group(_canonical_tableau_columns(lam), r)})
     y = E * F * E
     y2 = y * y
@@ -736,18 +735,18 @@ def young_idempotent_by_square(lam: tuple[int, ...]):
     return y * (1 / kappa), kappa
 
 
-def specht_basis_by_elimination(lam: tuple[int, ...]) -> tuple[Permutation, ...]:
+def specht_basis_by_elimination(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The greedy Specht basis, each candidate translate s C tested by a row
     echelon over its coordinate vector on S_r, (s C)(pi) = C(s^-1 pi)."""
     r = sum(lam)
     d = hook_dimension(lam)
     c = idempotent(lam)
     order = all_permutations(r)
-    chosen: list[Permutation] = []
+    chosen: list[tuple[int, ...]] = []
     rows: list[list[Fraction]] = []
     for s in sorted_by_length(r):
-        s_inv = s.inverse()
-        vec = [c.coeff(s_inv * pi) for pi in order]
+        s_inv = inverse(s)
+        vec = [c.coeff(mul(s_inv, pi)) for pi in order]
         piv, ech = field_row_echelon(rows + [vec])
         if len(piv) > len(chosen):
             chosen.append(s)
@@ -758,14 +757,14 @@ def specht_basis_by_elimination(lam: tuple[int, ...]) -> tuple[Permutation, ...]
     return tuple(chosen)
 
 
-def algebra_element(s: Permutation, c=1) -> GroupAlgebraElement:
+def algebra_element(s: tuple[int, ...], c=1) -> GroupAlgebraElement:
     """c times the permutation s, as an element of Q S_r."""
-    return GroupAlgebraElement(len(s.image), {s: Q(c)})
+    return GroupAlgebraElement(len(s), {s: Q(c)})
 
 
 def star(z: GroupAlgebraElement) -> GroupAlgebraElement:
     """Linear extension of permutation inversion; an involution."""
-    return GroupAlgebraElement(z.r, {s.inverse(): c for s, c in z.terms.items()})
+    return GroupAlgebraElement(z.r, {inverse(s): c for s, c in z.terms.items()})
 
 
 def scalar_extract(lam: tuple[int, ...], z: GroupAlgebraElement) -> Fraction:
@@ -774,7 +773,7 @@ def scalar_extract(lam: tuple[int, ...], z: GroupAlgebraElement) -> Fraction:
     c = idempotent(lam)
     if z.is_zero():
         return Q(0)
-    e = Permutation.identity(c.r)
+    e = perm_identity(c.r)
     t = z.coeff(e) / c.coeff(e)
     if z == c * t:
         return t
@@ -788,7 +787,7 @@ def sandwich_sigma_table(lam, sigma):
     sig = algebra_element(sigma)
     out = []
     for xi in xs:
-        left = c * algebra_element(xi.inverse()) * sig
+        left = c * algebra_element(inverse(xi)) * sig
         out.append(tuple(scalar_extract(lam, left * algebra_element(xj) * c)
                          for xj in xs))
     return tuple(out)
@@ -796,7 +795,7 @@ def sandwich_sigma_table(lam, sigma):
 
 def sandwich_specht_gram(lam):
     """G[i][j] = scalar(C x_i* x_j C)."""
-    return sandwich_sigma_table(lam, Permutation.identity(sum(lam)))
+    return sandwich_sigma_table(lam, perm_identity(sum(lam)))
 
 
 def elimination_left_action(lam, s):
@@ -811,7 +810,7 @@ def elimination_left_action(lam, s):
         z = algebra_element(g) * c
         return [z.coeff(p) for p in order]
 
-    cols = [vector(x) for x in xs] + [vector(s * x) for x in xs]
+    cols = [vector(x) for x in xs] + [vector(mul(s, x)) for x in xs]
     d = len(xs)
     piv, ech = field_row_echelon(list(zip(*cols)))
     if piv != list(range(d)):
@@ -959,10 +958,11 @@ def action_matrix(label: ModuleLabel, g: PairPartition):
         if w.propagating_count() < label.p:
             continue
         u2, image = half_normalize(w)
-        perm = Permutation(image)
-        if not perm.fixes_from(label.r + 1):
+        if sorted(image) != list(perm_identity(len(image))):
+            raise RuntimeError("action residual is not a permutation")
+        if image[label.r:] != perm_identity(len(image))[label.r:]:
             raise RuntimeError("action residual moves a strand beyond r")
-        sigma = perm.restrict(label.r)
+        sigma = image[:label.r]
         lam_mat = left_action_matrix(label.lam, sigma)
         a2 = index[u2]
         for m in range(d):
@@ -978,7 +978,7 @@ def algebra_action(label: ModuleLabel, elem: GroupAlgebraElement):
     size = gram_matrix(label).dim
     A = [[Q(0)] * size for _ in range(size)]
     for s, c in elem.terms.items():
-        g = permutation_diagram(s.extend(label.n).image)
+        g = permutation_diagram(s + perm_identity(label.n)[len(s):])
         M = action_matrix(label, g)
         for i in range(size):
             row_a, row_m = A[i], M[i]

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from kadaryu import exactmath, gram, symmetric
 from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
-from kadaryu.diagrams import compose, half_normalize, one_cup_index, permutation_diagram
+from kadaryu.diagrams import one_cup_index
 from kadaryu.exactmath import Polynomial, PolyMatrix, Q, QuotElem
 from kadaryu.gram import (GramInstance, ModuleLabel, act, factor_one_cup, gram_matrix,
                           gram_mixed_det, one_cup_det)
-from kadaryu.symmetric import (Permutation, all_permutations, hook_dimension,
-                               left_action_matrix, partitions, sorted_by_length,
-                               specht_frame, specht_gram, specht_pairing)
+from kadaryu.symmetric import (all_permutations, hook_dimension, left_action_matrix, mul,
+                               partitions, specht_frame, specht_gram)
 from kadaryu.rollet import dimension
 from oracles import (GroupAlgebraElement, algebra_action, apply_dense, det_poly,
                      from_cycles, gram_by_sandwich, gram_mixed, pair_halves,
@@ -45,9 +44,9 @@ def corrupt_charpoly(monkeypatch):
 
 @pytest.fixture
 def corrupt_solve(monkeypatch):
-    """A switch that adds 1 to the first entry of A(sigma) in every later
-    echelon solve of left_action_matrix (an A(sigma) already cached stays
-    as it is); the cached actions are dropped afterwards."""
+    """A switch that adds 1 to the first coordinate of the first translate
+    in every later solve of the coordinate table (a table already cached
+    stays as it is); the cached tables and actions are dropped afterwards."""
     echelon = symmetric.field_row_echelon
 
     def corrupt(rows):
@@ -57,18 +56,8 @@ def corrupt_solve(monkeypatch):
 
     yield lambda: monkeypatch.setattr(symmetric, "field_row_echelon", corrupt)
     monkeypatch.undo()
-    left_action_matrix.cache_clear()
+    symmetric._coordinates.cache_clear()
     gram._moves.cache_clear()
-
-
-def rescaled(blocks, scale, left):
-    """blocks with entry [i][j] times scale[i]^left * scale[j]: D^left B D
-    for D = diag(scale)."""
-    def block(*args):
-        b = blocks(*args)
-        return tuple(tuple(v * scale[i] ** left * scale[j] for j, v in enumerate(row))
-                     for i, row in enumerate(b))
-    return block
 
 
 # the hand-checked one-cup determinants, indexed (l, n, lam)
@@ -197,6 +186,13 @@ class TestGramStructure:
         with pytest.raises(ValueError):
             ModuleLabel(-2, 4, 2, (2,))
 
+    def test_list_partition_is_a_tuple(self):
+        """A label built with a list lam, as the library API allows, is the
+        tuple label and takes the same determinant."""
+        label = ModuleLabel(1, 5, 3, [2, 1])
+        assert label == ModuleLabel(1, 5, 3, (2, 1)) and type(label.lam) is tuple
+        assert gram.gram_det(label) == gram.gram_det(ModuleLabel(1, 5, 3, (2, 1)))
+
 
 # (label, r): modules and the S_r acting on their first r strands; the
 # last two are truncated, S_2 on the target (1,) and S_3 on a p = 2 module
@@ -263,29 +259,18 @@ class TestAction:
         size = len(A1)
         comp = [[sum(A1[i][k] * A2[k][j] for k in range(size))
                  for j in range(size)] for i in range(size)]
-        assert comp == act_matrix(label, {s1 * s2: 1})
+        assert comp == act_matrix(label, {mul(s1, s2): 1})
 
-    def test_corrupted_solve_outside_the_table_raises(self, corrupt_solve):
-        """act reads A(sigma) for residual sigmas that no pairing table
-        holds; each is checked against S A(sigma) = M(sigma) where it is
-        solved.  The table's sigmas are solved and cached first, so the
-        corrupted solve only reaches sigmas outside the table."""
+    def test_corrupted_solve_raises_at_the_first_act(self, corrupt_solve):
+        """act reads A(sigma) off the coordinate table, which is checked
+        against S a = m(t) where it is solved: a corrupted solve is refused
+        at the first read, with no linearisation built first."""
         label = ModuleLabel(3, 7, 5, (3, 2))
-        left_action_matrix.cache_clear()
+        symmetric._coordinates.cache_clear()
         gram._moves.cache_clear()
-        inst = GramInstance(label)
-        assert inst.linearisation
-        table = {pair[1] for pairs in inst.table for pair in pairs if pair is not None}
-
-        def residuals(s):
-            g = permutation_diagram(s.extend(label.n).image)
-            return {gram._residual(half_normalize(compose(g, u)[0])[1], label.r)
-                    for u in inst.half}
-
-        s = next(s for s in sorted_by_length(label.r) if residuals(s) - table)
         corrupt_solve()
         with pytest.raises(RuntimeError, match=r"S A\(sigma\) != M\(sigma\)"):
-            act(label, {s: 1}, [Q(1)] * inst.dim)
+            act(label, {transpositions(label)[0]: 1}, [Q(1)] * gram_matrix(label).dim)
 
     @given(acted())
     @settings(max_examples=150, deadline=None)
@@ -301,7 +286,7 @@ class TestAction:
         applies x_k C to xi as x_k after C."""
         label, r, _terms, vec = case
         s, t = data.draw(st.tuples(*[st.sampled_from(all_permutations(r))] * 2))
-        assert act(label, {s * t: 1}, vec) == act(label, {s: 1}, act(label, {t: 1}, vec))
+        assert act(label, {mul(s, t): 1}, vec) == act(label, {s: 1}, act(label, {t: 1}, vec))
 
 
 class TestMixedRanks:
@@ -378,19 +363,24 @@ class TestMixedRanks:
         assert dens == [4, 36]
 
 
+def sigma_table(lam, sigma):
+    """M(sigma) = S A(sigma)."""
+    A = left_action_matrix(lam, sigma)
+    return tuple(tuple(sum(g * a for g, a in zip(row, col)) for col in zip(*A))
+                 for row in specht_gram(lam))
+
+
 class TestSigmaTables:
     @pytest.mark.parametrize("lam", [lam for r in range(1, 5) for lam in partitions(r)])
     def test_matches_sandwich_oracle(self, lam):
         for sigma in all_permutations(sum(lam)):
-            assert specht_pairing(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
+            assert sigma_table(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
 
     @pytest.mark.slow
     @pytest.mark.parametrize("lam", [(4, 1), (3, 1, 1)])
     def test_matches_sandwich_oracle_r5(self, lam):
-        for sigma in [Permutation((2, 1, 3, 4, 5)),
-                      from_cycles(5, (1, 3, 5)),
-                      Permutation((5, 4, 3, 2, 1))]:
-            assert specht_pairing(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
+        for sigma in [(2, 1, 3, 4, 5), from_cycles(5, (1, 3, 5)), (5, 4, 3, 2, 1)]:
+            assert sigma_table(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
 
 
 def labels(ls, ns, max_dim=None):
@@ -443,21 +433,18 @@ class TestDetMonic:
                                        pytest.param(ModuleLabel(1, 7, 3, (2, 1)),
                                                     marks=pytest.mark.slow)])
     def test_non_integral_action_raises(self, monkeypatch, label):
-        """Rescaling the Specht basis by D = diag(2, 1, .., 1) takes S to
-        D S D, every M(sigma) to D M(sigma) D and A(sigma) to
-        D^-1 A(sigma) D: S A(sigma) = M(sigma) still holds, but some
-        A(sigma) carries a half, and left_action_matrix refuses it before
-        the linearisation places it."""
-        scale = [Q(2)] + [Q(1)] * (hook_dimension(label.lam) - 1)
-        specht_gram(label.lam)  # cache S unscaled: it reads specht_pairing, patched below
-        left_action_matrix.cache_clear()
-        monkeypatch.setattr(symmetric, "specht_gram", rescaled(specht_gram, scale, 1))
-        monkeypatch.setattr(symmetric, "specht_pairing", rescaled(specht_pairing, scale, 1))
+        """Doubling S halves every coordinate a of the table: 2S a = m(t)
+        still holds, but the identity's coordinates (1/2, 0, .., 0) are not
+        integral, and the table is refused before the linearisation places
+        any A(sigma)."""
+        monkeypatch.setattr(symmetric, "specht_gram",
+                            lambda lam: tuple(tuple(2 * v for v in row) for row in specht_gram(lam)))
+        symmetric._coordinates.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="not integral"):
                 GramInstance(label).det_monic
         finally:
-            left_action_matrix.cache_clear()
+            symmetric._coordinates.cache_clear()
 
     def test_failed_check_raises(self, monkeypatch):
         corrupt_charpoly(monkeypatch)
@@ -465,10 +452,10 @@ class TestDetMonic:
             GramInstance(ModuleLabel(1, 5, 3, (2, 1))).det_monic
 
     def test_action_not_matching_the_pairing_raises(self, corrupt_solve):
-        """An echelon solve with one entry of A(sigma) bumped breaks
-        S A(sigma) = M(sigma), and left_action_matrix refuses it before the
+        """A table solve with one coordinate bumped breaks S A(sigma) =
+        M(sigma), and the coordinate table refuses it before the
         linearisation places it."""
-        left_action_matrix.cache_clear()
+        symmetric._coordinates.cache_clear()
         corrupt_solve()
         with pytest.raises(RuntimeError, match=r"S A\(sigma\) != M\(sigma\)"):
             GramInstance(ModuleLabel(1, 5, 3, (2, 1))).det_monic

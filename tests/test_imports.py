@@ -255,3 +255,26 @@ def test_scan_sees_a_half_read():
     source = ("nhalf = len(inst.half)\nhalf = 3\ninst.half = ()\n"
               "u = gram_matrix(lab).half[0]\nprint('x.half', half)\n")
     assert attribute_reads(source, "half") == [1, 4]
+
+
+def imports_of(source: str, names: set[str]) -> list[tuple[str, int]]:
+    """(name, line) of every from-import of one of the given names."""
+    return sorted((alias.name, node.lineno) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name in names)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "symmetric.py"],
+                         ids=lambda p: p.name)
+def test_only_symmetric_multiplies_permutations(path):
+    """The product convention on image tuples, mul(a, b) = a then b, lives
+    in symmetric.py alone: other modules ask it for translates and actions
+    and never multiply or invert a permutation themselves."""
+    assert imports_of(path.read_text(), {"mul", "inverse"}) == []
+
+
+def test_scan_sees_a_product_import():
+    source = ("from .symmetric import identity, mul\n"
+              "from kadaryu.symmetric import inverse as inv\nimport operator\n"
+              "x = operator.mul\ny = 'from .symmetric import mul'\n")
+    assert imports_of(source, {"mul", "inverse"}) == [("inverse", 2), ("mul", 1)]

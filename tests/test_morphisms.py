@@ -16,7 +16,7 @@ from kadaryu.exactmath import Polynomial, Q, field_kernel, field_rank, poly_cont
 from kadaryu.gram import GramInstance, ModuleLabel, factor_one_cup, gram_matrix
 from kadaryu.morphisms import (XiElement, divisibility_check, solve_xi, submodule_verify,
                                xi_report, xi_sequence, xi_step)
-from kadaryu.symmetric import Permutation, partitions, specht_gram
+from kadaryu.symmetric import identity, partitions, specht_gram
 
 from oracles import (compute_d_by_gram_row, gram_radical, solve_xi_by_cramer,
                      xi_uniqueness_by_gram_rows)
@@ -59,7 +59,7 @@ def bump_tail_after_det(inst):
 
 def close_every_cup_off_diagonal(inst):
     """Let half diagrams 0 != 1 of a one-cup module close its cup."""
-    inst.table[0][1] = (1, Permutation.identity(inst.label.r))
+    inst.table[0][1] = (1, identity(inst.label.r))
 
 
 def assert_proportional(got, want):
@@ -152,22 +152,34 @@ class TestExplicitSmallCases:
         with pytest.raises(RuntimeError, match=msg):
             solve_xi.__wrapped__(0, (2,), 4)
 
-    def test_strand_beyond_r_raises(self, monkeypatch):
-        """A residual permutation that moves a strand beyond r = 2 of the
-        p = 3 lines is a closure bug, never data."""
+    @staticmethod
+    def solve_with_residual(monkeypatch, image):
+        """solve_xi(0, (2,), 5) with the residual image of the first pair of
+        half diagrams replaced."""
         real = gram.pairing_table
 
         def moved(half):
             table = real(half)
             loops, _image = table[0][0]
-            table[0][0] = (loops, (1, 3, 2))
+            table[0][0] = (loops, image)
             return table
 
         fresh = GramInstance(ModuleLabel(0, 5, 3, (2,)))
         monkeypatch.setattr(gram, "pairing_table", moved)
         monkeypatch.setattr(morphisms, "gram_matrix", lambda lab: fresh)
+        solve_xi.__wrapped__(0, (2,), 5)
+
+    def test_strand_beyond_r_raises(self, monkeypatch):
+        """A residual permutation that moves a strand beyond r = 2 of the
+        p = 3 lines is a closure bug, never data."""
         with pytest.raises(RuntimeError, match="height-closure violation"):
-            solve_xi.__wrapped__(0, (2,), 5)
+            self.solve_with_residual(monkeypatch, (1, 3, 2))
+
+    def test_non_permutation_residual_raises(self, monkeypatch):
+        """So is a residual image that is not a permutation: an engine
+        fault (exit 4), not a usage error."""
+        with pytest.raises(RuntimeError, match="is not a permutation"):
+            self.solve_with_residual(monkeypatch, (1, 1, 3))
 
     def test_coeff_accessor(self):
         xi = solve_xi(0, (2,), 5)
