@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "exactmath": ("Polynomial", "PolyMatrix", "Q"),
     "cheby": ("ChebSeries", "cheb_u", "quantum_number", "u_expansion"),
-    "diagrams": ("PairPartition", "compose", "flip", "half_basis", "one_cup_basis"),
+    "diagrams": ("half_basis", "one_cup_basis"),
     "gram": ("ModuleLabel", "factor_one_cup", "gram_det", "gram_matrix",
              "gram_mixed_det", "one_cup_det"),
     "rollet": ("RolletGraph", "arm_verify", "chebyshev_c", "dimension",

@@ -33,9 +33,10 @@ one-cup module (GramInstance.pencil).  Only this module knows the basis
 layout: GramInstance.cup_row gives the position of u_cup b_k in a one-cup
 module.
 
-S_r acts on the first r strands of a module (act): s u_a = u_b sigma, read
-off compose and half_normalize once per (label, s), gives s (u_a b_i) =
-sum_j A(sigma)[j][i] u_b b_j, and no matrix of the whole module is built.
+S_r acts on the first r strands of a module (act): s u_a = u_b sigma, a
+relabelling of the top points of u_a (diagrams.permute) once per
+(label, s), gives s (u_a b_i) = sum_j A(sigma)[j][i] u_b b_j, and no
+matrix of the whole module is built.
 The pairing table and the action share one residual-permutation check.
 """
 
@@ -47,8 +48,7 @@ from typing import NamedTuple
 from .exactmath import (Polynomial, PolyMatrix, Q, clear_denominators, det_monic_companion,
                         poly_gcd_cofactors, poly_nth_root)
 from .cheby import ChebSeries, ramping_check
-from .diagrams import (compose, half_basis, half_normalize, one_cup_basis,
-                       one_cup_index, pairing_table, permutation_diagram)
+from .diagrams import half_basis, one_cup_basis, one_cup_index, pairing_table, permute
 from .symmetric import (hook_dimension, identity, is_partition, left_action_matrix,
                         specht_frame, specht_gram)
 
@@ -327,17 +327,12 @@ def _residual(image: tuple[int, ...], r: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _moves(label: ModuleLabel, s: tuple[int, ...]) -> tuple:
-    """(b, A(sigma)) for every half diagram u_a, with s u_a = u_b sigma and
-    s extended by identity strands.  A permutation keeps all p lines of u_a
-    and closes no loop."""
+    """(b, A(sigma)) for every half diagram u_a, with s u_a = u_b sigma
+    from diagrams.permute (s extended by identity strands)."""
     half = gram_matrix(label).half
     index = {u: b for b, u in enumerate(half)}
-    g = permutation_diagram(s + identity(label.n)[len(s):])
-    moves = []
-    for u in half:
-        u2, image = half_normalize(compose(g, u)[0])
-        moves.append((index[u2], left_action_matrix(label.lam, _residual(image, label.r))))
-    return tuple(moves)
+    return tuple((index[u2], left_action_matrix(label.lam, _residual(image, label.r)))
+                 for u2, image in (permute(u, s) for u in half))
 
 
 def act(label: ModuleLabel, terms: dict, vec) -> list:

@@ -2,10 +2,15 @@
 against: polynomial products term by term and gcds by Euclid's algorithm
 over Q, determinants over Q[a] by evaluation/interpolation, by modular
 linearisation of any square matrix (det_poly), by fraction-free Bareiss
-and by cofactor expansion, Smith invariants over Q[a], the Brauer diagram
-basis by brute force and by closure under the generators, permutation
-images of diagrams, diagram products by a walk on a node graph, the
-pairing of half diagrams by composing diagrams, the Gram matrix from those
+and by cofactor expansion, Smith invariants over Q[a], Brauer diagrams as
+sorted pairs (PairPartition) with their general product (compose), the
+flip and the split of a half diagram into an ordered one and a permutation
+(half_normalize), the half-diagram bases and the S_r action on half
+diagrams by composing generator diagrams, matched to the package's partner
+tuples (partners), the Brauer diagram basis by brute force and by closure
+under the generators, permutation images of diagrams, diagram products by
+a walk on a node graph, the pairing of half diagrams by composing
+diagrams, the Gram matrix from those
 pairings and group-algebra products, Sturm counts from the
 chain of remainders over Q, cos bounds from the exact Taylor sum, signs
 at 2cos(r pi/m) from dyadic enclosures (Machin bounds for pi, Taylor
@@ -33,9 +38,7 @@ from functools import lru_cache
 from itertools import count
 
 from kadaryu import exactmath, morphisms
-from kadaryu.diagrams import (PairPartition, _closure, compose, flip, generators,
-                               half_normalize, identity, one_cup_index,
-                               permutation_diagram)
+from kadaryu.diagrams import one_cup_index
 from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                field_kernel, field_rank, field_row_echelon,
                                poly_content_removed, poly_gcd, poly_gcd_cofactors,
@@ -400,6 +403,253 @@ def smith_invariants(m: PolyMatrix) -> list[Polynomial]:
         for i in range(k + 1, n):
             a[i][k] = Polynomial()
     return invariants
+
+
+# ---------------------------------------------------------------------------
+# Brauer diagrams as sorted pairs, and their general product
+# ---------------------------------------------------------------------------
+
+def _canon(pairs) -> tuple[tuple[int, int], ...]:
+    out = []
+    for a, b in pairs:
+        if a > b:
+            a, b = b, a
+        out.append((a, b))
+    out.sort()
+    return tuple(out)
+
+
+class PairPartition:
+    """A Brauer diagram: perfect pair matching of n top + m bottom points.
+
+    Points are labelled 1..n (top) and -1..-m (bottom, negative); the
+    matching is stored as a sorted tuple of sorted pairs."""
+
+    __slots__ = ("n_top", "n_bottom", "pairs")
+
+    def __init__(self, n_top: int, n_bottom: int, pairs):
+        self.n_top = n_top
+        self.n_bottom = n_bottom
+        self.pairs = _canon(pairs)
+        if (n_top + n_bottom) % 2:
+            raise ValueError("odd total point count")
+        seen = set()
+        for a, b in self.pairs:
+            seen.add(a)
+            seen.add(b)
+        expect = set(range(1, n_top + 1)) | set(range(-n_bottom, 0))
+        if seen != expect or 2 * len(self.pairs) != len(expect):
+            raise ValueError("pairs are not a perfect matching of the points")
+
+    def __eq__(self, other):
+        return (isinstance(other, PairPartition)
+                and self.n_top == other.n_top
+                and self.n_bottom == other.n_bottom
+                and self.pairs == other.pairs)
+
+    def __hash__(self):
+        return hash((self.n_top, self.n_bottom, self.pairs))
+
+    def propagating_count(self) -> int:
+        return sum(1 for a, b in self.pairs if a < 0 < b)
+
+    def encode(self) -> str:
+        """Text encoding "n,m:[(a,b),(c,d'),...]" with primes for bottom points."""
+        def pt(x):
+            return f"{-x}'" if x < 0 else str(x)
+        body = ",".join(f"({pt(a)},{pt(b)})" for a, b in self.pairs)
+        return f"{self.n_top},{self.n_bottom}:[{body}]"
+
+    def __repr__(self):
+        return f"PairPartition({self.encode()})"
+
+
+def identity(n: int) -> PairPartition:
+    return PairPartition(n, n, [(i, -i) for i in range(1, n + 1)])
+
+
+def permutation_diagram(image: tuple[int, ...]) -> PairPartition:
+    """Diagram of a permutation: top i joined to bottom image[i-1]."""
+    n = len(image)
+    return PairPartition(n, n, [(i, -image[i - 1]) for i in range(1, n + 1)])
+
+
+def e_gen(i: int, n: int) -> PairPartition:
+    """Temperley-Lieb cup-cap generator e_i on n strands."""
+    pairs = [(i, i + 1), (-i, -(i + 1))]
+    pairs += [(j, -j) for j in range(1, n + 1) if j not in (i, i + 1)]
+    return PairPartition(n, n, pairs)
+
+
+def s_gen(j: int, n: int) -> PairPartition:
+    """Elementary transposition diagram s_j on n strands."""
+    pairs = [(j, -(j + 1)), (j + 1, -j)]
+    pairs += [(k, -k) for k in range(1, n + 1) if k not in (j, j + 1)]
+    return PairPartition(n, n, pairs)
+
+
+def generators(l: int, n: int) -> list[PairPartition]:
+    gens = [e_gen(i, n) for i in range(1, n)]
+    gens += [s_gen(j, n) for j in range(1, min(l + 1, n - 1) + 1)]
+    return gens
+
+
+def _arrays(d: PairPartition) -> tuple[list[int], list[int]]:
+    """(top, bottom): top[i] is the partner of top point i and bottom[j]
+    that of bottom point j, written +t for a top point t and -b for a bottom
+    point b; index 0 is unused."""
+    top = [0] * (d.n_top + 1)
+    bottom = [0] * (d.n_bottom + 1)
+    for a, b in d.pairs:  # a < b in a stored pair
+        if a > 0:
+            top[a], top[b] = b, a
+        elif b > 0:
+            bottom[-a], top[b] = b, a
+        else:
+            bottom[-a], bottom[-b] = b, a
+    return top, bottom
+
+
+def partners(d: PairPartition) -> tuple[int, ...]:
+    """The partner tuple of a half diagram d whose lines do not cross, the
+    form diagrams.half_basis returns."""
+    top, bottom = _arrays(d)
+    if [t for t in range(1, d.n_top + 1) if top[t] < 0] != bottom[1:]:
+        raise ValueError(f"the lines of {d} cross")
+    return tuple(top)
+
+
+def compose(p1: PairPartition, p2: PairPartition) -> tuple[PairPartition, int]:
+    """p1 stacked on top of p2 (p1's bottom glued to p2's top).
+
+    Returns (result diagram, number of closed loops removed).  Both are
+    walked as partner arrays: a line alternates between p2's partner of a
+    glued point and p1's, marking the glued points it passes, until it is
+    outer again; each unmarked glued point then starts one closed loop.
+    """
+    if p1.n_bottom != p2.n_top:
+        raise ValueError(f"size mismatch: {p1.n_bottom} vs {p2.n_top}")
+    top1, bot1 = _arrays(p1)
+    top2, bot2 = _arrays(p2)
+    glued = [False] * (p1.n_bottom + 1)
+
+    def across(y):
+        """The outer end of a line that leaves p1 at y, in the result's
+        labels (p2's bottom points are the result's bottom points)."""
+        while y < 0:
+            glued[-y] = True
+            y = top2[-y]
+            if y < 0:
+                return y
+            glued[y] = True
+            y = bot1[y]
+        return y
+
+    ends = set()
+    pairs = []
+    for i in range(1, p1.n_top + 1):
+        if i not in ends:
+            e = across(top1[i])
+            ends.add(e)
+            pairs.append((i, e))
+    for j in range(1, p2.n_bottom + 1):
+        if -j not in ends:
+            y = bot2[j]
+            if y > 0:
+                glued[y] = True
+                y = across(bot1[y])
+            ends.add(y)
+            pairs.append((-j, y))
+    loops = 0
+    for g in range(1, p1.n_bottom + 1):
+        if not glued[g]:
+            loops += 1
+            t = g
+            while not glued[t]:
+                y = top2[t]
+                glued[t] = glued[y] = True
+                t = -bot1[y]
+    return PairPartition(p1.n_top, p2.n_bottom, pairs), loops
+
+
+def flip(p: PairPartition) -> PairPartition:
+    """Vertical flip B(n,m) -> B(m,n); an involutive antihomomorphism."""
+    return PairPartition(p.n_bottom, p.n_top, [(-a, -b) for a, b in p.pairs])
+
+
+def half_normalize(w: PairPartition) -> tuple[PairPartition, tuple[int, ...]]:
+    """Split w in B(n,p) with p propagating lines as u' composed with a
+    permutation of the p outputs; u' has order-preserving propagating lines.
+
+    Returns (u', perm image) where perm maps output slot -> bottom point.
+    """
+    p = w.n_bottom
+    if w.propagating_count() != p:
+        raise ValueError("not full propagating count")
+    tt = [(a, b) for a, b in w.pairs if a > 0 and b > 0]
+    prop = sorted((b, -a) for a, b in w.pairs if a < 0 < b)  # (top, bottom)
+    pairs = list(tt)
+    image = []
+    for slot, (top, bot) in enumerate(prop, start=1):
+        pairs.append((top, -slot))
+        image.append(bot)
+    return PairPartition(w.n_top, p, pairs), tuple(image)
+
+
+def _closure(start, step) -> set:
+    """Everything reachable from start by step (an element -> its
+    successors), breadth first."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for d in frontier:
+            for r in step(d):
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return seen
+
+
+@lru_cache(maxsize=None)
+def half_basis_by_closure(l: int, n: int, p: int) -> tuple[PairPartition, ...]:
+    """diagrams.half_basis by composing generator diagrams: the closure of
+    the right-nested cup diagram under the generators of height <= l,
+    normalised by half_normalize and sorted by pairs."""
+    if n == p:
+        return (identity(n),)
+    start = PairPartition(
+        n, p,
+        [(i, -i) for i in range(1, p + 1)] + [(q, q + 1) for q in range(p + 1, n, 2)])
+    gens = generators(l, n)
+
+    def step(u):
+        for g in gens:
+            w, _ = compose(g, u)
+            if w.propagating_count() >= p:
+                yield half_normalize(w)[0]
+
+    return tuple(sorted(_closure(start, step), key=lambda d: d.pairs))
+
+
+def reference_half(label: ModuleLabel) -> list[PairPartition]:
+    """The half diagrams of a module as pairs, in the order of
+    gram.GramInstance (one_cup_basis for one-cup modules), matched through
+    their partner tuples."""
+    ref = {partners(d): d for d in half_basis_by_closure(label.l, label.n, label.p)}
+    return [ref[u] for u in gram_matrix(label).half]
+
+
+def permute_by_composition(d: PairPartition, s: tuple[int, ...]):
+    """diagrams.permute on the partner tuple of d, by composing the
+    permutation diagram of s, extended by identity strands, on d and
+    splitting the product with half_normalize."""
+    w, loops = compose(permutation_diagram(s + perm_identity(d.n_top)[len(s):]), d)
+    if loops:
+        raise RuntimeError(f"a permutation closed a loop on {d}")
+    u, image = half_normalize(w)
+    return partners(u), image
 
 
 def permutation_image(d: PairPartition) -> tuple[int, ...]:
@@ -888,7 +1138,7 @@ def gram_by_sandwich(label: ModuleLabel) -> PolyMatrix:
     with (loops, sigma) from composing flip(u) with v (pair_halves) and
     M(sigma) from products in the group algebra (sandwich_sigma_table), in
     the basis order of gram.GramInstance."""
-    half = gram_matrix(label).half
+    half = reference_half(label)
     d = hook_dimension(label.lam)
     tables = {}
     rows = [[Polynomial()] * (d * len(half)) for _ in range(d * len(half))]
@@ -945,7 +1195,7 @@ def action_matrix(label: ModuleLabel, g: PairPartition):
     Returns rows A with g.(basis[j]) = sum_i A[i][j] basis[i], over Q.
     """
     inst = gram_matrix(label)
-    half = list(inst.half)
+    half = reference_half(label)
     index = {u: a for a, u in enumerate(half)}
     nhalf = len(half)
     d = inst.d

@@ -17,7 +17,7 @@ import pytest
 
 from kadaryu.cheby import quantum_number, u_expansion
 from kadaryu.cli import main as cli_main
-from kadaryu.diagrams import compose, e_gen, flip, half_basis, identity, s_gen, u_cup
+from kadaryu.diagrams import half_basis
 from kadaryu.exactmath import Polynomial, PolyMatrix, Q, reduced
 from kadaryu.gram import (ModuleLabel, factor_one_cup, gram_det,
                           gram_mixed_det, one_cup_det)
@@ -26,8 +26,8 @@ from kadaryu.rollet import arm_verify, chebyshev_c, dimension, marginal_v, tl_re
 from kadaryu.roots import family_series, lemma_roots_check, sturm_count, verify_root_layout
 from kadaryu.symmetric import hook_dimension, partitions
 
-from oracles import (basis_by_closure, det_cofactor, det_poly, det_poly_bareiss,
-                     idempotent, smith_invariants, squarefree_check, star,
+from oracles import (PairPartition, compose, det_cofactor, det_poly, det_poly_bareiss,
+                     flip, idempotent, smith_invariants, squarefree_check, star,
                      tl_factored_det)
 from test_gram import COMMON_FACTORS, ONE_CUP_DETS, U_EXPANSIONS
 
@@ -327,7 +327,6 @@ def test_11_property_suite(tmp_path, capsys):
     def rand_diagram(n=4):
         pts = list(range(1, n + 1)) + list(range(-n, 0))
         rng.shuffle(pts)
-        from kadaryu.diagrams import PairPartition
         return PairPartition(n, n, [(pts[2 * i], pts[2 * i + 1])
                                     for i in range(n)])
 

@@ -1,15 +1,20 @@
-"""Pair partitions: composition, flip, and the bounded-height bases."""
+"""Half diagrams as partner tuples and the bounded-height bases, tested
+against the reference pair partitions of tests/oracles.py (composition,
+flip, half normalisation), which are tested here as well."""
 
+import hashlib
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kadaryu.diagrams import (PairPartition, compose, e_gen, flip, half_basis,
-                              half_normalize, identity, one_cup_basis,
-                              one_cup_index, permutation_diagram, s_gen, u_cup)
+from kadaryu.diagrams import _cup, half_basis, one_cup_basis, one_cup_index, permute, u_cup
+from kadaryu.symmetric import all_permutations
 
-from oracles import basis_by_closure, brauer_basis, compose_by_graph, permutation_image
+from oracles import (PairPartition, basis_by_closure, brauer_basis, compose, compose_by_graph,
+                     e_gen, flip, half_basis_by_closure, half_normalize, identity, partners,
+                     permutation_diagram, permutation_image, permute_by_composition, s_gen)
 
 
 def decode(s: str) -> PairPartition:
@@ -66,10 +71,13 @@ def stackable_pair(draw, most=6):
     return draw(rectangular_diagram(n, m)), draw(rectangular_diagram(m, k))
 
 
+# a one-cup half diagram, u_{24} in B(5, 3), as pairs
+U24 = PairPartition(5, 3, [(2, 4), (1, -1), (3, -2), (5, -3)])
+
+
 class TestBasics:
     def test_encode_decode_roundtrip(self):
-        d = u_cup(2, 4, 5)
-        assert decode(d.encode()) == d
+        assert decode(U24.encode()) == U24
 
     @given(random_diagram())
     def test_encode_decode_random(self, d):
@@ -80,9 +88,8 @@ class TestBasics:
         assert permutation_image(d) == (2, 3, 1)
 
     def test_identity_compose(self):
-        d = u_cup(1, 2, 4)
-        r, loops = compose(identity(4), d)
-        assert r == d and loops == 0
+        r, loops = compose(identity(5), U24)
+        assert r == U24 and loops == 0
 
     def test_e_squared_gives_loop(self):
         e = e_gen(1, 3)
@@ -119,8 +126,8 @@ class TestCompositionLaws:
         assert l1 == l2
 
     def test_propagating_count_subadditive(self):
-        a = u_cup(1, 2, 4)
-        b = flip(u_cup(3, 4, 4))
+        a = PairPartition(4, 2, [(1, 2), (3, -1), (4, -2)])
+        b = flip(PairPartition(4, 2, [(3, 4), (1, -1), (2, -2)]))
         r, _ = compose(b, a)
         assert r.propagating_count() <= min(a.propagating_count(),
                                             b.propagating_count())
@@ -147,7 +154,7 @@ class TestClosureBases:
 
 class TestHalfBases:
     def test_full_propagating_is_identity(self):
-        assert half_basis(0, 4, 4) == (identity(4),)
+        assert half_basis(0, 4, 4) == ((0, -1, -2, -3, -4),)
 
     def test_counts(self):
         # closed-form checks against walk counts done in test_rollet; the
@@ -168,7 +175,10 @@ class TestHalfBases:
         assert idx == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5))
         basis = one_cup_basis(1, 5)
         assert len(basis) == len(idx)
-        assert basis[0] == u_cup(1, 2, 5)
+        assert basis[0] == u_cup(1, 2, 5) == (0, 2, 1, -1, -2, -3)
+
+    def test_u_cup_is_the_reference(self):
+        assert u_cup(2, 4, 5) == partners(U24) == (0, -1, 4, -2, 2, -3)
 
     def test_one_cup_is_half_basis(self):
         # same set, different canonical order
@@ -180,3 +190,65 @@ class TestHalfBases:
         s2 = s_gen(2, 4)
         assert s2 in basis_by_closure(1, 4)
         assert s2 not in basis_by_closure(0, 4)
+
+    @pytest.mark.parametrize("n, p, match", [(3, 5, "need 0 <= p <= n"),
+                                             (4, -2, "need 0 <= p <= n"),
+                                             (4, 1, "parity violation"),
+                                             (5, 6, "need 0 <= p <= n")])
+    def test_range_and_parity_are_told_apart(self, n, p, match):
+        with pytest.raises(ValueError, match=match):
+            half_basis(0, n, p)
+
+    def test_permute_renumbers_the_slots(self):
+        """s_1 on two lines and a cup: the lines cross, and renumbering the
+        slots left to right leaves sigma = s_1 on the outputs."""
+        assert permute((0, -1, -2, 4, 3), (2, 1)) == ((0, -1, -2, 4, 3), (2, 1))
+        assert permute((0, 3, -1, 1, -2), (1, 2, 4, 3)) == ((0, 4, -1, -2, 1), (1, 2))
+
+
+def hashed(lines) -> tuple[int, str]:
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestAgainstTheReference:
+    """The partner-tuple rewrites against the products of generator
+    diagrams, and the bases pinned by sha256 over their top partners."""
+
+    def test_bases_are_pinned(self):
+        lines = [f"{l} {n} {p} {[u[1:] for u in half_basis(l, n, p)]}"
+                 for l in range(-1, 5) for n in range(10) for p in range(n % 2, n + 1, 2)]
+        assert hashed(lines) == (
+            180, "8df5f2efed72515bc6f78befdd1833ddf1daaacfead66dc09b16d1ba0da71d54")
+        lines = [f"{l} {n} {[u[1:] for u in one_cup_basis(l, n)]}"
+                 for l in range(-1, 5) for n in range(2, 10)]
+        assert hashed(lines) == (
+            48, "211f511f4b0edacda798ac2d9b03a7bb79228dc91dfe8be185b7cba19abbb356")
+
+    @pytest.mark.parametrize("l", range(-1, 5))
+    def test_half_basis_is_the_closure(self, l):
+        for n in range(10):
+            for p in range(n % 2, n + 1, 2):
+                assert half_basis(l, n, p) == tuple(
+                    partners(d) for d in half_basis_by_closure(l, n, p)), (l, n, p)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cup_matches_composition(self, n):
+        """e_i u, its loop dropped, is the product of e_gen(i) on u split by
+        half_normalize, or None when the product loses a line."""
+        for l in range(-1, 4):
+            for p in range(n % 2, n - 1, 2):
+                for d in half_basis_by_closure(l, n, p):
+                    for i in range(1, n):
+                        w, _ = compose(e_gen(i, n), d)
+                        want = (partners(half_normalize(w)[0])
+                                if w.propagating_count() == p else None)
+                        assert _cup(partners(d), i) == want, (d, i)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_permute_matches_composition(self, n):
+        for l in range(0, 4):
+            for p in range(n % 2, n + 1, 2):
+                r = min(p, l + 2)
+                for d in half_basis_by_closure(l, n, p) if r >= 2 else ():
+                    for s in all_permutations(r):
+                        assert permute(partners(d), s) == permute_by_composition(d, s), (d, s)

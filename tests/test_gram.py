@@ -1,6 +1,7 @@
 """Gram matrices of standard modules: printed determinants, one-cup
 factorisations, the mixed-rank recursion, and form contravariance."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from kadaryu.symmetric import (all_permutations, hook_dimension, left_action_mat
 from kadaryu.rollet import dimension
 from oracles import (GroupAlgebraElement, algebra_action, apply_dense, det_poly,
                      from_cycles, gram_by_sandwich, gram_mixed, pair_halves,
-                     sandwich_sigma_table)
+                     reference_half, sandwich_sigma_table)
 
 x = Polynomial.x()
 
@@ -272,6 +273,16 @@ class TestAction:
         with pytest.raises(RuntimeError, match=r"S A\(sigma\) != M\(sigma\)"):
             act(label, {transpositions(label)[0]: 1}, [Q(1)] * gram_matrix(label).dim)
 
+    def test_moves_are_pinned(self):
+        """(b, A(sigma)) of every s u_a, for every module with r >= 2 at
+        l <= 3, n <= 8, pinned by sha256 over their printed forms."""
+        lines = [f"{l} {n} {p} {lam} {s} {gram._moves(ModuleLabel(l, n, p, lam), s)}"
+                 for l in range(4) for n in range(2, 9) for p in range(n % 2, n + 1, 2)
+                 if min(p, l + 2) >= 2
+                 for lam in partitions(min(p, l + 2)) for s in all_permutations(min(p, l + 2))]
+        assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (
+            6916, "f4293596f295c236116b9af395ec18e464eeec7d2c9b41c429e9d04162b88d49")
+
     @given(acted())
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_oracle(self, case):
@@ -396,14 +407,14 @@ class TestPairingTable:
     @pytest.mark.parametrize("n", [*range(8), pytest.param(8, marks=pytest.mark.slow)])
     def test_matches_composition(self, n):
         """(loops, sigma) for every pair of half diagrams at l = -1..3 equals
-        the pairing read off compose(flip(u), v); the table depends on lam
-        only through r."""
+        the pairing read off compose(flip(u), v) on the reference diagrams
+        of the same partner tuples; the table depends on lam only through r."""
         for l in range(-1, 4):
             for p in range(n % 2, n + 1, 2):
                 label = ModuleLabel(l, n, p, partitions(min(p, l + 2))[0])
-                inst = GramInstance(label)
-                assert inst.table == [[pair_halves(u, v, p, label.r) for v in inst.half]
-                                      for u in inst.half], label
+                half = reference_half(label)
+                assert GramInstance(label).table == [
+                    [pair_halves(u, v, p, label.r) for v in half] for u in half], label
 
 
 # labels the other tests and the workloads reach beyond rank 6

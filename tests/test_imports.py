@@ -2,8 +2,10 @@
 module-level name is read somewhere in the package, every public function,
 class and method is read by the package or the benchmark harness or is
 library API, no module calls float, writes a float literal or imports
-dataclasses, only the CLI reads the dense Gram matrix and only gram.py
-reads a module's half-diagram list and its linearisation: stdlib `ast` scans that stand in for a
+dataclasses, only the CLI reads the dense Gram matrix, only gram.py
+reads a module's half-diagram list and its linearisation or acts on half
+diagrams by permutations, only symmetric.py multiplies permutations and
+diagrams.py defines no class: stdlib `ast` scans that stand in for a
 linter's unused-import, dead-code, exactness, start-up and layering
 rules."""
 
@@ -278,3 +280,36 @@ def test_scan_sees_a_product_import():
               "from kadaryu.symmetric import inverse as inv\nimport operator\n"
               "x = operator.mul\ny = 'from .symmetric import mul'\n")
     assert imports_of(source, {"mul", "inverse"}) == [("inverse", 2), ("mul", 1)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"],
+                         ids=lambda p: p.name)
+def test_only_gram_permutes_half_diagrams(path):
+    """The S_r action on half diagrams (diagrams.permute) is read only by
+    gram.act and gram._moves, which pair it with the Specht action."""
+    assert imports_of(path.read_text(), {"permute"}) == []
+
+
+def test_scan_sees_a_permute_import():
+    source = ("from .diagrams import half_basis, permute\n"
+              "from itertools import permutations\nx = 'from .diagrams import permute'\n")
+    assert imports_of(source, {"permute"}) == [("permute", 1)]
+
+
+def class_defs(source: str) -> list[int]:
+    """Lines of every class statement, nested ones included."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ClassDef))
+
+
+def test_diagrams_defines_no_class():
+    """A half diagram is its partner tuple, a pair partition only the
+    reference in the tests."""
+    (path,) = (p for p in MODULES if p.name == "diagrams.py")
+    assert class_defs(path.read_text()) == []
+
+
+def test_scan_sees_a_class():
+    source = ("from typing import NamedTuple\nclass Half(NamedTuple):\n    top: tuple\n"
+              "def f():\n    class Inner:\n        pass\n    return 'class X: pass'\n")
+    assert class_defs(source) == [2, 5]
