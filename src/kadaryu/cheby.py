@@ -142,10 +142,10 @@ def u_expansion(s: ChebSeries) -> dict[int, Fraction]:
 
 
 def series_from_u_coeffs(coeffs: dict[int, Fraction], n: int) -> Polynomial:
-    """sum_k a_k P^U_{k + n - N} evaluated with j = n measured from N = 0.
-
-    Convenience for comparing closed-form U-basis families: returns
-    sum_k coeffs[k] * cheb_u(k + n).
+    """The term P_{N+n} = sum_k coeffs[k] P^U_{k+n} of the series whose
+    U-expansion (u_expansion) is coeffs.  roots.family_series builds each
+    closed-form family from its coefficient table this way, and
+    u_expansion checks its round trip with it.
     """
     acc = Polynomial()
     for k, ak in coeffs.items():

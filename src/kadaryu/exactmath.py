@@ -6,12 +6,12 @@ denominator (Kronecker substitution), and gcds run the heuristic integer
 gcd on the primitive parts before Euclid's algorithm.
 
 Determinants over Q[a] have one certified modular path,
-`det_monic_companion`: the determinant of a monic matrix polynomial is
-the characteristic polynomial of one block companion matrix, taken modulo
-a prime above twice the Hadamard bound, and checked exactly at one point
-by an integer Bareiss determinant of the matrix polynomial there.  This is
-the only check point a determinant over Q[a] needs: callers build the monic
-matrix polynomial and take the certified result.
+`det_monic_companion`: the determinant of a monic integer matrix
+polynomial is the characteristic polynomial of one block companion matrix,
+taken modulo a prime above twice the Hadamard bound, and checked exactly at
+one point by an integer Bareiss determinant of the matrix polynomial there.
+This is the only check point a determinant over Q[a] needs: callers build
+the monic integer matrix polynomial and take the certified result.
 
 Linear algebra over a field has one protocol for Q and Q[a]/(m): a
 `QuotElem` takes +, -, * and == with ints and Fractions on either side,
@@ -583,19 +583,19 @@ def _lift_mod(hadamard_sq: int, residues) -> list[int]:
     return [c - modulus if c > half else c for c in coeffs]
 
 
-def det_monic_companion(tail: list[list[int]], den: int) -> Polynomial:
-    """det(x^t I + (B_0 + B_1 x + .. + B_{t-1} x^{t-1}) / den), a monic
-    matrix polynomial given by its integer n x n blocks side by side,
+def det_monic_companion(tail: list[list[int]]) -> Polynomial:
+    """det(x^t I + B_0 + B_1 x + .. + B_{t-1} x^{t-1}), a monic integer
+    matrix polynomial given by its n x n blocks side by side,
     tail = [B_0 | .. | B_{t-1}] (n rows of t*n entries).
 
     It is the characteristic polynomial of the block companion matrix with
-    last block row -tail / den (Gohberg, Lancaster & Rodman, *Matrix
+    last block row -tail (Gohberg, Lancaster & Rodman, *Matrix
     Polynomials*, ch. 1), taken mod one N above twice the Hadamard bound of
-    den*x^t I + B(x) on |x| = 1 (`_lift_mod`), whose det is den^n times
-    this one: no leading determinant and no solve.  The lifted result is
-    checked against an integer Bareiss determinant of den*x^t I + B(x) at
-    the smallest integer x >= 2 where it is nonzero; a mismatch raises
-    RuntimeError.
+    x^t I + B(x) on |x| = 1 (`_lift_mod`): no leading determinant and no
+    solve.  The lifted result is checked against an integer Bareiss
+    determinant of x^t I + B(x) at the smallest integer x >= 2 where it is
+    nonzero; a mismatch raises RuntimeError.  A pencil with rational
+    entries is the caller's to clear (gram.gram_mixed_det).
     """
     n = len(tail)
     if not n or not tail[0]:
@@ -603,23 +603,20 @@ def det_monic_companion(tail: list[list[int]], den: int) -> Polynomial:
     hadamard_sq = 1
     for r, row in enumerate(tail):
         norms = [sum(map(abs, row[j::n])) for j in range(n)]
-        norms[r] += den
+        norms[r] += 1
         hadamard_sq *= sum(v * v for v in norms)
 
     def residues(modulus):
-        inv = -pow(den, -1, modulus)
-        companion = _block_companion([[v * inv % modulus for v in row] for row in tail])
-        scale = pow(den, n, modulus)
-        return [c * scale % modulus for c in _charpoly_mod(companion, modulus)]
+        return _charpoly_mod(_block_companion([[-v % modulus for v in row] for row in tail]),
+                             modulus)
 
-    scale = den ** n
-    det = Polynomial([Fraction(c, scale) for c in _lift_mod(hadamard_sq, residues)])
+    det = Polynomial(_lift_mod(hadamard_sq, residues))
     x = next(x for x in count(2) if det(x))
     at_x = [[_horner(row[j::n], x) for j in range(n)] for row in tail]
-    top = den * x ** (len(tail[0]) // n)
+    top = x ** (len(tail[0]) // n)
     for r, row in enumerate(at_x):
         row[r] += top
-    if _int_det_bareiss(at_x) != scale * det(x):
+    if _int_det_bareiss(at_x) != det(x):
         raise RuntimeError(f"determinant check failed at a = {x}")
     return det
 

@@ -204,7 +204,7 @@ class GramInstance:
         """The Gram determinant divided by det(S)^h, h the number of half
         diagrams: det A~, from exactmath.det_monic_companion, which checks it
         exactly at one point.  G = (S (x) I) A~, so det G = det(S)^h det A~."""
-        return det_monic_companion(self.linearisation, 1)
+        return det_monic_companion(self.linearisation)
 
 
 @lru_cache(maxsize=None)
@@ -264,11 +264,12 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
     T^t S = N T^-1, so in the y frame the form is (N (x) I)(a I + R) with
     R = (T^-1 (x) I) B_0 (T (x) I).  Normalised per cup by the norms,
     so that the three-term rank recursion is scale-free, the determinant is
-    the principal minor det(a I + R) on those cups, one block companion
-    characteristic polynomial (exactmath.det_monic_companion) whose common
-    denominator comes from T alone.  T^-1 is N^-1 T^t S, checked to invert
-    T exactly; T and T^-1 are upper triangular, so only the nonzero entries
-    of B_0 are walked.
+    the principal minor det(a I + R) on those cups.  R is rational, its
+    common denominator L coming from T alone, so the integer pencil the
+    core takes is y I + B with B = L R (exactmath.det_monic_companion), and
+    det(a I + R) = L^-k det(L a I + B) for k cups.  T^-1 is N^-1 T^t S,
+    checked to invert T exactly; T and T^-1 are upper triangular, so only
+    the nonzero entries of B_0 are walked.
     """
     lam = tuple(lam)
     d = hook_dimension(lam)
@@ -304,7 +305,9 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
                 for i, t in rows:
                     for j, v in cols:
                         low[i][j] += t * v
-    return det_monic_companion(*clear_denominators(low))
+    B, L = clear_denominators(low)
+    det = det_monic_companion(B)
+    return Polynomial([c * Q(L) ** (i - len(B)) for i, c in enumerate(det.coeffs)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ divides it (an integer pseudo-remainder); otherwise the point's interval is
 bisected until it holds no root of the polynomial, whose sign at the point
 is then its sign at the interval's upper end, a dyadic rational.  Those
 rationals are the layout witnesses.
+
+The four closed-form families (column, row, conjugate hook, hook) are
+their coefficient tables in the P^U basis, the form cheby.u_expansion
+gives, and the layout verifier has one branch per claim kind: values at
+the sample points for the column and the row, signs there and Sturm
+counts on fixed intervals for the two hooks.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .cheby import ChebSeries, cheb_u
+from .cheby import ChebSeries, cheb_u, series_from_u_coeffs
 from .claims import claim, report
 from .exactmath import Polynomial, Q, clear_denominators, poly_gcd, poly_squarefree_part
 
@@ -232,52 +238,25 @@ def lemma_roots_check(series: ChebSeries, k: int, kp: int, r: int) -> bool:
 # the closed-form determinant series used by the layout verifier
 # ---------------------------------------------------------------------------
 
-
-def _series_from_terms(anchor: int, term) -> ChebSeries:
-    return ChebSeries(anchor, term(0), term(1))
-
-
-def column_series(l: int) -> ChebSeries:
-    """P for the single-column partition (l+2)^T, anchored at n = l+4."""
-    return _series_from_terms(
-        l + 4, lambda k: cheb_u(k + 3) - (l + 1) * (cheb_u(k + 2) + cheb_u(k + 1)))
-
-
-def row_series(l: int) -> ChebSeries:
-    """P for the single-row partition (l+2), anchored at n = l+4."""
-    return _series_from_terms(
-        l + 4,
-        lambda k: (cheb_u(k + 4) + (3 * l + 1) * cheb_u(k + 3)
-                   + (2 * l * l - l - 2) * cheb_u(k + 2)
-                   - (l + 1) * ((2 * l - 1) * cheb_u(k + 1) + cheb_u(k))))
-
-
-def hook_series(l: int) -> ChebSeries:
-    """P for the hook (l+1, 1), anchored at n = l+4 (valid l >= 2)."""
-
-    def term(k):
-        return (cheb_u(k + 6) + 2 * (2 * l - 3) * cheb_u(k + 5)
-                + (5 * l * l - 21 * l + 13) * cheb_u(k + 4)
-                + (l - 2) * ((2 * l * l - 17 * l + 7) * cheb_u(k + 3)
-                             - (6 * l * l - 19 * l + 5) * cheb_u(k + 2))
-                + 4 * (l ** 3 - 6 * l * l + 8 * l - 1) * cheb_u(k + 1)
-                - (l - 3) * (2 * l * l - 4 * l - 1) * cheb_u(k)
-                - (3 * l * l - 3 * l - 4) * cheb_u(k - 1)
-                - (l + 1) * cheb_u(k - 2))
-
-    return _series_from_terms(l + 4, term)
-
-
-def hook_t_series(l: int) -> ChebSeries:
-    """P for the conjugate hook (2, 1^l), anchored at n = l+4 (valid l >= 1)."""
-
-    def term(k):
-        return (cheb_u(k + 5) - 2 * (l - 1) * cheb_u(k + 4)
-                + l * (l - 5) * cheb_u(k + 3) + 3 * l * (l - 1) * cheb_u(k + 2)
-                + 2 * (l * l - 2 * l - 1) * cheb_u(k + 1)
-                + l * (l - 1) * cheb_u(k) - (l + 1) * cheb_u(k - 1))
-
-    return _series_from_terms(l + 4, term)
+# Each family is its U-expansion (cheby.u_expansion): _U_COEFFS[family](l)
+# is {k: a_k} with P_{l+4+j} = sum_k a_k P^U_{k+j}, anchored at n = l+4.
+_U_COEFFS = {
+    # the single column (l+2)^T
+    "column": lambda l: {3: 1, 2: -(l + 1), 1: -(l + 1)},
+    # the single row (l+2)
+    "row": lambda l: {4: 1, 3: 3 * l + 1, 2: 2 * l * l - l - 2,
+                      1: -(l + 1) * (2 * l - 1), 0: -(l + 1)},
+    # the conjugate hook (2, 1^l), valid l >= 1
+    "hook_t": lambda l: {5: 1, 4: -2 * (l - 1), 3: l * (l - 5), 2: 3 * l * (l - 1),
+                         1: 2 * (l * l - 2 * l - 1), 0: l * (l - 1), -1: -(l + 1)},
+    # the hook (l+1, 1), valid l >= 2
+    "hook": lambda l: {6: 1, 5: 2 * (2 * l - 3), 4: 5 * l * l - 21 * l + 13,
+                       3: (l - 2) * (2 * l * l - 17 * l + 7),
+                       2: -(l - 2) * (6 * l * l - 19 * l + 5),
+                       1: 4 * (l ** 3 - 6 * l * l + 8 * l - 1),
+                       0: -(l - 3) * (2 * l * l - 4 * l - 1),
+                       -1: -(3 * l * l - 3 * l - 4), -2: -(l + 1)},
+}
 
 
 def _family(l: int, lam: tuple[int, ...]) -> str:
@@ -296,12 +275,11 @@ def _family(l: int, lam: tuple[int, ...]) -> str:
     raise ValueError(f"no closed-form series for lambda = {lam} at l = {l}")
 
 
-_FAMILY_SERIES = {"column": column_series, "row": row_series,
-                  "hook_t": hook_t_series, "hook": hook_series}
-
-
 def family_series(l: int, lam: tuple[int, ...]) -> ChebSeries:
-    return _FAMILY_SERIES[_family(l, tuple(lam))](l)
+    """P for the closed-form family of lam at l, built from its U-coefficient
+    table and anchored at n = l+4."""
+    c = _U_COEFFS[_family(l, tuple(lam))](l)
+    return ChebSeries(l + 4, series_from_u_coeffs(c, 0), series_from_u_coeffs(c, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -309,122 +287,104 @@ def family_series(l: int, lam: tuple[int, ...]) -> ChebSeries:
 # ---------------------------------------------------------------------------
 
 
-def _interior_layout(claims, cid, p: Polynomial, m: int, signs: dict[int, int],
-                     left, right, expect_left: int = 1, expect_right: int = 1):
-    """One root between consecutive sample points.
+def _interior_layout(claims, p: Polynomial, m: int, signs: dict[int, int],
+                     expect_left: int = 1, expect_right: int = 1):
+    """The claim "interleaving": one root between consecutive sample points.
 
     signs maps r -> expected sign at 2cos(r pi/m) for the interior points;
     a point with another sign fails the claim.  Each point stands in by the
     upper end of its interval from _point_interval, with no root of p in
-    between, so the gap counts are those between the points.  left/right
-    are exact rational endpoints appended outside them (right > all sample
-    points > left).  The end gaps (largest sample point, right) and (left,
-    smallest sample point) expect expect_right resp. expect_left roots; all
-    inner gaps expect exactly one.
+    between, so the gap counts are those between the points, which lie
+    between the ends -2 and 2.  The end gaps (largest sample point, 2) and
+    (-2, smallest sample point) expect expect_right resp. expect_left
+    roots (None: not claimed); all inner gaps expect exactly one.
     """
-    pts = [right]
+    pts = [Q(2)]
     for r in sorted(signs):
         s = sign_at_2cos(p, r, m)
         if s != signs[r]:
-            claim(claims, cid, False, f"sign {s} at 2cos({r}pi/{m})")
+            claim(claims, "interleaving", False, f"sign {s} at 2cos({r}pi/{m})")
             return
         pts.append(_point_interval(p, r, m)[1])
-    pts.append(left)
+    pts.append(Q(-2))
     expected = [expect_right] + [1] * (len(pts) - 3) + [expect_left]
     ok = all(e is None or sturm_count(p, b, a) == e
              for (a, b), e in zip(zip(pts, pts[1:]), expected))
-    claim(claims, cid, ok, [str(x) for x in pts])
+    claim(claims, "interleaving", ok, [str(x) for x in pts])
 
 
 def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
-    """Check the asserted root distribution of the degree-(k+..) member
-    P_{l+4+k} of the closed-form family for lam; returns a claims report."""
+    """Check the asserted root distribution of the member P_{l+4+k}, k >= 0,
+    of the closed-form family for lam; returns a claims report."""
+    if k < 0:
+        raise ValueError("rank must be at least l+4")
     lam = tuple(lam)
     family = _family(l, lam)
-    p = _FAMILY_SERIES[family](l).term(l + 4 + k)
+    p = family_series(l, lam).term(l + 4 + k)
     claims: list[dict] = []
 
-    if family == "column":
+    if family in ("column", "row"):
+        # p = (-1)^r (l+2) w at 2cos(r pi/m): w = 1 for the column, a + 2l
+        # for the row
+        row = family == "row"
         m = k + 2
-        claim(claims, "degree", p.degree == k + 2, p.degree)
+        claim(claims, "degree", p.degree == k + 2 + row, p.degree)
+        w = Polynomial([Q(2 * l), Q(1)]) if row else Polynomial.one()
         for r in range(1, k + 2):
-            ok = _divides(minimal_poly_2cos(r, m), p - Q((-1) ** r * (l + 2)))
+            ok = _divides(minimal_poly_2cos(r, m), p - w * Q((-1) ** r * (l + 2)))
             claim(claims, f"value-at-2cos({r}pi/{m})", ok)
-        claim(claims, "value-at--2", p(-2) == (-1) ** (k + 2) * (4 + k + l), str(p(-2)))
-        claim(claims, "value-at-l+2", p(l + 2) == -cheb_u(k)(l + 2), str(p(l + 2)))
-        if k >= 1:
-            claim(claims, "negative-at-l+2", p(l + 2) < 0)
-            # no root between the largest sample point and 2
-            _interior_layout(claims, "interleaving", p, m,
-                             {r: (-1) ** r for r in range(1, k + 2)},
-                             left=Q(-2), right=Q(2), expect_right=0)
-            claim(claims, "root-beyond-l+2", sturm_count(p, Q(l + 2), math.inf) == 1)
-            claim(claims, "total-real-roots",
-                   sturm_count(p, -math.inf, math.inf) == k + 2)
-
-    elif family == "row":
-        m = k + 2
-        claim(claims, "degree", p.degree == k + 3, p.degree)
-        lin = Polynomial([Q(2 * l), Q(1)])
-        for r in range(1, k + 2):
-            ok = _divides(minimal_poly_2cos(r, m), p - lin * Q((-1) ** r * (l + 2)))
-            claim(claims, f"value-at-2cos({r}pi/{m})", ok)
-        claim(claims, "value-at-2", p(2) == 2 * (l + 1) * (l + 2), str(p(2)))
-        if l >= 1 and k >= 1:
-            # x_r + 2l > 0 on (-2, 2] once l >= 1, so signs alternate;
-            # the claimed interior roots sit strictly above the smallest
-            # sample point, with one more in the top gap below 2
+        alternating = {r: (-1) ** r for r in range(1, k + 2)}
+        if not row:
+            claim(claims, "value-at--2", p(-2) == (-1) ** (k + 2) * (4 + k + l), str(p(-2)))
+            claim(claims, "value-at-l+2", p(l + 2) == -cheb_u(k)(l + 2), str(p(l + 2)))
+            if k >= 1:
+                claim(claims, "negative-at-l+2", p(l + 2) < 0)
+                # no root between the largest sample point and 2
+                _interior_layout(claims, p, m, alternating, expect_right=0)
+                claim(claims, "root-beyond-l+2", sturm_count(p, Q(l + 2), math.inf) == 1)
+                claim(claims, "total-real-roots",
+                       sturm_count(p, -math.inf, math.inf) == k + 2)
+        else:
+            claim(claims, "value-at-2", p(2) == 2 * (l + 1) * (l + 2), str(p(2)))
             full = l > 1 and l + 4 + k > 6
-            _interior_layout(claims, "interleaving", p, m,
-                             {r: (-1) ** r for r in range(1, k + 2)},
-                             left=Q(-2), right=Q(2),
-                             expect_left=0 if full else None)
-        if l > 1 and l + 4 + k > 6:
-            claim(claims, "root-below--2(l+1)",
-                   sturm_count(p, -math.inf, Q(-2 * (l + 1))) == 1)
-            claim(claims, "root-in-(-(l+1),-l)",
-                   sturm_count(p, Q(-(l + 1)), Q(-l)) == 1)
-            claim(claims, "no-root-in-(-l,-2)",
-                   sturm_count(p, Q(-l), Q(-2)) == 0)
+            if l >= 1 and k >= 1:
+                # x_r + 2l > 0 on (-2, 2] once l >= 1, so signs alternate;
+                # the claimed interior roots sit strictly above the smallest
+                # sample point, with one more in the top gap below 2
+                _interior_layout(claims, p, m, alternating, expect_left=0 if full else None)
+            if full:
+                claim(claims, "root-below--2(l+1)",
+                       sturm_count(p, -math.inf, Q(-2 * (l + 1))) == 1)
+                claim(claims, "root-in-(-(l+1),-l)",
+                       sturm_count(p, Q(-(l + 1)), Q(-l)) == 1)
+                claim(claims, "no-root-in-(-l,-2)",
+                       sturm_count(p, Q(-l), Q(-2)) == 0)
 
-    elif family == "hook_t":
+    else:
+        # sign eps (-1)^r at 2cos(r pi/m): eps = 1 for the conjugate hook,
+        # -1 for the hook, whose degree is one higher and gate one later
+        hook = family == "hook"
+        eps = -1 if hook else 1
         m = k + 1
-        claim(claims, "degree", p.degree == k + 4, p.degree)
-        signs = {}
-        for r in range(1, k + 1):
+        claim(claims, "degree", p.degree == k + 4 + hook, p.degree)
+        signs = {r: eps * (-1) ** r for r in range(1, k + 1)}
+        for r, want in signs.items():
             s = sign_at_2cos(p, r, m)
-            want = (-1) ** r
             claim(claims, f"sign-at-2cos({r}pi/{m})", s == want, s)
-            signs[r] = want
-        if l > 3:
-            claim(claims, "sign-at-2", p(2) > 0, str(p(2)))
-            claim(claims, "sign-at--2", ((-1) ** (k + 1)) * p(-2) > 0, str(p(-2)))
-            _interior_layout(claims, "interleaving", p, m, signs,
-                             left=Q(-2), right=Q(2))
-            claim(claims, "root-below--2", sturm_count(p, -math.inf, Q(-2)) == 1)
-            claim(claims, "root-in-(l-1,l)", sturm_count(p, Q(l - 1), Q(l)) == 1)
-            claim(claims, "root-beyond-l+1", sturm_count(p, Q(l + 1), math.inf) == 1)
-
-    else:  # hook
-        m = k + 1
-        claim(claims, "degree", p.degree == k + 5, p.degree)
-        signs = {}
-        for r in range(1, k + 1):
-            s = sign_at_2cos(p, r, m)
-            want = -((-1) ** r)
-            claim(claims, f"sign-at-2cos({r}pi/{m})", s == want, s)
-            signs[r] = want
-        if l > 4:
-            claim(claims, "sign-at-2", p(2) < 0, str(p(2)))
-            claim(claims, "sign-at--2", -((-1) ** (k + 1)) * p(-2) > 0, str(p(-2)))
-            _interior_layout(claims, "interleaving", p, m, signs,
-                             left=Q(-2), right=Q(2))
-            claim(claims, "root-beyond-2", sturm_count(p, Q(2), math.inf) == 1)
-            claim(claims, "root-below--2l",
-                   sturm_count(p, -math.inf, Q(-2 * l)) == 1)
-            claim(claims, "root-in-(-2l,-l+1)",
-                   sturm_count(p, Q(-2 * l), Q(-l + 1)) == 1)
-            claim(claims, "root-in-(-l+2,-l+3)",
-                   sturm_count(p, Q(-l + 2), Q(-l + 3)) == 1)
+        if l > 3 + hook:
+            claim(claims, "sign-at-2", eps * p(2) > 0, str(p(2)))
+            claim(claims, "sign-at--2", eps * (-1) ** (k + 1) * p(-2) > 0, str(p(-2)))
+            _interior_layout(claims, p, m, signs)
+            if hook:
+                intervals = [("root-beyond-2", Q(2), math.inf),
+                             ("root-below--2l", -math.inf, Q(-2 * l)),
+                             ("root-in-(-2l,-l+1)", Q(-2 * l), Q(-l + 1)),
+                             ("root-in-(-l+2,-l+3)", Q(-l + 2), Q(-l + 3))]
+            else:
+                intervals = [("root-below--2", -math.inf, Q(-2)),
+                             ("root-in-(l-1,l)", Q(l - 1), Q(l)),
+                             ("root-beyond-l+1", Q(l + 1), math.inf)]
+            for cid, lo, hi in intervals:
+                claim(claims, cid, sturm_count(p, lo, hi) == 1)
 
     return report({"l": l, "lambda": list(lam), "k": k}, claims)

@@ -98,7 +98,7 @@ class TestGram:
         expected = run(capsys, *label, *second, "--cache-dir", str(fresh))
         assert run(capsys, *label, *first, *cache_args(tmp_path))[0] == 0
 
-        def no_det(*args):
+        def no_det(tail):
             raise RuntimeError("determinant recomputed")
 
         gram.gram_matrix.cache_clear()  # drop the in-process determinant too

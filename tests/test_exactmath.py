@@ -257,10 +257,9 @@ def linearisation_matrices(draw):
 
 @st.composite
 def monic_matrix_polys(draw):
-    """(tail, den) for x^t I + (B_0 + .. + B_{t-1} x^{t-1}) / den, t = 0..3."""
+    """The tail [B_0 | .. | B_{t-1}] of x^t I + B_0 + .. + B_{t-1} x^{t-1}, t = 0..3."""
     n, t = draw(st.integers(1, 3)), draw(st.integers(0, 3))
-    tail = [[draw(st.integers(-6, 6)) for _ in range(t * n)] for _ in range(n)]
-    return tail, draw(st.integers(1, 6))
+    return [[draw(st.integers(-6, 6)) for _ in range(t * n)] for _ in range(n)]
 
 
 class TestDeterminants:
@@ -313,7 +312,7 @@ class TestDeterminants:
         # just above H alone (19) would lift -16 to 3
         monkeypatch.setattr(exactmath, "_MODULUS_FLOOR", floor)
         tried = self.moduli_tried(monkeypatch)
-        assert det_monic_companion([[-16]], 1) == Polynomial([-16, 1])
+        assert det_monic_companion([[-16]]) == Polynomial([-16, 1])
         if floor == 3:
             assert tried == [37]
 
@@ -323,15 +322,17 @@ class TestDeterminants:
         # charpoly is exact in Z/341 and the modulus is kept
         monkeypatch.setattr(exactmath, "_MODULUS_FLOOR", 3)
         tried = self.moduli_tried(monkeypatch)
-        assert det_monic_companion([[169] + [0] * 10], 1) == Polynomial([169] + [0] * 10 + [1])
+        assert det_monic_companion([[169] + [0] * 10]) == Polynomial([169] + [0] * 10 + [1])
         assert tried == [341]
 
     def test_non_unit_pivot_skips_the_modulus(self, monkeypatch):
-        # a^11 + 159/11: 2H = 340 again, but den = 11 is not a unit mod 341
+        # det(a I + B) = (a + 2)(a^2 - 11): H^2 = 2 * 122 * 118, so 2H = 339.4
+        # and 341 is tried first, but the Hessenberg pivot -11 of the
+        # companion -B is not a unit mod 341 = 11 * 31, so 347 is used
         monkeypatch.setattr(exactmath, "_MODULUS_FLOOR", 3)
         tried = self.moduli_tried(monkeypatch)
-        assert (det_monic_companion([[159] + [0] * 10], 11)
-                == Polynomial([Q(159, 11)] + [0] * 10 + [1]))
+        B = [[0, 1, 0], [11, 0, 0], [10, 3, 2]]
+        assert det_monic_companion(B) == Polynomial([-22, -11, 2, 1])
         assert tried == [341, 347]
 
     def test_failed_check_raises(self, monkeypatch):
@@ -351,19 +352,19 @@ class TestDeterminants:
 
     def test_companion_checks_itself(self, monkeypatch):
         """det_monic_companion compares its lifted result with an integer
-        Bareiss determinant of den*a^t I + B(a) at the first a >= 2 where it
-        is nonzero, here a = 4 for (a - 2)(a - 3), and raises on a corrupted
+        Bareiss determinant of a^t I + B(a) at the first a >= 2 where it is
+        nonzero, here a = 4 for (a - 2)(a - 3), and raises on a corrupted
         charpoly instead of returning a wrong determinant."""
         x = Polynomial.x()
         checked = []
         bareiss = exactmath._int_det_bareiss
         monkeypatch.setattr(exactmath, "_int_det_bareiss",
                             lambda m: checked.append([row[:] for row in m]) or bareiss(m))
-        assert det_monic_companion([[-2, 0], [0, -3]], 1) == (x - 2) * (x - 3)
+        assert det_monic_companion([[-2, 0], [0, -3]]) == (x - 2) * (x - 3)
         assert checked == [[[2, 0], [0, 1]]]
-        # t = 2, den = 2: (a^2 + a/2 + 1)(a^2 - 1/2) - a * a/2
+        # t = 2: (a^2 + a + 2)(a^2 - 1) - 2a * a
         tail = [[2, 0, 1, 2], [0, -1, 1, 0]]
-        assert det_monic_companion(tail, 2) == Polynomial([Q(-1, 2), Q(-1, 4), 0, Q(1, 2), 1])
+        assert det_monic_companion(tail) == Polynomial([-2, -1, -1, 1, 1])
         charpoly = exactmath._charpoly_mod
 
         def corrupt(c, modulus):
@@ -373,7 +374,7 @@ class TestDeterminants:
 
         monkeypatch.setattr(exactmath, "_charpoly_mod", corrupt)
         with pytest.raises(RuntimeError, match="determinant check failed at a = 2"):
-            det_monic_companion(tail, 2)
+            det_monic_companion(tail)
 
     def test_check_point_is_the_first_nonzero_from_two(self, monkeypatch):
         x = Polynomial.x()
@@ -398,13 +399,12 @@ class TestDeterminants:
 
     @given(monic_matrix_polys())
     @settings(max_examples=80, deadline=None)
-    def test_companion_matches_det_poly(self, case):
-        tail, den = case
+    def test_companion_matches_det_poly(self, tail):
         n = len(tail)
         t = len(tail[0]) // n
-        rows = [[Polynomial([Fraction(tail[i][k * n + j], den) for k in range(t)]
-                            + [int(i == j)]) for j in range(n)] for i in range(n)]
-        assert det_monic_companion(tail, den) == det_poly(PolyMatrix(rows))
+        rows = [[Polynomial([tail[i][k * n + j] for k in range(t)] + [int(i == j)])
+                 for j in range(n)] for i in range(n)]
+        assert det_monic_companion(tail) == det_poly(PolyMatrix(rows))
 
     def test_rational_det(self):
         m = [[Q(1, 2), Q(1)], [Q(1), Q(3)]]

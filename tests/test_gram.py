@@ -359,19 +359,24 @@ class TestMixedRanks:
 
     def test_denominators_are_cleared(self, monkeypatch):
         """B_0 is an integer matrix, so the denominators of
-        R = (T^-1 (x) I) B_0 (T (x) I) come from the frame T alone, and the
-        companion clears them: L = 4 for (2, 1) and L = 36 for (3, 1)."""
-        dens = []
-        core = gram.det_monic_companion
+        R = (T^-1 (x) I) B_0 (T (x) I) come from the frame T alone, and
+        gram_mixed_det clears them before the core: L = 4 for (2, 1) and
+        L = 36 for (3, 1), and the core sees the integer B = L R."""
+        dens, tails = [], []
+        clear, core = gram.clear_denominators, gram.det_monic_companion
 
-        def spy(tail, den):
+        def spy_clear(rows):
+            ints, den = clear(rows)
             dens.append(den)
-            return core(tail, den)
+            return ints, den
 
-        monkeypatch.setattr(gram, "det_monic_companion", spy)
+        monkeypatch.setattr(gram, "clear_denominators", spy_clear)
+        monkeypatch.setattr(gram, "det_monic_companion",
+                            lambda tail: tails.append(tail) or core(tail))
         gram_mixed_det(1, (2, 1), (5, 6))
         gram_mixed_det(2, (3, 1), (6, 6, 7))
         assert dens == [4, 36]
+        assert all(type(v) is int for tail in tails for row in tail for v in row)
 
 
 def sigma_table(lam, sigma):

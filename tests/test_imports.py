@@ -296,6 +296,23 @@ def test_scan_sees_a_permute_import():
     assert imports_of(source, {"permute"}) == [("permute", 1)]
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"], ids=lambda p: p.name)
+def test_only_gram_imports_the_determinant_core(path):
+    """exactmath.det_monic_companion takes integer pencils only, and every
+    one is built in gram.py: det_monic's A~ and gram_mixed_det's B = L R."""
+    source = path.read_text()
+    assert imports_of(source, {"det_monic_companion"}) == []
+    assert attribute_reads(source, "det_monic_companion") == []
+
+
+def test_scan_sees_a_determinant_core_import():
+    source = ("from .exactmath import Q, det_monic_companion\nfrom . import exactmath\n"
+              "d = exactmath.det_monic_companion(tail)\ndef det_monic_companion(tail):\n"
+              "    return 'from .exactmath import det_monic_companion'\n")
+    assert imports_of(source, {"det_monic_companion"}) == [("det_monic_companion", 1)]
+    assert attribute_reads(source, "det_monic_companion") == [3]
+
+
 def class_defs(source: str) -> list[int]:
     """Lines of every class statement, nested ones included."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))

@@ -122,9 +122,9 @@ class TestExplicitSmallCases:
         calls = []
         core = gram.det_monic_companion
 
-        def spy(tail, den):
+        def spy(tail):
             calls.append(len(tail))
-            return core(tail, den)
+            return core(tail)
 
         label = ModuleLabel(1, 5, 3, (2, 1))
         fresh = GramInstance(label)

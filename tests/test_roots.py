@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kadaryu.cheby import cheb_u
+from kadaryu.cheby import cheb_u, u_expansion
 from kadaryu.exactmath import Polynomial, Q
 from kadaryu.gram import factor_one_cup
-from kadaryu.roots import (_cheb_intervals, _interior_layout, _point_interval,
-                           column_series, family_series, hook_series, hook_t_series,
-                           lemma_roots_check, minimal_poly_2cos, row_series,
-                           sign_at_2cos, sturm_count, sturm_isolate,
+from kadaryu.roots import (_U_COEFFS, _cheb_intervals, _family, _interior_layout,
+                           _point_interval, family_series, lemma_roots_check,
+                           minimal_poly_2cos, sign_at_2cos, sturm_count, sturm_isolate,
                            verify_root_layout)
 
 from oracles import (_cos_bounds, cos_bounds_q, cos_point_enclosure, pi_bounds,
@@ -122,7 +121,7 @@ class TestEnclosures:
         # the interval sign_at_2cos reads p's sign off: dyadic ends, below
         # 2, around the point, no root of p inside, disjoint across r
         for p in (Polynomial.one(), cheb_u(m + 1), x ** 3 - 3,
-                  hook_series(5).term(8 + m)):
+                  family_series(5, (6, 1)).term(8 + m)):
             below = 2
             for r in range(1, m):
                 assert sign_at_2cos(p, r, m) != 0, (p, r, m)
@@ -215,17 +214,28 @@ class TestEnclosures:
             assert s == (1 if value > 0 else -1)
 
 
-# the r = 5 families cost 0.4 s each at most, (3, (4, 1)) included, and the
-# two default-tier r = 6 ones 0.1 s each; all fifteen together take about
-# 1.6 s (2 cores, Python 3.11.7)
+# factor_one_cup takes at most 0.3 s for each default-tier family, the r = 7
+# ones included, and the three tests that read FAMILIES take about 2.0 s
+# over all eighteen (2 cores, Python 3.11.7)
 FAMILIES = [(0, (2,)), (0, (1, 1)), (1, (3,)), (1, (2, 1)), (1, (1, 1, 1)),
             (2, (4,)), (2, (3, 1)), (2, (2, 1, 1)), (2, (1, 1, 1, 1)),
             (3, (5,)), (3, (1, 1, 1, 1, 1)), (3, (2, 1, 1, 1)), (3, (4, 1)),
             (4, (6,)), (4, (1, 1, 1, 1, 1, 1)),
             # factor_one_cup takes 1.6 s for (5, 1) and 1.5 s for (2, 1, 1, 1, 1),
-            # almost all of it in the two anchor determinants
+            # 1.2 s for (6, 1) and 2.4 s for (2, 1, 1, 1, 1, 1), almost all of
+            # it in the two anchor determinants
             pytest.param(4, (5, 1), marks=pytest.mark.slow),
-            pytest.param(4, (2, 1, 1, 1, 1), marks=pytest.mark.slow)]
+            pytest.param(4, (2, 1, 1, 1, 1), marks=pytest.mark.slow),
+            # appended, since a test id names its entry by position (lam{index})
+            (-1, (1,)), (5, (7,)), (5, (1, 1, 1, 1, 1, 1, 1)),
+            pytest.param(5, (6, 1), marks=pytest.mark.slow),
+            pytest.param(5, (2, 1, 1, 1, 1, 1), marks=pytest.mark.slow)]
+
+
+# every (l, lam) with a closed form at l <= 6, in the order the pins read them
+CLOSED_FORMS = [(l, lam) for l in range(-1, 7)
+                for lam in sorted(s for s in {(1,) * (l + 2), (l + 2,), (2,) + (1,) * l,
+                                              (l + 1, 1)} if sum(s) == l + 2 and min(s) > 0)]
 
 
 class TestClosedForms:
@@ -237,12 +247,22 @@ class TestClosedForms:
             assert closed.term(n) == series.term(n), n
 
     def test_dispatch(self):
-        # at l = 1 the hook and the conjugate hook coincide
-        assert family_series(1, (2, 1)) == hook_t_series(1)
-        assert family_series(0, (2,)) == row_series(0)
-        assert family_series(0, (1, 1)) == column_series(0)
+        # at l = -1 the column and the row coincide, at l = 1 the hook and
+        # the conjugate hook
+        assert _family(-1, (1,)) == "column"
+        assert _family(1, (2, 1)) == "hook_t"
+        assert _family(0, (2,)) == "row"
+        assert _family(0, (1, 1)) == "column"
+        assert _family(2, (3, 1)) == "hook"
         with pytest.raises(ValueError):
             family_series(2, (2, 2))
+
+    @pytest.mark.parametrize("l,lam", CLOSED_FORMS)
+    def test_tables_are_the_u_expansions(self, l, lam):
+        table = _U_COEFFS[_family(l, lam)](l)
+        expansion = u_expansion(family_series(l, lam))
+        assert ({k: v for k, v in expansion.items() if v}
+                == {k: v for k, v in table.items() if v})
 
     @pytest.mark.parametrize("l,lam", FAMILIES)
     def test_squarefree_and_all_real(self, l, lam):
@@ -308,13 +328,11 @@ class TestLayoutVerifier:
         """Every closed-form label gets the claims of the series family_series
         returns for it, so its degree claim holds; at l = 1 the hook (2, 1)
         is the conjugate hook."""
-        for l in range(-1, 7):
-            shapes = {(1,) * (l + 2), (l + 2,), (2,) + (1,) * l, (l + 1, 1)}
-            for lam in sorted(s for s in shapes if sum(s) == l + 2 and min(s) > 0):
-                for k in range(1, 4):
-                    (degree,) = [c for c in verify_root_layout(l, lam, k)["claims"]
-                                 if c["id"] == "degree"]
-                    assert degree["status"] == "pass", (l, lam, k, degree)
+        for l, lam in CLOSED_FORMS:
+            for k in range(1, 4):
+                (degree,) = [c for c in verify_root_layout(l, lam, k)["claims"]
+                             if c["id"] == "degree"]
+                assert degree["status"] == "pass", (l, lam, k, degree)
 
     def test_report_schema(self):
         rep = verify_root_layout(0, (1, 1), 2)
@@ -329,12 +347,31 @@ class TestLayoutVerifier:
     ])
     def test_wrong_sign_fails_interleaving(self, p, m, signs, witness):
         claims = []
-        _interior_layout(claims, "interleaving", p, m, signs, Q(-2), Q(2))
+        _interior_layout(claims, p, m, signs)
         assert claims == [{"id": "interleaving", "status": "fail", "witness": witness}]
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             verify_root_layout(2, (2, 2), 1)
+
+    @pytest.mark.parametrize("l,lam", [(0, (2,)), (0, (1, 1)), (2, (3, 1)), (1, (2, 1))])
+    def test_member_below_the_anchor_rejected(self, l, lam):
+        # P_{l+4+k} with k < 0 is no member the layout is claimed for
+        with pytest.raises(ValueError, match="rank must be at least l\\+4"):
+            verify_root_layout(l, lam, -1)
+
+    def test_layouts_are_pinned(self):
+        """Every closed-form series and every layout report at l <= 6,
+        0 <= k <= 6, passing or failing, witnesses included (208 lines)."""
+        lines = []
+        for l, lam in CLOSED_FORMS:
+            s = family_series(l, lam)
+            lines.append(f"series {l} {lam} {s.anchor} {s.pN!r} {s.pN1!r}")
+            lines += [f"{l} {lam} {k} {json.dumps(verify_root_layout(l, lam, k))}"
+                      for k in range(7)]
+        assert len(lines) == 208
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "8b66b70a8e77d7fb28d55d611d7c6fc2da52c59ab000e9b3bc80cf8fc1243d91")
 
     def test_small_l_failures_pinned(self):
         """The 22 closed-form layouts at l <= 6, k <= 4 that fail today (the
@@ -344,16 +381,14 @@ class TestLayoutVerifier:
         path = Path(__file__).parent / "data" / "root_layout_failures.json"
         wants = {(w["l"], tuple(w["lambda"]), w["k"]): w for w in json.loads(path.read_text())}
         assert len(wants) == 22
-        for l in range(-1, 7):
-            shapes = {(1,) * (l + 2), (l + 2,), (2,) + (1,) * l, (l + 1, 1)}
-            for lam in sorted(s for s in shapes if sum(s) == l + 2 and min(s) > 0):
-                for k in range(1, 5):
-                    rep = verify_root_layout(l, lam, k)
-                    assert_exact_interleaving(rep)
-                    if (l, lam, k) in wants:
-                        assert json.dumps(rep) == json.dumps(wants[l, lam, k])
-                    else:
-                        assert rep["status"] == "pass", (l, lam, k)
+        for l, lam in CLOSED_FORMS:
+            for k in range(1, 5):
+                rep = verify_root_layout(l, lam, k)
+                assert_exact_interleaving(rep)
+                if (l, lam, k) in wants:
+                    assert json.dumps(rep) == json.dumps(wants[l, lam, k])
+                else:
+                    assert rep["status"] == "pass", (l, lam, k)
 
     def test_certify_reports_pinned(self):
         # the two layouts the certify workload runs, witnesses included
