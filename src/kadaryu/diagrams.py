@@ -19,7 +19,10 @@ exactly the products of the cup-cap generators e_1..e_{n-1} and the
 transpositions s_1..s_{l+1}.  `half_basis` enumerates the half diagrams
 of a standard module as the closure of one cup diagram under those
 generators, and its cardinalities are cross-checked elsewhere against
-walk counts on the corresponding branching graphs.
+walk counts on the corresponding branching graphs.  The one-cup basis is
+the same closure at p = n-2, ordered by the cup (j, k) (`one_cup_basis`,
+`one_cup_index`): the adjacent cups and every (j, k) with k <= l+3, a
+rule the tests check rather than one coded here.
 """
 
 from __future__ import annotations
@@ -63,16 +66,6 @@ def permute(u: tuple[int, ...], s: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     for i, j in enumerate(s):
         inverse[j] = i
     return _slots([inverse[u[j]] if u[j] > 0 else u[j] for j in s])
-
-
-def u_cup(j: int, k: int, n: int) -> tuple[int, ...]:
-    """One-cup half diagram u_{jk} in B(n, n-2): cup at top points j < k,
-    remaining top points joined order-preservingly to the bottom."""
-    if not (1 <= j < k <= n):
-        raise ValueError("need 1 <= j < k <= n")
-    top = [0, *range(-1, -n - 1, -1)]
-    top[j], top[k] = k, j
-    return _slots(top)[0]
 
 
 def pairing_table(half) -> list[list]:
@@ -155,21 +148,13 @@ def half_basis(l: int, n: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def one_cup_basis(l: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The distinguished one-cup half-diagram list, ordered by (j, k).
-
-    Adjacent cups u_{12}..u_{n-1,n} plus u_{jk} for 3 <= k <= min(n, l+3),
-    j <= k-2.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return tuple(u_cup(j, k, n) for j, k in one_cup_index(l, n))
+    """The one-cup half diagrams u_{jk} of half_basis(l, n, n-2), ordered
+    by their cup (j, k)."""
+    return tuple(sorted(half_basis(l, n, n - 2),
+                        key=lambda u: [(j, k) for j, k in enumerate(u) if j < k]))
 
 
 @lru_cache(maxsize=None)
 def one_cup_index(l: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The (j,k) index list matching one_cup_basis ordering."""
-    idx = {(j, j + 1) for j in range(1, n)}
-    for k in range(3, min(n, l + 3) + 1):
-        for j in range(1, k - 1):
-            idx.add((j, k))
-    return tuple(sorted(idx))
+    """The cups (j, k) of one_cup_basis(l, n), in its order."""
+    return tuple((j, k) for u in one_cup_basis(l, n) for j, k in enumerate(u) if j < k)

@@ -26,12 +26,13 @@ whose blocks are the A(sigma) times a^loops, placed by one loop over the
 pairing table: one integer block companion characteristic polynomial
 (GramInstance.det_monic), and the one exact check point is the
 determinant core's own (exactmath.det_monic_companion).  The Gram matrix
-is G = (S (x) I) A~, built only to be printed; the mixed-rank determinant
-(gram_mixed_det) and every certificate read A~, and only this module
-reads it: the certificates take rows of the pencil A~(a) = a I + B_0 of a
-one-cup module (GramInstance.pencil).  Only this module knows the basis
-layout: GramInstance.cup_row gives the position of u_cup b_k in a one-cup
-module.
+is G = (S (x) I) A~, built only to be printed.  Only the methods of
+GramInstance read A~; the mixed-rank determinant (gram_mixed_det) and
+every certificate take rows of the pencil A~(a) = a I + B_0 of a one-cup
+module (GramInstance.pencil), B_0 itself at a = 0.  Only this module
+knows the basis layout: GramInstance.cup_row gives the position of
+u_cup b_k in a one-cup module, whose half diagrams are ordered by their
+cup (diagrams.one_cup_basis).
 
 S_r acts on the first r strands of a module (act): s u_a = u_b sigma, a
 relabelling of the top points of u_a (diagrams.permute) once per
@@ -105,10 +106,8 @@ class GramInstance:
 
     def __init__(self, label: ModuleLabel):
         self.label = label
-        if label.p == label.n - 2:
-            self.half = one_cup_basis(label.l, label.n)
-        else:
-            self.half = half_basis(label.l, label.n, label.p)
+        self.half = (one_cup_basis(label.l, label.n) if label.cups == 1
+                     else half_basis(label.l, label.n, label.p))
         self.d = hook_dimension(label.lam)
 
     @property
@@ -127,7 +126,7 @@ class GramInstance:
     def cup_row(self, k: int, cup: tuple[int, int]) -> int:
         """Basis position of u_cup b_k in a one-cup module."""
         lab = self.label
-        if lab.p != lab.n - 2:
+        if lab.cups != 1:
             raise ValueError(f"{lab} is not a one-cup module")
         return k * len(self.half) + one_cup_index(lab.l, lab.n).index(cup)
 
@@ -268,8 +267,9 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
     common denominator L coming from T alone, so the integer pencil the
     core takes is y I + B with B = L R (exactmath.det_monic_companion), and
     det(a I + R) = L^-k det(L a I + B) for k cups.  T^-1 is N^-1 T^t S,
-    checked to invert T exactly; T and T^-1 are upper triangular, so only
-    the nonzero entries of B_0 are walked.
+    checked to invert T exactly.  B_0 is read as the pencil at a = 0,
+    whose rows hold only the nonzero entries and the diagonal, and T and
+    T^-1 are upper triangular, so only those entries are walked.
     """
     lam = tuple(lam)
     d = hook_dimension(lam)
@@ -279,7 +279,6 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
         raise ValueError("each rank must be >= l+4")
     big = max(n_tuple)
     inst = gram_matrix(ModuleLabel(l, big, big - 2, lam))
-    tail = inst.linearisation
     _xs, T, norms = specht_frame(lam)
     S = specht_gram(lam)
     inv = [[sum(T[i][k] * S[i][m] for i in range(d)) / norms[k] for m in range(d)]
@@ -293,18 +292,17 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
     # R restricted to the cups: row (k, a) takes T^-1[k][m] for
     # m >= k, column (kk, b) takes T[mm][kk] for mm <= kk
     low = [[0] * len(pos) for _ in pos]
-    for row, values in enumerate(tail):
+    for row, entries in enumerate(inst.pencil(0, range(inst.dim))):
         m, a = divmod(row, nhalf)
         rows = [(pos[k * nhalf + a], inv[k][m]) for k in range(m + 1)
                 if k * nhalf + a in pos and inv[k][m]]
-        for col, val in enumerate(values):
-            if val and rows:
-                mm, b = divmod(col, nhalf)
-                cols = [(pos[kk * nhalf + b], T[mm][kk] * val) for kk in range(mm, d)
-                        if kk * nhalf + b in pos and T[mm][kk]]
-                for i, t in rows:
-                    for j, v in cols:
-                        low[i][j] += t * v
+        for col, val in entries.items():
+            mm, b = divmod(col, nhalf)
+            cols = [(pos[kk * nhalf + b], T[mm][kk] * val) for kk in range(mm, d)
+                    if kk * nhalf + b in pos and T[mm][kk]]
+            for i, t in rows:
+                for j, v in cols:
+                    low[i][j] += t * v
     B, L = clear_denominators(low)
     det = det_monic_companion(B)
     return Polynomial([c * Q(L) ** (i - len(B)) for i, c in enumerate(det.coeffs)])

@@ -1,5 +1,7 @@
 """Command-line driver: subcommands, exit codes, and the result cache."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -8,12 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kadaryu
 from kadaryu import gram
 from kadaryu.cli import cache_get_put, main, source_stamp
 from kadaryu.exactmath import Polynomial
 from kadaryu.gram import one_cup_det
+from kadaryu.symmetric import partitions
 
 
 def run(capsys, *argv):
@@ -547,3 +552,88 @@ class TestCachedVerdicts:
         refuse(monkeypatch, producer)
         assert run(capsys, *default, *explicit, *cache_args(tmp_path)) == first
         assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+
+
+# irreducible over Q: degree one, or degree two and three with no rational
+# root; a reducible modulus such as minpoly:-1,0,1 ends in a traceback
+IRREDUCIBLE = ["minpoly:-2,1", "minpoly:-2,0,1", "minpoly:1,0,1", "minpoly:1,1,1",
+               "minpoly:-1,-1,1", "minpoly:-4,1,1", "minpoly:-3,0,0,1"]
+FORMATS = {"gram": ["json", "csv"], "series": ["json", "csv"], "rollet": ["json", "dot"]}
+
+
+@st.composite
+def argvs(draw):
+    """An argument list in the parser's grammar, labels kept small enough to
+    run in-process: l <= 2, gram n <= 6, rollet max-n <= 5, verify m <= 2
+    (m = 2 at l = 1 only with max-p = l+2, and max-p <= l+4 at l = 2),
+    roots n <= l+10, bootstrap n <= l+6.  Now and then a value is out of
+    range (l = -2, p of the wrong parity, a partition of the wrong size,
+    m < 1, a rank too small, a format the command does not honour), which
+    takes a usage-error path."""
+    command = draw(st.sampled_from(["gram", "series", "rollet", "verify", "roots", "bootstrap"]))
+
+    def mostly(good, bad):
+        """Values from good, or one time in eight from bad."""
+        return st.sampled_from([good] * 7 + [bad]).flatmap(lambda values: values)
+
+    def option(flag, values):
+        """[flag=value] (so that -3/2 is a value), or nothing (the default)."""
+        return draw(st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"])))
+
+    def lam(size):
+        parts = partitions(draw(mostly(st.just(max(size, 0)), st.integers(0, 4))))
+        return ",".join(map(str, draw(st.sampled_from(parts))))
+
+    l = draw(mostly(st.integers(-1, 2), st.just(-2)))
+    argv = [command] if command != "verify" else [command, "arm"]
+    argv += ["--l", str(l)]
+    if command == "gram":
+        n = draw(st.integers(0, 6))
+        p = draw(mostly(st.sampled_from(range(n % 2, n + 1, 2)), st.integers(-1, n)))
+        argv += ["--n", str(n), "--p", str(p), "--lambda", lam(min(p, l + 2))]
+        argv += draw(st.sampled_from([[], ["--det"]]))
+    elif command == "rollet":
+        bound = mostly(st.integers(0, 5), st.just(-1))
+        argv += option("--max-n", bound) + option("--max-p", bound)
+        argv += draw(st.lists(st.sampled_from(["det", "mvf"]), max_size=2).map(
+            lambda ds: [a for d in ds for a in ("--decorate", d)]))
+    else:
+        argv += ["--lambda", lam(l + 2)]
+    if command == "verify":
+        m = draw(mostly(st.integers(1, 2 if l <= 1 else 1), st.integers(-1, 0)))
+        top = l + 2 if (l, m) == (1, 2) else l + 4 if l == 2 else l + 6
+        argv += ["--m", str(m), "--max-p", str(draw(mostly(st.integers(l + 2, top),
+                                                            st.integers(l, l + 1))))]
+    elif command == "roots":
+        argv += option("--n", mostly(st.integers(l + 4, l + 10), st.integers(0, l + 3)))
+    elif command == "bootstrap":
+        argv += option("--n", mostly(st.integers(max(l + 4, 2), l + 6), st.integers(0, l + 3)))
+        rational = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+        argv += option("--alpha", st.one_of(rational, st.sampled_from(IRREDUCIBLE)))
+        argv += option("--target", st.integers(0, 4).flatmap(
+            lambda r: st.sampled_from(partitions(r))).map(lambda t: ",".join(map(str, t))))
+    good = FORMATS.get(command, ["json"])
+    return argv + option("--format", mostly(st.sampled_from(good),
+                                            st.just("csv" if "dot" in good else "dot")))
+
+
+@pytest.fixture(scope="module")
+def fuzz_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("cache")
+
+
+class TestArgvFuzz:
+    @given(argvs())
+    @settings(max_examples=100, deadline=None)
+    def test_exit_codes_errors_and_records(self, fuzz_cache, argv):
+        """main returns 0, 1, 2 or 4 and never raises; a run that returns 2
+        or 4 ends stderr with an error line and writes no cache record.
+        The cache is shared, so later runs also take the hit paths."""
+        before = sorted(fuzz_cache.iterdir())
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--cache-dir", str(fuzz_cache)])
+        assert code in (0, 1, 2, 4), argv
+        if code in (2, 4):
+            assert "error: " in err.getvalue().splitlines()[-1], argv
+            assert sorted(fuzz_cache.iterdir()) == before, argv

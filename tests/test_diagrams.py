@@ -3,13 +3,14 @@ against the reference pair partitions of tests/oracles.py (composition,
 flip, half normalisation), which are tested here as well."""
 
 import hashlib
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kadaryu.diagrams import _cup, half_basis, one_cup_basis, one_cup_index, permute, u_cup
+from kadaryu.diagrams import _cup, half_basis, one_cup_basis, one_cup_index, permute
 from kadaryu.symmetric import all_permutations
 
 from oracles import (PairPartition, basis_by_closure, brauer_basis, compose, compose_by_graph,
@@ -175,15 +176,26 @@ class TestHalfBases:
         assert idx == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5))
         basis = one_cup_basis(1, 5)
         assert len(basis) == len(idx)
-        assert basis[0] == u_cup(1, 2, 5) == (0, 2, 1, -1, -2, -3)
+        assert basis[0] == (0, 2, 1, -1, -2, -3)
 
     def test_u_cup_is_the_reference(self):
-        assert u_cup(2, 4, 5) == partners(U24) == (0, -1, 4, -2, 2, -3)
+        at = one_cup_index(1, 5).index((2, 4))
+        assert one_cup_basis(1, 5)[at] == partners(U24) == (0, -1, 4, -2, 2, -3)
 
-    def test_one_cup_is_half_basis(self):
-        # same set, different canonical order
-        for l, n in [(-1, 5), (0, 5), (1, 6)]:
-            assert set(one_cup_basis(l, n)) == set(half_basis(l, n, n - 2))
+    def test_one_cup_cups_follow_the_rule(self):
+        """The cups of the closure are the adjacent cups (j, j+1) and every
+        (j, k) with 3 <= k <= min(n, l+3) and j <= k-2, in (j, k) order."""
+        for l, n in itertools.product(range(-1, 6), range(2, 12)):
+            rule = sorted({(j, j + 1) for j in range(1, n)}
+                          | {(j, k) for k in range(3, min(n, l + 3) + 1) for j in range(1, k - 1)})
+            assert one_cup_index(l, n) == tuple(rule), (l, n)
+            assert [[(j, k) for j, k in enumerate(u) if j < k] for u in one_cup_basis(l, n)] == [
+                [cup] for cup in rule], (l, n)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_one_cup_needs_two_strands(self, n):
+        with pytest.raises(ValueError):
+            one_cup_basis(0, n)
 
     def test_generators_height(self):
         # s_2 is reachable at l=1 but not l=0

@@ -302,8 +302,10 @@ class TestAction:
 
 class TestMixedRanks:
     def test_equal_tuple_matches_one_cup(self):
-        d = gram_mixed_det(1, (2, 1), (5, 5))
-        assert d.monic() == one_cup_det(1, 5, (2, 1))
+        """At equal ranks the minor is the whole of a I + R, which is
+        similar to A~ = a I + B_0, so both determinants are one polynomial."""
+        for l, lam, n in [(1, (2, 1), 5), (2, (3, 1), 6), (2, (2, 1, 1), 6), (2, (2, 2), 7)]:
+            assert gram_mixed_det(l, lam, (n,) * hook_dimension(lam)) == one_cup_det(l, n, lam)
 
     def test_three_term_recursion(self):
         """Growing one component by two ranks satisfies the same recursion

@@ -3,11 +3,11 @@ module-level name is read somewhere in the package, every public function,
 class and method is read by the package or the benchmark harness or is
 library API, no module calls float, writes a float literal or imports
 dataclasses, only the CLI reads the dense Gram matrix, only gram.py
-reads a module's half-diagram list and its linearisation or acts on half
-diagrams by permutations, only symmetric.py multiplies permutations and
-diagrams.py defines no class: stdlib `ast` scans that stand in for a
-linter's unused-import, dead-code, exactness, start-up and layering
-rules."""
+reads a module's half-diagram list or acts on half diagrams by
+permutations, only the methods of GramInstance read its linearisation,
+only symmetric.py multiplies permutations and diagrams.py defines no
+class: stdlib `ast` scans that stand in for a linter's unused-import,
+dead-code, exactness, start-up and layering rules."""
 
 import ast
 from collections import Counter
@@ -246,11 +246,29 @@ def test_only_gram_reads_the_half_diagrams(path):
     assert attribute_reads(path.read_text(), "half") == []
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"], ids=lambda p: p.name)
+def reads_outside_class(source: str, attr: str, cls: str | None) -> list[int]:
+    """attribute_reads of attr, leaving out those in the body of the
+    top-level class cls."""
+    spans = [range(stmt.lineno, stmt.end_lineno + 1) for stmt in ast.parse(source).body
+             if isinstance(stmt, ast.ClassDef) and stmt.name == cls]
+    return [line for line in attribute_reads(source, attr) if not any(line in s for s in spans)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_gram_reads_the_linearisation(path):
     """The layout of A~ (the integer tail [B_0 | .. | B_{cups-1}]) is known
-    to gram.py alone; other modules take rows of GramInstance.pencil."""
-    assert attribute_reads(path.read_text(), "linearisation") == []
+    to the methods of GramInstance alone; other code, gram_mixed_det
+    included, takes rows of GramInstance.pencil."""
+    cls = "GramInstance" if path.name == "gram.py" else None
+    assert reads_outside_class(path.read_text(), "linearisation", cls) == []
+
+
+def test_scan_sees_a_linearisation_read_outside_the_instance():
+    source = ("class GramInstance:\n    def det(self):\n        return f(self.linearisation)\n"
+              "def mixed(inst):\n    return inst.linearisation[0]\n"
+              "class Other:\n    def rows(self, inst):\n        return inst.linearisation\n")
+    assert reads_outside_class(source, "linearisation", "GramInstance") == [5, 8]
+    assert reads_outside_class(source, "linearisation", None) == [3, 5, 8]
 
 
 def test_scan_sees_a_half_read():
