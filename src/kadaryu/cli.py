@@ -12,7 +12,9 @@ bootstrap.  A record is keyed by the resolved inputs (defaults applied) and
 stamped with the engine stamp, __version__ plus a CRC-32 of the package's
 source files, so any edit to the engine recomputes it.  A cached verdict
 exits with the code its fresh run had, since the code is read off the
-payload; a run that ends in an error writes no record.  Writes are atomic
+payload.  A run writes its records last, after its output, so one that
+ends in an error (an --out that cannot be written included) writes no
+record.  Writes are atomic
 (write to a temp file, then rename), so racing invocations at worst
 recompute the same payload.
 
@@ -38,6 +40,8 @@ import zlib
 from . import __version__
 
 _warned_unwritable = False
+# the records of the run in main, written once its output is out
+_held: list | None = None
 
 
 def _lazy(module: str, name: str):
@@ -143,16 +147,26 @@ def cache_get(cache_dir: str, key: str):
 def cache_get_put(cache_dir: str, key: str, producer):
     """Fetch a payload by key, computing and persisting it on a miss.
 
-    Corrupt records are rebuilt with a warning; an unwritable directory
-    degrades to compute-without-persist (warned once per process).  A failed
-    write never leaves its temp file behind; errors other than OSError
-    propagate.
+    Corrupt records are rebuilt with a warning.  Inside main the record
+    is held back until the run has written its output; elsewhere it is
+    written at once.
     """
-    global _warned_unwritable
     payload = cache_get(cache_dir, key)
-    if payload is not None:
-        return payload
-    payload = producer()
+    if payload is None:
+        payload = producer()
+        if _held is None:
+            _put(cache_dir, key, payload)
+        else:
+            _held.append((cache_dir, key, payload))
+    return payload
+
+
+def _put(cache_dir: str, key: str, payload) -> None:
+    """Persist one record.  An unwritable directory degrades to
+    compute-without-persist (warned once per process).  A failed write
+    never leaves its temp file behind; errors other than OSError
+    propagate."""
+    global _warned_unwritable
     rec = {"key": key, "version": source_stamp(), "payload": payload}
     tmp = None
     try:
@@ -170,7 +184,6 @@ def cache_get_put(cache_dir: str, key: str, producer):
         # any failure before the rename (OSError or not) drops the temp file
         if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(b, series_label=True)
     b.add_argument("--n", type=int, help="rank (default l+4)")
     b.add_argument("--alpha", type=_parse_alpha,
-                   help="parameter value: rational, or minpoly:c0,c1,...")
+                   help="parameter value: rational, or minpoly:c0,c1,...; "
+                        "a negative fraction goes after '=', as --alpha=-1/2")
     b.add_argument("--target", type=_parse_partition,
                    help="target module partition for twisted embeddings")
     b.set_defaults(func=_cmd_bootstrap)
@@ -427,24 +441,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    global _held
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; version/help exit 0
         return int(exc.code or 0)
+    _held = []
     try:
         if args.l < -1:
             raise ValueError("height bound must be >= -1")
         if args.series_label and sum(args.lam) != args.l + 2:
             raise ValueError(f"--lambda must be a partition of l+2 = {args.l + 2}")
-        return args.func(args)
+        code = args.func(args)
+        for record in _held:
+            _put(*record)
+        return code
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        _held = None
 
 
 if __name__ == "__main__":

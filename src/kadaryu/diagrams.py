@@ -1,5 +1,5 @@
 """Half diagrams as partner tuples, the generators acting on them by local
-rewrites, the pairing table, and the bounded-height half-diagram bases.
+rewrites, their pairings, and the bounded-height half-diagram bases.
 
 A half diagram u in B(n, p) has n top points 1..n and p bottom slots 1..p.
 It is stored as its top-partner tuple: u[t] = +s for a cup joining top
@@ -11,8 +11,8 @@ The generators act on u from above.  The cup-cap generator e_i joins the
 two old partners of top points i and i+1 and puts a cup there (`_cup`); a
 permutation s relabels the top points (`permute`).  Either may leave the
 slots out of order, and renumbering them left to right splits off the
-residual permutation of the p outputs.  `pairing_table` stacks the flip of
-one half diagram on another by a walk over the same tuples.
+residual permutation of the p outputs.  `pairings` stacks the flip of one
+half diagram on each of a list of others by a walk over the same tuples.
 
 Height is treated operationally: the height-<= l diagrams on n strands are
 exactly the products of the cup-cap generators e_1..e_{n-1} and the
@@ -68,27 +68,25 @@ def permute(u: tuple[int, ...], s: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     return _slots([inverse[u[j]] if u[j] > 0 else u[j] for j in s])
 
 
-def pairing_table(half) -> list[list]:
-    """(loops, image) for flip(u) stacked on v, for every pair of half
-    diagrams u, v in B(n, p): the closed loops, and image[i-1] = the bottom
-    point the composite joins to top i; None when the composite has fewer
-    than p propagating lines.
+def pairings(half, u) -> list:
+    """(loops, image) for flip(u) stacked on each half diagram v of half,
+    all in B(n, p): the closed loops, and image[i-1] = the bottom point the
+    composite joins to top i; None when the composite has fewer than p
+    propagating lines.
 
     Each line goes down from a slot of u, across a cup of v and back along
     a cup of u until it reaches a slot of v, or a slot of u, which leaves
     the composite short of p lines.  The glued points no line visits close
     into loops.
     """
-    if not half:
-        return []
-    n = len(half[0]) - 1
-    slots = [[t for t in range(1, n + 1) if u[t] < 0] for u in half]
-    return [[_stack(u, slots_u, v, n) for v in half] for u, slots_u in zip(half, slots)]
+    n = len(u) - 1
+    slots = [t for t in range(1, n + 1) if u[t] < 0]
+    return [_stack(u, slots, v, n) for v in half]
 
 
 def _stack(pu, slots_u: list[int], pv, n: int):
-    """pairing_table's entry for the partner tuples pu, pv and the slot
-    tops of u."""
+    """pairings' entry for the partner tuples pu, pv and the slot tops
+    of u."""
     seen = [False] * (n + 1)
     image = []
     for t in slots_u:

@@ -12,8 +12,8 @@ diagrammatically:
 where flip(u) stacked on v leaves d closed loops and the residual
 permutation sigma (which must fix the strands beyond r; anything else is a
 closure bug, not data).  Terms with fewer than p propagating lines die in
-the cell quotient and contribute 0.  The (d, sigma) of every pair of half
-diagrams come from one pairing table (diagrams.pairing_table), and each
+the cell quotient and contribute 0.  The (d, sigma) of u against every
+half diagram come from one walk (diagrams.pairings), and each
 sigma-table <x_i c, sigma x_j c> is M(sigma) = S A(sigma), S the Specht
 Gram and A(sigma) the action of sigma on the Specht basis
 (symmetric.left_action_matrix, read off one table of translates solved
@@ -22,9 +22,9 @@ once per lam, where S A = M and integrality are checked exactly).
 Determinants are reported monic: the form is only defined up to a global
 scalar, and monic normalisation is the canonical representative.  The
 monic determinant is that of a monic integer matrix polynomial A~ in a
-whose blocks are the A(sigma) times a^loops, placed by one loop over the
-pairing table: one integer block companion characteristic polynomial
-(GramInstance.det_monic), and the one exact check point is the
+whose blocks are the A(sigma) times a^loops, placed one half diagram at
+a time (GramInstance._rows): one integer block companion characteristic
+polynomial (GramInstance.det_monic), and the one exact check point is the
 determinant core's own (exactmath.det_monic_companion).  The Gram matrix
 is G = (S (x) I) A~, built only to be printed.  Only the methods of
 GramInstance read A~; the mixed-rank determinant (gram_mixed_det) and
@@ -38,7 +38,7 @@ S_r acts on the first r strands of a module (act): s u_a = u_b sigma, a
 relabelling of the top points of u_a (diagrams.permute) once per
 (label, s), gives s (u_a b_i) = sum_j A(sigma)[j][i] u_b b_j, and no
 matrix of the whole module is built.
-The pairing table and the action share one residual-permutation check.
+The placement and the action share one residual-permutation check.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import NamedTuple
 from .exactmath import (Polynomial, PolyMatrix, Q, clear_denominators, det_monic_companion,
                         poly_gcd_cofactors, poly_nth_root)
 from .cheby import ChebSeries, ramping_check
-from .diagrams import half_basis, one_cup_basis, one_cup_index, pairing_table, permute
+from .diagrams import half_basis, one_cup_basis, one_cup_index, pairings, permute
 from .symmetric import (hook_dimension, identity, is_partition, left_action_matrix,
                         specht_frame, specht_gram)
 
@@ -100,8 +100,8 @@ class GramInstance:
     Basis order: Specht index outermost, half diagrams in their canonical
     order within each block (for one-cup modules this is the (j,k) cup
     order, cup_row).  The linearisation the determinant is taken from is
-    placed by one loop over one pairing table, (loops, sigma) per pair of
-    half diagrams, and the Gram matrix is read off it.
+    placed one half diagram at a time, from the (loops, sigma) of that
+    half diagram against the basis, and the Gram matrix is read off it.
     """
 
     def __init__(self, label: ModuleLabel):
@@ -109,19 +109,12 @@ class GramInstance:
         self.half = (one_cup_basis(label.l, label.n) if label.cups == 1
                      else half_basis(label.l, label.n, label.p))
         self.d = hook_dimension(label.lam)
+        self._placed: dict[int, list[list[int]]] = {}
+        self._blocks: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
 
     @property
     def dim(self) -> int:
         return self.d * len(self.half)
-
-    @cached_property
-    def table(self) -> list[list]:
-        """table[a][b] = (loops, sigma) for flip(half[a]) stacked on half[b],
-        sigma the residual permutation restricted to 1..r; None when the
-        composite drops below p propagating lines."""
-        r = self.label.r
-        return [[None if pair is None else (pair[0], _residual(pair[1], r)) for pair in row]
-                for row in pairing_table(self.half)]
 
     def cup_row(self, k: int, cup: tuple[int, int]) -> int:
         """Basis position of u_cup b_k in a one-cup module."""
@@ -137,46 +130,53 @@ class GramInstance:
         diagonal; off the diagonal the entries are ints."""
         if self.label.cups != 1:
             raise ValueError(f"{self.label} is not a one-cup module")
-        tail = self.linearisation
-        return [{j: b + a if i == j else b for j, b in enumerate(tail[i]) if b or i == j}
+        nhalf = len(self.half)
+        return [{j: b + a if i == j else b
+                 for j, b in enumerate(self._rows(i % nhalf)[i // nhalf]) if b or i == j}
                 for i in rows]
+
+    def _rows(self, a: int) -> list[list[int]]:
+        """The d tail rows k * nhalf + a of A~, placed once and kept: the
+        integer block A(sigma) = left_action_matrix(lam, sigma) times
+        a^loops at the pair (half[a], half[b]) for every b, and only b = a
+        closes every cup."""
+        if a in self._placed:
+            return self._placed[a]
+        lab, blocks = self.label, self._blocks
+        dim, cups, nhalf, r = self.dim, lab.cups, len(self.half), lab.r
+        rows = [[0] * (cups * dim) for _ in range(self.d)]
+        for b, pair in enumerate(pairings(self.half, self.half[a])):
+            if pair is None:
+                continue
+            loops, sigma = pair[0], _residual(pair[1], r)
+            if loops < cups:
+                block = blocks.get(sigma)
+                if block is None:  # A(sigma) as (i, j * nhalf, entry)
+                    block = blocks[sigma] = [(i, j * nhalf, v) for i, row in
+                                             enumerate(left_action_matrix(lab.lam, sigma))
+                                             for j, v in enumerate(row) if v]
+                shift = loops * dim + b
+                for i, j, val in block:
+                    rows[i][shift + j] = val
+            elif a != b or sigma != identity(r):
+                raise RuntimeError(f"half diagrams {a} and {b} close every cup "
+                                   f"with sigma = {sigma} for {lab}")
+        self._placed[a] = rows
+        return rows
 
     @cached_property
     def linearisation(self) -> list[list[int]]:
         """The integer tail [B_0 | .. | B_{cups-1}] of A~ = a^cups I + B_0 +
-        .. + B_{cups-1} a^{cups-1}.  A~ places the integer block A(sigma) =
-        left_action_matrix(lam, sigma) times a^loops at every pair of the
-        table, and only u = v closes every cup."""
-        lab = self.label
-        dim, cups, nhalf = self.dim, lab.cups, len(self.half)
-        sigmas = {pair[1] for pairs in self.table for pair in pairs if pair is not None}
-        # A(sigma) once per sigma, as (i * nhalf, j * nhalf, entry)
-        blocks = {sigma: [(i * nhalf, j * nhalf, v)
-                          for i, row in enumerate(left_action_matrix(lab.lam, sigma))
-                          for j, v in enumerate(row) if v]
-                  for sigma in sigmas}
-        e = identity(lab.r)
-        tail = [[0] * (cups * dim) for _ in range(dim)]
-        for a, pairs in enumerate(self.table):
-            for b, pair in enumerate(pairs):
-                if pair is None:
-                    continue
-                loops, sigma = pair
-                if loops < cups:
-                    shift = loops * dim + b
-                    for i, j, val in blocks[sigma]:
-                        tail[i + a][shift + j] = val
-                elif a != b or sigma != e:
-                    raise RuntimeError(f"half diagrams {a} and {b} close every cup "
-                                       f"with sigma = {sigma} for {lab}")
-        return tail
+        .. + B_{cups-1} a^{cups-1}: the rows of _rows in basis order."""
+        placed = [self._rows(a) for a in range(len(self.half))]
+        return [rows[k] for k in range(self.d) for rows in placed]
 
     @cached_property
     def matrix(self) -> PolyMatrix:
         """G = (S (x) I) A~, S the Specht Gram, built only to be printed: L G
         summed in integers over the nonzero entries of A~, L the lcm of the
         denominators of S.  Entry ((i, a), (j, b)) is a^loops M(sigma)[i][j]
-        for the pair (a, b) of the table, one monomial."""
+        for the pair (half[a], half[b]), one monomial."""
         tail = self.linearisation
         dim, cups, nhalf = self.dim, self.label.cups, len(self.half)
         S, L = clear_denominators(specht_gram(self.label.lam))

@@ -21,6 +21,10 @@ from kadaryu.gram import one_cup_det
 from kadaryu.symmetric import partitions
 
 
+# an --out file inside a directory that does not exist
+NO_SUCH_OUT = "/no/such/x.json"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -236,6 +240,16 @@ class TestBootstrap:
         assert code == 0
         assert json.loads(out)["status"] == "pass"
 
+    def test_negative_fraction_alpha_after_equals(self, tmp_path, capsys):
+        """argparse takes "-1/2" after a space for an option, so a negative
+        non-integer rational is given as --alpha=-1/2."""
+        code, out, _ = run(capsys, "bootstrap", "--l", "0", "--lambda", "2", "--n", "4",
+                           "--alpha=-1/2", *cache_args(tmp_path))
+        assert code in (0, 1)
+        report = json.loads(out)
+        assert report["alpha0"] == "-1/2"
+        assert report["status"] == ("pass" if code == 0 else "fail")
+
     def test_algebraic_parameter(self, tmp_path, capsys):
         code, out, _ = run(capsys, "bootstrap", "--l", "0", "--lambda", "2",
                            "--n", "4", "--alpha", "minpoly:-4,1,1",
@@ -308,6 +322,17 @@ class TestUsage:
                              "--out", str(target), *cache_args(tmp_path))
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_unwritable_out_leaves_no_record(self, tmp_path, capsys):
+        """The record is the last thing a run writes, so a run that cannot
+        write its --out leaves the (empty) cache directory as it was."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        code, out, err = run(capsys, "series", "--l", "0", "--lambda", "2",
+                             "--out", NO_SUCH_OUT, "--cache-dir", str(cache))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {NO_SUCH_OUT}: No such file or directory\n"
+        assert list(cache.iterdir()) == []
 
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
@@ -569,7 +594,8 @@ def argvs(draw):
     roots n <= l+10, bootstrap n <= l+6.  Now and then a value is out of
     range (l = -2, p of the wrong parity, a partition of the wrong size,
     m < 1, a rank too small, a format the command does not honour), which
-    takes a usage-error path."""
+    takes a usage-error path.  One time in eight the output goes to an
+    --out file in a directory that does not exist."""
     command = draw(st.sampled_from(["gram", "series", "rollet", "verify", "roots", "bootstrap"]))
 
     def mostly(good, bad):
@@ -613,6 +639,7 @@ def argvs(draw):
         argv += option("--target", st.integers(0, 4).flatmap(
             lambda r: st.sampled_from(partitions(r))).map(lambda t: ",".join(map(str, t))))
     good = FORMATS.get(command, ["json"])
+    argv += draw(st.sampled_from([[]] * 7 + [["--out", NO_SUCH_OUT]]))
     return argv + option("--format", mostly(st.sampled_from(good),
                                             st.just("csv" if "dot" in good else "dot")))
 
@@ -627,13 +654,14 @@ class TestArgvFuzz:
     @settings(max_examples=100, deadline=None)
     def test_exit_codes_errors_and_records(self, fuzz_cache, argv):
         """main returns 0, 1, 2 or 4 and never raises; a run that returns 2
-        or 4 ends stderr with an error line and writes no cache record.
+        or 4 ends stderr with an error line and writes no cache record, and
+        a run with an --out that cannot be written returns one of them.
         The cache is shared, so later runs also take the hit paths."""
         before = sorted(fuzz_cache.iterdir())
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, "--cache-dir", str(fuzz_cache)])
-        assert code in (0, 1, 2, 4), argv
+        assert code in ((2, 4) if "--out" in argv else (0, 1, 2, 4)), argv
         if code in (2, 4):
             assert "error: " in err.getvalue().splitlines()[-1], argv
             assert sorted(fuzz_cache.iterdir()) == before, argv

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kadaryu import exactmath, gram, symmetric
 from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
-from kadaryu.diagrams import one_cup_index
+from kadaryu.diagrams import one_cup_index, pairings
 from kadaryu.exactmath import Polynomial, PolyMatrix, Q, QuotElem
 from kadaryu.gram import (GramInstance, ModuleLabel, act, factor_one_cup, gram_matrix,
                           gram_mixed_det, one_cup_det)
@@ -413,15 +413,19 @@ def labels(ls, ns, max_dim=None):
 class TestPairingTable:
     @pytest.mark.parametrize("n", [*range(8), pytest.param(8, marks=pytest.mark.slow)])
     def test_matches_composition(self, n):
-        """(loops, sigma) for every pair of half diagrams at l = -1..3 equals
-        the pairing read off compose(flip(u), v) on the reference diagrams
-        of the same partner tuples; the table depends on lam only through r."""
+        """(loops, sigma) for every pair of half diagrams at l = -1..3, read
+        off diagrams.pairings with the residual restricted to 1..r by
+        gram._residual, equals the pairing read off compose(flip(u), v) on
+        the reference diagrams of the same partner tuples; it depends on lam
+        only through r."""
         for l in range(-1, 4):
             for p in range(n % 2, n + 1, 2):
                 label = ModuleLabel(l, n, p, partitions(min(p, l + 2))[0])
-                half = reference_half(label)
-                assert GramInstance(label).table == [
-                    [pair_halves(u, v, p, label.r) for v in half] for u in half], label
+                half, ref = GramInstance(label).half, reference_half(label)
+                got = [[pair and (pair[0], gram._residual(pair[1], label.r))
+                        for pair in pairings(half, u)] for u in half]
+                assert got == [[pair_halves(u, v, p, label.r) for v in ref]
+                               for u in ref], label
 
 
 # labels the other tests and the workloads reach beyond rank 6

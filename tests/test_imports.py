@@ -3,10 +3,10 @@ module-level name is read somewhere in the package, every public function,
 class and method is read by the package or the benchmark harness or is
 library API, no module calls float, writes a float literal or imports
 dataclasses, only the CLI reads the dense Gram matrix, only gram.py
-reads a module's half-diagram list or acts on half diagrams by
-permutations, only the methods of GramInstance read its linearisation,
-only symmetric.py multiplies permutations and diagrams.py defines no
-class: stdlib `ast` scans that stand in for a linter's unused-import,
+reads a module's half-diagram list, acts on half diagrams by
+permutations or pairs them, only the methods of GramInstance read its
+linearisation, only symmetric.py multiplies permutations and diagrams.py
+defines no class: stdlib `ast` scans that stand in for a linter's unused-import,
 dead-code, exactness, start-up and layering rules."""
 
 import ast
@@ -312,6 +312,32 @@ def test_scan_sees_a_permute_import():
     source = ("from .diagrams import half_basis, permute\n"
               "from itertools import permutations\nx = 'from .diagrams import permute'\n")
     assert imports_of(source, {"permute"}) == [("permute", 1)]
+
+
+def calls_of(source: str, name: str) -> list[int]:
+    """Lines of every call of name, plain or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"],
+                         ids=lambda p: p.name)
+def test_only_gram_pairs_half_diagrams(path):
+    """The pairings of half diagrams (diagrams.pairings) are walked only by
+    GramInstance._rows, which places A~ from them one half diagram at a
+    time; no other module keeps or reads pairs of half diagrams."""
+    source = path.read_text()
+    assert imports_of(source, {"pairings"}) == []
+    assert calls_of(source, "pairings") == []
+
+
+def test_scan_sees_a_pairings_import_and_call():
+    source = ("from .diagrams import half_basis, pairings\nfrom . import diagrams\n"
+              "rows = diagrams.pairings(half, u)\nx = 'from .diagrams import pairings'\n"
+              "def pairings(half, u):\n    return pairings(half[1:], u)\n")
+    assert imports_of(source, {"pairings"}) == [("pairings", 1)]
+    assert calls_of(source, "pairings") == [3, 6]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"], ids=lambda p: p.name)

@@ -51,15 +51,29 @@ SUBMODULE_CASES = [
     (2, (4,), 7, Polynomial([-6, -23, 1, 7, 1]), None)]
 
 
-def bump_tail_after_det(inst):
+def bump_tail_after_det(inst, _monkeypatch):
     """Keep the determinant, then change one entry of B_0."""
     assert inst.det_monic
     inst.linearisation[0][0] += 1
 
 
-def close_every_cup_off_diagonal(inst):
+def replace_first_row_pair(monkeypatch, b, new):
+    """Let diagrams.pairings, as gram.py calls it, give new(pair) in place
+    of the pair of half diagrams 0 and b."""
+    real = gram.pairings
+
+    def moved(half, u):
+        row = real(half, u)
+        if u == half[0]:
+            row[b] = new(row[b])
+        return row
+
+    monkeypatch.setattr(gram, "pairings", moved)
+
+
+def close_every_cup_off_diagonal(inst, monkeypatch):
     """Let half diagrams 0 != 1 of a one-cup module close its cup."""
-    inst.table[0][1] = (1, identity(inst.label.r))
+    replace_first_row_pair(monkeypatch, 1, lambda _pair: (1, identity(inst.label.r)))
 
 
 def assert_proportional(got, want):
@@ -138,7 +152,8 @@ class TestExplicitSmallCases:
         assert not hasattr(morphisms, "det_poly")
 
     @pytest.mark.parametrize("break_it,msg", [
-        (lambda inst: inst.__dict__.update(det_monic=inst.det_monic + 1), "Cayley-Hamilton"),
+        (lambda inst, _mp: inst.__dict__.update(det_monic=inst.det_monic + 1),
+         "Cayley-Hamilton"),
         (bump_tail_after_det, "Cayley-Hamilton"),
         (close_every_cup_off_diagonal, "close every cup"),
     ])
@@ -147,7 +162,7 @@ class TestExplicitSmallCases:
         its determinant was kept, or two different half diagrams that close
         every cup each end in RuntimeError, never in a wrong xi."""
         fresh = GramInstance(ModuleLabel(0, 4, 2, (2,)))
-        break_it(fresh)
+        break_it(fresh, monkeypatch)
         monkeypatch.setattr(morphisms, "gram_matrix", lambda lab: fresh)
         with pytest.raises(RuntimeError, match=msg):
             solve_xi.__wrapped__(0, (2,), 4)
@@ -156,16 +171,8 @@ class TestExplicitSmallCases:
     def solve_with_residual(monkeypatch, image):
         """solve_xi(0, (2,), 5) with the residual image of the first pair of
         half diagrams replaced."""
-        real = gram.pairing_table
-
-        def moved(half):
-            table = real(half)
-            loops, _image = table[0][0]
-            table[0][0] = (loops, image)
-            return table
-
         fresh = GramInstance(ModuleLabel(0, 5, 3, (2,)))
-        monkeypatch.setattr(gram, "pairing_table", moved)
+        replace_first_row_pair(monkeypatch, 0, lambda pair: (pair[0], image))
         monkeypatch.setattr(morphisms, "gram_matrix", lambda lab: fresh)
         solve_xi.__wrapped__(0, (2,), 5)
 
@@ -194,6 +201,20 @@ class TestRecursion:
             direct = solve_xi(l, lam, l + 5)
             assert stepped.coeffs == direct.coeffs
             assert stepped.D == direct.D
+
+    def test_step_places_only_the_last_cup_rows(self, monkeypatch):
+        """D at a stepped rank is read off the d last-cup rows of A~, so a
+        step to a rank no instance has placed walks the pairings of one
+        half diagram, the last cup's, and not the whole module."""
+        xi = solve_xi(1, (2, 1), 5)
+        want = xi_step(xi)
+        gram.gram_matrix.cache_clear()
+        calls = []
+        real = gram.pairings
+        monkeypatch.setattr(gram, "pairings", lambda half, u: calls.append(u) or real(half, u))
+        assert xi_step(xi) == want
+        inst = gram_matrix(want.label)
+        assert calls == [inst.half[inst.cup_row(0, (5, 6))]]
 
     def test_d_follows_series(self):
         """The cap scalars form a three-term series anchored at the first
