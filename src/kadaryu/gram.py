@@ -16,8 +16,9 @@ the cell quotient and contribute 0.  The (d, sigma) of u against every
 half diagram come from one walk (diagrams.pairings), and each
 sigma-table <x_i c, sigma x_j c> is M(sigma) = S A(sigma), S the Specht
 Gram and A(sigma) the action of sigma on the Specht basis
-(symmetric.left_action_matrix, read off one table of translates solved
-once per lam, where S A = M and integrality are checked exactly).
+(symmetric.left_action_matrix, read off one integer table of translates
+per lam, cleared from S^-1 = T N^-1 T^t of the certified Specht frame,
+where S A = M and integrality are checked exactly).
 
 Determinants are reported monic: the form is only defined up to a global
 scalar, and monic normalisation is the canonical representative.  The
@@ -259,17 +260,18 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
     The pairing rules only see the cup indices, so smaller-rank cups keep
     their values at the largest rank: the form is the one-cup Gram matrix
     there, G = (S (x) I) A~ with A~ = a I + B_0, conjugated by T and
-    restricted to each vector's cups.  T^t S T = N = diag(norms) gives
-    T^t S = N T^-1, so in the y frame the form is (N (x) I)(a I + R) with
-    R = (T^-1 (x) I) B_0 (T (x) I).  Normalised per cup by the norms,
-    so that the three-term rank recursion is scale-free, the determinant is
-    the principal minor det(a I + R) on those cups.  R is rational, its
+    restricted to each vector's cups.  T^t S T = N = diag(norms), which
+    the frame certifies, gives T^-1 = N^-1 T^t S, so in the y frame the
+    form is (N (x) I)(a I + R) with R = (T^-1 (x) I) B_0 (T (x) I).
+    Normalised per cup by the norms, so that the three-term rank recursion
+    is scale-free, the determinant is the principal minor det(a I + R) on
+    those cups.  R is rational, its
     common denominator L coming from T alone, so the integer pencil the
     core takes is y I + B with B = L R (exactmath.det_monic_companion), and
-    det(a I + R) = L^-k det(L a I + B) for k cups.  T^-1 is N^-1 T^t S,
-    checked to invert T exactly.  B_0 is read as the pencil at a = 0,
-    whose rows hold only the nonzero entries and the diagonal, and T and
-    T^-1 are upper triangular, so only those entries are walked.
+    det(a I + R) = L^-k det(L a I + B) for k cups.  B_0 is read as the
+    pencil at a = 0, whose rows hold only the nonzero entries and the
+    diagonal, and T and T^-1 are upper triangular, so only those entries
+    are walked.
     """
     lam = tuple(lam)
     d = hook_dimension(lam)
@@ -283,9 +285,6 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
     S = specht_gram(lam)
     inv = [[sum(T[i][k] * S[i][m] for i in range(d)) / norms[k] for m in range(d)]
            for k in range(d)]
-    if any(sum(inv[k][m] * T[m][kk] for m in range(d)) != (k == kk)
-           for k in range(d) for kk in range(d)):
-        raise RuntimeError(f"Specht frame of {lam} is not orthogonal: T^t S T != diag(norms)")
     nhalf = len(inst.half)
     cups = [inst.cup_row(k, jk) for k, nk in enumerate(n_tuple) for jk in one_cup_index(l, nk)]
     pos = {row: i for i, row in enumerate(cups)}

@@ -13,9 +13,10 @@ for rho in the row group R_lam, so a translate t C and the coefficient C(t)
 depend only on the row coset t R_lam, the tabloid of t (row_coset).  The
 basis, the form and the action are read off the coefficients of C_lam, a
 dict from image tuples to Fractions: one Gram-Schmidt pass over one
-translate per row coset picks the basis (specht_frame), and one certified
-solve per lam gives the integer coordinates of every translate, off which
-each A(s) of the action is read (left_action_matrix).  E F is formed
+translate per row coset picks the basis and its orthogonal frame, whose
+certificate gives S^-1 for the Specht Gram S (specht_frame), and S^-1
+cleared to integers gives the integer coordinates of every translate, off
+which each A(s) of the action is read (left_action_matrix).  E F is formed
 directly from the row and column groups inside young_idempotent, and the
 right factor E is summed over row cosets.
 """
@@ -23,11 +24,12 @@ right factor E is summed over row cosets.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _itperms, product
 
-from .exactmath import Q, field_row_echelon
+from .exactmath import Q, clear_denominators
 
 
 def identity(r: int) -> tuple[int, ...]:
@@ -191,45 +193,77 @@ def _translates(lam: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def specht_frame(lam: tuple[int, ...]):
-    """(xs, T, norms): the Specht basis x_i C_lam and its Gram-Schmidt frame.
-
-    The form is positive definite on QS_r C and pairs x C with s C as
-    C(x^-1 s)/C(e) (_pairing), so every translate has norm 1.  The
-    candidates s run greedily in (Coxeter length, image) order, one per
-    row coset (_translates: the rest repeat a translate), and s is kept
-    exactly when its residual norm 1 - sum_k p_k^2 <y_k, y_k> against the
-    orthogonal y_k built so far is nonzero.  T is unit upper triangular
-    with y_k = sum_m T[m][k] x_m C, and T^t G T = diag(norms) for the
-    Specht Gram G (no normalisation: that needs surds).
-    """
-    lam = tuple(lam)
-    d = hook_dimension(lam)
+def _integer_idempotent(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """y = L C_lam over the common denominator L of the coefficients of
+    C_lam, so that C(g) / C(e) = y(g) / y(e) in integers."""
     c = young_idempotent(lam)
-    c_e = c[identity(sum(lam))]
+    return dict(zip(c, clear_denominators([list(c.values())])[0][0]))
+
+
+@lru_cache(maxsize=None)
+def _gram_schmidt(lam: tuple[int, ...]):
+    """(xs, T, norms, S): the greedy pass of specht_frame, and the Specht
+    Gram S off the pairings it takes of the kept translates.  The pairings
+    are y(x^-1 s) = y(e) <x C, s C> (_integer_idempotent), and each column
+    of T is kept as integers over one denominator, so <s C, y_k> is one
+    integer dot product."""
+    d = hook_dimension(lam)
+    y = _integer_idempotent(lam)
+    y_e = y[identity(sum(lam))]
     xs: list[tuple[int, ...]] = []
-    cols: list[list[Fraction]] = []  # column k of T, truncated after row k
+    cols: list[tuple[list[int], int]] = []  # column k of T to row k: (numerators, denominator)
     norms: list[Fraction] = []
+    rows: list[list[Fraction]] = []  # row k of S, truncated after column k
     for s in _translates(lam).values():
-        pairs = [c.get(mul(inverse(x), s), 0) / c_e for x in xs]
-        coefs = [sum(t * g for t, g in zip(col, pairs)) / nk
-                 for col, nk in zip(cols, norms)]
+        pairs = [y.get(mul(inverse(x), s), 0) for x in xs]
+        coefs = [Q(sum(map(operator.mul, num, pairs)), den * y_e) / nk
+                 for (num, den), nk in zip(cols, norms)]
         residual = 1 - sum(p * p * nk for p, nk in zip(coefs, norms))
         if not residual:
             continue
         col = [Q(0)] * len(xs) + [Q(1)]
-        for p, prev in zip(coefs, cols):
-            for m, t in enumerate(prev):
-                col[m] -= p * t
+        for p, (num, den) in zip(coefs, cols):
+            for m, v in enumerate(num):
+                col[m] -= p * v / den
+        num, den = clear_denominators([col])
         xs.append(s)
-        cols.append(col)
+        cols.append((num[0], den))
         norms.append(residual)
+        rows.append([Q(v, y_e) for v in pairs] + [Q(1)])
         if len(xs) == d:
             break
     if len(xs) != d:
         raise RuntimeError(f"failed to find {d} independent translates for {lam}")
-    T = tuple(tuple(col[m] if m < len(col) else Q(0) for col in cols) for m in range(d))
-    return tuple(xs), T, tuple(norms)
+    T = tuple(tuple(Q(num[m], den) if m < len(num) else Q(0) for num, den in cols) for m in range(d))
+    S = tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(d)) for i in range(d))
+    return tuple(xs), T, tuple(norms), S
+
+
+@lru_cache(maxsize=None)
+def specht_frame(lam: tuple[int, ...]):
+    """(xs, T, norms): the Specht basis x_i C_lam and its Gram-Schmidt
+    frame, certified once per lam.
+
+    The form is positive definite on QS_r C and pairs x C with s C as the
+    identity coefficient of C x^-1 s C, which is C(x^-1 s) / C(e) for the
+    self-adjoint idempotent C: (C g C)(e) = C(g).  The candidates s run
+    greedily in (Coxeter length, image) order, one per row coset
+    (_translates: the rest repeat a translate), and s is kept exactly when
+    its residual norm 1 - sum_k p_k^2 <y_k, y_k> against the orthogonal
+    y_k built so far is nonzero (_gram_schmidt).  T is unit upper
+    triangular with y_k = sum_m T[m][k] x_m C, and T^t S T = diag(norms)
+    = N for the Specht Gram S (no normalisation: that needs surds) is
+    checked exactly, so S^-1 = T N^-1 T^t and T^-1 = N^-1 T^t S.
+    """
+    xs, T, norms, S = _gram_schmidt(lam)
+    d = len(xs)
+    # S is symmetric, so for T unit upper triangular T^t S T = N exactly
+    # when the upper triangle of S T is N: T^t S T is then lower triangular
+    if any(T[k][m] != (m == k)
+           or sum(S[m][j] * T[j][k] for j in range(k + 1)) != (norms[k] if m == k else 0)
+           for k in range(d) for m in range(k + 1)):
+        raise RuntimeError(f"Specht frame of {lam} is not orthogonal: T^t S T != diag(norms)")
+    return xs, T, norms
 
 
 def specht_basis(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -237,24 +271,9 @@ def specht_basis(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return specht_frame(lam)[0]
 
 
-def _pairing(lam: tuple[int, ...], ts) -> tuple[tuple[Fraction, ...], ...]:
-    """M[i][k] = <x_i C, t_k C>, the t with C x_i^-1 t_k C = t C.
-
-    The identity coefficient of u* v is the dot product of the coordinate
-    vectors of u and v.  For translates of the self-adjoint idempotent C it
-    is one coordinate: (C g C)(e) = (C C)(g^-1) = C(g).  So
-    M[i][k] = C(x_i^-1 t_k) / C(e), with no group-algebra product.
-    """
-    c = young_idempotent(lam)
-    c_e = c[identity(sum(lam))]
-    return tuple(tuple(c.get(mul(inverse(x), t), 0) / c_e for t in ts)
-                 for x in specht_basis(lam))
-
-
-@lru_cache(maxsize=None)
 def specht_gram(lam: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """G[i][j] = <x_i C, x_j C>."""
-    return _pairing(lam, specht_basis(lam))
+    """S[i][j] = <x_i C, x_j C> (_gram_schmidt)."""
+    return _gram_schmidt(lam)[3]
 
 
 @lru_cache(maxsize=None)
@@ -263,22 +282,33 @@ def _coordinates(lam: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]
     over every row coset of S_r.
 
     Pairing t C = sum_i a_i x_i C with x_i C gives S a = m(t), S the
-    Specht Gram and m(t) the pairing of the basis with t C.  S is positive
-    definite, so one reduced echelon form of [S | m(t_1) .. m(t_K)] over
-    the K translates gives every a.  S a = m(t) and the integrality of a
-    (the Specht basis x_i C spans an integral form) are checked exactly,
-    once per lam, so every A(sigma) read off the table is certified.
+    Specht Gram and m(t)_i = C(x_i^-1 t) / C(e).  S^-1 = T N^-1 T^t off
+    the certified frame (specht_frame) is cleared to L S^-1 in integers,
+    and with C in integers as y (_integer_idempotent),
+    a = (L S^-1) y(t) / (L y(e)) for y(t)_i = y(x_i^-1 t).  That division
+    is exact exactly when a is integral (the Specht basis spans an
+    integral form), and S a = m(t) is checked as Y a = y(t), Y = y(e) S:
+    every A(sigma) is certified here.
     """
-    ts = _translates(lam)
-    S, M = specht_gram(lam), _pairing(lam, ts.values())
-    ech = field_row_echelon([g + m for g, m in zip(S, M)])[1]
+    xs, T, norms = specht_frame(lam)
+    d, y = len(xs), _integer_idempotent(lam)
+    scaled = [[t / nk for t, nk in zip(row, norms)] for row in T]  # T N^-1
+    inv = [[sum(map(operator.mul, scaled[i][max(i, j):], T[j][max(i, j):])) for j in range(d)]
+           for i in range(d)]
+    ints, den = clear_denominators(inv)
+    den *= y[identity(sum(lam))]
+    flips = [inverse(x) for x in xs]
+    Y = [[y.get(mul(f, x), 0) for x in xs] for f in flips]
     table = {}
-    for key, t, a, m in zip(ts, ts.values(), zip(*(row[len(S):] for row in ech)), zip(*M)):
-        if tuple(sum(g * v for g, v in zip(row, a)) for row in S) != m:
-            raise RuntimeError(f"S A(sigma) != M(sigma) at the translate {t} for lambda = {lam}")
-        if any(v.denominator != 1 for v in a):
+    for key, t in _translates(lam).items():
+        m = [y.get(mul(f, t), 0) for f in flips]
+        a = [divmod(sum(map(operator.mul, row, m)), den) for row in ints]
+        if any(rem for _q, rem in a):
             raise RuntimeError(f"A(sigma) is not integral at the translate {t} for lambda = {lam}")
-        table[key] = tuple(v.numerator for v in a)
+        a = tuple(q for q, _rem in a)
+        if [sum(map(operator.mul, row, a)) for row in Y] != m:
+            raise RuntimeError(f"S A(sigma) != M(sigma) at the translate {t} for lambda = {lam}")
+        table[key] = a
     return table
 
 

@@ -15,7 +15,8 @@ pairings and group-algebra products, Sturm counts from the
 chain of remainders over Q, cos bounds from the exact Taylor sum, signs
 at 2cos(r pi/m) from dyadic enclosures (Machin bounds for pi, Taylor
 bounds for cos rounded outward, interval Horner in integers), the Specht
-basis by elimination over r!-long coordinate vectors, the Specht data
+basis by elimination over r!-long coordinate vectors, the coordinates of
+every translate by one echelon solve over Q, the Specht data
 from products in the group algebra (Q S_r as finitely supported maps,
 with single permutations, the Young idempotent and the involution * as
 elements), permutations from cycles, the TL determinant's quantum
@@ -49,8 +50,9 @@ from kadaryu.rollet import _tl_factored
 from kadaryu.roots import _integer_coeffs, minimal_poly_2cos
 from kadaryu.symmetric import (_canonical_tableau, _canonical_tableau_columns, _row_group,
                                all_permutations, hook_dimension, identity as perm_identity,
-                               inverse, inversions, left_action_matrix, mul, sorted_by_length,
-                               specht_basis, specht_frame, specht_gram, young_idempotent)
+                               inverse, inversions, left_action_matrix, mul, row_coset,
+                               sorted_by_length, specht_basis, specht_frame, specht_gram,
+                               young_idempotent)
 
 
 def poly_mul_schoolbook(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -1046,6 +1048,24 @@ def sandwich_sigma_table(lam, sigma):
 def sandwich_specht_gram(lam):
     """G[i][j] = scalar(C x_i* x_j C)."""
     return sandwich_sigma_table(lam, perm_identity(sum(lam)))
+
+
+def coordinates_by_echelon(lam: tuple[int, ...]) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
+    """{row coset of t: the coordinates a of t C in the basis x_i C}, t the
+    first permutation of its row coset in (Coxeter length, image) order,
+    from one reduced echelon form over Q of [S | m(t_1) .. m(t_K)]: S the
+    Specht Gram and m(t)_i = C(x_i^-1 t) / C(e) the pairing of x_i C with
+    t C, so S a = m(t)."""
+    c = young_idempotent(lam)
+    c_e = c[perm_identity(sum(lam))]
+    ts: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for s in sorted_by_length(sum(lam)):
+        ts.setdefault(row_coset(lam, s), s)
+    S = specht_gram(lam)
+    M = [[c.get(mul(inverse(x), t), 0) / c_e for t in ts.values()] for x in specht_basis(lam)]
+    piv, ech = field_row_echelon([[*g, *m] for g, m in zip(S, M)])
+    assert piv == list(range(len(S))), f"Specht Gram of {lam} is singular"
+    return {key: tuple(row[len(S) + k] for row in ech) for k, key in enumerate(ts)}
 
 
 def elimination_left_action(lam, s):

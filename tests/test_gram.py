@@ -45,17 +45,17 @@ def corrupt_charpoly(monkeypatch):
 
 @pytest.fixture
 def corrupt_solve(monkeypatch):
-    """A switch that adds 1 to the first coordinate of the first translate
-    in every later solve of the coordinate table (a table already cached
-    stays as it is); the cached tables and actions are dropped afterwards."""
-    echelon = symmetric.field_row_echelon
+    """A switch after which the first exact division of a coordinate table
+    returns its quotient plus 1: the first coordinate of the first
+    translate in the next solve (a table already cached stays as it is);
+    the cached tables and actions are dropped afterwards."""
+    bumps = [1]
 
-    def corrupt(rows):
-        piv, ech = echelon(rows)
-        ech[0][len(rows)] += 1
-        return piv, ech
+    def corrupt(n, den):
+        q, rem = divmod(n, den)
+        return q + (bumps.pop() if bumps else 0), rem
 
-    yield lambda: monkeypatch.setattr(symmetric, "field_row_echelon", corrupt)
+    yield lambda: monkeypatch.setattr(symmetric, "divmod", corrupt, raising=False)
     monkeypatch.undo()
     symmetric._coordinates.cache_clear()
     gram._moves.cache_clear()
@@ -351,13 +351,27 @@ class TestMixedRanks:
         lambda T, norms: (T, [norms[0] * 2, *norms[1:]])],
         ids=["T off the diagonal", "a norm doubled"])
     def test_bent_frame_raises(self, monkeypatch, bend):
-        """A frame with T^t S T != diag(norms) fails the check T^-1 T = I,
-        T^-1 = N^-1 T^t S, and never reaches the determinant."""
-        frame = gram.specht_frame
-        monkeypatch.setattr(gram, "specht_frame",
-                            lambda lam: (frame(lam)[0], *bend(*frame(lam)[1:])))
-        with pytest.raises(RuntimeError, match="not orthogonal"):
-            gram_mixed_det(1, (2, 1), (5, 6))
+        """A Gram-Schmidt pass bent to T^t S T != diag(norms) fails the
+        frame's certificate, so it reaches neither a coordinate table nor a
+        determinant."""
+        gram_schmidt = symmetric._gram_schmidt
+
+        def bent(lam):
+            xs, T, norms, S = gram_schmidt(lam)
+            return (xs, *bend(T, norms), S)
+
+        monkeypatch.setattr(symmetric, "_gram_schmidt", bent)
+        symmetric.specht_frame.cache_clear()
+        symmetric._coordinates.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="not orthogonal"):
+                gram_mixed_det(1, (2, 1), (5, 6))
+            with pytest.raises(RuntimeError, match="not orthogonal"):
+                symmetric._coordinates((2, 1))
+        finally:
+            monkeypatch.undo()
+            symmetric.specht_frame.cache_clear()
+            symmetric._coordinates.cache_clear()
 
     def test_denominators_are_cleared(self, monkeypatch):
         """B_0 is an integer matrix, so the denominators of
@@ -455,12 +469,13 @@ class TestDetMonic:
                                        pytest.param(ModuleLabel(1, 7, 3, (2, 1)),
                                                     marks=pytest.mark.slow)])
     def test_non_integral_action_raises(self, monkeypatch, label):
-        """Doubling S halves every coordinate a of the table: 2S a = m(t)
-        still holds, but the identity's coordinates (1/2, 0, .., 0) are not
-        integral, and the table is refused before the linearisation places
-        any A(sigma)."""
-        monkeypatch.setattr(symmetric, "specht_gram",
-                            lambda lam: tuple(tuple(2 * v for v in row) for row in specht_gram(lam)))
+        """Doubling the norms N past the frame's certificate halves
+        S^-1 = T N^-1 T^t and so every coordinate a of the table: the
+        identity's coordinates (1/2, 0, .., 0) are not integral, and the
+        table is refused before the linearisation places any A(sigma)."""
+        frame = symmetric.specht_frame
+        monkeypatch.setattr(symmetric, "specht_frame",
+                            lambda lam: (*frame(lam)[:2], tuple(2 * nk for nk in frame(lam)[2])))
         symmetric._coordinates.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="not integral"):
@@ -474,9 +489,9 @@ class TestDetMonic:
             GramInstance(ModuleLabel(1, 5, 3, (2, 1))).det_monic
 
     def test_action_not_matching_the_pairing_raises(self, corrupt_solve):
-        """A table solve with one coordinate bumped breaks S A(sigma) =
-        M(sigma), and the coordinate table refuses it before the
-        linearisation places it."""
+        """A table with one coordinate bumped after its exact division breaks
+        S A(sigma) = M(sigma), and the coordinate table refuses it before
+        the linearisation places it."""
         symmetric._coordinates.cache_clear()
         corrupt_solve()
         with pytest.raises(RuntimeError, match=r"S A\(sigma\) != M\(sigma\)"):

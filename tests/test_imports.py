@@ -5,8 +5,8 @@ library API, no module calls float, writes a float literal or imports
 dataclasses, only the CLI reads the dense Gram matrix, only gram.py
 reads a module's half-diagram list, acts on half diagrams by
 permutations or pairs them, only the methods of GramInstance read its
-linearisation, only symmetric.py multiplies permutations and diagrams.py
-defines no class: stdlib `ast` scans that stand in for a linter's unused-import,
+linearisation, only symmetric.py multiplies permutations, only
+morphisms.py solves over a field and diagrams.py defines no class: stdlib `ast` scans that stand in for a linter's unused-import,
 dead-code, exactness, start-up and layering rules."""
 
 import ast
@@ -355,6 +355,29 @@ def test_scan_sees_a_determinant_core_import():
               "    return 'from .exactmath import det_monic_companion'\n")
     assert imports_of(source, {"det_monic_companion"}) == [("det_monic_companion", 1)]
     assert attribute_reads(source, "det_monic_companion") == [3]
+
+
+FIELD_SOLVES = {"field_row_echelon", "field_kernel", "field_rank"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "morphisms.py"],
+                         ids=lambda p: p.name)
+def test_only_morphisms_solves_over_a_field(path):
+    """The eliminations over Q or Q[a]/(m) serve the submodule certificates
+    in morphisms.py; exactmath.py only defines them, and the Specht data are
+    read off the certified frame in integers."""
+    source = path.read_text()
+    assert imports_of(source, FIELD_SOLVES) == []
+    assert [line for name in FIELD_SOLVES for line in attribute_reads(source, name)] == []
+
+
+def test_scan_sees_a_field_solve_in_symmetric():
+    (path,) = (p for p in MODULES if p.name == "symmetric.py")
+    source = path.read_text()
+    end = source.count("\n")
+    source += "from .exactmath import Q, field_row_echelon\nech = exactmath.field_kernel(rows)\n"
+    assert imports_of(source, FIELD_SOLVES) == [("field_row_echelon", end + 1)]
+    assert attribute_reads(source, "field_kernel") == [end + 2]
 
 
 def class_defs(source: str) -> list[int]:

@@ -13,9 +13,10 @@ from kadaryu.symmetric import (all_permutations, conjugate_partition, hook_dimen
                                identity, inverse, inversions, is_partition,
                                left_action_matrix, mul, partitions, specht_basis,
                                specht_frame, specht_gram, young_idempotent)
-from oracles import (algebra_element, elimination_left_action, from_cycles, idempotent,
-                     sandwich_sigma_table, sandwich_specht_gram, scalar_extract,
-                     specht_basis_by_elimination, star, young_idempotent_by_square)
+from oracles import (algebra_element, coordinates_by_echelon, elimination_left_action,
+                     from_cycles, idempotent, sandwich_sigma_table, sandwich_specht_gram,
+                     scalar_extract, specht_basis_by_elimination, star,
+                     young_idempotent_by_square)
 
 perms4 = st.permutations([1, 2, 3, 4]).map(tuple)
 UP_TO_4 = [lam for r in range(1, 5) for lam in partitions(r)]
@@ -252,14 +253,56 @@ class TestAgainstSandwichOracles:
                 assert SA == sandwich_sigma_table(lam, sigma), (lam, sigma)
 
 
-@pytest.mark.parametrize("r", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
-def test_action_is_integral(r):
+def assert_integral_table(lam):
     """The coordinate table holds ints for every row coset of S_r, and
     every column of every A(sigma) is one of its entries."""
+    table = symmetric._coordinates(lam)
+    assert len(table) == math.factorial(sum(lam)) // math.prod(map(math.factorial, lam)), lam
+    assert all(type(v) is int for a in table.values() for v in a), lam
+
+
+@pytest.mark.parametrize("r", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
+def test_action_is_integral(r):
     for lam in partitions(r):
-        table = symmetric._coordinates(lam)
-        assert len(table) == math.factorial(r) // math.prod(map(math.factorial, lam)), lam
-        assert all(type(v) is int for a in table.values() for v in a), lam
+        assert_integral_table(lam)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lam", [(4, 2, 1, 1), (3, 2, 2, 1)])
+def test_action_is_integral_r8(lam):
+    """d = 90 and d = 70, over 840 and 1680 row cosets."""
+    assert_integral_table(lam)
+
+
+@pytest.mark.parametrize("r", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
+def test_coordinates_match_echelon_oracle(r):
+    """The integer table read off the certified frame is the solve of
+    S a = m(t) by one echelon form over Q, row coset by row coset."""
+    for lam in partitions(r):
+        table, oracle = symmetric._coordinates(lam), coordinates_by_echelon(lam)
+        assert list(table) == list(oracle) and table == oracle, lam
+
+
+def test_bumped_inverse_gram_is_not_integral(monkeypatch):
+    """One entry of L S^-1 bumped by 1 moves the first coordinate of the
+    identity's translate by 1/L, and the exact division refuses the table.
+    The frame is certified first, so the bump reaches L S^-1 only."""
+    specht_frame((2, 1))
+    clear = symmetric.clear_denominators
+
+    def bumped(rows):
+        ints, den = clear(rows)
+        ints[0][0] += 1
+        return ints, den
+
+    monkeypatch.setattr(symmetric, "clear_denominators", bumped)
+    symmetric._coordinates.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=r"not integral at the translate \(1, 2, 3\)"):
+            symmetric._coordinates((2, 1))
+    finally:
+        monkeypatch.undo()
+        symmetric._coordinates.cache_clear()
 
 
 def test_actions_are_pinned():
