@@ -17,7 +17,7 @@ half diagram come from one walk (diagrams.pairings), and each
 sigma-table <x_i c, sigma x_j c> is M(sigma) = S A(sigma), S the Specht
 Gram and A(sigma) the action of sigma on the Specht basis
 (symmetric.left_action_matrix, read off one integer table of translates
-per lam, cleared from S^-1 = T N^-1 T^t of the certified Specht frame,
+per lam, divided out of S^-1 = T N^-1 T^t of the certified Specht frame,
 where S A = M and integrality are checked exactly).
 
 Determinants are reported monic: the form is only defined up to a global
@@ -261,11 +261,11 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
     their values at the largest rank: the form is the one-cup Gram matrix
     there, G = (S (x) I) A~ with A~ = a I + B_0, conjugated by T and
     restricted to each vector's cups.  T^t S T = N = diag(norms), which
-    the frame certifies, gives T^-1 = N^-1 T^t S, so in the y frame the
-    form is (N (x) I)(a I + R) with R = (T^-1 (x) I) B_0 (T (x) I).
-    Normalised per cup by the norms, so that the three-term rank recursion
-    is scale-free, the determinant is the principal minor det(a I + R) on
-    those cups.  R is rational, its
+    the frame certifies, gives T^-1 = N^-1 T^t S, which it returns too, so
+    in the y frame the form is (N (x) I)(a I + R) with
+    R = (T^-1 (x) I) B_0 (T (x) I).  Normalised per cup by the norms, so
+    that the three-term rank recursion is scale-free, the determinant is
+    the principal minor det(a I + R) on those cups.  R is rational, its
     common denominator L coming from T alone, so the integer pencil the
     core takes is y I + B with B = L R (exactmath.det_monic_companion), and
     det(a I + R) = L^-k det(L a I + B) for k cups.  B_0 is read as the
@@ -281,10 +281,7 @@ def gram_mixed_det(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> Po
         raise ValueError("each rank must be >= l+4")
     big = max(n_tuple)
     inst = gram_matrix(ModuleLabel(l, big, big - 2, lam))
-    _xs, T, norms = specht_frame(lam)
-    S = specht_gram(lam)
-    inv = [[sum(T[i][k] * S[i][m] for i in range(d)) / norms[k] for m in range(d)]
-           for k in range(d)]
+    _xs, T, _norms, inv = specht_frame(lam)
     nhalf = len(inst.half)
     cups = [inst.cup_row(k, jk) for k, nk in enumerate(n_tuple) for jk in one_cup_index(l, nk)]
     pos = {row: i for i, row in enumerate(cups)}

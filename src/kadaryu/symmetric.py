@@ -13,12 +13,13 @@ for rho in the row group R_lam, so a translate t C and the coefficient C(t)
 depend only on the row coset t R_lam, the tabloid of t (row_coset).  The
 basis, the form and the action are read off the coefficients of C_lam, a
 dict from image tuples to Fractions: one Gram-Schmidt pass over one
-translate per row coset picks the basis and its orthogonal frame, whose
-certificate gives S^-1 for the Specht Gram S (specht_frame), and S^-1
-cleared to integers gives the integer coordinates of every translate, off
-which each A(s) of the action is read (left_action_matrix).  E F is formed
-directly from the row and column groups inside young_idempotent, and the
-right factor E is summed over row cosets.
+translate per row coset picks the basis and its orthogonal frame in
+integers, one integer product certifies the frame and gives T^-1
+(specht_frame), and S^-1 = T N^-1 T^t gives the integer coordinates of
+every translate by exact division, off which each A(s) of the action is
+read (left_action_matrix).  E F is formed directly from the row and column
+groups inside young_idempotent, and the right factor E is summed over row
+cosets.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def identity(r: int) -> tuple[int, ...]:
 
 def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """a then b: mul(a, b)(i) = b(a(i))."""
-    return tuple(b[v - 1] for v in a)
+    return tuple([b[v - 1] for v in a])
 
 
 def inverse(s: tuple[int, ...]) -> tuple[int, ...]:
@@ -202,47 +203,44 @@ def _integer_idempotent(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=None)
 def _gram_schmidt(lam: tuple[int, ...]):
-    """(xs, T, norms, S): the greedy pass of specht_frame, and the Specht
-    Gram S off the pairings it takes of the kept translates.  The pairings
-    are y(x^-1 s) = y(e) <x C, s C> (_integer_idempotent), and each column
-    of T is kept as integers over one denominator, so <s C, y_k> is one
-    integer dot product."""
+    """(xs, cols, norms, Y): the greedy pass of specht_frame.  Its pairings
+    of the kept translates are Y[i][j] = y(x_i^-1 x_j) = y(e) <x_i C, x_j C>
+    (_integer_idempotent), and column k of T is kept as integers c_k over
+    c_k[k], so <s C, y_k> is one integer dot product."""
     d = hook_dimension(lam)
     y = _integer_idempotent(lam)
     y_e = y[identity(sum(lam))]
     xs: list[tuple[int, ...]] = []
-    cols: list[tuple[list[int], int]] = []  # column k of T to row k: (numerators, denominator)
+    cols: list[tuple[int, ...]] = []  # c_k, zero past row k
     norms: list[Fraction] = []
-    rows: list[list[Fraction]] = []  # row k of S, truncated after column k
+    rows: list[list[int]] = []  # row k of Y, truncated after column k
     for s in _translates(lam).values():
         pairs = [y.get(mul(inverse(x), s), 0) for x in xs]
-        coefs = [Q(sum(map(operator.mul, num, pairs)), den * y_e) / nk
-                 for (num, den), nk in zip(cols, norms)]
+        coefs = [Q(sum(map(operator.mul, c, pairs)), c[-1] * y_e) / nk
+                 for c, nk in zip(cols, norms)]
         residual = 1 - sum(p * p * nk for p, nk in zip(coefs, norms))
         if not residual:
             continue
         col = [Q(0)] * len(xs) + [Q(1)]
-        for p, (num, den) in zip(coefs, cols):
-            for m, v in enumerate(num):
-                col[m] -= p * v / den
-        num, den = clear_denominators([col])
+        for p, c in zip(coefs, cols):
+            for m, v in enumerate(c):
+                col[m] -= p * v / c[-1]
         xs.append(s)
-        cols.append((num[0], den))
+        cols.append(tuple(clear_denominators([col])[0][0]))
         norms.append(residual)
-        rows.append([Q(v, y_e) for v in pairs] + [Q(1)])
+        rows.append(pairs + [y_e])
         if len(xs) == d:
             break
     if len(xs) != d:
         raise RuntimeError(f"failed to find {d} independent translates for {lam}")
-    T = tuple(tuple(Q(num[m], den) if m < len(num) else Q(0) for num, den in cols) for m in range(d))
-    S = tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(d)) for i in range(d))
-    return tuple(xs), T, tuple(norms), S
+    Y = tuple(tuple(rows[max(i, j)][min(i, j)] for j in range(d)) for i in range(d))
+    return tuple(xs), tuple(cols), tuple(norms), Y
 
 
 @lru_cache(maxsize=None)
 def specht_frame(lam: tuple[int, ...]):
-    """(xs, T, norms): the Specht basis x_i C_lam and its Gram-Schmidt
-    frame, certified once per lam.
+    """(xs, T, norms, T^-1): the Specht basis x_i C_lam, its Gram-Schmidt
+    frame and the frame's inverse, certified once per lam.
 
     The form is positive definite on QS_r C and pairs x C with s C as the
     identity coefficient of C x^-1 s C, which is C(x^-1 s) / C(e) for the
@@ -252,18 +250,21 @@ def specht_frame(lam: tuple[int, ...]):
     its residual norm 1 - sum_k p_k^2 <y_k, y_k> against the orthogonal
     y_k built so far is nonzero (_gram_schmidt).  T is unit upper
     triangular with y_k = sum_m T[m][k] x_m C, and T^t S T = diag(norms)
-    = N for the Specht Gram S (no normalisation: that needs surds) is
-    checked exactly, so S^-1 = T N^-1 T^t and T^-1 = N^-1 T^t S.
+    = N for the Specht Gram S = Y / y(e) (no normalisation: that needs
+    surds) is checked exactly on the one integer product W[k] = Y c_k, so
+    S^-1 = T N^-1 T^t and T^-1 = N^-1 T^t S, whose row k is
+    W[k] / W[k][k].
     """
-    xs, T, norms, S = _gram_schmidt(lam)
-    d = len(xs)
-    # S is symmetric, so for T unit upper triangular T^t S T = N exactly
-    # when the upper triangle of S T is N: T^t S T is then lower triangular
-    if any(T[k][m] != (m == k)
-           or sum(S[m][j] * T[j][k] for j in range(k + 1)) != (norms[k] if m == k else 0)
-           for k in range(d) for m in range(k + 1)):
+    xs, cols, norms, Y = _gram_schmidt(lam)
+    # W[k] = y(e) c_k[k] (S T)[:, k]: for T unit upper triangular and S
+    # symmetric, T^t S T = N exactly when the upper triangle of S T is N
+    W = [[sum(map(operator.mul, row, c)) for row in Y] for c in cols]
+    if any(W[k][m] != (Y[k][k] * c[k] * norms[k] if m == k else 0)
+           for k, c in enumerate(cols) for m in range(k + 1)):
         raise RuntimeError(f"Specht frame of {lam} is not orthogonal: T^t S T != diag(norms)")
-    return xs, T, norms
+    T = tuple(tuple(Q(c[m], c[k]) if m <= k else Q(0) for k, c in enumerate(cols))
+              for m in range(len(xs)))
+    return xs, T, norms, tuple(tuple(Q(w, row[k]) for w in row) for k, row in enumerate(W))
 
 
 def specht_basis(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -272,8 +273,9 @@ def specht_basis(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def specht_gram(lam: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """S[i][j] = <x_i C, x_j C> (_gram_schmidt)."""
-    return _gram_schmidt(lam)[3]
+    """S[i][j] = <x_i C, x_j C> = Y[i][j] / y(e) (_gram_schmidt)."""
+    Y = _gram_schmidt(lam)[3]
+    return tuple(tuple(Q(v, Y[0][0]) for v in row) for row in Y)
 
 
 @lru_cache(maxsize=None)
@@ -282,27 +284,28 @@ def _coordinates(lam: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]
     over every row coset of S_r.
 
     Pairing t C = sum_i a_i x_i C with x_i C gives S a = m(t), S the
-    Specht Gram and m(t)_i = C(x_i^-1 t) / C(e).  S^-1 = T N^-1 T^t off
-    the certified frame (specht_frame) is cleared to L S^-1 in integers,
-    and with C in integers as y (_integer_idempotent),
-    a = (L S^-1) y(t) / (L y(e)) for y(t)_i = y(x_i^-1 t).  That division
-    is exact exactly when a is integral (the Specht basis spans an
-    integral form), and S a = m(t) is checked as Y a = y(t), Y = y(e) S:
-    every A(sigma) is certified here.
+    Specht Gram and m(t)_i = C(x_i^-1 t) / C(e) = y(t)_i / y(e) for
+    y(t)_i = y(x_i^-1 t) (_integer_idempotent).  S^-1 = T N^-1 T^t off
+    the certified frame (specht_frame), with T's columns c_k over c_k[k],
+    gives a = sum_k c_k (c_k . y(t)) / (c_k[k]^2 y(e) N_k), every term over
+    the lcm of those denominators.  That division is exact exactly when a
+    is integral (the Specht basis spans an integral form), and S a = m(t)
+    is checked as Y a = y(t), Y = y(e) S: every A(sigma) is certified here.
     """
-    xs, T, norms = specht_frame(lam)
-    d, y = len(xs), _integer_idempotent(lam)
-    scaled = [[t / nk for t, nk in zip(row, norms)] for row in T]  # T N^-1
-    inv = [[sum(map(operator.mul, scaled[i][max(i, j):], T[j][max(i, j):])) for j in range(d)]
-           for i in range(d)]
-    ints, den = clear_denominators(inv)
-    den *= y[identity(sum(lam))]
+    xs, _T, norms, _inv = specht_frame(lam)
+    _xs, cols, _norms, Y = _gram_schmidt(lam)
+    y = _integer_idempotent(lam)
+    dens = [c[-1] * c[-1] * Y[0][0] * nk.numerator for c, nk in zip(cols, norms)]
+    den = math.lcm(*dens)
+    scales = [den // dk * nk.denominator for dk, nk in zip(dens, norms)]
+    # rows[i][k - i] = c_k[i] scales[k]: c_k has a row i exactly when k >= i
+    rows = [[c[i] * s for c, s in zip(cols[i:], scales[i:])] for i in range(len(xs))]
     flips = [inverse(x) for x in xs]
-    Y = [[y.get(mul(f, x), 0) for x in xs] for f in flips]
     table = {}
     for key, t in _translates(lam).items():
         m = [y.get(mul(f, t), 0) for f in flips]
-        a = [divmod(sum(map(operator.mul, row, m)), den) for row in ints]
+        ps = [sum(map(operator.mul, c, m)) for c in cols]
+        a = [divmod(sum(map(operator.mul, row, ps[i:])), den) for i, row in enumerate(rows)]
         if any(rem for _q, rem in a):
             raise RuntimeError(f"A(sigma) is not integral at the translate {t} for lambda = {lam}")
         a = tuple(q for q, _rem in a)

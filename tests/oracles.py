@@ -1191,7 +1191,7 @@ def gram_mixed(l: int, lam: tuple[int, ...], n_tuple: tuple[int, ...]) -> PolyMa
     rows = gram_matrix(ModuleLabel(l, big, big - 2, lam)).matrix.entries
     where = {jk: a for a, jk in enumerate(one_cup_index(l, big))}
     nhalf = len(where)
-    _xs, T, _norms = specht_frame(lam)
+    _xs, T, _norms = specht_frame(lam)[:3]
     basis = [(k, where[jk]) for k in range(d) for jk in one_cup_index(l, n_tuple[k])]
 
     def entry(k, a, kk, b):

@@ -346,19 +346,19 @@ class TestMixedRanks:
             gram_mixed_det(1, (2, 1), (5, 6))
 
     @pytest.mark.parametrize("bend", [
-        lambda T, norms: ([[v + ((i, j) == (0, 1)) for j, v in enumerate(row)]
-                           for i, row in enumerate(T)], norms),
-        lambda T, norms: (T, [norms[0] * 2, *norms[1:]])],
+        lambda cols, norms: ([(c[0] + (k == 1), *c[1:]) for k, c in enumerate(cols)], norms),
+        lambda cols, norms: (cols, [norms[0] * 2, *norms[1:]])],
         ids=["T off the diagonal", "a norm doubled"])
     def test_bent_frame_raises(self, monkeypatch, bend):
-        """A Gram-Schmidt pass bent to T^t S T != diag(norms) fails the
-        frame's certificate, so it reaches neither a coordinate table nor a
-        determinant."""
+        """A Gram-Schmidt pass bent to T^t S T != diag(norms), by the entry
+        of the integer column c_1 above the diagonal or by a norm, fails
+        the frame's certificate, so it reaches neither a coordinate table
+        nor a determinant."""
         gram_schmidt = symmetric._gram_schmidt
 
         def bent(lam):
-            xs, T, norms, S = gram_schmidt(lam)
-            return (xs, *bend(T, norms), S)
+            xs, cols, norms, Y = gram_schmidt(lam)
+            return (xs, *bend(cols, norms), Y)
 
         monkeypatch.setattr(symmetric, "_gram_schmidt", bent)
         symmetric.specht_frame.cache_clear()
@@ -474,8 +474,8 @@ class TestDetMonic:
         identity's coordinates (1/2, 0, .., 0) are not integral, and the
         table is refused before the linearisation places any A(sigma)."""
         frame = symmetric.specht_frame
-        monkeypatch.setattr(symmetric, "specht_frame",
-                            lambda lam: (*frame(lam)[:2], tuple(2 * nk for nk in frame(lam)[2])))
+        monkeypatch.setattr(symmetric, "specht_frame", lambda lam: (
+            *frame(lam)[:2], tuple(2 * nk for nk in frame(lam)[2]), frame(lam)[3]))
         symmetric._coordinates.cache_clear()
         try:
             with pytest.raises(RuntimeError, match="not integral"):

@@ -6,8 +6,10 @@ dataclasses, only the CLI reads the dense Gram matrix, only gram.py
 reads a module's half-diagram list, acts on half diagrams by
 permutations or pairs them, only the methods of GramInstance read its
 linearisation, only symmetric.py multiplies permutations, only
-morphisms.py solves over a field and diagrams.py defines no class: stdlib `ast` scans that stand in for a linter's unused-import,
-dead-code, exactness, start-up and layering rules."""
+morphisms.py solves over a field, symmetric._coordinates divides only in
+integers, no module reads another's private names and diagrams.py
+defines no class: stdlib `ast` scans that stand in for a linter's
+unused-import, dead-code, exactness, start-up and layering rules."""
 
 import ast
 from collections import Counter
@@ -397,3 +399,81 @@ def test_scan_sees_a_class():
     source = ("from typing import NamedTuple\nclass Half(NamedTuple):\n    top: tuple\n"
               "def f():\n    class Inner:\n        pass\n    return 'class X: pass'\n")
     assert class_defs(source) == [2, 5]
+
+
+def fraction_arithmetic(source: str, func: str) -> list[int]:
+    """Lines of every true division and every call of Q or Fraction in the
+    module-level function func; floor division, divmod and reading a
+    Fraction's numerator or denominator are integer arithmetic."""
+    (node,) = (stmt for stmt in ast.parse(source).body
+               if isinstance(stmt, ast.FunctionDef) and stmt.name == func)
+    return sorted(n.lineno for n in ast.walk(node)
+                  if (isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div))
+                  or (isinstance(n, ast.Call) and {"Q", "Fraction"} & {
+                      getattr(n.func, "id", None), getattr(n.func, "attr", None)}))
+
+
+def test_coordinates_divide_in_integers():
+    """symmetric._coordinates reads every coordinate off the certified
+    frame by exact integer division: it divides no Fraction and builds
+    none."""
+    (path,) = (p for p in MODULES if p.name == "symmetric.py")
+    assert fraction_arithmetic(path.read_text(), "_coordinates") == []
+
+
+def test_scan_sees_fraction_arithmetic():
+    source = ("def f(a, b):\n    c = a / b\n    c /= 2\n    q, r = divmod(a, b)\n"
+              "    return Q(1, 2) + fractions.Fraction(q) + a // b + b.numerator\n"
+              "def g(a):\n    return a / 2\n")
+    assert fraction_arithmetic(source, "f") == [2, 3, 5, 5]
+    assert fraction_arithmetic(source, "g") == [7]
+
+
+def foreign_private_reads(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every private name of another package module
+    that a module imports from it or reads off it as an attribute; a
+    dunder such as __version__ is not private."""
+    stems = {module.removesuffix(".py") for module in sources}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    out = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        # the names a package module is bound to here: its own and any alias
+        names = set(stems) - {module.removesuffix(".py")}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.asname for alias in node.names
+                             if alias.asname and alias.name.rpartition(".")[2] in stems)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.rpartition(".")[2] in names):
+                out += [(module, alias.name, node.lineno) for alias in node.names
+                        if private(alias.name)]
+            elif (isinstance(node, ast.Attribute) and private(node.attr)
+                  and isinstance(node.value, ast.Name) and node.value.id in names):
+                out.append((module, node.attr, node.lineno))
+    return sorted(out)
+
+
+def test_no_foreign_private_reads():
+    """A module reaches another only through its public names: gram.py,
+    for one, takes T^-1 only through symmetric.specht_frame, never off
+    _gram_schmidt or _coordinates."""
+    assert foreign_private_reads({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_scan_sees_a_foreign_private_read():
+    sources = {
+        "symmetric.py": "def _gram_schmidt(lam):\n    return _coordinates(lam)\n",
+        "gram.py": ("from . import __version__, symmetric as sym\n"
+                    "from .symmetric import _gram_schmidt, specht_frame\n"
+                    "from . import symmetric\nT = symmetric._coordinates((2, 1))\n"
+                    "inv = sym._gram_schmidt\nself._rows(0)\nx = operator._private\n"
+                    "def _own():\n    return gram._own\n"),
+    }
+    assert foreign_private_reads(sources) == [
+        ("gram.py", "_coordinates", 4), ("gram.py", "_gram_schmidt", 2),
+        ("gram.py", "_gram_schmidt", 5)]

@@ -161,11 +161,14 @@ class TestSpecht:
 
     @pytest.mark.parametrize("lam", UP_TO_5)
     def test_frame_orthogonalises_gram(self, lam):
-        """T is unit upper triangular and T^t G T = diag(norms)."""
-        _xs, T, norms = specht_frame(lam)
+        """T is unit upper triangular, T^t G T = diag(norms) and the
+        frame's T^-1 inverts T."""
+        _xs, T, norms, inv = specht_frame(lam)
         G = specht_gram(lam)
         d = len(G)
         assert all(T[m][k] == (m == k) for k in range(d) for m in range(k, d))
+        assert all(sum(inv[i][m] * T[m][j] for m in range(d)) == (i == j)
+                   for i in range(d) for j in range(d))
         for k in range(d):
             for kk in range(d):
                 form = sum(T[m][k] * G[m][mm] * T[mm][kk]
@@ -284,18 +287,18 @@ def test_coordinates_match_echelon_oracle(r):
 
 
 def test_bumped_inverse_gram_is_not_integral(monkeypatch):
-    """One entry of L S^-1 bumped by 1 moves the first coordinate of the
-    identity's translate by 1/L, and the exact division refuses the table.
-    The frame is certified first, so the bump reaches L S^-1 only."""
+    """The remainder of the first exact division, that of the first
+    coordinate of the identity's translate over the lcm of the terms of
+    S^-1 = sum_k T_k T_k^t / N_k, bumped by 1 is refused as not integral.
+    The frame is certified first, so the bump reaches the division only."""
     specht_frame((2, 1))
-    clear = symmetric.clear_denominators
+    bumps = [1]
 
-    def bumped(rows):
-        ints, den = clear(rows)
-        ints[0][0] += 1
-        return ints, den
+    def bumped(n, den):
+        q, rem = divmod(n, den)
+        return q, rem + (bumps.pop() if bumps else 0)
 
-    monkeypatch.setattr(symmetric, "clear_denominators", bumped)
+    monkeypatch.setattr(symmetric, "divmod", bumped, raising=False)
     symmetric._coordinates.cache_clear()
     try:
         with pytest.raises(RuntimeError, match=r"not integral at the translate \(1, 2, 3\)"):
@@ -316,6 +319,6 @@ def test_actions_are_pinned():
 def test_frames_are_pinned():
     """The Specht basis, T and the norms of specht_frame for every lam of
     r <= 6."""
-    text = "\n".join(repr((lam, *specht_frame(lam))) for lam in UP_TO_6)
+    text = "\n".join(repr((lam, *specht_frame(lam)[:3])) for lam in UP_TO_6)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3a846cd923c9bc47111a9c204398dc43b08cc0809eb7ae4beadd2cd9d014c652")
