@@ -1,15 +1,9 @@
-"""Every name a package module imports is used in it, every private
-module-level name is read somewhere in the package, every public function,
-class and method is read by the package or the benchmark harness or is
-library API, no module calls float, writes a float literal or imports
-dataclasses, only the CLI reads the dense Gram matrix, only gram.py
-reads a module's half-diagram list, acts on half diagrams by
-permutations or pairs them, only the methods of GramInstance read its
-linearisation, only symmetric.py multiplies permutations, only
-morphisms.py solves over a field, symmetric._coordinates divides only in
-integers, no module reads another's private names and diagrams.py
-defines no class: stdlib `ast` scans that stand in for a linter's
-unused-import, dead-code, exactness, start-up and layering rules."""
+"""Stdlib `ast` scans that stand in for a linter's rules: unused imports,
+dead code (orphaned private and public names), exactness (no floats,
+integer division in symmetric._coordinates), start-up cost (no
+dataclasses) and layering. Which module may import, read or call a name
+that one layer owns is one row of OWNERS; beside it, no module reads
+another's private names and diagrams.py defines no class."""
 
 import ast
 from collections import Counter
@@ -220,166 +214,134 @@ def test_scan_sees_a_dataclasses_import():
     assert dataclass_imports(source) == [1, 2, 7]
 
 
-def attribute_reads(source: str, attr: str) -> list[int]:
-    """Lines of every read of the attribute attr; defining a method of that
-    name or assigning the attribute is not a read."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr == attr
-                  and isinstance(node.ctx, ast.Load))
+# name: (the uses its row governs: from-import, attribute read or call; the
+# modules or module:Class bodies allowed them). Defining a name is no use.
+OWNERS = {
+    # the dense Q[a] Gram matrix is built only to print the gram payload
+    "matrix": ("read", "cli.py"),
+    # the basis layout is gram.py's; other modules ask GramInstance.cup_row
+    "half": ("read", "gram.py"),
+    # the layout of A~ and its placed rows are GramInstance's; other code,
+    # gram_mixed_det included, takes rows of GramInstance.pencil
+    "linearisation": ("read", "gram.py:GramInstance"),
+    "_rows": ("read", "gram.py:GramInstance"),
+    "_placed": ("read", "gram.py:GramInstance"),
+    "_blocks": ("read", "gram.py:GramInstance"),
+    # the product on image tuples, mul(a, b) = a then b, is symmetric.py's
+    "mul": ("import", "symmetric.py"),
+    "inverse": ("import", "symmetric.py"),
+    # gram.act and gram._moves pair the S_r action on half diagrams with the Specht action
+    "permute": ("import", "gram.py"),
+    # GramInstance._rows walks the pairings, placing A~ one half diagram at a time
+    "pairings": ("import call", "gram.py"),
+    # the determinant core takes integer pencils only, and gram.py builds
+    # every one: det_monic's A~ and gram_mixed_det's B = L R
+    "det_monic_companion": ("import read", "gram.py"),
+    # eliminations over Q or Q[a]/(m) serve the submodule certificates;
+    # exactmath.py defines them, and the Specht data are solved in integers
+    "field_row_echelon": ("import read", "morphisms.py"),
+    "field_kernel": ("import read", "morphisms.py"),
+    "field_rank": ("import read", "morphisms.py"),
+}
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name)
-def test_only_the_cli_reads_the_gram_matrix(path):
-    """The engine reads the linearisation A~; GramInstance.matrix, the dense
-    Q[a] Gram matrix, is built only to print the gram payload."""
-    assert attribute_reads(path.read_text(), "matrix") == []
+def foreign_uses(module: str, source: str) -> list[tuple[str, str, int]]:
+    """(name, use, line) of every use in module that the name's row of
+    OWNERS refuses; an owner module:Class allows that top-level class body."""
+    tree = ast.parse(source)
+    bodies = {f"{module}:{stmt.name}": range(stmt.lineno, stmt.end_lineno + 1)
+              for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            uses = [(alias.name, "import") for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            uses = [(node.attr, "read")]
+        elif isinstance(node, ast.Call):
+            uses = [(getattr(node.func, "id", None) or getattr(node.func, "attr", None), "call")]
+        else:
+            continue
+        for name, use in uses:
+            governs, owners = OWNERS.get(name, ("", ""))
+            if use in governs.split() and not any(owner == module or node.lineno in bodies.get(owner, ())
+                                                  for owner in owners.split()):
+                out.append((name, use, node.lineno))
+    return sorted(out)
 
 
-def test_scan_sees_a_matrix_read():
-    source = ("rows = inst.matrix.entries\ng = gram_matrix(lab).matrix\n"
-              "inst.matrix = None\nclass G:\n    def matrix(self):\n        return 'x.matrix'\n")
-    assert attribute_reads(source, "matrix") == [1, 2]
-
-
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"], ids=lambda p: p.name)
-def test_only_gram_reads_the_half_diagrams(path):
-    """The basis layout (Specht index outermost, then the half diagrams)
-    is known to gram.py alone; other modules ask GramInstance.cup_row."""
-    assert attribute_reads(path.read_text(), "half") == []
-
-
-def reads_outside_class(source: str, attr: str, cls: str | None) -> list[int]:
-    """attribute_reads of attr, leaving out those in the body of the
-    top-level class cls."""
-    spans = [range(stmt.lineno, stmt.end_lineno + 1) for stmt in ast.parse(source).body
-             if isinstance(stmt, ast.ClassDef) and stmt.name == cls]
-    return [line for line in attribute_reads(source, attr) if not any(line in s for s in spans)]
-
-
+@pytest.mark.parametrize("name", OWNERS)
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_only_gram_reads_the_linearisation(path):
-    """The layout of A~ (the integer tail [B_0 | .. | B_{cups-1}]) is known
-    to the methods of GramInstance alone; other code, gram_mixed_det
-    included, takes rows of GramInstance.pencil."""
-    cls = "GramInstance" if path.name == "gram.py" else None
-    assert reads_outside_class(path.read_text(), "linearisation", cls) == []
+def test_owned_names_stay_home(path, name):
+    assert [use for use in foreign_uses(path.name, path.read_text()) if use[0] == name] == []
 
 
-def test_scan_sees_a_linearisation_read_outside_the_instance():
-    source = ("class GramInstance:\n    def det(self):\n        return f(self.linearisation)\n"
-              "def mixed(inst):\n    return inst.linearisation[0]\n"
-              "class Other:\n    def rows(self, inst):\n        return inst.linearisation\n")
-    assert reads_outside_class(source, "linearisation", "GramInstance") == [5, 8]
-    assert reads_outside_class(source, "linearisation", None) == [3, 5, 8]
+SYMMETRIC = (Path(kadaryu.__file__).parent / "symmetric.py").read_text()
+END = SYMMETRIC.count("\n")
 
 
-def test_scan_sees_a_half_read():
-    source = ("nhalf = len(inst.half)\nhalf = 3\ninst.half = ()\n"
-              "u = gram_matrix(lab).half[0]\nprint('x.half', half)\n")
-    assert attribute_reads(source, "half") == [1, 4]
+@pytest.mark.parametrize("module,source,flagged", [
+    pytest.param("gram.py", "rows = inst.matrix.entries\ng = gram_matrix(lab).matrix\n"
+                 "inst.matrix = None\nclass G:\n    def matrix(self):\n        return 'x.matrix'\n",
+                 [("matrix", "read", 1), ("matrix", "read", 2)], id="matrix"),
+    pytest.param("morphisms.py", "nhalf = len(inst.half)\nhalf = 3\ninst.half = ()\n"
+                 "u = gram_matrix(lab).half[0]\nprint('x.half', half)\n",
+                 [("half", "read", 1), ("half", "read", 4)], id="half"),
+    *(pytest.param(module, "class GramInstance:\n    def det(self):\n        return f(self.linearisation)\n"
+                   "def mixed(inst):\n    return inst.linearisation[0]\n"
+                   "class Other:\n    def rows(self, inst):\n        return inst.linearisation\n",
+                   [("linearisation", "read", line) for line in lines], id=f"linearisation-{module}")
+      for module, lines in [("gram.py", [5, 8]), ("morphisms.py", [3, 5, 8])]),
+    pytest.param("gram.py", "class GramInstance:\n    def pencil(self, a):\n        return self._rows(a)\n"
+                 "def gram_mixed_det(inst):\n    return inst._rows(0), inst._placed\n"
+                 "def act(inst):\n    inst._blocks = {}\n    return len(inst._blocks)\n",
+                 [("_blocks", "read", 8), ("_placed", "read", 5), ("_rows", "read", 5)], id="rows"),
+    pytest.param("gram.py", "from .symmetric import identity, mul\n"
+                 "from kadaryu.symmetric import inverse as inv\nimport operator\n"
+                 "x = operator.mul\ny = 'from .symmetric import mul'\n",
+                 [("inverse", "import", 2), ("mul", "import", 1)], id="product"),
+    pytest.param("morphisms.py", "from .diagrams import half_basis, permute\n"
+                 "from itertools import permutations\nx = 'from .diagrams import permute'\n",
+                 [("permute", "import", 1)], id="permute"),
+    pytest.param("diagrams.py", "from .diagrams import half_basis, pairings\nfrom . import diagrams\n"
+                 "rows = diagrams.pairings(half, u)\nx = 'from .diagrams import pairings'\n"
+                 "def pairings(half, u):\n    return pairings(half[1:], u)\n",
+                 [("pairings", "call", 3), ("pairings", "call", 6), ("pairings", "import", 1)],
+                 id="pairings"),
+    pytest.param("exactmath.py", "from .exactmath import Q, det_monic_companion\nfrom . import exactmath\n"
+                 "d = exactmath.det_monic_companion(tail)\ndef det_monic_companion(tail):\n"
+                 "    return 'from .exactmath import det_monic_companion'\n",
+                 [("det_monic_companion", "import", 1), ("det_monic_companion", "read", 3)], id="core"),
+    pytest.param("symmetric.py", SYMMETRIC + "from .exactmath import Q, field_row_echelon\n"
+                 "ech = exactmath.field_kernel(rows)\n",
+                 [("field_kernel", "read", END + 2), ("field_row_echelon", "import", END + 1)], id="field"),
+])
+def test_scan_sees_a_foreign_use(module, source, flagged):
+    assert foreign_uses(module, source) == flagged
 
 
-def imports_of(source: str, names: set[str]) -> list[tuple[str, int]]:
-    """(name, line) of every from-import of one of the given names."""
-    return sorted((alias.name, node.lineno) for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.ImportFrom)
-                  for alias in node.names if alias.name in names)
+def dead_rows(sources: dict[str, str]) -> list[str]:
+    """Every OWNERS name that no def, class or attribute assignment in
+    sources defines, and every module a row names that sources lack."""
+    defined = set()
+    for node in (n for source in sources.values() for n in ast.walk(ast.parse(source))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    owners = {owner.partition(":")[0]
+              for _governs, allowed in OWNERS.values() for owner in allowed.split()}
+    return sorted((OWNERS.keys() - defined) | (owners - sources.keys()))
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "symmetric.py"],
-                         ids=lambda p: p.name)
-def test_only_symmetric_multiplies_permutations(path):
-    """The product convention on image tuples, mul(a, b) = a then b, lives
-    in symmetric.py alone: other modules ask it for translates and actions
-    and never multiply or invert a permutation themselves."""
-    assert imports_of(path.read_text(), {"mul", "inverse"}) == []
+def test_no_dead_rows():
+    assert dead_rows({p.name: p.read_text() for p in MODULES}) == []
 
 
-def test_scan_sees_a_product_import():
-    source = ("from .symmetric import identity, mul\n"
-              "from kadaryu.symmetric import inverse as inv\nimport operator\n"
-              "x = operator.mul\ny = 'from .symmetric import mul'\n")
-    assert imports_of(source, {"mul", "inverse"}) == [("inverse", 2), ("mul", 1)]
-
-
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"],
-                         ids=lambda p: p.name)
-def test_only_gram_permutes_half_diagrams(path):
-    """The S_r action on half diagrams (diagrams.permute) is read only by
-    gram.act and gram._moves, which pair it with the Specht action."""
-    assert imports_of(path.read_text(), {"permute"}) == []
-
-
-def test_scan_sees_a_permute_import():
-    source = ("from .diagrams import half_basis, permute\n"
-              "from itertools import permutations\nx = 'from .diagrams import permute'\n")
-    assert imports_of(source, {"permute"}) == [("permute", 1)]
-
-
-def calls_of(source: str, name: str) -> list[int]:
-    """Lines of every call of name, plain or as an attribute."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call)
-                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
-
-
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"],
-                         ids=lambda p: p.name)
-def test_only_gram_pairs_half_diagrams(path):
-    """The pairings of half diagrams (diagrams.pairings) are walked only by
-    GramInstance._rows, which places A~ from them one half diagram at a
-    time; no other module keeps or reads pairs of half diagrams."""
-    source = path.read_text()
-    assert imports_of(source, {"pairings"}) == []
-    assert calls_of(source, "pairings") == []
-
-
-def test_scan_sees_a_pairings_import_and_call():
-    source = ("from .diagrams import half_basis, pairings\nfrom . import diagrams\n"
-              "rows = diagrams.pairings(half, u)\nx = 'from .diagrams import pairings'\n"
-              "def pairings(half, u):\n    return pairings(half[1:], u)\n")
-    assert imports_of(source, {"pairings"}) == [("pairings", 1)]
-    assert calls_of(source, "pairings") == [3, 6]
-
-
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gram.py"], ids=lambda p: p.name)
-def test_only_gram_imports_the_determinant_core(path):
-    """exactmath.det_monic_companion takes integer pencils only, and every
-    one is built in gram.py: det_monic's A~ and gram_mixed_det's B = L R."""
-    source = path.read_text()
-    assert imports_of(source, {"det_monic_companion"}) == []
-    assert attribute_reads(source, "det_monic_companion") == []
-
-
-def test_scan_sees_a_determinant_core_import():
-    source = ("from .exactmath import Q, det_monic_companion\nfrom . import exactmath\n"
-              "d = exactmath.det_monic_companion(tail)\ndef det_monic_companion(tail):\n"
-              "    return 'from .exactmath import det_monic_companion'\n")
-    assert imports_of(source, {"det_monic_companion"}) == [("det_monic_companion", 1)]
-    assert attribute_reads(source, "det_monic_companion") == [3]
-
-
-FIELD_SOLVES = {"field_row_echelon", "field_kernel", "field_rank"}
-
-
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "morphisms.py"],
-                         ids=lambda p: p.name)
-def test_only_morphisms_solves_over_a_field(path):
-    """The eliminations over Q or Q[a]/(m) serve the submodule certificates
-    in morphisms.py; exactmath.py only defines them, and the Specht data are
-    read off the certified frame in integers."""
-    source = path.read_text()
-    assert imports_of(source, FIELD_SOLVES) == []
-    assert [line for name in FIELD_SOLVES for line in attribute_reads(source, name)] == []
-
-
-def test_scan_sees_a_field_solve_in_symmetric():
-    (path,) = (p for p in MODULES if p.name == "symmetric.py")
-    source = path.read_text()
-    end = source.count("\n")
-    source += "from .exactmath import Q, field_row_echelon\nech = exactmath.field_kernel(rows)\n"
-    assert imports_of(source, FIELD_SOLVES) == [("field_row_echelon", end + 1)]
-    assert attribute_reads(source, "field_kernel") == [end + 2]
+def test_scan_sees_a_dead_row():
+    sources = {p.name: p.read_text() for p in MODULES}
+    sources["diagrams.py"] = sources["diagrams.py"].replace("def pairings(", "def pair_walk(")
+    sources["certificates.py"] = sources.pop("morphisms.py")
+    assert dead_rows(sources) == ["morphisms.py", "pairings"]
 
 
 def class_defs(source: str) -> list[int]:
