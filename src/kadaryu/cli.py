@@ -12,11 +12,14 @@ bootstrap.  A record is keyed by the resolved inputs (defaults applied) and
 stamped with the engine stamp, __version__ plus a CRC-32 of the package's
 source files, so any edit to the engine recomputes it.  A cached verdict
 exits with the code its fresh run had, since the code is read off the
-payload.  A run writes its records last, after its output, so one that
-ends in an error (an --out that cannot be written included) writes no
-record.  Writes are atomic
-(write to a temp file, then rename), so racing invocations at worst
-recompute the same payload.
+payload.  Writes are atomic (write to a temp file, then rename), so racing
+invocations at worst recompute the same payload.
+
+Each subcommand validates its arguments and returns its plan: the record
+key (None for the uncached `rollet --format dot`), the producer, and the
+renderer of the output text and exit code.  main alone runs a plan: it
+looks up or produces the payload, emits the text, then writes the run's
+one record, so a run that ends in an error writes none.
 
 This module imports only the standard library at the top: the engine
 modules load on a cache miss, so a cache hit (and --version) loads only
@@ -38,10 +41,6 @@ import tempfile
 import zlib
 
 from . import __version__
-
-_warned_unwritable = False
-# the records of the run in main, written once its output is out
-_held: list | None = None
 
 
 def _lazy(module: str, name: str):
@@ -125,15 +124,15 @@ def cache_get(cache_dir: str, key: str):
     """The payload of the record under `key`, or None when there is none.
 
     A record stored under another key or with another engine stamp counts
-    as missing; a corrupt one (unreadable, or not a JSON object) is reported
-    with a warning and counts as missing too.
+    as missing; a corrupt one (unreadable, or it or its payload not a JSON
+    object) is reported with a warning and counts as missing too.
     """
     path = _record_path(cache_dir, key)
     try:
         with open(path) as fh:
             rec = json.load(fh)
-        if not isinstance(rec, dict):
-            raise ValueError("record is not a JSON object")
+        if not isinstance(rec, dict) or not isinstance(rec.get("payload", {}), dict):
+            raise ValueError("record or its payload is not a JSON object")
         if (rec.get("key") == key and rec.get("version") == source_stamp()
                 and "payload" in rec):
             return rec["payload"]
@@ -145,28 +144,16 @@ def cache_get(cache_dir: str, key: str):
 
 
 def cache_get_put(cache_dir: str, key: str, producer):
-    """Fetch a payload by key, computing and persisting it on a miss.
-
-    Corrupt records are rebuilt with a warning.  Inside main the record
-    is held back until the run has written its output; elsewhere it is
-    written at once.
-    """
+    """The payload under `key`, or the producer's on a miss; main, not
+    this, writes the record once the run's output is out."""
     payload = cache_get(cache_dir, key)
-    if payload is None:
-        payload = producer()
-        if _held is None:
-            _put(cache_dir, key, payload)
-        else:
-            _held.append((cache_dir, key, payload))
-    return payload
+    return producer() if payload is None else payload
 
 
 def _put(cache_dir: str, key: str, payload) -> None:
     """Persist one record.  An unwritable directory degrades to
-    compute-without-persist (warned once per process).  A failed write
-    never leaves its temp file behind; errors other than OSError
-    propagate."""
-    global _warned_unwritable
+    compute-without-persist with a warning.  A failed write never leaves
+    its temp file behind; errors other than OSError propagate."""
     rec = {"key": key, "version": source_stamp(), "payload": payload}
     tmp = None
     try:
@@ -176,10 +163,8 @@ def _put(cache_dir: str, key: str, payload) -> None:
             fh.write(json.dumps(rec, sort_keys=True))  # json.dump streams in pure Python
         os.replace(tmp, _record_path(cache_dir, key))
     except OSError:
-        if not _warned_unwritable:
-            print(f"warning: cache directory {cache_dir} not writable; "
-                  "results will not be persisted", file=sys.stderr)
-            _warned_unwritable = True
+        print(f"warning: cache directory {cache_dir} not writable; "
+              "results will not be persisted", file=sys.stderr)
     finally:
         # any failure before the rename (OSError or not) drops the temp file
         if tmp is not None and os.path.exists(tmp):
@@ -201,20 +186,20 @@ def _emit(args, text: str):
         raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
-def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
+def _json(payload: dict, passed: bool = True) -> tuple[str, int]:
+    """The output of a JSON payload, and its exit code: 1 if a claim failed."""
+    return json.dumps(payload, indent=2, sort_keys=True), 0 if passed else 1
 
 
-def _report_code(report: dict) -> int:
-    """The exit code of a claims report, read off its status."""
-    return 0 if report["status"] == "pass" else 1
+def _verdict(report: dict) -> tuple[str, int]:
+    return _json(report, report["status"] == "pass")
 
 
 def _lam_key(lam) -> str:
     return "-".join(map(str, lam))
 
 
-def _cmd_gram(args) -> int:
+def _cmd_gram(args):
     # the key ModuleLabel.key() gives, built without loading the engine; the
     # label itself (and its checks) is only needed on a miss
     key = f"gram_l{args.l}_n{args.n}_p{args.p}_lam{_lam_key(args.lam)}"
@@ -243,52 +228,49 @@ def _cmd_gram(args) -> int:
                              for row in instance().matrix.entries]
         return payload
 
-    payload = cache_get_put(args.cache_dir, key + ("_det" if args.det else "_full"),
-                            produce)
-    if args.format == "csv":
+    def render(payload):
+        if args.format != "csv":
+            return _json(payload)
         from .exactmath import Polynomial
-        lines = []
-        if "matrix" in payload:
-            for row in payload["matrix"]:
-                lines.append(",".join(str(Polynomial.from_json(p)) for p in row))
+        lines = [",".join(str(Polynomial.from_json(p)) for p in row)
+                 for row in payload.get("matrix", ())]
         lines.append("det," + str(Polynomial.from_json(payload["det"])))
-        _emit(args, "\n".join(lines))
-    else:
-        _emit_json(args, payload)
-    return 0
+        return "\n".join(lines), 0
+
+    return key + ("_det" if args.det else "_full"), produce, render
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args):
     def produce():
         c, series = factor_one_cup(args.l, args.lam)
         return {"l": args.l, "lambda": list(args.lam),
                 "C": c.to_json(), "P": series.to_json()}
 
-    key = f"series_l{args.l}_lam{_lam_key(args.lam)}"
-    payload = cache_get_put(args.cache_dir, key, produce)
-    if args.format == "csv":
+    def render(payload):
+        if args.format != "csv":
+            return _json(payload)
         from .exactmath import Polynomial
         c = Polynomial.from_json(payload["C"])
         p = payload["P"]
-        _emit(args, "\n".join([
+        return "\n".join([
             f"C,{c}",
             f"P_{p['anchor']},{Polynomial.from_json(p['pN'])}",
-            f"P_{p['anchor'] + 1},{Polynomial.from_json(p['pN1'])}"]))
-    else:
-        _emit_json(args, payload)
-    return 0
+            f"P_{p['anchor'] + 1},{Polynomial.from_json(p['pN1'])}"]), 0
+
+    return f"series_l{args.l}_lam{_lam_key(args.lam)}", produce, render
 
 
-def _cmd_rollet(args) -> int:
+def _cmd_rollet(args):
     p_max = args.max_p if args.max_p is not None else args.max_n
     if p_max is None:
         raise ValueError("rollet needs --max-n or --max-p")
     if any(b is not None and b < 0 for b in (args.max_n, args.max_p)):
         raise ValueError("rollet bounds --max-n and --max-p must be non-negative")
     if args.format == "dot":
-        from .rollet import RolletGraph, export_dot
-        _emit(args, export_dot(RolletGraph(args.l, p_max)))
-        return 0
+        def dot():
+            from .rollet import RolletGraph, export_dot
+            return export_dot(RolletGraph(args.l, p_max))
+        return None, dot, lambda text: (text, 0)
     n_values = range(args.max_n + 1) if args.max_n is not None else ()
     decorations = args.decorate or []
 
@@ -301,12 +283,10 @@ def _cmd_rollet(args) -> int:
 
     key = (f"rollet_l{args.l}_p{p_max}_n{args.max_n}"
            f"_{'-'.join(sorted(decorations)) or 'plain'}")
-    payload = cache_get_put(args.cache_dir, key, produce)
-    _emit_json(args, payload)
-    return 0
+    return key, produce, _json
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     max_p = args.max_p if args.max_p is not None else args.l + 6
     m_max = args.m if args.m is not None else 1
     # an empty range of ranks or cups would check nothing and still pass
@@ -323,20 +303,15 @@ def _cmd_verify(args) -> int:
                             for r in records]}
 
     key = f"verify_arm_l{args.l}_lam{_lam_key(args.lam)}_p{max_p}_m{m_max}"
-    payload = cache_get_put(args.cache_dir, key, produce)
-    _emit_json(args, payload)
-    return 0 if all(r["equal"] for r in payload["records"]) else 1
+    return key, produce, lambda payload: _json(
+        payload, all(r["equal"] for r in payload["records"]))
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args):
+    # verify_root_layout refuses k < 0 (a rank below l+4)
     k = (args.n - args.l - 4) if args.n is not None else 1
-    if k < 0:
-        raise ValueError("rank must be at least l+4")
     key = f"roots_l{args.l}_lam{_lam_key(args.lam)}_k{k}"
-    payload = cache_get_put(args.cache_dir, key,
-                            lambda: verify_root_layout(args.l, args.lam, k))
-    _emit_json(args, payload)
-    return _report_code(payload)
+    return key, lambda: verify_root_layout(args.l, args.lam, k), _verdict
 
 
 def _alpha_key(alpha) -> str:
@@ -345,12 +320,11 @@ def _alpha_key(alpha) -> str:
     return str(alpha)
 
 
-def _cmd_bootstrap(args) -> int:
+def _cmd_bootstrap(args):
+    # without --alpha, xi_sequence refuses a rank below l+4, where it starts
     n = args.n if args.n is not None else args.l + 4
     if args.alpha is None and args.target is not None:
         raise ValueError("--target needs --alpha")
-    if args.alpha is None and n < args.l + 4:
-        raise ValueError("rank must be at least l+4")  # the xi sequence starts there
     if args.alpha is not None and n < 2:
         raise ValueError("rank must be at least 2")  # the module at alpha0 has one cup
     key = f"bootstrap_l{args.l}_lam{_lam_key(args.lam)}_n{n}"
@@ -364,9 +338,7 @@ def _cmd_bootstrap(args) -> int:
     else:
         def produce():
             return divisibility_check(args.l, args.lam, n)
-    payload = cache_get_put(args.cache_dir, key, produce)
-    _emit_json(args, payload)
-    return _report_code(payload)
+    return key, produce, _verdict
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +413,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global _held
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; version/help exit 0
         return int(exc.code or 0)
-    _held = []
     try:
         if args.l < -1:
             raise ValueError("height bound must be >= -1")
         if args.series_label and sum(args.lam) != args.l + 2:
             raise ValueError(f"--lambda must be a partition of l+2 = {args.l + 2}")
-        code = args.func(args)
-        for record in _held:
-            _put(*record)
+        key, produce, render = args.func(args)
+        missed = []  # filled when the producer runs on a miss
+        payload = produce() if key is None else cache_get_put(
+            args.cache_dir, key, lambda: missed.append(key) or produce())
+        text, code = render(payload)
+        _emit(args, text)
+        if missed:  # the run's one record, written once its output is out
+            _put(args.cache_dir, key, payload)
         return code
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -464,8 +439,6 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    finally:
-        _held = None
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import kadaryu
 from kadaryu import gram
-from kadaryu.cli import cache_get_put, main, source_stamp
+from kadaryu.cli import _put, cache_get, main, source_stamp
 from kadaryu.exactmath import Polynomial
 from kadaryu.gram import one_cup_det
 from kadaryu.symmetric import partitions
@@ -408,17 +408,19 @@ class TestCache:
 
     def test_record_under_another_key_is_missing(self, tmp_path):
         cache = str(tmp_path / "cache")
-        assert cache_get_put(cache, "a/b", lambda: {"v": 1}) == {"v": 1}
+        _put(cache, "a/b", {"v": 1})
+        assert cache_get(cache, "a/b") == {"v": 1}
         # "a_b" flattens to the file name of "a/b" but is another key
-        assert cache_get_put(cache, "a_b", lambda: {"v": 2}) == {"v": 2}
-        assert cache_get_put(cache, "a_b", lambda: {"v": 3}) == {"v": 2}
+        assert cache_get(cache, "a_b") is None
+        _put(cache, "a_b", {"v": 2})
+        assert cache_get(cache, "a_b") == {"v": 2}
         assert len(list((tmp_path / "cache").iterdir())) == 1
 
     def test_long_key_gets_a_valid_file_name(self, tmp_path):
         cache = str(tmp_path / "cache")
         key = "bootstrap_alphaminpoly:" + ",".join(["-1/3"] * 100)
-        assert cache_get_put(cache, key, lambda: {"v": 1}) == {"v": 1}
-        assert cache_get_put(cache, key, lambda: {"v": 2}) == {"v": 1}
+        _put(cache, key, {"v": 1})
+        assert cache_get(cache, key) == {"v": 1}
         (rec,) = (tmp_path / "cache").iterdir()
         assert len(rec.name) < 255 and json.loads(rec.read_text())["key"] == key
 
@@ -449,11 +451,19 @@ class TestCache:
         assert captured.out == fresh
         assert json.loads(rec.read_text())["payload"] == json.loads(fresh)
 
+    def test_non_object_payload_rebuilds(self, tmp_path, capsys):
+        # a record with the right key and stamp whose payload is no object
+        args = ["roots", "--l", "0", "--lambda", "2", *cache_args(tmp_path)]
+        code, fresh, _ = run(capsys, *args)
+        (rec,) = (tmp_path / "cache").glob("*.json")
+        rec.write_text(json.dumps({**json.loads(rec.read_text()), "payload": [1, 2]}))
+        again = run(capsys, *args)
+        assert again[:2] == (code, fresh) and "corrupt cache record" in again[2]
+        assert json.loads(rec.read_text())["payload"] == json.loads(fresh)
+
     def test_unwritable_cache_degrades(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        import kadaryu.cli as climod
-        climod._warned_unwritable = False
         code = main(["series", "--l", "0", "--lambda", "2",
                      "--cache-dir", str(blocker)])
         captured = capsys.readouterr()
@@ -464,7 +474,7 @@ class TestCache:
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         cache = tmp_path / "cache"
         with pytest.raises(TypeError):  # a set is not JSON
-            cache_get_put(str(cache), "bad", lambda: {1, 2})
+            _put(str(cache), "bad", {1, 2})
         assert list(cache.iterdir()) == []
 
 

@@ -214,22 +214,21 @@ class TestEnclosures:
             assert s == (1 if value > 0 else -1)
 
 
-# factor_one_cup takes at most 0.3 s for each default-tier family, the r = 7
-# ones included, and the three tests that read FAMILIES take about 2.0 s
-# over all eighteen (2 cores, Python 3.11.7)
-FAMILIES = [(0, (2,)), (0, (1, 1)), (1, (3,)), (1, (2, 1)), (1, (1, 1, 1)),
-            (2, (4,)), (2, (3, 1)), (2, (2, 1, 1)), (2, (1, 1, 1, 1)),
-            (3, (5,)), (3, (1, 1, 1, 1, 1)), (3, (2, 1, 1, 1)), (3, (4, 1)),
-            (4, (6,)), (4, (1, 1, 1, 1, 1, 1)),
-            # factor_one_cup takes 1.6 s for (5, 1) and 1.5 s for (2, 1, 1, 1, 1),
-            # 1.2 s for (6, 1) and 2.4 s for (2, 1, 1, 1, 1, 1), almost all of
-            # it in the two anchor determinants
-            pytest.param(4, (5, 1), marks=pytest.mark.slow),
-            pytest.param(4, (2, 1, 1, 1, 1), marks=pytest.mark.slow),
-            # appended, since a test id names its entry by position (lam{index})
-            (-1, (1,)), (5, (7,)), (5, (1, 1, 1, 1, 1, 1, 1)),
-            pytest.param(5, (6, 1), marks=pytest.mark.slow),
-            pytest.param(5, (2, 1, 1, 1, 1, 1), marks=pytest.mark.slow)]
+# each case is named by its label, as [l2-lam3-1]. factor_one_cup takes at
+# most 0.3 s for each default-tier family, the r = 7 ones included, and the
+# three tests that read FAMILIES take about 2.0 s over all eighteen (2 cores,
+# Python 3.11.7); it takes 1.6 s for (4, (5, 1)), 1.5 s for (4, (2, 1, 1, 1, 1)),
+# 1.2 s for (5, (6, 1)) and 2.4 s for (5, (2, 1, 1, 1, 1, 1)), almost all of it
+# in the two anchor determinants
+FAMILIES = [pytest.param(l, lam, marks=marks, id=f"l{l}-lam" + "-".join(map(str, lam)))
+            for l, lam, *marks in [
+                (-1, (1,)), (0, (2,)), (0, (1, 1)), (1, (3,)), (1, (2, 1)), (1, (1, 1, 1)),
+                (2, (4,)), (2, (3, 1)), (2, (2, 1, 1)), (2, (1, 1, 1, 1)),
+                (3, (5,)), (3, (1, 1, 1, 1, 1)), (3, (2, 1, 1, 1)), (3, (4, 1)),
+                (4, (6,)), (4, (1, 1, 1, 1, 1, 1)), (4, (5, 1), pytest.mark.slow),
+                (4, (2, 1, 1, 1, 1), pytest.mark.slow),
+                (5, (7,)), (5, (1, 1, 1, 1, 1, 1, 1)), (5, (6, 1), pytest.mark.slow),
+                (5, (2, 1, 1, 1, 1, 1), pytest.mark.slow)]]
 
 
 # every (l, lam) with a closed form at l <= 6, in the order the pins read them

@@ -12,6 +12,7 @@ import pytest
 
 import kadaryu
 from kadaryu import cheby, diagrams, exactmath, gram, morphisms, rollet, roots
+from kadaryu.cli import _build_parser
 
 SRC = str(Path(kadaryu.__file__).parent.parent)
 
@@ -199,3 +200,15 @@ class TestStartup:
         assert "kadaryu.morphisms" in loaded
         for module in ("roots", "rollet"):
             assert f"kadaryu.{module}" not in loaded
+
+
+def test_a_subcommand_only_plans(tmp_path, capsys):
+    """A subcommand returns its key, producer and renderer: it prints
+    nothing and writes no record, since main alone does both."""
+    cache = tmp_path / "cache"
+    dot = ["rollet", "--l", "0", "--max-p", "4", "--format", "dot"]
+    for argv in [*WARM.values(), *WITH_EXACTMATH.values(), dot]:
+        args = _build_parser().parse_args([*argv, "--cache-dir", str(cache)])
+        args.func(args)
+        assert capsys.readouterr() == ("", ""), argv
+        assert not cache.exists(), argv
