@@ -267,6 +267,9 @@ def _cmd_rollet(args):
     if any(b is not None and b < 0 for b in (args.max_n, args.max_p)):
         raise ValueError("rollet bounds --max-n and --max-p must be non-negative")
     if args.format == "dot":
+        if args.decorate:
+            raise ValueError("--decorate needs --format json")
+
         def dot():
             from .rollet import RolletGraph, export_dot
             return export_dot(RolletGraph(args.l, p_max))

@@ -282,12 +282,10 @@ def submodule_verify(l: int, lam: tuple[int, ...], n: int, alpha0,
         return report(fields, claims)
 
     projector = young_idempotent(lam)
-    proj = [act(label, projector, v) for v in ker]
-    proj = [v for v in proj if any(v)]
-    claim(claims, "projector-survives-radical", bool(proj))
-    if not proj:
+    w = next((u for u in (act(label, projector, v) for v in ker) if any(u)), None)
+    claim(claims, "projector-survives-radical", w is not None)
+    if w is None:
         return report(fields, claims)
-    w = proj[0]
 
     translates = [act(label, {s: 1}, w) for s in specht_basis(lam)]
     rank = field_rank(translates)

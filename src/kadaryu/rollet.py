@@ -13,6 +13,7 @@ Both are quotients of products of powers, held as reduced (num, den) pairs
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .cheby import quantum_number
@@ -28,19 +29,13 @@ def _vertex_partitions(l: int, p: int) -> list[tuple[int, ...]]:
 
 
 def edge(l: int, v: Vertex, w: Vertex) -> bool:
-    """Adjacency; v, w in either order, |p difference| must be 1."""
+    """Adjacency; v, w in either order.  The ranks differ by one and the
+    parts differ in total by exactly the difference of the sizes, so the
+    upper partition holds the lower one: equal at full size l+2, one box
+    larger below it."""
     (p1, lam1), (p2, lam2) = sorted([v, w])
-    if p2 != p1 + 1:
-        return False
-    if sum(lam1) == sum(lam2):  # both at full size l+2
-        return lam1 == lam2
-    big, small = (lam2, lam1)
-    if sum(big) != sum(small) + 1:
-        return False
-    # one added box
-    a = list(small) + [0] * (len(big) - len(small))
-    diffs = [b - c for b, c in zip(big, a)]
-    return all(d >= 0 for d in diffs) and sum(diffs) == 1
+    return p2 == p1 + 1 and sum(abs(a - b) for a, b in zip_longest(
+        lam1, lam2, fillvalue=0)) == sum(lam2) - sum(lam1)
 
 
 def neighbours(l: int, v: Vertex) -> list[Vertex]:

@@ -154,6 +154,11 @@ class TestRollet:
         assert payload["l"] == -1
         assert any(v["fibre"] for v in payload["vertices"])
 
+    def test_decorations_need_json(self, tmp_path, capsys):
+        assert run(capsys, "rollet", "--l", "0", "--max-n", "2", "--format", "dot",
+                   "--decorate", "det", *cache_args(tmp_path)) == (
+            2, "", "error: --decorate needs --format json\n")
+
     def test_needs_a_bound(self, tmp_path, capsys):
         code, _, err = run(capsys, "rollet", "--l", "0", *cache_args(tmp_path))
         assert code == 2 and "max-n" in err

@@ -271,15 +271,6 @@ class TestClosedForms:
             assert squarefree_check(p), n
             assert sturm_count(p, -math.inf, math.inf) == p.degree, n
 
-    @pytest.mark.slow
-    def test_squarefree_and_all_real_l2(self):
-        for lam in [(4,), (3, 1), (2, 1, 1), (1, 1, 1, 1)]:
-            series = family_series(2, lam)
-            for n in range(6, 13):
-                p = series.term(n)
-                assert squarefree_check(p), (lam, n)
-                assert sturm_count(p, -math.inf, math.inf) == p.degree, (lam, n)
-
 
 class TestLemmaGrid:
     @pytest.mark.parametrize("l,lam", FAMILIES)
