@@ -235,6 +235,10 @@ class TestRecursion:
         assert "step-matches-solve" in ids
         assert "series-divides-D-n7" in ids
 
+    @pytest.mark.parametrize("lam", [(3,), (2, 1), (1, 1, 1)])
+    def test_divisibility_l1(self, lam):
+        assert divisibility_check(1, lam, 8)["status"] == "pass"
+
     @pytest.mark.parametrize("lam,n", [((4,), 8), ((2, 2), 7), ((1, 1, 1, 1), 8)])
     def test_divisibility_l2(self, lam, n):
         rep = divisibility_check(2, lam, n)

@@ -1,6 +1,5 @@
 """Branching graphs: walk-count dimensions, the chain-determinant oracle,
-and the marginal vertex function beside its series counterpart.  The arm
-identity itself is a headline check in test_acceptance.py."""
+and the marginal-vertex / series identity on the arms."""
 
 import importlib.util
 from pathlib import Path
@@ -8,11 +7,13 @@ from pathlib import Path
 import pytest
 
 from kadaryu.cheby import quantum_number
+from kadaryu.diagrams import half_basis
 from kadaryu.exactmath import Polynomial, reduced
 from kadaryu.gram import ModuleLabel, factor_one_cup, gram_det
-from kadaryu.rollet import (RolletGraph, chebyshev_c, dimension, edge,
-                            export_dot, export_json, marginal_v, neighbours,
-                            tl_recursive_det)
+from kadaryu.rollet import (RolletGraph, arm_verify, chebyshev_c, dimension,
+                            edge, export_dot, export_json, marginal_v,
+                            neighbours, tl_recursive_det)
+from kadaryu.symmetric import hook_dimension, partitions
 
 from oracles import tl_factored_det
 
@@ -70,6 +71,10 @@ class TestDimension:
         assert dimension(1, 5, (3, (1, 1, 1))) == 7
         assert dimension(1, 5, (1, (1,))) == 15
 
+    def test_l0_rank8_column(self):
+        assert [dimension(0, 8, (p, lam)) for p, lam in
+                [(0, ()), (2, (2,)), (4, (2,)), (6, (2,))]] == [43, 65, 29, 8]
+
     def test_parity_zero(self):
         assert dimension(0, 5, (2, (2,))) == 0
 
@@ -84,6 +89,19 @@ class TestDimension:
                     total = sum(dimension(l, n - 1, u) for u in neighbours(l, v))
                     assert dimension(l, n, v) == total
 
+    def test_matches_basis_cardinality(self):
+        for l, n, p in [(0, 6, 0), (0, 6, 2), (1, 5, 3), (-1, 6, 2)]:
+            r = min(p, l + 2)
+            for lam in partitions(r):
+                d = hook_dimension(lam)
+                assert dimension(l, n, (p, lam)) == d * len(half_basis(l, n, p))
+
+    def test_degree_of_one_cup_det_is_dimension(self):
+        for l, lam in [(0, (2,)), (0, (1, 1)), (1, (2, 1))]:
+            n = l + 4
+            assert gram_det(ModuleLabel(l, n, n - 2, lam)).degree == dimension(
+                l, n, (n - 2, lam))
+
     def test_degree_dimension_mismatch_beyond_one_cup(self):
         # two cups: the determinant degree exceeds the walk count
         assert dimension(-1, 4, (0, ())) == 2
@@ -91,10 +109,53 @@ class TestDimension:
 
 
 class TestChainOracle:
+    def test_matches_gram_dets(self):
+        for n in range(2, 9):
+            for p in range(n % 2, n + 1, 2):
+                lam = (1,) if p else ()
+                assert tl_recursive_det(n, p) == gram_det(
+                    ModuleLabel(-1, n, p, lam))
+
     def test_factored_values(self):
         assert tl_factored_det(5, 1) == {2: -1, 3: 4, 4: 1}
         assert tl_factored_det(6, 0) == {2: 4, 3: 4, 4: 1}
         assert tl_factored_det(7, 1) == {2: -6, 3: 13, 4: 6, 5: 1}
+
+    def test_rank_nine_ten_table(self):
+        expected = {
+            (9, 1): {2: -27, 3: 40, 4: 26, 5: 8, 6: 1},
+            (9, 3): {2: -8, 3: -1, 5: 27, 6: 8, 7: 1},
+            (9, 5): {2: -1, 7: 8, 8: 1},
+            (9, 7): {9: 1},
+            (10, 0): {2: 15, 3: 40, 4: 26, 5: 8, 6: 1},
+            (10, 2): {2: -35, 3: -9, 4: 74, 5: 35, 6: 9, 7: 1},
+            (10, 4): {2: -9, 3: -1, 6: 35, 7: 9, 8: 1},
+            (10, 6): {2: -1, 8: 9, 9: 1},
+            (10, 8): {10: 1},
+        }
+        for (n, p), want in expected.items():
+            assert tl_factored_det(n, p) == want, (n, p)
+
+    def test_quantum_product_reconstruction(self):
+        got = tl_recursive_det(6, 0)
+        want = quantum_number(2) ** 4 * quantum_number(3) ** 4 * quantum_number(4)
+        assert got == want
+
+
+class TestArmIdentity:
+    def test_l0_one_cup_arms(self):
+        for lam in [(2,), (1, 1)]:
+            recs = arm_verify(0, lam, range(2, 7), [1])
+            assert recs and all(r.equal for r in recs)
+
+    def test_l1_one_cup_arms(self):
+        for lam in [(3,), (2, 1), (1, 1, 1)]:
+            recs = arm_verify(1, lam, range(3, 5), [1])
+            assert recs and all(r.equal for r in recs)
+
+    def test_l0_two_cup_arms(self):
+        recs = arm_verify(0, (2,), range(2, 5), [2])
+        assert recs and all(r.equal for r in recs)
 
 
 class TestChainFibres:
