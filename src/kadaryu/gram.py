@@ -29,11 +29,11 @@ polynomial (GramInstance.det_monic), and the one exact check point is the
 determinant core's own (exactmath.det_monic_companion).  The Gram matrix
 is G = (S (x) I) A~, built only to be printed.  Only the methods of
 GramInstance read A~; the mixed-rank determinant (gram_mixed_det) and
-every certificate take rows of the pencil A~(a) = a I + B_0 of a one-cup
-module (GramInstance.pencil), B_0 itself at a = 0.  Only this module
-knows the basis layout: GramInstance.cup_row gives the position of
-u_cup b_k in a one-cup module, whose half diagrams are ordered by their
-cup (diagrams.one_cup_basis).
+every certificate take rows of the pencil A~(a) = a^cups I + sum_k a^k B_k
+of any module (GramInstance.pencil), whose kernel at a value of a is the
+radical of G there, S being invertible.  Only this module knows the basis
+layout: GramInstance.cup_row gives the position of u_cup b_k in a one-cup
+module, its half diagrams ordered by their cup (diagrams.one_cup_basis).
 
 S_r acts on the first r strands of a module (act): s u_a = u_b sigma, a
 relabelling of the top points of u_a (diagrams.permute) once per
@@ -125,15 +125,17 @@ class GramInstance:
         return k * len(self.half) + one_cup_index(lab.l, lab.n).index(cup)
 
     def pencil(self, a, rows) -> list[dict]:
-        """The given rows of A~(a) = a I + B_0 of a one-cup module at a
-        parameter value a: the variable, an int, a rational or a QuotElem.
-        Each row is {column: entry} over the nonzero entries of B_0 and the
-        diagonal; off the diagonal the entries are ints."""
-        if self.label.cups != 1:
-            raise ValueError(f"{self.label} is not a one-cup module")
-        nhalf = len(self.half)
-        return [{j: b + a if i == j else b
-                 for j, b in enumerate(self._rows(i % nhalf)[i // nhalf]) if b or i == j}
+        """The given rows of A~(a) = a^cups I + sum_k a^k B_k at a parameter
+        value a: the variable, an int, a rational or a QuotElem.  Each row
+        is {column: entry} over the diagonal and the nonzero entries of the
+        B_k, which never share a column (a pair of half diagrams has one
+        loop count) and miss the diagonal (only there are all cups closed);
+        for one cup the entries off the diagonal are ints."""
+        nhalf, dim, powers = len(self.half), self.dim, [1]
+        for _ in range(self.label.cups):  # a^k by products: QuotElem has no pow
+            powers.append(powers[-1] * a)
+        return [{i: powers[-1]} | {j % dim: b * powers[j // dim]
+                                   for j, b in enumerate(self._rows(i % nhalf)[i // nhalf]) if b}
                 for i in rows]
 
     def _rows(self, a: int) -> list[list[int]]:

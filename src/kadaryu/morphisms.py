@@ -5,19 +5,19 @@ that is annihilated by every cap except the last adjacent one; that cap
 returns a polynomial D(a) times the Specht projector.  D follows the
 three-term Chebyshev recursion up the tower and is divisible by the monic
 series factor of the one-cup determinants, so roots of the latter are
-parameter values where xi generates a submodule isomorphic to the
-cap-free standard module.  This file computes xi exactly from the integer
-linearisation A~ = aI + B_0 the module's determinant is taken from, as its
-polynomial adjugate (Cayley-Hamilton), and reads everything else off rows
-of the same pencil A~(a) (GramInstance.pencil): xi's uniqueness (which
-follows from det A~ being monic), D at every rank of the step recursion,
-the form-support claims of the translates of xi, and the radical at
-explicit (possibly irrational) parameter values.  It checks the recursion
-and divisibility, reports on xi (xi_report: its uniqueness, the Specht
-projector fixing it and the support of its translates) and certifies the
-submodule embeddings, with the Specht projector and translates applied by
-gram.act.  The position of u_cup b_k in the module basis is
-GramInstance.cup_row; the basis layout is gram's.
+parameter values where xi generates a submodule isomorphic to the cap-free
+standard module.  This file computes xi exactly from the integer
+linearisation A~ = aI + B_0 of the one-cup module, as its polynomial
+adjugate (Cayley-Hamilton), and reads everything else off rows of the
+pencil A~(a) = a^cups I + sum_k a^k B_k of any module
+(GramInstance.pencil): xi's uniqueness (which follows from det A~ being
+monic), D at every rank of the step recursion, the form-support claims of
+the translates of xi, and the radical at explicit (possibly irrational)
+parameter values.  It checks the recursion and divisibility, reports on xi
+(xi_report: its uniqueness, the Specht projector fixing it and the support
+of its translates) and certifies the submodule embeddings, with the Specht
+projector and translates applied by gram.act.  The position of u_cup b_k
+in the module basis is GramInstance.cup_row; the basis layout is gram's.
 """
 
 from __future__ import annotations

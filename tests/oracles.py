@@ -7,8 +7,8 @@ sorted pairs (PairPartition) with their general product (compose), the
 flip and the split of a half diagram into an ordered one and a permutation
 (half_normalize), the half-diagram bases and the S_r action on half
 diagrams by composing generator diagrams, matched to the package's partner
-tuples (partners), the Brauer diagram basis by brute force and by closure
-under the generators, permutation images of diagrams, diagram products by
+tuples (partners), every module label at given heights and ranks, the
+Brauer diagram basis by brute force and by closure under the generators, permutation images of diagrams, diagram products by
 a walk on a node graph, the pairing of half diagrams by composing
 diagrams, the Gram matrix from those
 pairings and group-algebra products, Sturm counts from the
@@ -46,12 +46,12 @@ from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                poly_squarefree_part)
 from kadaryu.gram import ModuleLabel, gram_matrix
 from kadaryu.morphisms import XiElement
-from kadaryu.rollet import _tl_factored
+from kadaryu.rollet import _tl_factored, dimension
 from kadaryu.roots import _integer_coeffs, minimal_poly_2cos
 from kadaryu.symmetric import (_canonical_tableau, _canonical_tableau_columns, _row_group,
                                all_permutations, hook_dimension, identity as perm_identity,
-                               inverse, inversions, left_action_matrix, mul, row_coset,
-                               sorted_by_length, specht_basis, specht_frame, specht_gram,
+                               inverse, inversions, left_action_matrix, mul, partitions,
+                               row_coset, sorted_by_length, specht_basis, specht_frame, specht_gram,
                                young_idempotent)
 
 
@@ -633,6 +633,15 @@ def half_basis_by_closure(l: int, n: int, p: int) -> tuple[PairPartition, ...]:
                 yield half_normalize(w)[0]
 
     return tuple(sorted(_closure(start, step), key=lambda d: d.pairs))
+
+
+def labels(ls, ns, max_dim=None):
+    """Every module label at heights ls and ranks ns (p = n and n = 0
+    included), up to dimension max_dim."""
+    out = [ModuleLabel(l, n, p, lam) for l in ls for n in ns
+           for p in range(n % 2, n + 1, 2) for lam in partitions(min(p, l + 2))]
+    return [lab for lab in out
+            if max_dim is None or dimension(lab.l, lab.n, (lab.p, lab.lam)) <= max_dim]
 
 
 def reference_half(label: ModuleLabel) -> list[PairPartition]:

@@ -6,14 +6,10 @@ same checks when KY_SLOW_TESTS=1; the default tier alone is meaningful —
 every criterion keeps a genuine representative.
 """
 
-import json
 import math
 import os
 import random
 import time
-from fractions import Fraction
-
-import pytest
 
 from kadaryu.cheby import quantum_number, u_expansion
 from kadaryu.cli import main as cli_main

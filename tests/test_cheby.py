@@ -1,7 +1,5 @@
 """Three-term series, quantum numbers, and the U-basis expansion."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

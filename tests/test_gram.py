@@ -2,23 +2,21 @@
 factorisations, the mixed-rank recursion, and form contravariance."""
 
 import hashlib
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kadaryu import exactmath, gram, symmetric
-from kadaryu.cheby import cheb_u, series_from_u_coeffs, u_expansion
+from kadaryu.cheby import u_expansion
 from kadaryu.diagrams import one_cup_index, pairings
 from kadaryu.exactmath import Polynomial, PolyMatrix, Q, QuotElem
 from kadaryu.gram import (GramInstance, ModuleLabel, act, factor_one_cup, gram_matrix,
                           gram_mixed_det, one_cup_det)
 from kadaryu.symmetric import (all_permutations, hook_dimension, left_action_matrix, mul,
                                partitions, specht_frame, specht_gram)
-from kadaryu.rollet import dimension
 from oracles import (GroupAlgebraElement, algebra_action, apply_dense, det_poly,
-                     from_cycles, gram_by_sandwich, gram_mixed, pair_halves,
+                     from_cycles, gram_by_sandwich, gram_mixed, labels, pair_halves,
                      reference_half, sandwich_sigma_table)
 
 x = Polynomial.x()
@@ -415,15 +413,6 @@ class TestSigmaTables:
             assert sigma_table(lam, sigma) == sandwich_sigma_table(lam, sigma), sigma
 
 
-def labels(ls, ns, max_dim=None):
-    """Every module label at heights ls and ranks ns (p = n and n = 0
-    included), up to dimension max_dim."""
-    out = [ModuleLabel(l, n, p, lam) for l in ls for n in ns
-           for p in range(n % 2, n + 1, 2) for lam in partitions(min(p, l + 2))]
-    return [lab for lab in out
-            if max_dim is None or dimension(lab.l, lab.n, (lab.p, lab.lam)) <= max_dim]
-
-
 class TestPairingTable:
     @pytest.mark.parametrize("n", [*range(8), pytest.param(8, marks=pytest.mark.slow)])
     def test_matches_composition(self, n):
@@ -499,47 +488,24 @@ class TestDetMonic:
 
     @pytest.mark.parametrize("label", [ModuleLabel(1, 5, 3, (2, 1)), ModuleLabel(-1, 6, 0, ()),
                                        ModuleLabel(2, 6, 2, (2,)), ModuleLabel(2, 6, 4, (3, 1)),
-                                       ModuleLabel(-1, 8, 2, (1,)), ModuleLabel(2, 6, 4, (2, 2))],
+                                       ModuleLabel(-1, 8, 2, (1,)), ModuleLabel(2, 6, 4, (2, 2)),
+                                       ModuleLabel(0, 4, 2, (2,)), ModuleLabel(1, 4, 4, (2, 1))],
                              ids=lambda lab: lab.key())
     def test_gram_is_s_times_linearisation(self, label):
         """The Gram matrix read off composed half diagrams and group-algebra
         products (oracles.gram_by_sandwich) is (S (x) I) A~ entry by entry,
-        as polynomials, and it is the matrix printed."""
+        as polynomials, A~ read as the pencil at the variable, and it is the
+        matrix printed; the modules have 0, 1, 2 and 3 cups."""
         inst = GramInstance(label)
         G = gram_by_sandwich(label).entries
-        tail = inst.linearisation
-        dim, nhalf, cups = inst.dim, len(inst.half), label.cups
-        S = specht_gram(label.lam)
-        top = Polynomial.monomial(1, cups)
-        lin = [[Polynomial([row[k * dim + c] for k in range(cups)])
-                + (top if r == c else Polynomial()) for c in range(dim)]
-               for r, row in enumerate(tail)]
+        nhalf, S = len(inst.half), specht_gram(label.lam)
+        lin = inst.pencil(x, range(inst.dim))
         for i in range(inst.d):
             for a in range(nhalf):
-                want = [sum((lin[k * nhalf + a][c] * S[i][k] for k in range(inst.d)),
-                            Polynomial()) for c in range(dim)]
+                want = [sum((lin[k * nhalf + a].get(c, 0) * S[i][k] for k in range(inst.d)),
+                            Polynomial()) for c in range(inst.dim)]
                 assert G[i * nhalf + a] == want, (i, a)
         assert inst.matrix.entries == G
-
-    @pytest.mark.parametrize("label", [ModuleLabel(0, 4, 2, (2,)), ModuleLabel(1, 5, 3, (2, 1)),
-                                       ModuleLabel(2, 6, 4, (3, 1)), ModuleLabel(2, 6, 4, (2, 2))],
-                             ids=lambda lab: lab.key())
-    def test_pencil_is_the_gram_matrix_over_s(self, label):
-        """sum_m S[i][m] (row (m, a) of the pencil at the variable) is the
-        printed Gram row (i, a): G = (S (x) I) A~."""
-        inst = GramInstance(label)
-        nhalf, S = len(inst.half), specht_gram(label.lam)
-        for a in range(nhalf):
-            rows = inst.pencil(x, [m * nhalf + a for m in range(inst.d)])
-            for i in range(inst.d):
-                want = [sum((row.get(c, 0) * s for row, s in zip(rows, S[i])), Polynomial())
-                        for c in range(inst.dim)]
-                assert inst.matrix.entries[i * nhalf + a] == want, (i, a)
-
-    def test_pencil_of_two_cups_raises(self):
-        inst = GramInstance(ModuleLabel(2, 6, 2, (2,)))
-        with pytest.raises(ValueError, match="not a one-cup module"):
-            inst.pencil(x, [0])
 
     def test_is_the_gram_determinant_over_det_s(self):
         """det G = det(S)^h det_monic, h the number of half diagrams."""

@@ -2,6 +2,7 @@
 divisibility by the series factor, and submodule certification."""
 
 import json
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,15 @@ from hypothesis import strategies as st
 from kadaryu import gram, morphisms
 from kadaryu.cheby import ChebSeries
 from kadaryu.diagrams import one_cup_index
-from kadaryu.exactmath import Polynomial, Q, field_kernel, field_rank, poly_content_removed
+from kadaryu.exactmath import (Polynomial, Q, field_kernel, field_rank, poly_content_removed,
+                               poly_squarefree_part)
 from kadaryu.gram import GramInstance, ModuleLabel, factor_one_cup, gram_matrix
 from kadaryu.morphisms import (XiElement, divisibility_check, solve_xi, submodule_verify,
                                xi_report, xi_sequence, xi_step)
+from kadaryu.roots import minimal_poly_2cos
 from kadaryu.symmetric import identity, partitions, specht_gram
 
-from oracles import (compute_d_by_gram_row, gram_radical, solve_xi_by_cramer,
+from oracles import (compute_d_by_gram_row, gram_radical, labels, solve_xi_by_cramer,
                      xi_uniqueness_by_gram_rows)
 
 x = Polynomial.x()
@@ -48,6 +51,33 @@ SUBMODULE_CASES = [
     (1, (2, 1), 5, x ** 4 - 7 * x * x + 3, None), (0, (2,), 4, 7, None),
     (0, (2,), 5, Polynomial([2, -1, -5, 1, 1]), None),
     (2, (4,), 7, Polynomial([-6, -23, 1, 7, 1]), None)]
+
+
+# (label, oracle): every module with l <= 1 and 1 <= n <= 6 against the Gram
+# radical; in the slow tier the pencil alone on the others with l <= 2 and
+# n <= 7, all but (2, 7, 3, (2, 1)) of dimension 178, whose 7 roots take two minutes
+RADICAL_CASES = [*((lab, True) for lab in labels(range(-1, 2), range(1, 7))),
+                 *(pytest.param(lab, False, marks=pytest.mark.slow)
+                   for lab in labels(range(-1, 3), range(1, 8))
+                   if (lab.l == 2 or lab.n == 7) and lab != ModuleLabel(2, 7, 3, (2, 1)))]
+
+
+def integer_roots(p: Polynomial) -> list[int]:
+    """The integer roots of a monic integer polynomial: 0 and the divisors
+    of the lowest nonzero coefficient of its squarefree part, where that
+    part vanishes."""
+    sq = poly_squarefree_part(p)
+    low = abs(next(c for c in sq.coeffs if c).numerator)
+    divisors = {e for d in range(1, isqrt(low) + 1) if low % d == 0 for e in (d, low // d)}
+    return sorted(r for r in {0, *divisors, *(-e for e in divisors)} if not sq(r))
+
+
+def multiplicity(f: Polynomial, p: Polynomial) -> int:
+    """The largest k with f^k dividing p."""
+    k, (q, rem) = 0, p.divmod(f)
+    while rem.is_zero():
+        k, (q, rem) = k + 1, q.divmod(f)
+    return k
 
 
 def bump_tail_after_det(inst, _monkeypatch):
@@ -342,6 +372,29 @@ class TestOracles:
         submodule_verify(l, lam, n, alpha0, target=target)
         label = ModuleLabel(l, n, n - 2, target or morphisms._target_partition(l, n, lam))
         assert kernels[0] == gram_radical(label, alpha0)
+
+    @pytest.mark.parametrize("label,oracle", RADICAL_CASES,
+                             ids=lambda v: v.key() if isinstance(v, ModuleLabel)
+                             else "gram" if v else "pencil")
+    def test_radical_is_the_pencil_kernel(self, label, oracle):
+        """The kernel of A~(a0) = a0^cups I + sum_k a0^k B_k, the radical of
+        G(a0) as S is invertible, is nonzero exactly where det A~ vanishes
+        and of dimension at most the multiplicity of a0 there: at every
+        integer root, and at l = -1 at a0 = 2cos(pi/m), 2 <= m <= n, over
+        Q[a]/(m).  With the oracle it is the kernel basis of G(a0) too."""
+        inst = gram_matrix(label)
+        det = inst.det_monic
+        points = [(r, x - r) for r in integer_roots(det)]
+        if label.l == -1 and label.cups:
+            points += [(m, m) for m in (minimal_poly_2cos(1, k) for k in range(2, label.n + 1))]
+        for alpha0, f in points:
+            a0 = morphisms._field(alpha0)[0](x)
+            ker = field_kernel([[row.get(j, 0) for j in range(inst.dim)]
+                                for row in inst.pencil(a0, range(inst.dim))])
+            k = multiplicity(f, det)
+            assert bool(ker) == bool(k) and len(ker) <= k, (alpha0, len(ker), k)
+            if oracle:
+                assert ker == gram_radical(label, alpha0), alpha0
 
     @given(st.sampled_from([(0, (2,), 4), (0, (1, 1), 5), (1, (2, 1), 5), (2, (3, 1), 6)]),
            st.data())
