@@ -2,8 +2,12 @@
 and determinants over Q[a].
 
 Products of polynomials are one big-integer product over the common
-denominator (Kronecker substitution), and gcds run the heuristic integer
-gcd on the primitive parts before Euclid's algorithm.
+denominator (Kronecker substitution).  Division is one integer
+pseudo-division of the numerators, `Polynomial.divmod`, the only one in
+the package: remainders, exact quotients, reduction and inversion in
+Q[a]/(m) and the Sturm chains all run on it.  Gcds run the heuristic
+integer gcd on the primitive parts (`primitive`, the one primitive-part
+helper) before Euclid's algorithm.
 
 Determinants over Q[a] have one certified modular path,
 `det_monic_companion`: the determinant of a monic integer matrix
@@ -161,22 +165,33 @@ class Polynomial:
         return out
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """(q, r) with self = q * other + r and deg r < deg other, by one
+        integer pseudo-division of the two numerators over their own common
+        denominators (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+        3.1).  A step scales by the divisor's leading coefficient b only
+        when b does not divide the leading term, so a divisor whose cleared
+        leading coefficient is 1 never scales."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        num = list(self.coeffs)
-        den = other.coeffs
-        dd = len(den) - 1
-        if len(num) - 1 < dd:
+        dd = other.degree
+        if self.degree < dd:
             return Polynomial(), self
-        inv = 1 / den[-1]
-        quo = [Q(0)] * (len(num) - dd)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i] * inv
+        (r,), da = clear_denominators((self.coeffs,))
+        (g,), dg = clear_denominators((other.coeffs,))
+        b, s = g[-1], 1  # on return, s * (da * self) = quo * g + r over Z
+        quo = [0] * (len(r) - dd)
+        for i in range(len(r) - 1, dd - 1, -1):
+            c, rem = divmod(r[i], b)
+            if rem:
+                c, s = r[i], s * b
+                r, quo = [b * v for v in r], [b * v for v in quo]
             if c:
                 quo[i - dd] = c
-                for j, dc in enumerate(den):
-                    num[i - dd + j] -= c * dc
-        return Polynomial(quo), Polynomial(num[:dd])
+                for j, v in enumerate(g, i - dd):
+                    r[j] -= c * v
+        den = s * da
+        return (Polynomial([Fraction(c * dg, den) for c in quo]),
+                Polynomial([Fraction(c, den) for c in r[:dd]]))
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -272,11 +287,12 @@ def _kronecker_mul(a: list[int], b: list[int]) -> list[int]:
     return [int.from_bytes(raw[i:i + size], "little") - off for i in range(0, m * size, size)]
 
 
-def _primitive(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """(q, c) with coeffs = c * q, q an integer coefficient list with
-    coprime entries and a positive last one."""
+def primitive(coeffs: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """(q, c) with coeffs = c * q for nonzero coeffs: q an integer
+    coefficient list with coprime entries and c > 0, so q has the sign of
+    coeffs at every point."""
     (ints,), den = clear_denominators((coeffs,))
-    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    g = math.gcd(*ints)
     return [c // g for c in ints], Fraction(g, den)
 
 
@@ -313,11 +329,11 @@ def _gcd_heuristic(a: Polynomial, b: Polynomial):
     digits of p(xi)/h(xi) is p, and likewise for q, exactly; with
     xi >= 2 min(|p|, |q|) + 2 (max norms) an h that divides both is the gcd.
     """
-    (p, cp), (q, cq) = _primitive(a.coeffs), _primitive(b.coeffs)
+    (p, cp), (q, cq) = primitive(a.coeffs), primitive(b.coeffs)
     xi = 2 * min(max(map(abs, p)), max(map(abs, q))) + 29
     for _ in range(_GCDHEU_TRIES):
         vp, vq = _horner(p, xi), _horner(q, xi)
-        h, _c = _primitive(_symmetric_digits(math.gcd(vp, vq), xi))
+        h, _c = primitive(_symmetric_digits(math.gcd(vp, vq), xi))
         vh = _horner(h, xi)
         hp = _symmetric_digits(vp // vh, xi) if vp % vh == 0 else None
         hq = _symmetric_digits(vq // vh, xi) if vq % vh == 0 else None
@@ -626,8 +642,8 @@ def det_monic_companion(tail: list[list[int]]) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 class QuotElem:
-    """An element of Q[a]/(modulus), for a monic nonconstant modulus; a field
-    when the modulus is irreducible.
+    """An element of Q[a]/(modulus), for a nonconstant modulus; a field when
+    the modulus is irreducible.
 
     It mixes with ints and Fractions as a Fraction does (+, -, *, ==, truth
     value), and 1 / x is inverse(), so one elimination serves Q and Q(a0).

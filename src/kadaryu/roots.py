@@ -1,17 +1,18 @@
 """Real-root isolation and the root-layout verifier for the determinant
 Chebyshev series.
 
-Everything here is exact and runs on integers.  Each polynomial gets one
-Sturm chain, built once from its primitive integer squarefree part by
-pseudo-remainders scaled only by positive factors, so its sign sequences
-and counts are those of the chain over Q; the sign at a rational a/b is the
-sign of a homogeneous integer Horner sum.  The sample points 2cos(r pi / m)
-are the roots of P^U_m, isolated once per m by its Sturm chain.  A
-polynomial vanishes at one exactly when the point's minimal polynomial
-divides it (an integer pseudo-remainder); otherwise the point's interval is
-bisected until it holds no root of the polynomial, whose sign at the point
-is then its sign at the interval's upper end, a dyadic rational.  Those
-rationals are the layout witnesses.
+Everything here is exact; division is `Polynomial`'s, and signs run on
+integers.  Each polynomial gets one Sturm chain, built once from its
+squarefree part by `Polynomial` remainders, each member made primitive by
+a positive factor (`exactmath.primitive`), so its members are integer
+lists whose sign sequences and counts are those of the chain over Q; the
+sign at a rational a/b is the sign of a homogeneous integer Horner sum.
+The sample points 2cos(r pi / m) are the roots of P^U_m, isolated once per
+m by its Sturm chain.  A polynomial vanishes at one exactly when its
+remainder by the point's minimal polynomial is zero; otherwise the
+point's interval is bisected until it holds no root of the polynomial,
+whose sign at the point is then its sign at the interval's upper end, a
+dyadic rational.  Those rationals are the layout witnesses.
 
 The four closed-form families (column, row, conjugate hook, hook) are
 their coefficient tables in the P^U basis, the form cheby.u_expansion
@@ -28,60 +29,26 @@ from functools import lru_cache
 
 from .cheby import ChebSeries, cheb_u, series_from_u_coeffs
 from .claims import claim, report
-from .exactmath import Polynomial, Q, clear_denominators, poly_gcd, poly_squarefree_part
+from .exactmath import Polynomial, Q, poly_gcd, poly_squarefree_part, primitive
 
 # ---------------------------------------------------------------------------
 # Sturm machinery
 # ---------------------------------------------------------------------------
 
 
-def _integer_coeffs(p: Polynomial) -> tuple[int, ...]:
-    """p times a positive rational, as primitive integer coefficients
-    (lowest first); p keeps its sign at every real point."""
-    (ints,), _den = clear_denominators((p.coeffs,))
-    g = math.gcd(*ints) or 1
-    return tuple(c // g for c in ints)
-
-
-def _neg_prem(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """-(f mod g) over Z: a positive multiple of the remainder over Q, made
-    primitive.  Each step scales by |lc(g)| > 0, never by lc(g) itself."""
-    r = list(f)
-    b = abs(g[-1])
-    sgn = 1 if g[-1] > 0 else -1
-    dg = len(g) - 1
-    while len(r) > dg:
-        c = sgn * r[-1]
-        shift = len(r) - 1 - dg
-        r = [b * v for v in r]
-        for i, gi in enumerate(g):
-            r[shift + i] -= c * gi
-        while r and r[-1] == 0:
-            r.pop()
-    if not r:
-        return ()
-    h = math.gcd(*r)
-    return tuple(-v // h for v in r)
-
-
-def _divides(h: Polynomial, p: Polynomial) -> bool:
-    """h | p over Q: the integer pseudo-remainder of p's primitive
-    coefficients by h's is a positive multiple of p mod h."""
-    return not _neg_prem(_integer_coeffs(p), _integer_coeffs(h))
-
-
 @lru_cache
 def _sturm_chain(p: Polynomial) -> tuple[tuple[int, ...], ...]:
-    """Sturm chain of the squarefree part of p by primitive integer
-    pseudo-remainders.  Every member is a positive multiple of the chain
-    over Q, so every sign sequence, and so every count, is the same."""
+    """Sturm chain of the squarefree part of p in primitive integer
+    members: after f, g comes the primitive part of -(f % g).  Every member
+    is a positive multiple of the chain over Q, so every sign sequence, and
+    so every count, is the same."""
     sq = poly_squarefree_part(p)
     if sq.degree < 1:
         return ()
-    chain = [_integer_coeffs(sq), _integer_coeffs(sq.derivative())]
-    while r := _neg_prem(chain[-2], chain[-1]):
-        chain.append(r)
-    return tuple(chain)
+    chain = [Polynomial(primitive(f.coeffs)[0]) for f in (sq, sq.derivative())]
+    while r := chain[-2] % chain[-1]:
+        chain.append(Polynomial(primitive((-r).coeffs)[0]))
+    return tuple(tuple(c.numerator for c in f.coeffs) for f in chain)
 
 
 def _sign(f: tuple[int, ...], x) -> int:
@@ -187,9 +154,9 @@ def sign_at_2cos(p: Polynomial, r: int, m: int) -> int:
     upper end of an interval around the point that holds no root of p."""
     if not 0 < r < m:
         raise ValueError("need 0 < r < m")
-    if _divides(minimal_poly_2cos(r, m), p):
+    if not p % minimal_poly_2cos(r, m):
         return 0
-    return _sign(_integer_coeffs(p), _point_interval(p, r, m)[1])
+    return _sign(primitive(p.coeffs)[0], _point_interval(p, r, m)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +185,7 @@ def minimal_poly_2cos(r: int, m: int) -> Polynomial:
     # among the roots 2cos(j pi/m2) of q, the Galois conjugates of our point
     # share the parity of j; P^U_{m2-1} takes value -(-1)^j there
     split = cheb_u(m2 - 1) + Polynomial.const(Q((-1) ** r2))
-    if _divides(q, split):
+    if not split % q:
         return q
     h = poly_gcd(q, split)
     if h.degree < 1:
@@ -231,7 +198,7 @@ def lemma_roots_check(series: ChebSeries, k: int, kp: int, r: int) -> bool:
     if not (0 < r < k + kp):
         raise ValueError("need 0 < r < k + k'")
     diff = series.term(series.anchor + k) - series.term(series.anchor - kp) * Q((-1) ** r)
-    return _divides(minimal_poly_2cos(r, k + kp), diff)
+    return not diff % minimal_poly_2cos(r, k + kp)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +298,7 @@ def verify_root_layout(l: int, lam: tuple[int, ...], k: int) -> dict:
         claim(claims, "degree", p.degree == k + 2 + row, p.degree)
         w = Polynomial([Q(2 * l), Q(1)]) if row else Polynomial.one()
         for r in range(1, k + 2):
-            ok = _divides(minimal_poly_2cos(r, m), p - w * Q((-1) ** r * (l + 2)))
+            ok = not (p - w * Q((-1) ** r * (l + 2))) % minimal_poly_2cos(r, m)
             claim(claims, f"value-at-2cos({r}pi/{m})", ok)
         alternating = {r: (-1) ** r for r in range(1, k + 2)}
         if not row:

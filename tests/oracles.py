@@ -1,6 +1,8 @@
 """Slow reference implementations that the package's fast paths are tested
-against: polynomial products term by term and gcds by Euclid's algorithm
-over Q, determinants over Q[a] by evaluation/interpolation, by modular
+against: polynomial products term by term, long division over Q
+(divmod_over_q) and gcds by Euclid's algorithm on it, the integer
+pseudo-remainder (neg_prem) and the primitive Sturm chain built from it,
+determinants over Q[a] by evaluation/interpolation, by modular
 linearisation of any square matrix (det_poly), by fraction-free Bareiss
 and by cofactor expansion, Smith invariants over Q[a], Brauer diagrams as
 sorted pairs (PairPartition) with their general product (compose), the
@@ -47,7 +49,7 @@ from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
 from kadaryu.gram import ModuleLabel, gram_matrix
 from kadaryu.morphisms import XiElement
 from kadaryu.rollet import _tl_factored, dimension
-from kadaryu.roots import _integer_coeffs, minimal_poly_2cos
+from kadaryu.roots import minimal_poly_2cos
 from kadaryu.symmetric import (_canonical_tableau, _canonical_tableau_columns, _row_group,
                                all_permutations, hook_dimension, identity as perm_identity,
                                inverse, inversions, left_action_matrix, mul, partitions,
@@ -66,10 +68,30 @@ def poly_mul_schoolbook(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
+def divmod_over_q(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(q, r) with a = q b + r and deg r < deg b, by long division over Q."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    num = list(a.coeffs)
+    den = b.coeffs
+    dd = len(den) - 1
+    if len(num) - 1 < dd:
+        return Polynomial(), a
+    inv = 1 / den[-1]
+    quo = [Q(0)] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] * inv
+        if c:
+            quo[i - dd] = c
+            for j, dc in enumerate(den):
+                num[i - dd + j] -= c * dc
+    return Polynomial(quo), Polynomial(num[:dd])
+
+
 def poly_gcd_euclid(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by Euclid's algorithm over Q."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, divmod_over_q(a, b)[1]
     return a.monic()
 
 
@@ -789,9 +811,52 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
     """p, p' and the negated remainders over Q, down to the last nonzero."""
     chain = [p, p.derivative()]
     while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append(-divmod_over_q(chain[-2], chain[-1])[1])
     chain.pop()
     return chain
+
+
+def _integer_coeffs(p: Polynomial) -> tuple[int, ...]:
+    """p times a positive rational, as primitive integer coefficients
+    (lowest first); p keeps its sign at every real point."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = math.gcd(*ints) or 1
+    return tuple(c // g for c in ints)
+
+
+def neg_prem(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """-(f mod g) over Z: a positive multiple of the remainder over Q, made
+    primitive.  Each step scales by |lc(g)| > 0, never by lc(g) itself."""
+    r = list(f)
+    b = abs(g[-1])
+    sgn = 1 if g[-1] > 0 else -1
+    dg = len(g) - 1
+    while len(r) > dg:
+        c = sgn * r[-1]
+        shift = len(r) - 1 - dg
+        r = [b * v for v in r]
+        for i, gi in enumerate(g):
+            r[shift + i] -= c * gi
+        while r and r[-1] == 0:
+            r.pop()
+    if not r:
+        return ()
+    h = math.gcd(*r)
+    return tuple(-v // h for v in r)
+
+
+def sturm_chain_by_prem(p: Polynomial) -> tuple[tuple[int, ...], ...]:
+    """The Sturm chain of the squarefree part of p in primitive integer
+    members: its primitive coefficients, those of its derivative, then
+    neg_prem of the last two, down to the last nonzero."""
+    sq = poly_squarefree_part(p)
+    if sq.degree < 1:
+        return ()
+    chain = [_integer_coeffs(sq), _integer_coeffs(sq.derivative())]
+    while r := neg_prem(chain[-2], chain[-1]):
+        chain.append(r)
+    return tuple(chain)
 
 
 def _sign_changes(values) -> int:
@@ -915,7 +980,7 @@ def sign_at_2cos_by_enclosure(p: Polynomial, r: int, m: int):
     polynomial; otherwise the enclosure is tightened until it excludes zero
     or _BUDGET refinements are spent.
     """
-    if (p % minimal_poly_2cos(r, m)).is_zero():
+    if divmod_over_q(p, minimal_poly_2cos(r, m))[1].is_zero():
         return 0
     f = _integer_coeffs(p)
     terms = 8

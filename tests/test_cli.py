@@ -595,9 +595,12 @@ class TestCachedVerdicts:
 
 
 # irreducible over Q: degree one, or degree two and three with no rational
-# root; a reducible modulus such as minpoly:-1,0,1 ends in a traceback
+# root; the last two are a^2 + 1/3 and a^2 - 1/2 once monic, whose cleared
+# leading coefficients are 3 and 2.  A reducible modulus such as
+# minpoly:-1,0,1 ends in a traceback
 IRREDUCIBLE = ["minpoly:-2,1", "minpoly:-2,0,1", "minpoly:1,0,1", "minpoly:1,1,1",
-               "minpoly:-1,-1,1", "minpoly:-4,1,1", "minpoly:-3,0,0,1"]
+               "minpoly:-1,-1,1", "minpoly:-4,1,1", "minpoly:-3,0,0,1",
+               "minpoly:1,0,3", "minpoly:-1/2,0,1"]
 FORMATS = {"gram": ["json", "csv"], "series": ["json", "csv"], "rollet": ["json", "dot"]}
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kadaryu import exactmath
@@ -23,6 +23,12 @@ polys = st.lists(rationals, max_size=6).map(Polynomial)
 small_polys = st.lists(st.integers(-5, 5), max_size=4).map(Polynomial)
 wide_polys = st.lists(st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 20)),
                       max_size=12).map(Polynomial)
+# divisors with rational coefficients, ones whose leading coefficient stays
+# 7/3 or -5 times the common denominator when cleared, and constants
+divisors = (polys.filter(bool)
+            | st.builds(lambda p, lc: Polynomial([*p.coeffs, lc]), polys,
+                        st.sampled_from([Q(7, 3), Q(-5)]))
+            | rationals.filter(bool).map(Polynomial.const))
 
 
 @st.composite
@@ -77,6 +83,16 @@ class TestPolynomial:
         quo, rem = p.divmod(q)
         assert quo * q + rem == p
         assert rem.degree < q.degree
+
+    @given(polys | wide_polys, divisors)
+    @example(Polynomial(), Polynomial([1, Q(7, 3)]))
+    @example(Polynomial([1, 2]), Polynomial([0, 0, -5]))
+    @example(Polynomial([3, Q(1, 2), 1]), Polynomial([Q(2, 3)]))
+    def test_divmod_matches_long_division(self, p, q):
+        """The integer pseudo-division returns the quotient and remainder of
+        long division over Q: zero and lower-degree dividends, constant
+        divisors and divisors whose cleared leading coefficient is not 1."""
+        assert p.divmod(q) == oracles.divmod_over_q(p, q)
 
     @given(st.integers(-10 ** 30, 10 ** 30) | rationals, polys)
     def test_hash_agrees_with_eq(self, c, p):
@@ -483,6 +499,19 @@ class TestQuotientRing:
         assert (3 - x).rep == Polynomial([3, -1])
         assert (x * Fraction(1, 2)).rep == Polynomial([0, Q(1, 2)])
         assert (Fraction(1, 2) + x - 1).rep == Polynomial([Q(-1, 2), 1])
+
+    def test_non_monic_modulus(self):
+        """Over 3a^2 + 1 the modulus's leading coefficient is 3, so every
+        reduction and inversion takes scaled pseudo-division steps."""
+        m = Polynomial([1, 0, 3])
+        for rep in ([0, 1], [2, Q(-1, 5)], [Q(7, 2)], [1, 1, 1, 4]):
+            x = QuotElem(m, Polynomial(rep))
+            assert x * x.inverse() == 1
+        a = QuotElem(m, Polynomial.x())
+        assert a * a == Q(-1, 3)
+        rows = [[a, QuotElem(m, 1)], [QuotElem(m, -1), 3 * a]]  # det 3a^2 + 1 = 0
+        assert field_rank(rows) == 1
+        assert field_kernel(rows) == [[3 * a, 1]]
 
 
 class TestFieldLinearAlgebra:

@@ -2,6 +2,8 @@
 factorisations, the mixed-rank recursion, and form contravariance."""
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -530,3 +532,18 @@ class TestDetMonic:
         specht = det_poly(PolyMatrix([[Polynomial.const(v) for v in row]
                                       for row in specht_gram(label.lam)]))
         assert det_poly(inst.matrix) == specht ** len(inst.half) * inst.det_monic
+
+
+def test_readme_library_snippets():
+    """The two Library code blocks of README.md run as printed and hold
+    what they state: (1,5,3,(2,1)) is 14x14 with a determinant of degree
+    14, and (0,6,2,(2,)) at a = 1 is 16-dimensional with a 7-vector
+    radical."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    first, second = {}, {}
+    for block, scope in zip(re.findall(r"```python\n(.*?)```", section, re.S), (first, second),
+                            strict=True):
+        exec(block, scope)
+    assert gram_matrix(ModuleLabel(1, 5, 3, (2, 1))).dim == 14 and first["det"].degree == 14
+    assert second["inst"].dim == 16 and len(second["radical"]) == 7

@@ -14,12 +14,13 @@ from kadaryu.cheby import cheb_u, u_expansion
 from kadaryu.exactmath import Polynomial, Q
 from kadaryu.gram import factor_one_cup
 from kadaryu.roots import (_U_COEFFS, _cheb_intervals, _family, _interior_layout,
-                           _point_interval, family_series, lemma_roots_check,
+                           _point_interval, _sturm_chain, family_series, lemma_roots_check,
                            minimal_poly_2cos, sign_at_2cos, sturm_count, sturm_isolate,
                            verify_root_layout)
 
 from oracles import (_cos_bounds, cos_bounds_q, cos_point_enclosure, pi_bounds,
-                     sign_at_2cos_by_enclosure, squarefree_check, sturm_count_q)
+                     sign_at_2cos_by_enclosure, squarefree_check, sturm_chain_by_prem,
+                     sturm_count_q)
 
 x = Polynomial.x()
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -84,6 +85,10 @@ class TestSturm:
                           rationals)
         lo, hi = data.draw(point), data.draw(point)
         assert sturm_count(p, lo, hi) == sturm_count_q(p, lo, hi)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_chebyshev_chain_is_the_prem_chain(self, m):
+        assert _sturm_chain(cheb_u(m)) == sturm_chain_by_prem(cheb_u(m))
 
     def test_squarefree_check(self):
         assert squarefree_check((x - 1) * (x + 2))
@@ -270,6 +275,16 @@ class TestClosedForms:
             p = series.term(n)
             assert squarefree_check(p), n
             assert sturm_count(p, -math.inf, math.inf) == p.degree, n
+
+    @pytest.mark.parametrize("l,lam", FAMILIES)
+    def test_sturm_chains_are_the_prem_chains(self, l, lam):
+        """Each member, the primitive part of -(f % g), is the integer tuple
+        of the pseudo-remainder chain, so every count, interval and witness
+        stays the same."""
+        _c, series = factor_one_cup(l, lam)
+        for n in range(l + 4, l + 11):
+            p = series.term(n)
+            assert _sturm_chain(p) == sturm_chain_by_prem(p), n
 
 
 class TestLemmaGrid:
