@@ -541,9 +541,10 @@ def test_readme_library_snippets():
     radical."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
     first, second = {}, {}
-    for block, scope in zip(re.findall(r"```python\n(.*?)```", section, re.S), (first, second),
-                            strict=True):
-        exec(block, scope)
+    exec(blocks[0], first)
+    exec(blocks[1], second)
     assert gram_matrix(ModuleLabel(1, 5, 3, (2, 1))).dim == 14 and first["det"].degree == 14
     assert second["inst"].dim == 16 and len(second["radical"]) == 7
