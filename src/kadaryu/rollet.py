@@ -143,47 +143,26 @@ def arm_verify(l: int, lam: tuple[int, ...], p_range, m_range) -> list[ArmRecord
 
 
 # ---------------------------------------------------------------------------
-# the l = -1 recursive determinant oracle
+# the l = -1 determinant product formula
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _tl_factored(n: int, p: int) -> tuple[tuple[int, int], ...]:
-    """Factored det for the chain: dict-as-tuple {quantum index: exponent}.
+def tl_recursive_det(n: int, p: int) -> Polynomial:
+    """Chain-module Gram determinant in the loop parameter, by the product
+    formula (no Gram matrix is built):
 
-    Recursion over rank: det_n(p) picks up det_{n-1}(p-1), det_{n-1}(p+1)
-    and the ratio [p+2]/[p+1] raised to the dimension of the (p+1)-module
-    one rank down.  Exponents may go negative along the way; the final
-    product must divide out exactly.
+        det G_n(p) = prod_{j=1}^{(n-p)/2} ([p+j+1] / [j]) ** dim Delta_n(p+2j)
+
+    (Westbury, Math. Z. 219, 1995; Ridout & Saint-Aubin, Adv. Theor. Math.
+    Phys. 18, 2014).  The exponents are walk counts; the quotient must be
+    exact.  The name stays because kybench/checks.py imports it.
     """
     if p < 0 or p > n or (n - p) % 2:
         raise ValueError("bad chain label")
-    if p == n:
-        return ()
-    acc: dict[int, int] = {}
-
-    def mix(factors, mult=1):
-        for k, e in factors:
-            acc[k] = acc.get(k, 0) + e * mult
-
-    if p > 0:
-        mix(_tl_factored(n - 1, p - 1))
-    d_up = dimension(-1, n - 1, (p + 1, (1,)))
-    mix(_tl_factored(n - 1, p + 1))
-    acc[p + 2] = acc.get(p + 2, 0) + d_up
-    acc[p + 1] = acc.get(p + 1, 0) - d_up
-    # [1] = 1 contributes nothing
-    return tuple(sorted((k, e) for k, e in acc.items() if e and k > 1))
-
-
-def tl_recursive_det(n: int, p: int) -> Polynomial:
-    """Chain-module Gram determinant in the loop parameter, computed by the
-    diamond recursion over quantum numbers (no Gram matrix is built)."""
     num, den = Polynomial.one(), Polynomial.one()
-    for k, e in _tl_factored(n, p):
-        if e > 0:
-            num = num * quantum_number(k) ** e
-        else:
-            den = den * quantum_number(k) ** (-e)
+    for j in range(1, (n - p) // 2 + 1):
+        d = dimension(-1, n, (p + 2 * j, (1,)))
+        num = num * quantum_number(p + j + 1) ** d
+        den = den * quantum_number(j) ** d
     return num.exact_div(den)
 
 

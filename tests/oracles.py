@@ -22,7 +22,8 @@ every translate by one echelon solve over Q, the Specht data
 from products in the group algebra (Q S_r as finitely supported maps,
 with single permutations, the Young idempotent and the involution * as
 elements), permutations from cycles, the TL determinant's quantum
-exponents, the square-free test, Yun's square-free decomposition,
+exponents by the diamond recursion over rank, the square-free test,
+Yun's square-free decomposition,
 polynomial matrices evaluated at a point, the bootstrap vector by Cramer's rule,
 its uniqueness from the Gram rows, its cap scalar D from a Gram row, dense
 matrix-vector products, the
@@ -48,7 +49,7 @@ from kadaryu.exactmath import (Polynomial, PolyMatrix, Q, det_rational,
                                poly_squarefree_part)
 from kadaryu.gram import ModuleLabel, gram_matrix
 from kadaryu.morphisms import XiElement
-from kadaryu.rollet import _tl_factored, dimension
+from kadaryu.rollet import dimension
 from kadaryu.roots import minimal_poly_2cos
 from kadaryu.symmetric import (_canonical_tableau, _canonical_tableau_columns, _row_group,
                                all_permutations, hook_dimension, identity as perm_identity,
@@ -802,8 +803,39 @@ def basis_by_closure(l: int, n: int) -> frozenset[PairPartition]:
     return frozenset(_closure(identity(n), lambda d: (compose(d, g)[0] for g in gens)))
 
 
+@lru_cache(maxsize=None)
+def _tl_factored(n: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Factored det for the chain: dict-as-tuple {quantum index: exponent}.
+
+    Recursion over rank: det_n(p) picks up det_{n-1}(p-1), det_{n-1}(p+1)
+    and the ratio [p+2]/[p+1] raised to the dimension of the (p+1)-module
+    one rank down.  Exponents may go negative along the way; the final
+    product must divide out exactly.
+    """
+    if p < 0 or p > n or (n - p) % 2:
+        raise ValueError("bad chain label")
+    if p == n:
+        return ()
+    acc: dict[int, int] = {}
+
+    def mix(factors, mult=1):
+        for k, e in factors:
+            acc[k] = acc.get(k, 0) + e * mult
+
+    if p > 0:
+        mix(_tl_factored(n - 1, p - 1))
+    d_up = dimension(-1, n - 1, (p + 1, (1,)))
+    mix(_tl_factored(n - 1, p + 1))
+    acc[p + 2] = acc.get(p + 2, 0) + d_up
+    acc[p + 1] = acc.get(p + 1, 0) - d_up
+    # [1] = 1 contributes nothing
+    return tuple(sorted((k, e) for k, e in acc.items() if e and k > 1))
+
+
 def tl_factored_det(n: int, p: int) -> dict[int, int]:
-    """The {quantum index: exponent} form of rollet.tl_recursive_det."""
+    """The chain-module Gram determinant as {quantum index: exponent}, by
+    the diamond recursion over rank: the reference for the product formula
+    of rollet.tl_recursive_det."""
     return dict(_tl_factored(n, p))
 
 

@@ -2,6 +2,7 @@
 and the marginal-vertex / series identity on the arms."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,26 @@ class TestChainOracle:
         got = tl_recursive_det(6, 0)
         want = quantum_number(2) ** 4 * quantum_number(3) ** 4 * quantum_number(4)
         assert got == want
+
+    def test_product_formula_matches_recursion(self):
+        # both sides multiply out the determinant, whose coefficients run to
+        # thousands of digits by rank 14: ranks 12-14 take 60-80 s (2 cores,
+        # Python 3.11.7), so they join the comparison in the slow tier
+        n_top = 14 if os.environ.get("KY_SLOW_TESTS") else 11
+        for n in range(n_top + 1):
+            for p in range(n % 2, n + 1, 2):
+                num, den = Polynomial.one(), Polynomial.one()
+                for k, e in tl_factored_det(n, p).items():
+                    if e > 0:
+                        num = num * quantum_number(k) ** e
+                    else:
+                        den = den * quantum_number(k) ** -e
+                assert tl_recursive_det(n, p) == num.exact_div(den), (n, p)
+
+    @pytest.mark.parametrize("n, p", [(3, 5), (4, 1), (4, -2)])
+    def test_bad_chain_labels(self, n, p):
+        with pytest.raises(ValueError, match="bad chain label"):
+            tl_recursive_det(n, p)
 
 
 class TestArmIdentity:
